@@ -55,7 +55,7 @@ from .analysis import (
     probe_strong_error_floor,
 )
 from .core import StepSchedule, derive_stream, log_spaced_indices
-from .coupling import epsilon_hat, run_coupled, run_coupled_replicates, strong_error, weak_error
+from .coupling import CoupledBank, epsilon_hat, run_coupled_replicates, strong_error, weak_error
 from .noise import (
     GradientOracle,
     gaussian_oracle,
@@ -79,7 +79,7 @@ from .objectives import (
     make_quadratic,
 )
 from .sde import em_bias_probe, sample_brownian_path
-from .sgd import DivergenceError, run_sgd, run_sgd_replicates
+from .sgd import ReplicateRuns, run_sgd_replicates
 
 EXPERIMENTS = (
     "rates",
@@ -138,7 +138,7 @@ def _fmt_index(v) -> str:
     return str(int(f)) if f == int(f) else repr(f)
 
 
-def _emit_bank(out: Outcome, run_id: str, indices, values, dist2, grad_sq, rep_ids):
+def _emit_bank(out: Outcome, run_id: str, runs: ReplicateRuns):
     """Raw rows, summary rows, and the suffix-average column for one run.
 
     suffix_avg at a checkpoint is the mean of that replicate's recorded
@@ -146,7 +146,8 @@ def _emit_bank(out: Outcome, run_id: str, indices, values, dist2, grad_sq, rep_i
     the final value itself); it averages recorded checkpoints, not every
     iterate.
     """
-    values = np.asarray(values)
+    indices, values = runs.sample_indices, runs.values
+    dist2, grad_sq = runs.dist2_to_min, runs.grad_sq
     r, c = values.shape
     tail_counts = np.arange(c, 0, -1, dtype=float)
     suffix = np.cumsum(values[:, ::-1], axis=1)[:, ::-1] / tail_counts
@@ -154,7 +155,7 @@ def _emit_bank(out: Outcome, run_id: str, indices, values, dist2, grad_sq, rep_i
         for j in range(c):
             n = indices[j]
             out.raw_rows.append(
-                f"{run_id},{int(rep_ids[i])},{_fmt_index(n)},{_fmt(values[i, j])},"
+                f"{run_id},{int(runs.replicate_ids[i])},{_fmt_index(n)},{_fmt(values[i, j])},"
                 f"{_fmt(dist2[i, j])},{_fmt(grad_sq[i, j])},{_fmt(suffix[i, j])}"
             )
     for j in range(c):
@@ -181,54 +182,77 @@ def _loglog_slope(xs, ys) -> float:
     return float(xc @ (y - y.mean()) / (xc @ xc))
 
 
+_REQUIRED = object()
+
+
+def _num(cfg: ExperimentConfig, section: str, key: str, default=_REQUIRED, cast=float):
+    """[section] key converted by cast, or default when absent; a missing
+    required key or a malformed value is a ConfigError."""
+    spec = getattr(cfg, section)
+    if key not in spec:
+        if default is _REQUIRED:
+            raise ConfigError([f"[{section}] {key}: required for kind {spec.get('kind')!r}"])
+        return default
+    try:
+        return cast(spec[key])
+    except ValueError:
+        what = "an integer" if cast is int else "a number"
+        raise ConfigError([f"[{section}] {key}: {spec[key]!r} is not {what}"]) from None
+
+
 def build_objective(cfg: ExperimentConfig) -> Objective:
-    spec = cfg.objective
-    kind = spec.get("kind", "quadratic")
-    if kind == "quadratic":
-        return make_quadratic(dim=int(spec.get("dim", 1)), lam=float(spec.get("lam", 1.0)))
-    if kind == "phi_p":
-        return make_phi_p(int(spec["p"]))
-    if kind == "pl_sine":
-        return make_pl_sine()
-    if kind == "least_squares":
-        return make_least_squares(
-            dim=int(spec.get("dim", 4)),
-            n_data=int(spec.get("n_data", 256)),
-            stream=derive_stream(cfg.seed, 0, "data"),
-        )
-    if kind == "linear_probe":
-        return make_linear_probe(dim=int(spec.get("dim", 1)))
+    kind = cfg.objective.get("kind", "quadratic")
+    num = lambda key, default=_REQUIRED, cast=float: _num(cfg, "objective", key, default, cast)
+    try:
+        if kind == "quadratic":
+            return make_quadratic(dim=num("dim", 1, int), lam=num("lam", 1.0))
+        if kind == "phi_p":
+            return make_phi_p(num("p", cast=int))
+        if kind == "pl_sine":
+            return make_pl_sine()
+        if kind == "least_squares":
+            return make_least_squares(
+                dim=num("dim", 4, int),
+                n_data=num("n_data", 256, int),
+                stream=derive_stream(cfg.seed, 0, "data"),
+            )
+        if kind == "linear_probe":
+            return make_linear_probe(dim=num("dim", 1, int))
+    except ValueError as err:
+        raise ConfigError([f"[objective] {kind}: {err}"]) from None
     raise ConfigError([f"[objective] kind: unknown objective {kind!r}"])
 
 
 def build_oracle(cfg: ExperimentConfig, obj: Objective) -> GradientOracle:
     spec = cfg.oracle
     kind = spec.get("kind", "gaussian")
-    if kind in ("gaussian", "none"):
-        sigma = 0.0 if kind == "none" else float(spec.get("sigma", 1.0))
-        return gaussian_oracle(obj, sigma)
-    if kind == "heavy":
-        return heavy_oracle(
-            obj,
-            float(spec.get("scale", 1.0)),
-            spec.get("law", "laplace"),
-            df=float(spec["df"]) if "df" in spec else None,
-        )
-    if kind == "batch_probe":
-        return probe_batch_oracle(
-            obj,
-            int(spec.get("batch_m", 1)),
-            law=spec.get("law", "normal"),
-            df=float(spec["df"]) if "df" in spec else None,
-        )
-    if kind == "least_squares_batch":
-        return least_squares_batch_oracle(obj, int(spec.get("batch_m", 1)))
+    num = lambda key, default, cast=float: _num(cfg, "oracle", key, default, cast)
+    try:
+        if kind in ("gaussian", "none"):
+            return gaussian_oracle(obj, 0.0 if kind == "none" else num("sigma", 1.0))
+        if kind == "heavy":
+            return heavy_oracle(
+                obj, num("scale", 1.0), spec.get("law", "laplace"), df=num("df", None)
+            )
+        if kind == "batch_probe":
+            return probe_batch_oracle(
+                obj, num("batch_m", 1, int), law=spec.get("law", "normal"), df=num("df", None)
+            )
+        if kind == "least_squares_batch":
+            return least_squares_batch_oracle(obj, num("batch_m", 1, int))
+    except (TypeError, ValueError) as err:
+        raise ConfigError([f"[oracle] {kind}: {err}"]) from None
     raise ConfigError([f"[oracle] kind: unknown oracle {kind!r}"])
 
 
 def _x0_of(cfg: ExperimentConfig, obj: Objective) -> np.ndarray:
     raw = cfg.objective.get("x0", "0")
-    vals = [float(v) for v in str(raw).split(",")]
+    try:
+        vals = [float(v) for v in str(raw).split(",")]
+    except ValueError:
+        raise ConfigError(
+            [f"[objective] x0: {raw!r} is not a number or a comma-separated vector"]
+        ) from None
     if len(vals) == 1:
         return np.full(obj.dim, vals[0])
     if len(vals) != obj.dim:
@@ -240,37 +264,15 @@ def _run_label(obj: Objective, oracle: GradientOracle, sched: StepSchedule) -> s
     return f"{obj.name}_{oracle.name}_{sched.label()}"
 
 
-def _sgd_bank_with_fallback(cfg, obj, oracle, sched, plan, out: Outcome, n_steps=None):
-    """Vectorized bank; on a divergence, rerun solo and keep the survivors."""
-    out.attempted += cfg.replicates
-    if n_steps is None:
-        n_steps = int(cfg.horizon)
-    try:
-        bank = run_sgd_replicates(
-            obj, oracle, sched, _x0_of(cfg, obj), n_steps,
-            cfg.replicates, cfg.seed, plan=plan, threads=cfg.threads,
-        )
-        out.completed += cfg.replicates
-        return bank.sample_indices, bank.values, bank.dist2_to_min, bank.grad_sq, bank.replicate_ids
-    except DivergenceError:
-        pass
-    vals, d2s, gsqs, ids = [], [], [], []
-    for rep in range(cfg.replicates):
-        try:
-            t = run_sgd(
-                obj, oracle, sched, _x0_of(cfg, obj), n_steps,
-                plan=plan, stream=derive_stream(cfg.seed, rep, "noise"),
-            )
-            vals.append(t.values)
-            d2s.append(t.dist2_to_min)
-            gsqs.append(t.grad_sq)
-            ids.append(rep)
-            out.completed += 1
-        except DivergenceError as err:
-            out.aborts.append(f"{_run_label(obj, oracle, sched)} {err}")
-    if not ids:
-        return None
-    return plan, np.array(vals), np.array(d2s), np.array(gsqs), np.array(ids)
+def _tally(out: Outcome, run_id: str, attempted: int, aborts: list) -> bool:
+    """Count a bank's replicates and abort lines; False when none survived."""
+    out.attempted += attempted
+    out.completed += attempted - len(aborts)
+    out.aborts += [f"{run_id} {err}" for err in aborts]
+    if len(aborts) < attempted:
+        return True
+    out.report.append(f"{run_id}: all replicates aborted")
+    return False
 
 
 def _rate_settings(obj: Objective, alpha: float):
@@ -298,18 +300,20 @@ def _experiment_rates(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
     obj = build_objective(cfg)
     oracle = build_oracle(cfg, obj)
-    tol = float(cfg.oracle.get("rate_tolerance", 0.1))
+    tol = _num(cfg, "oracle", "rate_tolerance", 0.1)
     n_steps = int(cfg.horizon)
     plan = log_spaced_indices(n_steps)
-    observables = {"f_gap": 1, "dist2": 2, "grad_sq": 3}
+    observables = {"f_gap": "values", "dist2": "dist2_to_min", "grad_sq": "grad_sq"}
+    x0 = _x0_of(cfg, obj)
     for sched in cfg.schedules:
         run_id = _run_label(obj, oracle, sched)
-        bank = _sgd_bank_with_fallback(cfg, obj, oracle, sched, plan, out)
-        if bank is None:
-            out.report.append(f"{run_id}: all replicates aborted")
+        bank = run_sgd_replicates(
+            obj, oracle, sched, x0, n_steps, cfg.replicates, cfg.seed,
+            plan=plan, threads=cfg.threads,
+        )
+        if not _tally(out, run_id, cfg.replicates, bank.aborts):
             continue
-        indices = bank[0]
-        _emit_bank(out, run_id, indices, bank[1], bank[2], bank[3], bank[4])
+        _emit_bank(out, run_id, bank)
         if oracle.eta == 0.0:
             out.report.append(
                 f"{run_id}: noiseless run decays super-polynomially;"
@@ -324,9 +328,9 @@ def _experiment_rates(cfg: ExperimentConfig) -> Outcome:
                     " no polynomial guarantee at this alpha"
                 )
                 continue
-            curve = np.asarray(bank[observables[setting.observable]]).mean(axis=0)
+            curve = getattr(bank, observables[setting.observable]).mean(axis=0)
             try:
-                est = fit_rate(list(zip(indices.tolist(), curve.tolist())))
+                est = fit_rate(list(zip(plan.tolist(), curve.tolist())))
             except ValueError as err:
                 out.report.append(
                     f"{run_id} {setting.function_class}/{setting.observable}:"
@@ -352,83 +356,29 @@ def _experiment_rates(cfg: ExperimentConfig) -> Outcome:
     return out
 
 
-def _coupled_banks_with_fallback(cfg, obj, oracle, sched, out: Outcome, record_states):
-    out.attempted += cfg.replicates
-    x0 = _x0_of(cfg, obj)
-    try:
-        bank = run_coupled_replicates(
-            obj, oracle, sched, x0, cfg.horizon, cfg.substeps,
-            cfg.replicates, cfg.seed, threads=cfg.threads,
-            record_states=record_states,
-        )
-        out.completed += cfg.replicates
-        return bank
-    except DivergenceError:
-        pass
-    runs = []
-    for rep in range(cfg.replicates):
-        try:
-            runs.append(
-                run_coupled(
-                    obj, oracle, sched, x0, cfg.horizon, cfg.substeps,
-                    stream=derive_stream(cfg.seed, rep, "noise"),
-                    record_states=record_states,
-                )
-            )
-            out.completed += 1
-        except DivergenceError as err:
-            out.aborts.append(f"{_run_label(obj, oracle, sched)} {err}")
-    return runs or None
-
-
-def _emit_coupled(out: Outcome, run_id: str, bank) -> None:
-    if isinstance(bank, list):
-        indices = bank[0].discrete.sample_indices
-        ids = [r.replicate_id for r in bank]
-        stack = lambda getter: np.array([getter(r) for r in bank])
-        _emit_bank(
-            out, run_id + ":discrete", indices,
-            stack(lambda r: r.discrete.values),
-            stack(lambda r: r.discrete.dist2_to_min),
-            stack(lambda r: r.discrete.grad_sq), ids,
-        )
-        _emit_bank(
-            out, run_id + ":continuous", bank[0].continuous.sample_indices,
-            stack(lambda r: r.continuous.values),
-            stack(lambda r: r.continuous.dist2_to_min),
-            stack(lambda r: r.continuous.grad_sq), ids,
-        )
-        return
-    _emit_bank(
-        out, run_id + ":discrete", bank.block_indices,
-        bank.discrete.values, bank.discrete.dist2_to_min,
-        bank.discrete.grad_sq, bank.discrete.replicate_ids,
-    )
-    _emit_bank(
-        out, run_id + ":continuous", bank.times,
-        bank.continuous.values, bank.continuous.dist2_to_min,
-        bank.continuous.grad_sq, bank.continuous.replicate_ids,
-    )
+def _emit_coupled(out: Outcome, run_id: str, bank: CoupledBank) -> None:
+    _emit_bank(out, run_id + ":discrete", bank.discrete)
+    _emit_bank(out, run_id + ":continuous", bank.continuous)
 
 
 def _experiment_approx(cfg: ExperimentConfig, weak: bool) -> Outcome:
     out = Outcome()
     obj = build_objective(cfg)
     oracle = build_oracle(cfg, obj)
-    lo, hi = (
-        (float(cfg.oracle.get("slope_lo", 0.8)), float(cfg.oracle.get("slope_hi", 1.3)))
-        if weak
-        else (float(cfg.oracle.get("slope_lo", 0.85)), float(cfg.oracle.get("slope_hi", 1.15)))
-    )
+    lo = _num(cfg, "oracle", "slope_lo", 0.8 if weak else 0.85)
+    hi = _num(cfg, "oracle", "slope_hi", 1.3 if weak else 1.15)
+    x0 = _x0_of(cfg, obj)
     by_alpha: dict = {}
     for sched in cfg.schedules:
         run_id = _run_label(obj, oracle, sched)
-        bank = _coupled_banks_with_fallback(cfg, obj, oracle, sched, out, record_states=weak)
-        if bank is None:
-            out.report.append(f"{run_id}: all replicates aborted")
+        bank = run_coupled_replicates(
+            obj, oracle, sched, x0, cfg.horizon, cfg.substeps, cfg.replicates,
+            cfg.seed, threads=cfg.threads, record_states=weak,
+        )
+        if not _tally(out, run_id, cfg.replicates, bank.aborts):
             continue
         _emit_coupled(out, run_id, bank)
-        kind = bank.coupling_kind if not isinstance(bank, list) else bank[0].coupling_kind
+        kind = bank.coupling_kind
         if weak:
             est = weak_error(bank, bank, lambda x: np.sum(np.square(x), axis=-1))
             value = abs(est.value)
@@ -437,12 +387,7 @@ def _experiment_approx(cfg: ExperimentConfig, weak: bool) -> Outcome:
         else:
             # The theoretical order is uniform over the trajectory, so the
             # sweep tracks the worst checkpoint, not just the endpoint.
-            blocks = (
-                bank.block_indices
-                if not isinstance(bank, list)
-                else bank[0].discrete.sample_indices
-            )
-            per_ckpt = [strong_error(bank, checkpoint=int(c)) for c in blocks]
+            per_ckpt = [strong_error(bank, checkpoint=int(c)) for c in bank.block_indices]
             est = max(per_ckpt, key=lambda e: e.value)
             value = est.value
             label = "strong error (sup over checkpoints)"
@@ -468,12 +413,12 @@ def _experiment_approx(cfg: ExperimentConfig, weak: bool) -> Outcome:
 def _experiment_batch_eps(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
     law = cfg.oracle.get("law", "laplace")
-    df = float(cfg.oracle["df"]) if "df" in cfg.oracle else None
+    df = _num(cfg, "oracle", "df", None)
     m_values = [int(v) for v in str(cfg.oracle.get("m_values", "1, 4, 16, 64")).split(",")]
-    n_samples = int(float(cfg.oracle.get("n_samples", 100_000)))
-    lo = float(cfg.oracle.get("slope_lo", -1.25))
-    hi = float(cfg.oracle.get("slope_hi", -0.75))
-    obj = make_linear_probe(int(cfg.objective.get("dim", 1)))
+    n_samples = int(_num(cfg, "oracle", "n_samples", 100_000))
+    lo = _num(cfg, "oracle", "slope_lo", -1.25)
+    hi = _num(cfg, "oracle", "slope_hi", -0.75)
+    obj = make_linear_probe(_num(cfg, "objective", "dim", 1, int))
     x = _x0_of(cfg, obj)
     means = []
     for m in m_values:
@@ -489,8 +434,10 @@ def _experiment_batch_eps(cfg: ExperimentConfig) -> Outcome:
             out.completed += 1
         values = np.asarray(values)[:, None]
         _emit_bank(
-            out, run_id, np.array([m]), values, values**2,
-            np.zeros_like(values), np.arange(cfg.replicates),
+            out, run_id,
+            ReplicateRuns(
+                np.array([m]), values, values**2, np.zeros_like(values), np.arange(cfg.replicates)
+            ),
         )
         means.append(float(values.mean()))
     if len(m_values) >= 2:
@@ -507,9 +454,10 @@ def _experiment_batch_eps(cfg: ExperimentConfig) -> Outcome:
 
 def _experiment_probe_exact(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
-    obj = make_linear_probe(int(cfg.objective.get("dim", 1)))
-    m = int(cfg.oracle.get("batch_m", 1))
+    obj = make_linear_probe(_num(cfg, "objective", "dim", 1, int))
+    m = _num(cfg, "oracle", "batch_m", 1, int)
     oracle = probe_batch_oracle(obj, m, law="normal")
+    x0 = _x0_of(cfg, obj)
     for sched in cfg.schedules:
         ga = sched.gamma_alpha
         n_steps = int(cfg.horizon / ga + 1e-9)
@@ -517,21 +465,23 @@ def _experiment_probe_exact(cfg: ExperimentConfig) -> Outcome:
             raise ConfigError(["[experiment] horizon: shorter than one gamma_alpha block"])
         plan = log_spaced_indices(n_steps)
         run_id = _run_label(obj, oracle, sched)
-        bank = _sgd_bank_with_fallback(cfg, obj, oracle, sched, plan, out, n_steps=n_steps)
-        if bank is None:
-            out.report.append(f"{run_id}: all replicates aborted")
+        bank = run_sgd_replicates(
+            obj, oracle, sched, x0, n_steps, cfg.replicates, cfg.seed,
+            plan=plan, threads=cfg.threads,
+        )
+        if not _tally(out, run_id, cfg.replicates, bank.aborts):
             continue
-        indices, _, dist2 = bank[0], bank[1], bank[2]
-        _emit_bank(out, run_id, indices, bank[1], bank[2], bank[3], bank[4])
+        _emit_bank(out, run_id, bank)
+        dist2 = bank.dist2_to_min
         r = dist2.shape[0]
         worst = 0.0
-        for j, n in enumerate(indices):
+        for j, n in enumerate(plan):
             exact = probe_exact_second_moment(m, sched.gamma, sched.alpha, int(n))
             mean = float(dist2[:, j].mean())
             se = float(dist2[:, j].std(ddof=1)) / np.sqrt(r)
             z = abs(mean - exact) / se if se > 0 else 0.0
             worst = max(worst, z)
-            if j == len(indices) - 1:
+            if j == len(plan) - 1:
                 out.report.append(
                     f"{run_id} n={int(n)}: mean dist2 {mean:.6g} vs exact {exact:.6g}"
                     f" ({z:.2f} standard errors) {'PASS' if z <= 3 else 'FAIL'}"
@@ -556,12 +506,14 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
     oracle = build_oracle(cfg, obj)
     sched = cfg.schedules[0]
     run_id = _run_label(obj, oracle, sched)
-    bank = _coupled_banks_with_fallback(cfg, obj, oracle, sched, out, record_states=True)
-    if bank is None:
-        out.report.append(f"{run_id}: all replicates aborted")
+    bank = run_coupled_replicates(
+        obj, oracle, sched, _x0_of(cfg, obj), cfg.horizon, cfg.substeps,
+        cfg.replicates, cfg.seed, threads=cfg.threads, record_states=True,
+    )
+    if not _tally(out, run_id, cfg.replicates, bank.aborts):
         return out
     _emit_coupled(out, run_id, bank)
-    kind = bank.coupling_kind if not isinstance(bank, list) else bank[0].coupling_kind
+    kind = bank.coupling_kind
     s_est = strong_error(bank)
     w_est = weak_error(bank, bank, lambda x: np.sum(np.square(x), axis=-1))
     out.report.append(f"{run_id}: coupling kind {kind}")
@@ -595,10 +547,10 @@ def _experiment_certify(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
     obj = build_objective(cfg)
     grid = GridSpec(
-        lo=float(cfg.grid.get("lo", -3.0)),
-        hi=float(cfg.grid.get("hi", 3.0)),
-        num=int(cfg.grid.get("num", 2001)),
-        exclude_radius=float(cfg.grid.get("exclude_radius", 1e-6)),
+        lo=_num(cfg, "grid", "lo", -3.0),
+        hi=_num(cfg, "grid", "hi", 3.0),
+        num=_num(cfg, "grid", "num", 2001, int),
+        exclude_radius=_num(cfg, "grid", "exclude_radius", 1e-6),
     )
     out.attempted = 1
     out.completed = 1
@@ -644,7 +596,10 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     """Parse and validate a config file; raises ConfigError listing every problem."""
     problems = []
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:
+        raise ConfigError([f"config file {path!r}: {err}"]) from None
     if not read:
         raise ConfigError([f"config file {path!r} not readable"])
     exp = dict(parser["experiment"]) if parser.has_section("experiment") else {}

@@ -14,8 +14,7 @@ of three couplings per block:
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -26,19 +25,21 @@ from .noise import GradientOracle
 from .objectives import Objective
 from .sde import path_length
 from .sgd import (
-    REPLICATE_BLOCK,
+    CHUNK,
     DivergenceError,
     ReplicateRuns,
     Trajectory,
-    DIVERGENCE_NORM,
+    _Checkpoints,
+    _map_blocks,
+    _replicate_runs,
+    _Rows,
+    _survivors,
 )
 
 GAUSSIAN_SHARED = "gaussian_shared"
 COMONOTONE_1D = "comonotone_1d"
 INDEPENDENT = "independent"
 COUPLING_KINDS = (GAUSSIAN_SHARED, COMONOTONE_1D, INDEPENDENT)
-
-_CHUNK = 1024
 
 
 @dataclass
@@ -60,7 +61,12 @@ class CoupledRun:
 
 @dataclass
 class CoupledBank:
-    """Vectorized bank of coupled replicates (arrays are replicate-major)."""
+    """Vectorized bank of coupled replicates (arrays are replicate-major).
+
+    Only replicates whose two processes both stayed finite have rows;
+    aborts holds the DivergenceError of each of the others, ordered by
+    replicate id.
+    """
 
     block_indices: np.ndarray
     times: np.ndarray
@@ -71,6 +77,7 @@ class CoupledBank:
     final_continuous_states: np.ndarray
     schedule: StepSchedule
     coupling_kind: str
+    aborts: list[DivergenceError] = field(default_factory=list)
 
     def run(self, i: int) -> CoupledRun:
         return CoupledRun(
@@ -108,15 +115,6 @@ def resolve_kind(obj: Objective, oracle: GradientOracle, kind: str | None) -> st
     return kind
 
 
-def _check_rows(sq: np.ndarray, step: int, rep_ids: np.ndarray, label: str) -> None:
-    bad = ~np.isfinite(sq) | (sq > DIVERGENCE_NORM**2)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise DivergenceError(
-            int(rep_ids[i]), step, f"{label} state is non-finite or diverged"
-        )
-
-
 def _coupled_block(
     obj: Objective,
     oracle: GradientOracle,
@@ -125,12 +123,15 @@ def _coupled_block(
     n_blocks: int,
     substeps: int,
     plan: np.ndarray,
-    brown_gens,
-    noise_gens,
-    rep_ids: np.ndarray,
+    noise_streams: list[RngStream],
     kind: str,
     record_states: bool,
 ):
+    rows = _Rows([s.replicate_id for s in noise_streams])
+    brown_gens = [
+        derive_stream(s.master_seed, s.replicate_id, "brownian").generator() for s in noise_streams
+    ]
+    noise_gens = [s.generator() for s in noise_streams]
     r = len(brown_gens)
     d = obj.dim
     ga = sched.gamma_alpha
@@ -147,58 +148,64 @@ def _coupled_block(
 
     x = np.broadcast_to(np.asarray(x0, dtype=float), (r, d)).copy()
     y = x.copy()
-    n_ckpt = len(plan)
-    cols = lambda: np.empty((r, n_ckpt))
-    d_vals, d_d2, d_gsq = cols(), cols(), cols()
-    c_vals, c_d2, c_gsq = cols(), cols(), cols()
-    cp_d2 = cols()
-    d_states = np.empty((r, n_ckpt, d)) if record_states else None
-    c_states = np.empty((r, n_ckpt, d)) if record_states else None
-    p = 0
+    discrete = _Checkpoints(obj, r, len(plan), record_states)
+    continuous = _Checkpoints(obj, r, len(plan), record_states)
+    gap_d2 = np.empty((r, len(plan)))
+    continuous_detail = lambda sq: "continuous state is non-finite or diverged"
+    discrete_detail = lambda sq: "discrete state is non-finite or diverged"
 
-    blocks_per_chunk = max(1, _CHUNK // substeps)
-    for k0 in range(0, n_blocks, blocks_per_chunk):
-        nb = min(blocks_per_chunk, n_blocks - k0)
-        m = nb * substeps
-        db = root_h * np.stack([g.standard_normal((m, d)) for g in brown_gens])
-        if effective == INDEPENDENT:
-            raw = [oracle.draw_raw((nb,), g) for g in noise_gens]
-            raw = np.stack(raw) if r > 1 else raw[0][None]
-        for b in range(nb):
-            k = k0 + b
-            for j in range(substeps):
-                s = k * substeps + j
-                drift = obj.gradient(y) * h
-                y = y - rates[s] * (drift + root_ga * oracle.apply_sqrt(y, db[:, b * substeps + j]))
-                _check_rows(np.einsum("rd,rd->r", y, y), k + 1, rep_ids, "continuous")
-            g_block = db[:, b * substeps : (b + 1) * substeps].sum(axis=1) / root_ga
-            if effective == GAUSSIAN_SHARED:
-                h_val = obj.gradient(x) + oracle.apply_sqrt(x, g_block)
-            elif effective == COMONOTONE_1D:
-                u = np.clip(ndtr(g_block), 1e-300, 1.0 - 1e-16)
-                h_val = obj.gradient(x) + oracle.noise_ppf(u)
-            else:
-                h_val = oracle.apply(x, raw[:, b])
-            x = x - steps_disc[k] * h_val
-            _check_rows(np.einsum("rd,rd->r", x, x), k + 1, rep_ids, "discrete")
-            while p < n_ckpt and plan[p] == k + 1:
-                d_vals[:, p] = obj.value(x)
-                dx = x - x_star
-                d_d2[:, p] = np.einsum("rd,rd->r", dx, dx)
-                g = obj.gradient(x)
-                d_gsq[:, p] = np.einsum("rd,rd->r", g, g)
-                c_vals[:, p] = obj.value(y)
-                dy = y - x_star
-                c_d2[:, p] = np.einsum("rd,rd->r", dy, dy)
-                g = obj.gradient(y)
-                c_gsq[:, p] = np.einsum("rd,rd->r", g, g)
-                gap = y - x
-                cp_d2[:, p] = np.einsum("rd,rd->r", gap, gap)
-                if record_states:
-                    d_states[:, p] = x
-                    c_states[:, p] = y
-                p += 1
-    return (d_vals, d_d2, d_gsq, c_vals, c_d2, c_gsq, cp_d2, d_states, c_states, x, y)
+    def draw(k0, nb):
+        db = root_h * np.stack([g.standard_normal((nb * substeps, d)) for g in brown_gens])
+        if effective != INDEPENDENT:
+            return db, None
+        return db, np.stack([oracle.draw_raw((nb,), g) for g in noise_gens])
+
+    def step(k, noise, b):
+        nonlocal x, y
+        db, raw = noise
+        for j in range(substeps):
+            drift = obj.gradient(y) * h
+            y = y - rates[k * substeps + j] * (
+                drift + root_ga * oracle.apply_sqrt(y, db[:, b * substeps + j])
+            )
+            rows.check(y, k + 1, continuous_detail, x_star)
+        g_block = db[:, b * substeps : (b + 1) * substeps].sum(axis=1) / root_ga
+        if effective == GAUSSIAN_SHARED:
+            h_val = obj.gradient(x) + oracle.apply_sqrt(x, g_block)
+        elif effective == COMONOTONE_1D:
+            u = np.clip(ndtr(g_block), 1e-300, 1.0 - 1e-16)
+            h_val = obj.gradient(x) + oracle.noise_ppf(u)
+        else:
+            h_val = oracle.apply(x, raw[:, b])
+        x = x - steps_disc[k] * h_val
+        rows.check(x, k + 1, discrete_detail, x_star)
+
+    def record(p):
+        discrete.record(p, x)
+        continuous.record(p, y)
+        gap = y - x
+        gap_d2[:, p] = np.einsum("rd,rd->r", gap, gap)
+
+    rows.run(n_blocks, max(1, CHUNK // substeps), plan, draw, step, record)
+    return rows, discrete, continuous, gap_d2, x, y
+
+
+def _coupled_bank(parts: list, plan: np.ndarray, sched: StepSchedule, kind: str) -> CoupledBank:
+    keep, aborts = _survivors(parts)
+    cat = lambda i: np.concatenate([part[i] for part in parts])[keep]
+    ga = sched.gamma_alpha
+    return CoupledBank(
+        block_indices=plan,
+        times=plan * ga,
+        coupled_dist2=cat(3),
+        discrete=_replicate_runs(parts, plan, leg=1),
+        continuous=_replicate_runs(parts, plan * ga, leg=2),
+        final_discrete_states=cat(4),
+        final_continuous_states=cat(5),
+        schedule=sched,
+        coupling_kind=kind,
+        aborts=aborts,
+    )
 
 
 def run_coupled(
@@ -226,38 +233,14 @@ def run_coupled(
     kind = resolve_kind(obj, oracle, kind)
     n_blocks = path_length(horizon, sched.gamma_alpha)
     plan = _normalize_block_plan(plan, n_blocks)
-    brown = derive_stream(stream.master_seed, stream.replicate_id, "brownian").generator()
-    noise = derive_stream(stream.master_seed, stream.replicate_id, "noise").generator()
-    out = _coupled_block(
-        obj, oracle, sched, x0, n_blocks, substeps_per_block, plan,
-        [brown], [noise], np.array([stream.replicate_id]), kind, record_states,
+    noise = derive_stream(stream.master_seed, stream.replicate_id, "noise")
+    part = _coupled_block(
+        obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, [noise], kind, record_states,
     )
-    d_vals, d_d2, d_gsq, c_vals, c_d2, c_gsq, cp_d2, d_states, c_states, _, _ = out
-    ga = sched.gamma_alpha
-    discrete = Trajectory(
-        sample_indices=plan,
-        values=d_vals[0],
-        dist2_to_min=d_d2[0],
-        replicate_id=stream.replicate_id,
-        states=None if d_states is None else d_states[0],
-        grad_sq=d_gsq[0],
-    )
-    continuous = Trajectory(
-        sample_indices=plan * ga,
-        values=c_vals[0],
-        dist2_to_min=c_d2[0],
-        replicate_id=stream.replicate_id,
-        states=None if c_states is None else c_states[0],
-        grad_sq=c_gsq[0],
-    )
-    return CoupledRun(
-        discrete=discrete,
-        continuous=continuous,
-        dist2=cp_d2[0],
-        schedule=sched,
-        coupling_kind=kind,
-        replicate_id=stream.replicate_id,
-    )
+    bank = _coupled_bank([part], plan, sched, kind)
+    if bank.aborts:
+        raise bank.aborts[0]
+    return bank.run(0)
 
 
 def _normalize_block_plan(plan, n_blocks: int) -> np.ndarray:
@@ -283,7 +266,10 @@ def run_coupled_replicates(
     threads: int = 1,
     record_states: bool = False,
 ) -> CoupledBank:
-    """Bank of coupled replicates; partitioning over threads never changes results."""
+    """Bank of coupled replicates; partitioning over threads never changes results.
+
+    Replicates that diverge are listed in the bank's aborts instead of its rows.
+    """
     if sched.alpha >= 1.0:
         raise ValueError("coupling needs alpha < 1")
     if n_replicates < 1:
@@ -291,55 +277,16 @@ def run_coupled_replicates(
     kind = resolve_kind(obj, oracle, kind)
     n_blocks = path_length(horizon, sched.gamma_alpha)
     plan = _normalize_block_plan(plan, n_blocks)
-    rep_ids = np.arange(n_replicates)
-    blocks = [
-        rep_ids[i : i + REPLICATE_BLOCK]
-        for i in range(0, n_replicates, REPLICATE_BLOCK)
-    ]
 
     def work(ids):
-        brown = [derive_stream(master_seed, int(i), "brownian").generator() for i in ids]
-        noise = [derive_stream(master_seed, int(i), "noise").generator() for i in ids]
+        streams = [derive_stream(master_seed, int(i), "noise") for i in ids]
         return _coupled_block(
-            obj, oracle, sched, x0, n_blocks, substeps_per_block, plan,
-            brown, noise, ids, kind, record_states,
+            obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, streams, kind,
+            record_states,
         )
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, blocks))
-    else:
-        parts = [work(ids) for ids in blocks]
-
-    cat = lambda i: np.concatenate([p[i] for p in parts])
-    ga = sched.gamma_alpha
-    discrete = ReplicateRuns(
-        sample_indices=plan,
-        values=cat(0),
-        dist2_to_min=cat(1),
-        grad_sq=cat(2),
-        replicate_ids=rep_ids,
-        states=cat(7) if record_states else None,
-    )
-    continuous = ReplicateRuns(
-        sample_indices=plan * ga,
-        values=cat(3),
-        dist2_to_min=cat(4),
-        grad_sq=cat(5),
-        replicate_ids=rep_ids,
-        states=cat(8) if record_states else None,
-    )
-    return CoupledBank(
-        block_indices=plan,
-        times=plan * ga,
-        coupled_dist2=cat(6),
-        discrete=discrete,
-        continuous=continuous,
-        final_discrete_states=cat(9),
-        final_continuous_states=cat(10),
-        schedule=sched,
-        coupling_kind=kind,
-    )
+    parts = _map_blocks(n_replicates, threads, work)
+    return _coupled_bank(parts, plan, sched, kind)
 
 
 def _gather_dist2(runs, checkpoint: int | None) -> np.ndarray:

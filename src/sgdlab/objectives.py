@@ -79,7 +79,6 @@ class Objective:
     f_star: float
     lipschitz_L: float
     class_tags: tuple
-    twice_differentiable: bool
 
     def f_gap(self, x) -> np.ndarray:
         return self.value(x) - self.f_star
@@ -121,7 +120,6 @@ def make_quadratic(dim: int = 1, lam: float = 1.0) -> Objective:
         f_star=0.0,
         lipschitz_L=lam,
         class_tags=(StronglyConvex(lam), Convex(), Lojasiewicz(2.0, 2.0 * lam)),
-        twice_differentiable=True,
     )
 
 
@@ -157,7 +155,6 @@ def make_phi_p(p: int) -> Objective:
         f_star=0.0,
         lipschitz_L=float(two_p * (two_p - 1)) if p > 1 else 2.0,
         class_tags=(Convex(),),
-        twice_differentiable=False,
     )
 
 
@@ -188,7 +185,6 @@ def make_pl_sine() -> Objective:
             Lojasiewicz(2.0, 1.0 / PL_SINE_GRAD_DOMINANCE_C),
             QuasarConvex(PL_SINE_QUASAR_TAU),
         ),
-        twice_differentiable=True,
     )
 
 
@@ -251,7 +247,6 @@ def least_squares_from_data(a: np.ndarray, b: np.ndarray) -> LeastSquaresObjecti
         f_star=f_star,
         lipschitz_L=lip,
         class_tags=tags,
-        twice_differentiable=True,
         data_a=a,
         data_b=b,
     )
@@ -276,7 +271,6 @@ def make_linear_probe(dim: int = 1) -> Objective:
         f_star=0.0,
         lipschitz_L=0.0,
         class_tags=(Convex(),),
-        twice_differentiable=True,
     )
 
 

@@ -9,7 +9,6 @@ runs can share increments.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +16,19 @@ import numpy as np
 from .core import RngStream, StepSchedule, derive_stream, log_spaced_indices
 from .noise import GradientOracle
 from .objectives import Objective
-from .sgd import DivergenceError, ReplicateRuns, Trajectory, DIVERGENCE_NORM, REPLICATE_BLOCK
+from .sgd import (
+    CHUNK,
+    ReplicateRuns,
+    Trajectory,
+    _Checkpoints,
+    _map_blocks,
+    _only_row,
+    _replicate_runs,
+    _Rows,
+    _norm_detail,
+)
 
 DEFAULT_SUBSTEPS = 16
-_CHUNK = 1024
 
 
 @dataclass
@@ -110,16 +118,25 @@ def _plan_substeps(plan_times, count: int, h: float) -> np.ndarray:
     return j
 
 
-def _check_finite(sq: np.ndarray, step: int, replicate_ids) -> None:
-    bad = ~np.isfinite(sq) | (sq > DIVERGENCE_NORM**2)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        detail = (
-            "state is non-finite"
-            if not np.isfinite(sq[i])
-            else f"|Y| = {np.sqrt(sq[i]):.3e} exceeds {DIVERGENCE_NORM:g}"
-        )
-        raise DivergenceError(int(np.atleast_1d(replicate_ids)[i]), step, detail)
+def _em_block(obj, sigma_sqrt, sched, x0, count, h, plan, ids, draw, record_states):
+    """Euler-Maruyama rows of one block; draw(start, m) gives their (rows, m, dim) increments."""
+    dif = _diffusion_fn(sigma_sqrt)
+    root_ga = np.sqrt(sched.gamma_alpha)
+    rates = np.asarray(sched.continuous_rate(np.arange(count) * h))
+    rows = _Rows(ids)
+    y = np.broadcast_to(np.asarray(x0, dtype=float), (len(rows.ids), obj.dim)).copy()
+    ckpt = _Checkpoints(obj, len(rows.ids), len(plan), record_states)
+    detail = _norm_detail("Y")
+
+    def step(j, db, i):
+        nonlocal y
+        drift = obj.gradient(y) * h
+        move = drift if dif is None else drift + root_ga * dif(y, db[:, i])
+        y = y - rates[j] * move
+        rows.check(y, j + 1, detail, obj.x_star)
+
+    rows.run(count, CHUNK, plan, draw, step, lambda p: ckpt.record(p, y))
+    return rows, ckpt
 
 
 def run_sde_em(
@@ -142,8 +159,7 @@ def run_sde_em(
     """
     if sched.alpha >= 1.0:
         raise ValueError("the continuous process needs alpha < 1")
-    ga = sched.gamma_alpha
-    h = ga / substeps_per_block
+    h = sched.gamma_alpha / substeps_per_block
     if not np.isclose(path.h, h, rtol=1e-9, atol=0.0):
         raise ValueError(f"path substep {path.h!r} does not match gamma_alpha/K = {h!r}")
     if path.dim != obj.dim:
@@ -152,42 +168,11 @@ def run_sde_em(
         raise ValueError("path does not cover the horizon")
     count = path_length(horizon, h)
     plan = _plan_substeps(plan_times, count, h)
-
-    dif = _diffusion_fn(sigma_sqrt)
-    root_ga = np.sqrt(ga)
-    times = np.arange(count) * h
-    rates = np.asarray(sched.continuous_rate(times))
-    y = np.broadcast_to(np.asarray(x0, dtype=float), (obj.dim,)).copy()
-    x_star = obj.x_star
-
-    n_ckpt = len(plan)
-    values = np.empty(n_ckpt)
-    dist2 = np.empty(n_ckpt)
-    grad_sq = np.empty(n_ckpt)
-    states = np.empty((n_ckpt, obj.dim)) if record_states else None
-    p = 0
-    for j in range(count):
-        drift = obj.gradient(y) * h
-        move = drift if dif is None else drift + root_ga * dif(y, path.increments[j])
-        y = y - rates[j] * move
-        sq = np.sum(y * y, axis=-1, keepdims=True)
-        _check_finite(sq, j + 1, replicate_id)
-        while p < n_ckpt and plan[p] == j + 1:
-            values[p] = obj.value(y)
-            dist2[p] = np.sum((y - x_star) ** 2)
-            g = obj.gradient(y)
-            grad_sq[p] = np.sum(g * g)
-            if states is not None:
-                states[p] = y
-            p += 1
-    return Trajectory(
-        sample_indices=plan * h,
-        values=values,
-        dist2_to_min=dist2,
-        replicate_id=replicate_id,
-        states=states,
-        grad_sq=grad_sq,
+    part = _em_block(
+        obj, sigma_sqrt, sched, x0, count, h, plan, [replicate_id],
+        lambda start, m: path.increments[None, start : start + m], record_states,
     )
+    return _only_row(_replicate_runs([part], plan * h))
 
 
 def run_sde_em_replicates(
@@ -212,60 +197,17 @@ def run_sde_em_replicates(
         raise ValueError("the continuous process needs alpha < 1")
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
-    ga = sched.gamma_alpha
-    h = ga / substeps_per_block
+    h = sched.gamma_alpha / substeps_per_block
     count = path_length(horizon, h)
     plan = _plan_substeps(plan_times, count, h)
-    dif = _diffusion_fn(sigma_sqrt)
-    root_ga = np.sqrt(ga)
-    rates = np.asarray(sched.continuous_rate(np.arange(count) * h))
     root_h = np.sqrt(h)
-    x_star = obj.x_star
-    rep_ids = np.arange(n_replicates)
-    blocks = [
-        rep_ids[i : i + REPLICATE_BLOCK]
-        for i in range(0, n_replicates, REPLICATE_BLOCK)
-    ]
 
     def work(ids):
         gens = [derive_stream(master_seed, int(rid), "brownian").generator() for rid in ids]
-        r = len(ids)
-        y = np.broadcast_to(np.asarray(x0, dtype=float), (r, obj.dim)).copy()
-        vals = np.empty((r, len(plan)))
-        d2 = np.empty((r, len(plan)))
-        gsq = np.empty((r, len(plan)))
-        p = 0
-        for start in range(0, count, _CHUNK):
-            m = min(_CHUNK, count - start)
-            db = root_h * np.stack([g.standard_normal((m, obj.dim)) for g in gens])
-            for j in range(m):
-                step = start + j
-                drift = obj.gradient(y) * h
-                move = drift if dif is None else drift + root_ga * dif(y, db[:, j])
-                y = y - rates[step] * move
-                sq = np.einsum("rd,rd->r", y, y)
-                _check_finite(sq, step + 1, ids)
-                while p < len(plan) and plan[p] == step + 1:
-                    vals[:, p] = obj.value(y)
-                    diff = y - x_star
-                    d2[:, p] = np.einsum("rd,rd->r", diff, diff)
-                    g = obj.gradient(y)
-                    gsq[:, p] = np.einsum("rd,rd->r", g, g)
-                    p += 1
-        return vals, d2, gsq
+        draw = lambda start, m: root_h * np.stack([g.standard_normal((m, obj.dim)) for g in gens])
+        return _em_block(obj, sigma_sqrt, sched, x0, count, h, plan, ids, draw, False)
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, blocks))
-    else:
-        parts = [work(ids) for ids in blocks]
-    return ReplicateRuns(
-        sample_indices=plan * h,
-        values=np.concatenate([q[0] for q in parts]),
-        dist2_to_min=np.concatenate([q[1] for q in parts]),
-        grad_sq=np.concatenate([q[2] for q in parts]),
-        replicate_ids=rep_ids,
-    )
+    return _replicate_runs(_map_blocks(n_replicates, threads, work), plan * h)
 
 
 def run_gradient_flow(
@@ -281,38 +223,22 @@ def run_gradient_flow(
         raise ValueError("steps must be >= 1")
     h = horizon / steps
     plan = _plan_substeps(plan_times, steps, h)
-    y = np.broadcast_to(np.asarray(x0, dtype=float), (obj.dim,)).copy()
-    x_star = obj.x_star
-    n_ckpt = len(plan)
-    values = np.empty(n_ckpt)
-    dist2 = np.empty(n_ckpt)
-    grad_sq = np.empty(n_ckpt)
-    states = np.empty((n_ckpt, obj.dim)) if record_states else None
-    p = 0
-    for j in range(steps):
+    rows = _Rows([0])
+    y = np.broadcast_to(np.asarray(x0, dtype=float), (1, obj.dim)).copy()
+    ckpt = _Checkpoints(obj, 1, len(plan), record_states)
+    detail = _norm_detail("Y")
+
+    def step(j, _noise, _j):
+        nonlocal y
         k1 = -obj.gradient(y)
         k2 = -obj.gradient(y + 0.5 * h * k1)
         k3 = -obj.gradient(y + 0.5 * h * k2)
         k4 = -obj.gradient(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sq = np.sum(y * y, axis=-1, keepdims=True)
-        _check_finite(sq, j + 1, 0)
-        while p < n_ckpt and plan[p] == j + 1:
-            values[p] = obj.value(y)
-            dist2[p] = np.sum((y - x_star) ** 2)
-            g = obj.gradient(y)
-            grad_sq[p] = np.sum(g * g)
-            if states is not None:
-                states[p] = y
-            p += 1
-    return Trajectory(
-        sample_indices=plan * h,
-        values=values,
-        dist2_to_min=dist2,
-        replicate_id=0,
-        states=states,
-        grad_sq=grad_sq,
-    )
+        rows.check(y, j + 1, detail, obj.x_star)
+
+    rows.run(steps, steps, plan, lambda start, m: None, step, lambda p: ckpt.record(p, y))
+    return _only_row(_replicate_runs([(rows, ckpt)], plan * h))
 
 
 def em_bias_probe(

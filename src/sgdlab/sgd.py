@@ -1,17 +1,27 @@
-"""Discrete stochastic gradient descent with decaying steps.
+"""Discrete stochastic gradient descent with decaying steps, and the bank
+machinery that every process in the package runs on.
 
-The recursion X_{n+1} = X_n - gamma (n+1)^{-alpha} H(X_n, Z_{n+1}) is run
-either one replicate at a time (run_sgd) or as a vectorized bank of
-replicates (run_sgd_replicates).  Both paths draw innovations in identical
-chunks from per-replicate counter-based streams and update states with
-row-independent array ops, so a replicate's trajectory is bit-identical
-whichever path computes it and however replicates are split over threads.
+The recursion X_{n+1} = X_n - gamma (n+1)^{-alpha} H(X_n, Z_{n+1}) runs as
+a bank of replicates (run_sgd_replicates); a solo run (run_sgd) is a bank
+of one row.  The block scheduler (_map_blocks) splits replicates into fixed
+blocks of REPLICATE_BLOCK rows and farms them to a thread pool, and one
+block kernel (_Rows.run) steps each block: it draws innovations in fixed
+chunks from per-replicate counter-based streams, checks every row for
+divergence after each step and records observables at the plan's
+checkpoints.  The sde and coupling modules drive the same kernel with their
+own step.  Every array op is row-independent, so a replicate's trajectory
+is bit-identical however replicates are split into blocks or threads.
+
+A row whose state leaves the finite regime records its first
+DivergenceError and has its state reset to the minimizer; the other rows
+step on, and the bank drops the aborted rows and lists their errors in
+its aborts field.
 """
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +65,11 @@ class Trajectory:
 
 @dataclass
 class ReplicateRuns:
-    """Checkpoint records for a bank of replicates, stacked (replicate, checkpoint)."""
+    """Checkpoint records for a bank of replicates, stacked (replicate, checkpoint).
+
+    Only replicates that never diverged have rows; aborts holds the
+    DivergenceError of each of the others, ordered by replicate id.
+    """
 
     sample_indices: np.ndarray
     values: np.ndarray
@@ -63,6 +77,7 @@ class ReplicateRuns:
     grad_sq: np.ndarray
     replicate_ids: np.ndarray
     states: np.ndarray | None = None
+    aborts: list[DivergenceError] = field(default_factory=list)
 
     def trajectory(self, i: int) -> Trajectory:
         return Trajectory(
@@ -76,6 +91,126 @@ class ReplicateRuns:
 
     def trajectories(self) -> list[Trajectory]:
         return [self.trajectory(i) for i in range(len(self.replicate_ids))]
+
+
+def _norm_detail(symbol: str):
+    """Abort detail naming the state's norm, or its non-finiteness."""
+
+    def detail(sq) -> str:
+        if not np.isfinite(sq):
+            return "state is non-finite"
+        return f"|{symbol}| = {np.sqrt(sq):.3e} exceeds {DIVERGENCE_NORM:g}"
+
+    return detail
+
+
+class _Checkpoints:
+    """One process's observables for every row of a block, one column per checkpoint."""
+
+    def __init__(self, obj: Objective, n_rows: int, n_ckpt: int, record_states: bool):
+        self.obj = obj
+        self.values = np.empty((n_rows, n_ckpt))
+        self.dist2 = np.empty((n_rows, n_ckpt))
+        self.grad_sq = np.empty((n_rows, n_ckpt))
+        self.states = np.empty((n_rows, n_ckpt, obj.dim)) if record_states else None
+
+    def record(self, p: int, x: np.ndarray) -> None:
+        self.values[:, p] = self.obj.value(x)
+        diff = x - self.obj.x_star
+        self.dist2[:, p] = np.einsum("rd,rd->r", diff, diff)
+        g = self.obj.gradient(x)
+        self.grad_sq[:, p] = np.einsum("rd,rd->r", g, g)
+        if self.states is not None:
+            self.states[:, p] = x
+
+
+class _Rows:
+    """The replicate rows of one block and the first divergence of each row."""
+
+    def __init__(self, ids):
+        self.ids = np.asarray(ids)
+        self.aborted: dict[int, DivergenceError] = {}
+
+    def check(self, x: np.ndarray, step: int, detail, reset) -> None:
+        """The divergence check: rows of x past DIVERGENCE_NORM or non-finite
+        record their first DivergenceError and are reset, in place, to the
+        finite state reset; the other rows are untouched."""
+        sq = np.einsum("rd,rd->r", x, x)
+        bad = ~np.isfinite(sq) | (sq > DIVERGENCE_NORM**2)
+        if np.any(bad):
+            for i in np.flatnonzero(bad).tolist():
+                if i not in self.aborted:
+                    self.aborted[i] = DivergenceError(int(self.ids[i]), step, detail(sq[i]))
+            x[bad] = reset
+
+    def run(self, n_steps: int, chunk: int, plan: np.ndarray, draw, step, record) -> None:
+        """The block kernel: draw(start, m) the noise of each chunk of m steps,
+        step(n, noise, j) every step n (the j-th of its chunk), then
+        record(p) at each plan[p] == n + 1.  Stops once every row aborted."""
+        p = 0
+        for start in range(0, n_steps, chunk):
+            m = min(chunk, n_steps - start)
+            noise = draw(start, m)
+            for j in range(m):
+                step(start + j, noise, j)
+                if len(self.aborted) == len(self.ids):
+                    return
+                while p < len(plan) and plan[p] == start + j + 1:
+                    record(p)
+                    p += 1
+
+
+def _map_blocks(n_replicates: int, threads: int, work) -> list:
+    """The block scheduler: work(ids) on replicates 0..n-1 in fixed blocks.
+
+    The partition does not depend on the thread count, so neither does
+    any result.  Each work call returns a tuple whose first entry is the
+    block's _Rows.
+    """
+    rep_ids = np.arange(n_replicates)
+    blocks = [
+        rep_ids[i : i + REPLICATE_BLOCK]
+        for i in range(0, n_replicates, REPLICATE_BLOCK)
+    ]
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, blocks))
+    return [work(ids) for ids in blocks]
+
+
+def _survivors(parts: list) -> tuple[np.ndarray, list[DivergenceError]]:
+    """Mask of the stacked block rows that never diverged, and the aborts
+    of the others in replicate order."""
+    keep, aborts = [], []
+    for rows, *_ in parts:
+        k = np.ones(len(rows.ids), dtype=bool)
+        k[list(rows.aborted)] = False
+        keep.append(k)
+        aborts += [rows.aborted[i] for i in sorted(rows.aborted)]
+    return np.concatenate(keep), aborts
+
+
+def _replicate_runs(parts: list, sample_indices, leg: int = 1) -> ReplicateRuns:
+    """Stack the _Checkpoints at position leg of every block's result."""
+    keep, aborts = _survivors(parts)
+    cat = lambda arrays: np.concatenate(arrays)[keep]
+    ckpts = [part[leg] for part in parts]
+    return ReplicateRuns(
+        sample_indices=sample_indices,
+        values=cat([c.values for c in ckpts]),
+        dist2_to_min=cat([c.dist2 for c in ckpts]),
+        grad_sq=cat([c.grad_sq for c in ckpts]),
+        replicate_ids=cat([part[0].ids for part in parts]),
+        states=None if ckpts[0].states is None else cat([c.states for c in ckpts]),
+        aborts=aborts,
+    )
+
+
+def _only_row(runs: ReplicateRuns) -> Trajectory:
+    """The trajectory of a bank of one, or the DivergenceError it aborted with."""
+    if runs.aborts:
+        raise runs.aborts[0]
+    return runs.trajectory(0)
 
 
 def _normalize_plan(plan, n_steps: int) -> np.ndarray:
@@ -97,64 +232,39 @@ def _maybe_warn_alpha_one(obj: Objective, sched: StepSchedule) -> None:
         )
 
 
-def _run_block(
+def _sgd_block(
     obj: Objective,
     oracle: GradientOracle,
     sched: StepSchedule,
-    x0: np.ndarray,
+    x0,
     n_steps: int,
     plan: np.ndarray,
-    gens: list[np.random.Generator],
-    replicate_ids: np.ndarray,
+    streams: list[RngStream],
     record_states: bool,
     radius: float | None,
 ):
-    r = len(gens)
-    d = obj.dim
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (r, d)).copy()
+    rows = _Rows([s.replicate_id for s in streams])
+    gens = [s.generator() for s in streams]
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (len(gens), obj.dim)).copy()
     steps = np.asarray(sched.step_size(np.arange(n_steps)))
-    x_star = obj.x_star
+    ckpt = _Checkpoints(obj, len(gens), len(plan), record_states)
+    detail = _norm_detail("X")
 
-    n_ckpt = len(plan)
-    values = np.empty((r, n_ckpt))
-    dist2 = np.empty((r, n_ckpt))
-    grad_sq = np.empty((r, n_ckpt))
-    states = np.empty((r, n_ckpt, d)) if record_states else None
-    p = 0
+    def draw(start, m):
+        return np.stack([oracle.draw_raw((m,), g) for g in gens])
 
-    for start in range(0, n_steps, CHUNK):
-        m = min(CHUNK, n_steps - start)
-        raws = [oracle.draw_raw((m,), g) for g in gens]
-        raw = np.stack(raws, axis=0) if r > 1 else raws[0][None]
-        for j in range(m):
-            n = start + j
-            h = oracle.apply(x, raw[:, j])
-            x = x - steps[n] * h
-            if radius is not None:
-                norms = np.sqrt(np.einsum("rd,rd->r", x, x))
-                over = norms > radius
-                if np.any(over):
-                    x[over] *= radius / norms[over, None]
-            sq = np.einsum("rd,rd->r", x, x)
-            bad = ~np.isfinite(sq) | (sq > DIVERGENCE_NORM**2)
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                detail = (
-                    "state is non-finite"
-                    if not np.isfinite(sq[i])
-                    else f"|X| = {np.sqrt(sq[i]):.3e} exceeds {DIVERGENCE_NORM:g}"
-                )
-                raise DivergenceError(int(replicate_ids[i]), n + 1, detail)
-            while p < n_ckpt and plan[p] == n + 1:
-                values[:, p] = obj.value(x)
-                diff = x - x_star
-                dist2[:, p] = np.einsum("rd,rd->r", diff, diff)
-                g = obj.gradient(x)
-                grad_sq[:, p] = np.einsum("rd,rd->r", g, g)
-                if states is not None:
-                    states[:, p] = x
-                p += 1
-    return values, dist2, grad_sq, states
+    def step(n, raw, j):
+        nonlocal x
+        x = x - steps[n] * oracle.apply(x, raw[:, j])
+        if radius is not None:
+            norms = np.sqrt(np.einsum("rd,rd->r", x, x))
+            over = norms > radius
+            if np.any(over):
+                x[over] *= radius / norms[over, None]
+        rows.check(x, n + 1, detail, obj.x_star)
+
+    rows.run(n_steps, CHUNK, plan, draw, step, lambda p: ckpt.record(p, x))
+    return rows, ckpt
 
 
 def run_sgd(
@@ -174,19 +284,8 @@ def run_sgd(
         raise ValueError("run_sgd needs an explicit RngStream")
     _maybe_warn_alpha_one(obj, sched)
     plan = _normalize_plan(plan, n_steps)
-    values, dist2, grad_sq, states = _run_block(
-        obj, oracle, sched, x0, n_steps, plan,
-        [stream.generator()], np.array([stream.replicate_id]),
-        record_states, None,
-    )
-    return Trajectory(
-        sample_indices=plan,
-        values=values[0],
-        dist2_to_min=dist2[0],
-        replicate_id=stream.replicate_id,
-        states=None if states is None else states[0],
-        grad_sq=grad_sq[0],
-    )
+    part = _sgd_block(obj, oracle, sched, x0, n_steps, plan, [stream], record_states, None)
+    return _only_row(_replicate_runs([part], plan))
 
 
 def run_projected_sgd(
@@ -214,19 +313,10 @@ def run_projected_sgd(
         raise ValueError("x0 must lie inside the projection ball")
     _maybe_warn_alpha_one(obj, sched)
     plan = _normalize_plan(plan, n_steps)
-    values, dist2, grad_sq, states = _run_block(
-        obj, oracle, sched, x0, n_steps, plan,
-        [stream.generator()], np.array([stream.replicate_id]),
-        record_states, float(radius),
+    part = _sgd_block(
+        obj, oracle, sched, x0, n_steps, plan, [stream], record_states, float(radius)
     )
-    return Trajectory(
-        sample_indices=plan,
-        values=values[0],
-        dist2_to_min=dist2[0],
-        replicate_id=stream.replicate_id,
-        states=None if states is None else states[0],
-        grad_sq=grad_sq[0],
-    )
+    return _only_row(_replicate_runs([part], plan))
 
 
 def run_sgd_replicates(
@@ -244,47 +334,20 @@ def run_sgd_replicates(
 ) -> ReplicateRuns:
     """A bank of replicates with streams derived from one master seed.
 
-    Replicates are partitioned into fixed blocks of 256 and the blocks are
-    farmed to a thread pool; the partition does not depend on the thread
-    count, and every array op is row-independent, so results are identical
-    for any threads value (and equal to run_sgd replicate by replicate).
+    Results are identical for any threads value and block size, and equal
+    to run_sgd replicate by replicate; replicates that diverge are listed
+    in the bank's aborts instead of its rows.
     """
     if n_steps < 1 or n_replicates < 1:
         raise ValueError("n_steps and n_replicates must be >= 1")
     _maybe_warn_alpha_one(obj, sched)
     plan = _normalize_plan(plan, n_steps)
-    rep_ids = np.arange(n_replicates)
-    blocks = [
-        rep_ids[i : i + REPLICATE_BLOCK]
-        for i in range(0, n_replicates, REPLICATE_BLOCK)
-    ]
 
     def work(ids):
-        gens = [derive_stream(master_seed, int(rid), "noise").generator() for rid in ids]
-        return _run_block(
-            obj, oracle, sched, x0, n_steps, plan, gens, ids, record_states, radius
-        )
+        streams = [derive_stream(master_seed, int(rid), "noise") for rid in ids]
+        return _sgd_block(obj, oracle, sched, x0, n_steps, plan, streams, record_states, radius)
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, blocks))
-    else:
-        parts = [work(ids) for ids in blocks]
-
-    values = np.concatenate([p[0] for p in parts], axis=0)
-    dist2 = np.concatenate([p[1] for p in parts], axis=0)
-    grad_sq = np.concatenate([p[2] for p in parts], axis=0)
-    states = (
-        np.concatenate([p[3] for p in parts], axis=0) if record_states else None
-    )
-    return ReplicateRuns(
-        sample_indices=plan,
-        values=values,
-        dist2_to_min=dist2,
-        grad_sq=grad_sq,
-        replicate_ids=rep_ids,
-        states=states,
-    )
+    return _replicate_runs(_map_blocks(n_replicates, threads, work), plan)
 
 
 def suffix_average(values, k: int) -> float:

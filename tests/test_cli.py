@@ -5,14 +5,18 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from sgdlab import sgd
 from sgdlab.cli import (
     ConfigError,
     RAW_HEADER,
     SUMMARY_HEADER,
+    build_objective,
+    build_oracle,
     main,
     validate_config,
 )
-from sgdlab.core import StepSchedule
+from sgdlab.core import StepSchedule, derive_stream, log_spaced_indices
+from sgdlab.sgd import DivergenceError, run_sgd
 
 
 def write_cfg(directory, text, name="exp.ini"):
@@ -41,6 +45,53 @@ RATES_CFG = """
     gamma = 0.5
     alpha = 0.5
 """
+
+# At gamma = 4 some, but not all, least-squares replicates leave the
+# finite regime within 100 steps.
+LSQ_DIVERGE_CFG = """
+    [experiment]
+    kind = rates
+    seed = 1
+    replicates = 24
+    horizon = 100
+
+    [objective]
+    kind = least_squares
+    dim = 4
+    n_data = 64
+    x0 = 1.0
+
+    [oracle]
+    kind = least_squares_batch
+    batch_m = 1
+
+    [schedule]
+    gamma = 1, 4
+    alpha = 0.5
+"""
+
+COUPLE_CFG = """
+    [experiment]
+    kind = couple-demo
+    seed = 4
+    replicates = 20
+    horizon = 1.0
+    substeps = 4
+
+    [objective]
+    kind = quadratic
+    x0 = 1.0
+
+    [oracle]
+    kind = gaussian
+    sigma = 1.0
+
+    [schedule]
+    gamma = 0.5
+    alpha = 0.5
+"""
+
+OUTPUTS = ("raw.csv", "summary.csv", "report.txt")
 
 
 # ---------------------------------------------------------------- validation
@@ -350,26 +401,7 @@ def test_certify_quadratic(tmp_path, capsys):
 
 
 def test_couple_demo_report(tmp_path, capsys):
-    path = write_cfg(tmp_path, """
-        [experiment]
-        kind = couple-demo
-        seed = 4
-        replicates = 4
-        horizon = 1.0
-        substeps = 4
-
-        [objective]
-        kind = quadratic
-        x0 = 1.0
-
-        [oracle]
-        kind = gaussian
-        sigma = 1.0
-
-        [schedule]
-        gamma = 0.5
-        alpha = 0.5
-    """)
+    path = write_cfg(tmp_path, COUPLE_CFG.replace("replicates = 20", "replicates = 4"))
     assert main(["couple-demo", "--config", path, "--out-dir", str(tmp_path / "o")]) == 0
     stdout = capsys.readouterr().out
     assert "coupling kind gaussian_shared" in stdout
@@ -448,6 +480,15 @@ def test_config_errors_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "seed: required" in err
+    # problems only seen when the objective and oracle are built
+    for old, new, problem in (
+        ("kind = quadratic", "kind = phi_p", "[objective] p: required"),
+        ("x0 = 1.0", "x0 = abc", "[objective] x0: 'abc' is not a number"),
+        ("sigma = 1.0", "sigma = x", "[oracle] sigma: 'x' is not a number"),
+    ):
+        path = write_cfg(tmp_path, RATES_CFG.replace(old, new))
+        assert main(["rates", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
+        assert f"config error: {problem}" in capsys.readouterr().err
 
 
 def test_subcommand_kind_mismatch_exits_1(tmp_path, capsys):
@@ -482,6 +523,60 @@ def test_all_replicates_aborting_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "aborted" in captured.err
     assert "all replicates aborted" in (out / "report.txt").read_text()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_partial_divergence_aborts_only_the_diverging_replicates(tmp_path):
+    """The report's abort lines are the errors solo runs raise for the
+    diverging replicates, and the raw rows of every other replicate are
+    its solo trajectory."""
+    path = write_cfg(tmp_path, LSQ_DIVERGE_CFG)
+    out = tmp_path / "o"
+    assert main(["rates", "--config", path, "--out-dir", str(out)]) == 0
+    cfg = validate_config(path)
+    obj = build_objective(cfg)
+    oracle = build_oracle(cfg, obj)
+    plan = log_spaced_indices(100)
+    raw = defaultdict(list)
+    with open(out / "raw.csv") as fh:
+        for row in csv.DictReader(fh):
+            raw[row["run_id"], int(row["replicate"])].append(row)
+    aborts = []
+    for sched in cfg.schedules:
+        run_id = f"{obj.name}_{oracle.name}_{sched.label()}"
+        for rep in range(cfg.replicates):
+            try:
+                solo = run_sgd(obj, oracle, sched, np.ones(4), 100, plan=plan,
+                               stream=derive_stream(cfg.seed, rep, "noise"))
+            except DivergenceError as err:
+                aborts.append(f"  {run_id} {err}")
+                assert (run_id, rep) not in raw
+                continue
+            rows = raw[run_id, rep]
+            assert [int(r["n_or_t"]) for r in rows] == plan.tolist()
+            assert [float(r["f_gap"]) for r in rows] == solo.values.tolist()
+            assert [float(r["dist2"]) for r in rows] == solo.dist2_to_min.tolist()
+            assert [float(r["grad_sq"]) for r in rows] == solo.grad_sq.tolist()
+    assert 0 < len(aborts) < cfg.replicates
+    report = (out / "report.txt").read_text().splitlines()
+    start = report.index(f"aborted replicates ({len(aborts)}):")
+    assert report[start + 1 :] == aborts
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "experiment,text", [("rates", LSQ_DIVERGE_CFG), ("couple-demo", COUPLE_CFG)]
+)
+def test_block_size_does_not_change_output(tmp_path, monkeypatch, experiment, text):
+    path = write_cfg(tmp_path, text)
+    outputs = []
+    for block, threads in ((sgd.REPLICATE_BLOCK, "1"), (7, "2")):
+        monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
+        out = tmp_path / f"block{block}"
+        argv = [experiment, "--config", path, "--out-dir", str(out), "--threads", threads]
+        assert main(argv) == 0
+        outputs.append({name: (out / name).read_bytes() for name in OUTPUTS})
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_subcommand_is_usage_error():

@@ -19,7 +19,7 @@ from sgdlab.coupling import (
 from sgdlab.noise import gaussian_oracle, heavy_oracle, probe_batch_oracle
 from sgdlab.objectives import make_linear_probe, make_quadratic
 from sgdlab.sde import run_sde_em, sample_brownian_path
-from sgdlab.sgd import run_sgd
+from sgdlab.sgd import DivergenceError, run_sgd
 
 SCHED = StepSchedule(0.5, 0.5)  # gamma_alpha = 0.25
 GA = SCHED.gamma_alpha
@@ -179,6 +179,41 @@ def test_coupled_bank_thread_invariance():
     np.testing.assert_array_equal(one.coupled_dist2, four.coupled_dist2)
     np.testing.assert_array_equal(one.discrete.values, four.discrete.values)
     np.testing.assert_array_equal(one.continuous.values, four.continuous.values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coupled_bank_drops_only_diverging_replicates():
+    """Noise proportional to the state makes some replicates blow up, in
+    one leg or the other.  Each aborts alone with the error its solo run
+    raises, and every other replicate matches its solo run bitwise."""
+    obj = make_quadratic(dim=1, lam=1.0)
+    oracle = gaussian_oracle(obj, lambda x: 5.0 * np.abs(x), eta=1.0)
+    sched = StepSchedule(1.0, 0.1)
+    horizon = 40 * sched.gamma_alpha
+    bank = run_coupled_replicates(obj, oracle, sched, np.ones(1), horizon, 4, 16, 5,
+                                  record_states=True)
+    solo_errors, survivors = [], []
+    for i in range(16):
+        try:
+            solo = run_coupled(obj, oracle, sched, np.ones(1), horizon, 4,
+                               stream=derive_stream(5, i, "noise"), record_states=True)
+        except DivergenceError as err:
+            solo_errors.append(str(err))
+            continue
+        row = len(survivors)
+        survivors.append(i)
+        np.testing.assert_array_equal(solo.dist2, bank.coupled_dist2[row])
+        np.testing.assert_array_equal(solo.discrete.values, bank.discrete.values[row])
+        np.testing.assert_array_equal(solo.continuous.grad_sq, bank.continuous.grad_sq[row])
+        np.testing.assert_array_equal(solo.discrete.states[-1], bank.final_discrete_states[row])
+        np.testing.assert_array_equal(solo.continuous.states[-1], bank.final_continuous_states[row])
+    assert 0 < len(solo_errors) < 16
+    assert [str(err) for err in bank.aborts] == solo_errors
+    assert any("continuous state" in e for e in solo_errors)
+    assert any("discrete state" in e for e in solo_errors)
+    assert bank.discrete.replicate_ids.tolist() == survivors
+    assert bank.continuous.replicate_ids.tolist() == survivors
+    assert [run.replicate_id for run in bank.runs()] == survivors
 
 
 def test_bank_run_roundtrip():

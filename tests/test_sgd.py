@@ -132,12 +132,39 @@ def test_divergence_raises_with_location():
 
 
 def test_divergence_in_bank_names_replicate():
+    """Each diverging replicate aborts alone: the bank keeps no row for it
+    and lists the error its solo run raises, at the same step."""
     obj = make_quadratic(lam=1.0)
-    oracle = gaussian_oracle(obj, 0.0)
+    oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(3.0, 0.0)
-    with pytest.raises(DivergenceError) as exc:
-        run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 5000, 3, 1)
-    assert 0 <= exc.value.replicate_id < 3
+    bank = run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 5000, 3, 1)
+    assert [err.replicate_id for err in bank.aborts] == [0, 1, 2]
+    assert len(bank.replicate_ids) == 0
+    assert bank.values.shape == (0, len(bank.sample_indices))
+    for err in bank.aborts:
+        with pytest.raises(DivergenceError) as solo:
+            run_sgd(obj, oracle, sched, np.array([1.0]), 5000, stream=_stream(err.replicate_id))
+        assert solo.value.step == err.step
+        assert str(solo.value) == str(err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverged_rows_are_reset_and_the_rest_step_on():
+    """Noise scaled by x**2 throws some replicates past the divergence norm,
+    after which they would overflow within a few steps.  A diverged row is
+    reset to the minimizer, where this noise vanishes, so nothing
+    overflows, and the surviving rows run on to their solo results."""
+    obj = make_quadratic(lam=1.0)
+    oracle = gaussian_oracle(obj, lambda x: 2.0 * x * x, eta=1.0)
+    sched = StepSchedule(1.0, 0.5)
+    bank = run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 500, 16, 3)
+    assert 0 < len(bank.aborts) < 16
+    aborted = {err.replicate_id for err in bank.aborts}
+    kept = [i for i in range(16) if i not in aborted]
+    assert bank.replicate_ids.tolist() == kept
+    for row, rep in enumerate(kept):
+        solo = run_sgd(obj, oracle, sched, np.array([1.0]), 500, stream=_stream(rep, seed=3))
+        np.testing.assert_array_equal(bank.values[row], solo.values)
 
 
 def test_projected_sgd_stays_in_ball():
