@@ -1,34 +1,8 @@
 """Experiment harness: config-driven replicated runs with CSV and report output.
 
-Config grammar (INI-style, parsed by configparser; keys are lowercase):
-
-    [experiment]
-    kind = rates            ; rates | strong-approx | weak-approx | batch-eps
-                            ; | probe-exact | couple-demo | certify
-    seed = 20240817         ; required master seed
-    replicates = 200
-    horizon = 100000        ; iteration count N (discrete) or time T (continuous)
-    substeps = 16           ; diffusion substeps per gamma_alpha block
-    threads = 1
-    out_dir = results
-
-    [objective]
-    kind = quadratic        ; quadratic | phi_p | pl_sine | least_squares | linear_probe
-    x0 = 1.0                ; scalar or comma-separated vector
-    ... kind-specific keys (lam, p, dim, n_data)
-
-    [oracle]
-    kind = gaussian         ; gaussian | heavy | batch_probe | least_squares_batch | none
-    ... kind-specific keys (sigma, law, scale, df, batch_m, m_values, n_samples)
-
-    [schedule]
-    gamma = 0.1             ; comma lists sweep; schedules are the cross product
-    alpha = 0.3, 0.5, 0.7
-
-    [grid]                  ; certify only
-    lo = -3
-    hi = 3
-    num = 2001
+The config grammar (INI sections [experiment], [objective], [oracle],
+[schedule] and [grid], with the keys each section allows) is documented in
+the README's "Config format" section; _ALLOWED_KEYS lists the keys here.
 
 Every run is a deterministic function of (config, replicate_id).  Raw CSV
 columns: run_id, replicate, n_or_t, f_gap, dist2, grad_sq, suffix_avg.
@@ -42,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,6 +70,15 @@ SUMMARY_HEADER = (
     "run_id,n_or_t,f_gap_mean,f_gap_ci,dist2_mean,dist2_ci,"
     "grad_sq_mean,grad_sq_ci,suffix_avg_mean,suffix_avg_ci"
 )
+# Every key the experiments read, per section.  [experiment] threads is
+# accepted and ignored: replicates run block by block in one thread.
+_ALLOWED_KEYS = {
+    "experiment": "kind seed replicates horizon substeps threads out_dir",
+    "objective": "kind x0 dim lam p n_data",
+    "oracle": "kind sigma scale law df batch_m m_values n_samples rate_tolerance slope_lo slope_hi",
+    "schedule": "gamma alpha",
+    "grid": "lo hi num exclude_radius",
+}
 
 
 class ConfigError(Exception):
@@ -110,7 +94,6 @@ class ExperimentConfig:
     replicates: int
     horizon: float
     substeps: int
-    threads: int
     out_dir: str
     objective: dict
     oracle: dict
@@ -185,25 +168,39 @@ def _loglog_slope(xs, ys) -> float:
 _REQUIRED = object()
 
 
-def _num(cfg: ExperimentConfig, section: str, key: str, default=_REQUIRED, cast=float):
-    """[section] key converted by cast, or default when absent; a missing
-    required key or a malformed value is a ConfigError."""
+def _num(cfg: ExperimentConfig, section: str, key: str, default=_REQUIRED, cast=float,
+         many=False):
+    """[section] key converted by cast (each comma-separated entry when
+    many), or default when absent; a missing required key or a malformed
+    value is a ConfigError."""
     spec = getattr(cfg, section)
     if key not in spec:
         if default is _REQUIRED:
             raise ConfigError([f"[{section}] {key}: required for kind {spec.get('kind')!r}"])
         return default
+    values = []
+    for text in spec[key].split(",") if many else [spec[key]]:
+        try:
+            values.append(cast(text))
+        except ValueError:
+            what = "an integer" if cast is int else "a number"
+            raise ConfigError([f"[{section}] {key}: {text.strip()!r} is not {what}"]) from None
+    return values if many else values[0]
+
+
+@contextmanager
+def _config_errors(where: str):
+    """Turn a constructor's ValueError or TypeError into a ConfigError at where."""
     try:
-        return cast(spec[key])
-    except ValueError:
-        what = "an integer" if cast is int else "a number"
-        raise ConfigError([f"[{section}] {key}: {spec[key]!r} is not {what}"]) from None
+        yield
+    except (TypeError, ValueError) as err:
+        raise ConfigError([f"{where}: {err}"]) from None
 
 
 def build_objective(cfg: ExperimentConfig) -> Objective:
     kind = cfg.objective.get("kind", "quadratic")
     num = lambda key, default=_REQUIRED, cast=float: _num(cfg, "objective", key, default, cast)
-    try:
+    with _config_errors(f"[objective] {kind}"):
         if kind == "quadratic":
             return make_quadratic(dim=num("dim", 1, int), lam=num("lam", 1.0))
         if kind == "phi_p":
@@ -218,8 +215,6 @@ def build_objective(cfg: ExperimentConfig) -> Objective:
             )
         if kind == "linear_probe":
             return make_linear_probe(dim=num("dim", 1, int))
-    except ValueError as err:
-        raise ConfigError([f"[objective] {kind}: {err}"]) from None
     raise ConfigError([f"[objective] kind: unknown objective {kind!r}"])
 
 
@@ -227,7 +222,7 @@ def build_oracle(cfg: ExperimentConfig, obj: Objective) -> GradientOracle:
     spec = cfg.oracle
     kind = spec.get("kind", "gaussian")
     num = lambda key, default, cast=float: _num(cfg, "oracle", key, default, cast)
-    try:
+    with _config_errors(f"[oracle] {kind}"):
         if kind in ("gaussian", "none"):
             return gaussian_oracle(obj, 0.0 if kind == "none" else num("sigma", 1.0))
         if kind == "heavy":
@@ -240,19 +235,11 @@ def build_oracle(cfg: ExperimentConfig, obj: Objective) -> GradientOracle:
             )
         if kind == "least_squares_batch":
             return least_squares_batch_oracle(obj, num("batch_m", 1, int))
-    except (TypeError, ValueError) as err:
-        raise ConfigError([f"[oracle] {kind}: {err}"]) from None
     raise ConfigError([f"[oracle] kind: unknown oracle {kind!r}"])
 
 
 def _x0_of(cfg: ExperimentConfig, obj: Objective) -> np.ndarray:
-    raw = cfg.objective.get("x0", "0")
-    try:
-        vals = [float(v) for v in str(raw).split(",")]
-    except ValueError:
-        raise ConfigError(
-            [f"[objective] x0: {raw!r} is not a number or a comma-separated vector"]
-        ) from None
+    vals = _num(cfg, "objective", "x0", [0.0], many=True)
     if len(vals) == 1:
         return np.full(obj.dim, vals[0])
     if len(vals) != obj.dim:
@@ -308,8 +295,7 @@ def _experiment_rates(cfg: ExperimentConfig) -> Outcome:
     for sched in cfg.schedules:
         run_id = _run_label(obj, oracle, sched)
         bank = run_sgd_replicates(
-            obj, oracle, sched, x0, n_steps, cfg.replicates, cfg.seed,
-            plan=plan, threads=cfg.threads,
+            obj, oracle, sched, x0, n_steps, cfg.replicates, cfg.seed, plan=plan
         )
         if not _tally(out, run_id, cfg.replicates, bank.aborts):
             continue
@@ -373,7 +359,7 @@ def _experiment_approx(cfg: ExperimentConfig, weak: bool) -> Outcome:
         run_id = _run_label(obj, oracle, sched)
         bank = run_coupled_replicates(
             obj, oracle, sched, x0, cfg.horizon, cfg.substeps, cfg.replicates,
-            cfg.seed, threads=cfg.threads, record_states=weak,
+            cfg.seed, record_states=weak,
         )
         if not _tally(out, run_id, cfg.replicates, bank.aborts):
             continue
@@ -414,15 +400,16 @@ def _experiment_batch_eps(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
     law = cfg.oracle.get("law", "laplace")
     df = _num(cfg, "oracle", "df", None)
-    m_values = [int(v) for v in str(cfg.oracle.get("m_values", "1, 4, 16, 64")).split(",")]
+    m_values = _num(cfg, "oracle", "m_values", [1, 4, 16, 64], int, many=True)
     n_samples = int(_num(cfg, "oracle", "n_samples", 100_000))
     lo = _num(cfg, "oracle", "slope_lo", -1.25)
     hi = _num(cfg, "oracle", "slope_hi", -0.75)
     obj = make_linear_probe(_num(cfg, "objective", "dim", 1, int))
     x = _x0_of(cfg, obj)
+    with _config_errors("[oracle] batch_probe"):
+        oracles = [probe_batch_oracle(obj, m, law=law, df=df) for m in m_values]
     means = []
-    for m in m_values:
-        oracle = probe_batch_oracle(obj, m, law=law, df=df)
+    for m, oracle in zip(m_values, oracles):
         run_id = f"eps_{law}_M{m}"
         values = []
         out.attempted += cfg.replicates
@@ -456,7 +443,8 @@ def _experiment_probe_exact(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
     obj = make_linear_probe(_num(cfg, "objective", "dim", 1, int))
     m = _num(cfg, "oracle", "batch_m", 1, int)
-    oracle = probe_batch_oracle(obj, m, law="normal")
+    with _config_errors("[oracle] batch_probe"):
+        oracle = probe_batch_oracle(obj, m, law="normal")
     x0 = _x0_of(cfg, obj)
     for sched in cfg.schedules:
         ga = sched.gamma_alpha
@@ -466,8 +454,7 @@ def _experiment_probe_exact(cfg: ExperimentConfig) -> Outcome:
         plan = log_spaced_indices(n_steps)
         run_id = _run_label(obj, oracle, sched)
         bank = run_sgd_replicates(
-            obj, oracle, sched, x0, n_steps, cfg.replicates, cfg.seed,
-            plan=plan, threads=cfg.threads,
+            obj, oracle, sched, x0, n_steps, cfg.replicates, cfg.seed, plan=plan
         )
         if not _tally(out, run_id, cfg.replicates, bank.aborts):
             continue
@@ -508,7 +495,7 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
     run_id = _run_label(obj, oracle, sched)
     bank = run_coupled_replicates(
         obj, oracle, sched, _x0_of(cfg, obj), cfg.horizon, cfg.substeps,
-        cfg.replicates, cfg.seed, threads=cfg.threads, record_states=True,
+        cfg.replicates, cfg.seed, record_states=True,
     )
     if not _tally(out, run_id, cfg.replicates, bank.aborts):
         return out
@@ -602,7 +589,8 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         raise ConfigError([f"config file {path!r}: {err}"]) from None
     if not read:
         raise ConfigError([f"config file {path!r} not readable"])
-    exp = dict(parser["experiment"]) if parser.has_section("experiment") else {}
+    section = lambda name: dict(parser[name]) if parser.has_section(name) else {}
+    exp = section("experiment")
     if not parser.has_section("experiment"):
         problems.append("[experiment]: section missing")
     kind = exp.get("kind", "")
@@ -635,9 +623,6 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
 
     replicates = _int_field("replicates", 100, 1)
     substeps = _int_field("substeps", 16, 1)
-    threads = _int_field("threads", 1, 1)
-    if "threads" in overrides and overrides["threads"] is not None:
-        threads = max(1, int(overrides["threads"]))
     try:
         horizon = float(exp.get("horizon", 0))
     except ValueError:
@@ -677,9 +662,9 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     elif kind not in ("batch-eps", "certify"):
         problems.append("[schedule]: section required for this experiment")
 
-    objective = dict(parser["objective"]) if parser.has_section("objective") else {}
-    oracle = dict(parser["oracle"]) if parser.has_section("oracle") else {}
-    grid = dict(parser["grid"]) if parser.has_section("grid") else {}
+    for name in parser.sections():
+        allowed = _ALLOWED_KEYS.get(name, "").split()
+        problems += [f"[{name}] {key}: unknown key" for key in parser[name] if key not in allowed]
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(
@@ -688,12 +673,11 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         replicates=replicates,
         horizon=horizon,
         substeps=substeps,
-        threads=threads,
         out_dir=str(out_dir),
-        objective=objective,
-        oracle=oracle,
+        objective=section("objective"),
+        oracle=section("oracle"),
         schedules=schedules,
-        grid=grid,
+        grid=section("grid"),
         source=str(path),
     )
 
@@ -708,18 +692,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
         p.add_argument("--out-dir", default=None)
     args = parser.parse_args(argv)
     try:
-        cfg = validate_config(
-            args.config,
-            overrides={
-                "seed": args.seed,
-                "threads": args.threads,
-                "out_dir": args.out_dir,
-            },
-        )
+        cfg = validate_config(args.config, overrides={"seed": args.seed, "out_dir": args.out_dir})
         if cfg.experiment != args.experiment:
             raise ConfigError(
                 [
@@ -727,11 +704,6 @@ def main(argv=None) -> int:
                     f" {args.experiment!r} subcommand was invoked"
                 ]
             )
-    except ConfigError as err:
-        for problem in err.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 1
-    try:
         out = run_experiment(cfg)
     except ConfigError as err:
         for problem in err.problems:

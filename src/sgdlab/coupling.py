@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .analysis import Estimate
-from .core import RngStream, StepSchedule, derive_stream, log_spaced_indices
+from .core import RngStream, StepSchedule, derive_stream
 from .noise import GradientOracle
 from .objectives import Objective
 from .sde import path_length
@@ -31,6 +31,7 @@ from .sgd import (
     Trajectory,
     _Checkpoints,
     _map_blocks,
+    _normalize_plan,
     _replicate_runs,
     _Rows,
     _survivors,
@@ -123,15 +124,14 @@ def _coupled_block(
     n_blocks: int,
     substeps: int,
     plan: np.ndarray,
-    noise_streams: list[RngStream],
+    streams: list[RngStream],
     kind: str,
     record_states: bool,
 ):
-    rows = _Rows([s.replicate_id for s in noise_streams])
-    brown_gens = [
-        derive_stream(s.master_seed, s.replicate_id, "brownian").generator() for s in noise_streams
-    ]
-    noise_gens = [s.generator() for s in noise_streams]
+    rows = _Rows([s.replicate_id for s in streams])
+    keys = [(s.master_seed, s.replicate_id) for s in streams]
+    brown_gens = [derive_stream(*key, "brownian").generator() for key in keys]
+    noise_gens = [derive_stream(*key, "noise").generator() for key in keys]
     r = len(brown_gens)
     d = obj.dim
     ga = sched.gamma_alpha
@@ -190,10 +190,36 @@ def _coupled_block(
     return rows, discrete, continuous, gap_d2, x, y
 
 
-def _coupled_bank(parts: list, plan: np.ndarray, sched: StepSchedule, kind: str) -> CoupledBank:
+def _coupled(
+    obj: Objective,
+    oracle: GradientOracle,
+    sched: StepSchedule,
+    x0,
+    horizon: float,
+    substeps_per_block: int,
+    streams: list,
+    kind: str | None,
+    plan,
+    record_states: bool,
+) -> CoupledBank:
+    """The one coupled entry: the pairs of the replicates that streams
+    identify, stepped block by block."""
+    if sched.alpha >= 1.0:
+        raise ValueError("coupling needs alpha < 1")
+    if not streams:
+        raise ValueError("n_replicates must be >= 1")
+    if any(s is None for s in streams):
+        raise ValueError("a coupled run needs an explicit RngStream")
+    kind = resolve_kind(obj, oracle, kind)
+    ga = sched.gamma_alpha
+    n_blocks = path_length(horizon, ga)
+    plan = _normalize_plan(plan, n_blocks, "plan block indices must lie in [1, n_blocks]")
+    work = lambda block: _coupled_block(
+        obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, block, kind, record_states
+    )
+    parts = _map_blocks(streams, work)
     keep, aborts = _survivors(parts)
     cat = lambda i: np.concatenate([part[i] for part in parts])[keep]
-    ga = sched.gamma_alpha
     return CoupledBank(
         block_indices=plan,
         times=plan * ga,
@@ -226,30 +252,12 @@ def run_coupled(
     derives the brownian stream driving both processes and, for the
     independent kind, the separate noise stream.
     """
-    if sched.alpha >= 1.0:
-        raise ValueError("coupling needs alpha < 1")
-    if stream is None:
-        raise ValueError("run_coupled needs an explicit RngStream")
-    kind = resolve_kind(obj, oracle, kind)
-    n_blocks = path_length(horizon, sched.gamma_alpha)
-    plan = _normalize_block_plan(plan, n_blocks)
-    noise = derive_stream(stream.master_seed, stream.replicate_id, "noise")
-    part = _coupled_block(
-        obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, [noise], kind, record_states,
+    bank = _coupled(
+        obj, oracle, sched, x0, horizon, substeps_per_block, [stream], kind, plan, record_states
     )
-    bank = _coupled_bank([part], plan, sched, kind)
     if bank.aborts:
         raise bank.aborts[0]
     return bank.run(0)
-
-
-def _normalize_block_plan(plan, n_blocks: int) -> np.ndarray:
-    if plan is None:
-        return log_spaced_indices(n_blocks)
-    plan = np.unique(np.asarray(plan, dtype=np.int64))
-    if len(plan) == 0 or plan[0] < 1 or plan[-1] > n_blocks:
-        raise ValueError("plan block indices must lie in [1, n_blocks]")
-    return plan
 
 
 def run_coupled_replicates(
@@ -263,61 +271,32 @@ def run_coupled_replicates(
     master_seed: int,
     kind: str | None = None,
     plan=None,
-    threads: int = 1,
     record_states: bool = False,
 ) -> CoupledBank:
-    """Bank of coupled replicates; partitioning over threads never changes results.
+    """Bank of coupled replicates; the block size never changes results.
 
     Replicates that diverge are listed in the bank's aborts instead of its rows.
     """
-    if sched.alpha >= 1.0:
-        raise ValueError("coupling needs alpha < 1")
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be >= 1")
-    kind = resolve_kind(obj, oracle, kind)
-    n_blocks = path_length(horizon, sched.gamma_alpha)
-    plan = _normalize_block_plan(plan, n_blocks)
-
-    def work(ids):
-        streams = [derive_stream(master_seed, int(i), "noise") for i in ids]
-        return _coupled_block(
-            obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, streams, kind,
-            record_states,
-        )
-
-    parts = _map_blocks(n_replicates, threads, work)
-    return _coupled_bank(parts, plan, sched, kind)
+    streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
+    return _coupled(
+        obj, oracle, sched, x0, horizon, substeps_per_block, streams, kind, plan, record_states
+    )
 
 
-def _gather_dist2(runs, checkpoint: int | None) -> np.ndarray:
-    if isinstance(runs, CoupledBank):
-        idx = len(runs.block_indices) - 1
-        if checkpoint is not None:
-            hits = np.nonzero(runs.block_indices == checkpoint)[0]
-            if len(hits) == 0:
-                raise ValueError(f"checkpoint {checkpoint} was not recorded")
-            idx = int(hits[0])
-        return runs.coupled_dist2[:, idx]
-    out = []
-    for run in runs:
-        idx = -1
-        if checkpoint is not None:
-            hits = np.nonzero(run.discrete.sample_indices == checkpoint)[0]
-            if len(hits) == 0:
-                raise ValueError(f"checkpoint {checkpoint} was not recorded")
-            idx = int(hits[0])
-        out.append(run.dist2[idx])
-    return np.asarray(out, dtype=float)
-
-
-def strong_error(runs, checkpoint: int | None = None) -> Estimate:
-    """Root mean squared coupled distance at a block checkpoint.
+def strong_error(runs: CoupledBank, checkpoint: int | None = None) -> Estimate:
+    """Root mean squared coupled distance of a bank at a block checkpoint.
 
     The mean of squared distances gets a normal-approximation interval and
     the square root a delta-method one (95%, two-sided).  Defaults to the
     last recorded checkpoint.
     """
-    d2 = _gather_dist2(runs, checkpoint)
+    idx = len(runs.block_indices) - 1
+    if checkpoint is not None:
+        hits = np.nonzero(runs.block_indices == checkpoint)[0]
+        if len(hits) == 0:
+            raise ValueError(f"checkpoint {checkpoint} was not recorded")
+        idx = int(hits[0])
+    d2 = runs.coupled_dist2[:, idx]
     n = len(d2)
     if n < 2:
         raise ValueError("strong_error needs at least 2 replicates")
@@ -328,43 +307,33 @@ def strong_error(runs, checkpoint: int | None = None) -> Estimate:
     return Estimate(value=float(np.sqrt(mean)), ci_halfwidth=1.96 * se / (2.0 * np.sqrt(mean)), n=n)
 
 
-def _endpoint_states(runs, which: str) -> np.ndarray:
-    if isinstance(runs, CoupledBank):
-        return runs.final_discrete_states if which == "discrete" else runs.final_continuous_states
-    states = []
-    for run in runs:
-        if isinstance(run, Trajectory):
-            traj = run
-        else:
-            traj = run.discrete if which == "discrete" else run.continuous
-        if traj.states is None:
-            raise ValueError("weak_error needs recorded states (record_states=True)")
-        states.append(traj.states[-1])
-    return np.asarray(states, dtype=float)
+def _endpoint_states(runs: ReplicateRuns) -> np.ndarray:
+    if runs.states is None:
+        raise ValueError("weak_error needs recorded states (record_states=True)")
+    return runs.states[:, -1]
 
 
 def weak_error(runs_discrete, runs_continuous_or_coupled, g) -> Estimate:
     """|E g(continuous endpoint) - E g(discrete endpoint)| with a 95% CI.
 
-    When the second argument is coupled output (a CoupledBank or a list of
-    CoupledRun), the paired estimator mean(g(Y) - g(X)) is used, which
-    cancels most replicate noise; otherwise the two sample means are
-    differenced with a pooled interval.
+    When the second argument is a CoupledBank, the paired estimator
+    mean(g(Y) - g(X)) over its replicates is used, which cancels most
+    replicate noise, and the first argument is ignored.  Otherwise both
+    arguments are ReplicateRuns recorded with record_states=True, and the
+    two sample means of g at their last checkpoint are differenced with a
+    pooled interval.
     """
     second = runs_continuous_or_coupled
-    paired = isinstance(second, CoupledBank) or (
-        isinstance(second, (list, tuple)) and len(second) > 0 and isinstance(second[0], CoupledRun)
-    )
-    if paired:
-        gx = np.asarray(g(_endpoint_states(second, "discrete")), dtype=float)
-        gy = np.asarray(g(_endpoint_states(second, "continuous")), dtype=float)
+    if isinstance(second, CoupledBank):
+        gx = np.asarray(g(second.final_discrete_states), dtype=float)
+        gy = np.asarray(g(second.final_continuous_states), dtype=float)
         if len(gx) < 2:
             raise ValueError("weak_error needs at least 2 replicates")
         diffs = gy - gx
         se = float(diffs.std(ddof=1)) / np.sqrt(len(diffs))
         return Estimate(value=abs(float(diffs.mean())), ci_halfwidth=1.96 * se, n=len(diffs))
-    gx = np.asarray(g(_endpoint_states(runs_discrete, "discrete")), dtype=float)
-    gy = np.asarray(g(_endpoint_states(second, "continuous")), dtype=float)
+    gx = np.asarray(g(_endpoint_states(runs_discrete)), dtype=float)
+    gy = np.asarray(g(_endpoint_states(second)), dtype=float)
     if len(gx) < 2 or len(gy) < 2:
         raise ValueError("weak_error needs at least 2 replicates per process")
     se = np.sqrt(gx.var(ddof=1) / len(gx) + gy.var(ddof=1) / len(gy))

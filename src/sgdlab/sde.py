@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, StepSchedule, derive_stream, log_spaced_indices
+from .core import RngStream, StepSchedule, derive_stream
 from .noise import GradientOracle
 from .objectives import Objective
 from .sgd import (
@@ -22,6 +22,7 @@ from .sgd import (
     Trajectory,
     _Checkpoints,
     _map_blocks,
+    _normalize_plan,
     _only_row,
     _replicate_runs,
     _Rows,
@@ -109,13 +110,9 @@ def _diffusion_fn(sigma_sqrt):
 
 
 def _plan_substeps(plan_times, count: int, h: float) -> np.ndarray:
-    if plan_times is None:
-        return log_spaced_indices(count)
-    t = np.asarray(plan_times, dtype=float)
-    j = np.unique(np.rint(t / h).astype(np.int64))
-    if len(j) == 0 or j[0] < 1 or j[-1] > count:
-        raise ValueError("plan times must fall in (0, horizon] on the substep grid")
-    return j
+    """Plan times snapped to substep indices in [1, count] (default: log-spaced)."""
+    j = None if plan_times is None else np.rint(np.asarray(plan_times, dtype=float) / h)
+    return _normalize_plan(j, count, "plan times must fall in (0, horizon] on the substep grid")
 
 
 def _em_block(obj, sigma_sqrt, sched, x0, count, h, plan, ids, draw, record_states):
@@ -185,13 +182,12 @@ def run_sde_em_replicates(
     n_replicates: int,
     master_seed: int,
     plan_times=None,
-    threads: int = 1,
 ) -> ReplicateRuns:
     """Bank of independent diffusion replicates with on-the-fly increments.
 
     Paths are never materialized (long horizons would not fit in memory);
     each replicate draws its increments from its own brownian stream in
-    fixed chunks, so the result does not depend on the thread count.
+    fixed chunks, so the result does not depend on the block size.
     """
     if sched.alpha >= 1.0:
         raise ValueError("the continuous process needs alpha < 1")
@@ -202,12 +198,14 @@ def run_sde_em_replicates(
     plan = _plan_substeps(plan_times, count, h)
     root_h = np.sqrt(h)
 
-    def work(ids):
-        gens = [derive_stream(master_seed, int(rid), "brownian").generator() for rid in ids]
+    def work(block):
+        gens = [s.generator() for s in block]
         draw = lambda start, m: root_h * np.stack([g.standard_normal((m, obj.dim)) for g in gens])
+        ids = [s.replicate_id for s in block]
         return _em_block(obj, sigma_sqrt, sched, x0, count, h, plan, ids, draw, False)
 
-    return _replicate_runs(_map_blocks(n_replicates, threads, work), plan * h)
+    streams = [derive_stream(master_seed, i, "brownian") for i in range(n_replicates)]
+    return _replicate_runs(_map_blocks(streams, work), plan * h)
 
 
 def run_gradient_flow(

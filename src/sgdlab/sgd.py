@@ -3,14 +3,14 @@ machinery that every process in the package runs on.
 
 The recursion X_{n+1} = X_n - gamma (n+1)^{-alpha} H(X_n, Z_{n+1}) runs as
 a bank of replicates (run_sgd_replicates); a solo run (run_sgd) is a bank
-of one row.  The block scheduler (_map_blocks) splits replicates into fixed
-blocks of REPLICATE_BLOCK rows and farms them to a thread pool, and one
-block kernel (_Rows.run) steps each block: it draws innovations in fixed
-chunks from per-replicate counter-based streams, checks every row for
-divergence after each step and records observables at the plan's
-checkpoints.  The sde and coupling modules drive the same kernel with their
-own step.  Every array op is row-independent, so a replicate's trajectory
-is bit-identical however replicates are split into blocks or threads.
+of one row.  The block scheduler (_map_blocks) steps the bank's streams in
+consecutive blocks of REPLICATE_BLOCK rows, and one block kernel
+(_Rows.run) steps each block: it draws innovations in fixed chunks from
+per-replicate counter-based streams, checks every row for divergence after
+each step and records observables at the plan's checkpoints.  The sde and
+coupling modules drive the same kernel with their own step.  Every array
+op is row-independent, so a replicate's trajectory is bit-identical
+however replicates are split into blocks.
 
 A row whose state leaves the finite regime records its first
 DivergenceError and has its state reset to the minimizer; the other rows
@@ -20,7 +20,6 @@ its aborts field.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,22 +159,13 @@ class _Rows:
                     p += 1
 
 
-def _map_blocks(n_replicates: int, threads: int, work) -> list:
-    """The block scheduler: work(ids) on replicates 0..n-1 in fixed blocks.
-
-    The partition does not depend on the thread count, so neither does
-    any result.  Each work call returns a tuple whose first entry is the
-    block's _Rows.
-    """
-    rep_ids = np.arange(n_replicates)
-    blocks = [
-        rep_ids[i : i + REPLICATE_BLOCK]
-        for i in range(0, n_replicates, REPLICATE_BLOCK)
+def _map_blocks(streams: list, work) -> list:
+    """The block scheduler: work(block) on consecutive blocks of
+    REPLICATE_BLOCK streams.  Each work call returns a tuple whose first
+    entry is the block's _Rows."""
+    return [
+        work(streams[i : i + REPLICATE_BLOCK]) for i in range(0, len(streams), REPLICATE_BLOCK)
     ]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, blocks))
-    return [work(ids) for ids in blocks]
 
 
 def _survivors(parts: list) -> tuple[np.ndarray, list[DivergenceError]]:
@@ -213,23 +203,15 @@ def _only_row(runs: ReplicateRuns) -> Trajectory:
     return runs.trajectory(0)
 
 
-def _normalize_plan(plan, n_steps: int) -> np.ndarray:
+def _normalize_plan(plan, n: int, error: str) -> np.ndarray:
+    """Sorted distinct checkpoint indices in [1, n] (default: log-spaced);
+    raises ValueError(error) for indices outside."""
     if plan is None:
-        return log_spaced_indices(n_steps)
+        return log_spaced_indices(n)
     plan = np.unique(np.asarray(plan, dtype=np.int64))
-    if len(plan) == 0 or plan[0] < 1 or plan[-1] > n_steps:
-        raise ValueError("plan indices must lie in [1, n_steps]")
+    if len(plan) == 0 or plan[0] < 1 or plan[-1] > n:
+        raise ValueError(error)
     return plan
-
-
-def _maybe_warn_alpha_one(obj: Objective, sched: StepSchedule) -> None:
-    tag = obj.tag(StronglyConvex)
-    if sched.alpha == 1.0 and tag is not None and not sched.gamma > 1.0 / (2.0 * tag.mu):
-        warnings.warn(
-            f"alpha=1 with gamma={sched.gamma:g} <= 1/(2 mu)={1.0 / (2.0 * tag.mu):g}:"
-            " the strongly convex rate guarantee needs a larger gamma",
-            stacklevel=3,
-        )
 
 
 def _sgd_block(
@@ -267,6 +249,38 @@ def _sgd_block(
     return rows, ckpt
 
 
+def _sgd(
+    obj: Objective,
+    oracle: GradientOracle,
+    sched: StepSchedule,
+    x0,
+    n_steps: int,
+    streams: list,
+    plan,
+    record_states: bool,
+    radius: float | None,
+) -> ReplicateRuns:
+    """The one SGD entry: the rows of streams, stepped block by block."""
+    if n_steps < 1 or not streams:
+        raise ValueError("n_steps and n_replicates must be >= 1")
+    if any(s is None for s in streams):
+        raise ValueError("SGD needs an explicit RngStream")
+    if radius is not None and np.linalg.norm(np.asarray(x0, dtype=float)) > radius:
+        raise ValueError("x0 must lie inside the projection ball")
+    tag = obj.tag(StronglyConvex)
+    if sched.alpha == 1.0 and tag is not None and not sched.gamma > 1.0 / (2.0 * tag.mu):
+        warnings.warn(
+            f"alpha=1 with gamma={sched.gamma:g} <= 1/(2 mu)={1.0 / (2.0 * tag.mu):g}:"
+            " the strongly convex rate guarantee needs a larger gamma",
+            stacklevel=3,
+        )
+    plan = _normalize_plan(plan, n_steps, "plan indices must lie in [1, n_steps]")
+    work = lambda block: _sgd_block(
+        obj, oracle, sched, x0, n_steps, plan, block, record_states, radius
+    )
+    return _replicate_runs(_map_blocks(streams, work), plan)
+
+
 def run_sgd(
     obj: Objective,
     oracle: GradientOracle,
@@ -278,14 +292,7 @@ def run_sgd(
     record_states: bool = False,
 ) -> Trajectory:
     """One SGD replicate, recorded at the plan's iteration indices."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if stream is None:
-        raise ValueError("run_sgd needs an explicit RngStream")
-    _maybe_warn_alpha_one(obj, sched)
-    plan = _normalize_plan(plan, n_steps)
-    part = _sgd_block(obj, oracle, sched, x0, n_steps, plan, [stream], record_states, None)
-    return _only_row(_replicate_runs([part], plan))
+    return _only_row(_sgd(obj, oracle, sched, x0, n_steps, [stream], plan, record_states, None))
 
 
 def run_projected_sgd(
@@ -304,19 +311,9 @@ def run_projected_sgd(
     An infinite radius reproduces run_sgd bit for bit: the projection is
     only applied to rows strictly outside the ball.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if stream is None:
-        raise ValueError("run_projected_sgd needs an explicit RngStream")
-    x0 = np.asarray(x0, dtype=float)
-    if np.linalg.norm(x0) > radius:
-        raise ValueError("x0 must lie inside the projection ball")
-    _maybe_warn_alpha_one(obj, sched)
-    plan = _normalize_plan(plan, n_steps)
-    part = _sgd_block(
-        obj, oracle, sched, x0, n_steps, plan, [stream], record_states, float(radius)
+    return _only_row(
+        _sgd(obj, oracle, sched, x0, n_steps, [stream], plan, record_states, float(radius))
     )
-    return _only_row(_replicate_runs([part], plan))
 
 
 def run_sgd_replicates(
@@ -328,26 +325,17 @@ def run_sgd_replicates(
     n_replicates: int,
     master_seed: int,
     plan=None,
-    threads: int = 1,
     record_states: bool = False,
     radius: float | None = None,
 ) -> ReplicateRuns:
     """A bank of replicates with streams derived from one master seed.
 
-    Results are identical for any threads value and block size, and equal
-    to run_sgd replicate by replicate; replicates that diverge are listed
-    in the bank's aborts instead of its rows.
+    Results are identical for any block size, and equal to run_sgd
+    replicate by replicate; replicates that diverge are listed in the
+    bank's aborts instead of its rows.
     """
-    if n_steps < 1 or n_replicates < 1:
-        raise ValueError("n_steps and n_replicates must be >= 1")
-    _maybe_warn_alpha_one(obj, sched)
-    plan = _normalize_plan(plan, n_steps)
-
-    def work(ids):
-        streams = [derive_stream(master_seed, int(rid), "noise") for rid in ids]
-        return _sgd_block(obj, oracle, sched, x0, n_steps, plan, streams, record_states, radius)
-
-    return _replicate_runs(_map_blocks(n_replicates, threads, work), plan)
+    streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
+    return _sgd(obj, oracle, sched, x0, n_steps, streams, plan, record_states, radius)
 
 
 def suffix_average(values, k: int) -> float:

@@ -49,7 +49,6 @@ from sgdlab.cli import main as cli_main
 MASTER_SEED = 20240817
 N_LONG = 100_000
 R_LONG = 2000
-THREADS = 4
 
 _timings = {}
 _reporter = None
@@ -100,7 +99,7 @@ def phi_sweep():
             sched = StepSchedule(0.5, alpha)
             bank = run_sgd_replicates(
                 obj, oracle, sched, np.array([1.0]), N_LONG, R_LONG,
-                MASTER_SEED, plan=plan, threads=THREADS,
+                MASTER_SEED, plan=plan,
             )
             curves[(p, alpha)] = (
                 bank.values.mean(axis=0),
@@ -120,7 +119,7 @@ def coupled_sweep():
     for gamma in (0.2, 0.1, 0.05, 0.025):
         banks[gamma] = run_coupled_replicates(
             obj, oracle, StepSchedule(gamma, 0.5), np.array([1.0]), 4.0, 32,
-            500, MASTER_SEED, kind="gaussian_shared", threads=THREADS,
+            500, MASTER_SEED, kind="gaussian_shared",
             record_states=True,
         )
     _timings["coupled_sweep"] = time.perf_counter() - t0
@@ -141,7 +140,7 @@ def test_criterion_1_strongly_convex_rate():
     for alpha, gamma, tol in cases:
         bank = run_sgd_replicates(
             obj, oracle, StepSchedule(gamma, alpha), np.array([1.0]), N_LONG,
-            R_LONG, MASTER_SEED, plan=plan, threads=THREADS,
+            R_LONG, MASTER_SEED, plan=plan,
         )
         est = fit_rate(zip(plan.tolist(), bank.dist2_to_min.mean(axis=0).tolist()))
         decays.append(-est.slope)
@@ -261,7 +260,7 @@ def test_criterion_5_probe_exact_law_and_floor():
         oracle = probe_batch_oracle(obj, m, law="normal")
         bank = run_sgd_replicates(
             obj, oracle, sched, np.zeros(1), n, R_LONG, MASTER_SEED,
-            plan=np.array([n]), threads=THREADS,
+            plan=np.array([n]),
         )
         d2 = bank.dist2_to_min[:, 0]
         mean = float(d2.mean())
@@ -331,7 +330,7 @@ def test_criterion_8_gradient_dominance_rate():
     for alpha in (0.4, 0.7):
         bank = run_sgd_replicates(
             obj, oracle, StepSchedule(0.2, alpha), np.array([1.0]), N_LONG,
-            R_LONG, MASTER_SEED, plan=plan, threads=THREADS,
+            R_LONG, MASTER_SEED, plan=plan,
         )
         est = fit_rate(zip(plan.tolist(), bank.values.mean(axis=0).tolist()))
         decays.append(-est.slope)

@@ -91,6 +91,36 @@ COUPLE_CFG = """
     alpha = 0.5
 """
 
+PROBE_CFG = """
+    [experiment]
+    kind = probe-exact
+    seed = 5
+    replicates = 50
+    horizon = 2
+
+    [oracle]
+    kind = batch_probe
+    batch_m = 1
+
+    [schedule]
+    gamma = 0.1
+    alpha = 0.25
+"""
+
+BATCH_EPS_CFG = """
+    [experiment]
+    kind = batch-eps
+    seed = 2
+    replicates = 2
+    horizon = 1
+
+    [oracle]
+    kind = batch_probe
+    law = laplace
+    m_values = 1, 4
+    n_samples = 2000
+"""
+
 OUTPUTS = ("raw.csv", "summary.csv", "report.txt")
 
 
@@ -103,7 +133,6 @@ def test_validate_minimal_config(tmp_path):
     assert cfg.replicates == 8
     assert cfg.horizon == 400.0
     assert cfg.schedules == [StepSchedule(0.5, 0.5)]
-    assert cfg.threads == 1  # default
     assert cfg.objective["kind"] == "quadratic"
 
 
@@ -187,9 +216,8 @@ def test_validate_missing_file():
 
 def test_validate_overrides(tmp_path):
     path = write_cfg(tmp_path, RATES_CFG)
-    cfg = validate_config(path, overrides={"seed": 99, "threads": 4, "out_dir": "elsewhere"})
+    cfg = validate_config(path, overrides={"seed": 99, "out_dir": "elsewhere"})
     assert cfg.seed == 99
-    assert cfg.threads == 4
     assert cfg.out_dir == "elsewhere"
 
 
@@ -330,21 +358,7 @@ def test_noiseless_run_skips_rate_fit(tmp_path, capsys):
 
 
 def test_probe_exact_reports_z_scores(tmp_path, capsys):
-    path = write_cfg(tmp_path, """
-        [experiment]
-        kind = probe-exact
-        seed = 5
-        replicates = 50
-        horizon = 2
-
-        [oracle]
-        kind = batch_probe
-        batch_m = 1
-
-        [schedule]
-        gamma = 0.1
-        alpha = 0.25
-    """)
+    path = write_cfg(tmp_path, PROBE_CFG)
     assert main(["probe-exact", "--config", path, "--out-dir", str(tmp_path / "o")]) == 0
     stdout = capsys.readouterr().out
     assert "n=43:" in stdout  # floor(T / gamma_alpha) at gamma 0.1, alpha 1/4
@@ -354,19 +368,7 @@ def test_probe_exact_reports_z_scores(tmp_path, capsys):
 
 
 def test_batch_eps_sweep(tmp_path, capsys):
-    path = write_cfg(tmp_path, """
-        [experiment]
-        kind = batch-eps
-        seed = 2
-        replicates = 2
-        horizon = 1
-
-        [oracle]
-        kind = batch_probe
-        law = laplace
-        m_values = 1, 4
-        n_samples = 2000
-    """)
+    path = write_cfg(tmp_path, BATCH_EPS_CFG)
     out = tmp_path / "o"
     assert main(["batch-eps", "--config", path, "--out-dir", str(out)]) == 0
     stdout = capsys.readouterr().out
@@ -480,14 +482,25 @@ def test_config_errors_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "seed: required" in err
-    # problems only seen when the objective and oracle are built
-    for old, new, problem in (
-        ("kind = quadratic", "kind = phi_p", "[objective] p: required"),
-        ("x0 = 1.0", "x0 = abc", "[objective] x0: 'abc' is not a number"),
-        ("sigma = 1.0", "sigma = x", "[oracle] sigma: 'x' is not a number"),
+    # problems only seen when the objective and oracle are built, and keys
+    # no experiment reads
+    for experiment, text, old, new, problem in (
+        ("rates", RATES_CFG, "kind = quadratic", "kind = phi_p", "[objective] p: required"),
+        ("rates", RATES_CFG, "x0 = 1.0", "x0 = abc", "[objective] x0: 'abc' is not a number"),
+        ("rates", RATES_CFG, "sigma = 1.0", "sigma = x", "[oracle] sigma: 'x' is not a number"),
+        ("rates", RATES_CFG, "sigma = 1.0", "sigma = 1.0\n    sigam = 2",
+         "[oracle] sigam: unknown key"),
+        ("batch-eps", BATCH_EPS_CFG, "m_values = 1, 4", "m_values = 1, x",
+         "[oracle] m_values: 'x' is not an integer"),
+        ("batch-eps", BATCH_EPS_CFG, "m_values = 1, 4", "m_values = 0, 4",
+         "[oracle] batch_probe: batch size must be >= 1"),
+        ("batch-eps", BATCH_EPS_CFG, "law = laplace", "law = foo",
+         "[oracle] batch_probe: law must be one of"),
+        ("probe-exact", PROBE_CFG, "batch_m = 1", "batch_m = 0",
+         "[oracle] batch_probe: batch size must be >= 1"),
     ):
-        path = write_cfg(tmp_path, RATES_CFG.replace(old, new))
-        assert main(["rates", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
+        path = write_cfg(tmp_path, text.replace(old, new))
+        assert main([experiment, "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
         assert f"config error: {problem}" in capsys.readouterr().err
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from sgdlab import sgd
 from sgdlab.core import StepSchedule, derive_stream
 from sgdlab.coupling import (
     COMONOTONE_1D,
@@ -19,7 +20,7 @@ from sgdlab.coupling import (
 from sgdlab.noise import gaussian_oracle, heavy_oracle, probe_batch_oracle
 from sgdlab.objectives import make_linear_probe, make_quadratic
 from sgdlab.sde import run_sde_em, sample_brownian_path
-from sgdlab.sgd import DivergenceError, run_sgd
+from sgdlab.sgd import DivergenceError, run_sgd, run_sgd_replicates
 
 SCHED = StepSchedule(0.5, 0.5)  # gamma_alpha = 0.25
 GA = SCHED.gamma_alpha
@@ -169,16 +170,18 @@ def test_coupled_bank_matches_solo_runs():
         np.testing.assert_array_equal(solo.continuous.states[-1], bank.final_continuous_states[i])
 
 
-def test_coupled_bank_thread_invariance():
+def test_coupled_bank_block_size_invariance(monkeypatch):
     obj = make_quadratic(dim=1, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
     kw = dict(x0=np.ones(1), horizon=_horizon(8), substeps_per_block=4,
               n_replicates=300, master_seed=13)
-    one = run_coupled_replicates(obj, oracle, SCHED, threads=1, **kw)
-    four = run_coupled_replicates(obj, oracle, SCHED, threads=4, **kw)
-    np.testing.assert_array_equal(one.coupled_dist2, four.coupled_dist2)
-    np.testing.assert_array_equal(one.discrete.values, four.discrete.values)
-    np.testing.assert_array_equal(one.continuous.values, four.continuous.values)
+    banks = []
+    for block in (sgd.REPLICATE_BLOCK, 7):
+        monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
+        banks.append(run_coupled_replicates(obj, oracle, SCHED, **kw))
+    np.testing.assert_array_equal(banks[0].coupled_dist2, banks[1].coupled_dist2)
+    np.testing.assert_array_equal(banks[0].discrete.values, banks[1].discrete.values)
+    np.testing.assert_array_equal(banks[0].continuous.values, banks[1].continuous.values)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -266,22 +269,12 @@ def test_strong_error_checkpoint_selection(small_bank):
         strong_error(small_bank, checkpoint=10**9)
 
 
-def test_strong_error_accepts_run_lists(small_bank):
-    runs = small_bank.runs()
-    est_list = strong_error(runs)
-    est_bank = strong_error(small_bank)
-    assert est_list.value == pytest.approx(est_bank.value, rel=1e-12)
-    first = int(small_bank.block_indices[0])
-    a = strong_error(runs, checkpoint=first)
-    b = strong_error(small_bank, checkpoint=first)
-    assert a.value == pytest.approx(b.value, rel=1e-12)
-    with pytest.raises(ValueError, match="not recorded"):
-        strong_error(runs, checkpoint=10**9)
-
-
-def test_strong_error_needs_replicates(small_bank):
+def test_strong_error_needs_replicates():
+    obj = make_quadratic(dim=2, lam=1.0)
+    one = run_coupled_replicates(obj, gaussian_oracle(obj, 1.0), SCHED, np.ones(2),
+                                 _horizon(4), 8, 1, 55)
     with pytest.raises(ValueError, match="at least 2"):
-        strong_error(small_bank.runs()[:1])
+        strong_error(one)
 
 
 def test_weak_error_paired_matches_manual(small_bank):
@@ -290,41 +283,34 @@ def test_weak_error_paired_matches_manual(small_bank):
     diffs = g(small_bank.final_continuous_states) - g(small_bank.final_discrete_states)
     assert est.value == pytest.approx(abs(diffs.mean()), rel=1e-12)
     assert est.n == 20
-    # list of CoupledRun goes through the same paired estimator
-    est2 = weak_error(None, small_bank.runs(), g)
-    assert est2.value == pytest.approx(est.value, rel=1e-12)
 
 
 def test_weak_error_unpaired_differences_means():
     obj = make_quadratic(dim=1, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
     n_blocks = 8
-    plan = np.array([n_blocks])
-    disc = [run_sgd(obj, oracle, SCHED, np.ones(1), n_blocks, plan=plan,
-                    stream=derive_stream(2, i, "noise"), record_states=True)
-            for i in range(6)]
-    path = lambda i: sample_brownian_path(_horizon(n_blocks), GA / 8, 1,
-                                          derive_stream(2, i, "brownian"))
-    cont = [run_sde_em(obj, oracle, SCHED, np.ones(1), _horizon(n_blocks), 8, path(i),
-                       plan_times=[_horizon(n_blocks)], record_states=True)
-            for i in range(6)]
+    disc = run_sgd_replicates(obj, oracle, SCHED, np.ones(1), n_blocks, 6, 2,
+                              plan=[n_blocks], record_states=True)
+    cont = run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(n_blocks), 8,
+                                  5, 3, record_states=True).continuous
     g = lambda s: np.sum(s * s, axis=-1)
     est = weak_error(disc, cont, g)
-    gx = np.array([g(t.states[-1]) for t in disc])
-    gy = np.array([g(t.states[-1]) for t in cont])
+    gx = g(disc.states[:, -1])
+    gy = g(cont.states[:, -1])
     assert est.value == pytest.approx(abs(gy.mean() - gx.mean()), rel=1e-12)
+    assert est.n == 5
 
 
-def test_weak_error_requires_states_and_replicates(small_bank):
+def test_weak_error_requires_states_and_replicates():
     obj = make_quadratic(dim=1, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
-    bare = run_sgd(obj, oracle, SCHED, np.ones(1), 8,
-                   stream=derive_stream(2, 0, "noise"))
+    bare = run_sgd_replicates(obj, oracle, SCHED, np.ones(1), 8, 3, 2)
     g = lambda s: np.sum(s * s, axis=-1)
     with pytest.raises(ValueError, match="record_states"):
-        weak_error([bare, bare], [bare, bare], g)
+        weak_error(bare, bare, g)
+    one = run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(4), 8, 1, 2)
     with pytest.raises(ValueError, match="at least 2"):
-        weak_error(None, small_bank.runs()[:1], g)
+        weak_error(None, one, g)
 
 
 # ---------------------------------------------------------------- distribution gaps

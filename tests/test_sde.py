@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdlab import sgd
 from sgdlab.core import StepSchedule, derive_stream
 from sgdlab.noise import gaussian_oracle
 from sgdlab.objectives import make_quadratic
@@ -227,17 +228,19 @@ def test_bank_matches_solo_runs():
         np.testing.assert_array_equal(solo.sample_indices, bank.sample_indices)
 
 
-def test_bank_thread_invariance():
+def test_bank_block_size_invariance(monkeypatch):
     obj = make_quadratic(dim=2)
     oracle = gaussian_oracle(obj, 0.7)
     sched = StepSchedule(0.5, 0.5)
     kwargs = dict(x0=np.ones(2), horizon=0.5, substeps_per_block=4,
                   n_replicates=300, master_seed=11)
-    one = run_sde_em_replicates(obj, oracle, sched, threads=1, **kwargs)
-    four = run_sde_em_replicates(obj, oracle, sched, threads=4, **kwargs)
-    np.testing.assert_array_equal(one.values, four.values)
-    np.testing.assert_array_equal(one.dist2_to_min, four.dist2_to_min)
-    np.testing.assert_array_equal(one.grad_sq, four.grad_sq)
+    banks = []
+    for block in (sgd.REPLICATE_BLOCK, 7):
+        monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
+        banks.append(run_sde_em_replicates(obj, oracle, sched, **kwargs))
+    np.testing.assert_array_equal(banks[0].values, banks[1].values)
+    np.testing.assert_array_equal(banks[0].dist2_to_min, banks[1].dist2_to_min)
+    np.testing.assert_array_equal(banks[0].grad_sq, banks[1].grad_sq)
 
 
 def test_bank_validation():

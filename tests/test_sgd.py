@@ -3,6 +3,7 @@ import pytest
 
 from sgdlab.core import StepSchedule, derive_stream
 from sgdlab.noise import gaussian_oracle, heavy_oracle
+from sgdlab import sgd
 from sgdlab.objectives import make_linear_probe, make_quadratic
 from sgdlab.sgd import (
     DivergenceError,
@@ -65,17 +66,16 @@ def test_vectorized_bank_matches_solo_runs():
         np.testing.assert_array_equal(bank.states[i], solo.states)
 
 
-def test_thread_count_invariance():
+def test_block_size_invariance(monkeypatch):
     obj = make_quadratic(dim=1)
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.5, 0.5)
-    banks = [
-        run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 300, 600, 7, threads=t)
-        for t in (1, 4, 8)
-    ]
-    for other in banks[1:]:
-        np.testing.assert_array_equal(banks[0].values, other.values)
-        np.testing.assert_array_equal(banks[0].dist2_to_min, other.dist2_to_min)
+    banks = []
+    for block in (sgd.REPLICATE_BLOCK, 7):
+        monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
+        banks.append(run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 300, 600, 7))
+    np.testing.assert_array_equal(banks[0].values, banks[1].values)
+    np.testing.assert_array_equal(banks[0].dist2_to_min, banks[1].dist2_to_min)
 
 
 def test_chunk_boundary_continuity():
@@ -204,8 +204,9 @@ def test_projected_sgd_rejects_outside_start():
 def test_alpha_one_small_gamma_warns():
     obj = make_quadratic(lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
-    with pytest.warns(UserWarning, match="alpha=1"):
+    with pytest.warns(UserWarning, match="alpha=1") as caught:
         run_sgd(obj, oracle, StepSchedule(0.4, 1.0), np.array([1.0]), 10, stream=_stream())
+    assert caught[0].filename == __file__  # points at the caller's line
     import warnings
 
     with warnings.catch_warnings():
