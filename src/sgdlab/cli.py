@@ -2,7 +2,10 @@
 
 The config grammar (INI sections [experiment], [objective], [oracle],
 [schedule] and [grid], with the keys each section allows) is documented in
-the README's "Config format" section; _ALLOWED_KEYS lists the keys here.
+the README's "Config format" section.  _KEYS is the one table of keys and
+value types.  validate_config lists every problem it and the range checks
+can see before any replicate runs; the objective and oracle constructors
+judge the rest, one at a time, when the experiment builds them.
 
 Every run is a deterministic function of (config, replicate_id).  Raw CSV
 columns: run_id, replicate, n_or_t, f_gap, dist2, grad_sq, suffix_avg.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -53,7 +57,7 @@ from .objectives import (
     make_pl_sine,
     make_quadratic,
 )
-from .sde import em_bias_probe, sample_brownian_path
+from .sde import em_bias_probe, path_length, sample_brownian_path
 from .sgd import ReplicateRuns, run_sgd_replicates
 
 EXPERIMENTS = (
@@ -70,14 +74,19 @@ SUMMARY_HEADER = (
     "run_id,n_or_t,f_gap_mean,f_gap_ci,dist2_mean,dist2_ci,"
     "grad_sq_mean,grad_sq_ci,suffix_avg_mean,suffix_avg_ci"
 )
-# Every key the experiments read, per section.  [experiment] threads is
+# Every key each section allows, with the type of its value; a type in a
+# list marks a comma-separated list of that type.  [experiment] threads is
 # accepted and ignored: replicates run block by block in one thread.
-_ALLOWED_KEYS = {
-    "experiment": "kind seed replicates horizon substeps threads out_dir",
-    "objective": "kind x0 dim lam p n_data",
-    "oracle": "kind sigma scale law df batch_m m_values n_samples rate_tolerance slope_lo slope_hi",
-    "schedule": "gamma alpha",
-    "grid": "lo hi num exclude_radius",
+_KEYS = {
+    "experiment": {"kind": str, "seed": int, "replicates": int, "horizon": float,
+                   "substeps": int, "threads": int, "out_dir": str},
+    "objective": {"kind": str, "x0": [float], "dim": int, "lam": float, "p": int,
+                  "n_data": int},
+    "oracle": {"kind": str, "sigma": float, "scale": float, "law": str, "df": float,
+               "batch_m": int, "m_values": [int], "n_samples": int,
+               "rate_tolerance": float, "slope_lo": float, "slope_hi": float},
+    "schedule": {"gamma": [float], "alpha": [float]},
+    "grid": {"lo": float, "hi": float, "num": int, "exclude_radius": float},
 }
 
 
@@ -98,8 +107,7 @@ class ExperimentConfig:
     objective: dict
     oracle: dict
     schedules: list
-    grid: dict = field(default_factory=dict)
-    source: str = ""
+    grid: GridSpec | None = None
 
 
 @dataclass
@@ -168,24 +176,36 @@ def _loglog_slope(xs, ys) -> float:
 _REQUIRED = object()
 
 
-def _num(cfg: ExperimentConfig, section: str, key: str, default=_REQUIRED, cast=float,
-         many=False):
-    """[section] key converted by cast (each comma-separated entry when
-    many), or default when absent; a missing required key or a malformed
-    value is a ConfigError."""
-    spec = getattr(cfg, section)
-    if key not in spec:
-        if default is _REQUIRED:
-            raise ConfigError([f"[{section}] {key}: required for kind {spec.get('kind')!r}"])
-        return default
+def _read(section: str, key: str, text: str):
+    """[section] key parsed by its type in _KEYS, entry by entry for a list
+    type; an unknown key, a malformed value or a number that is not finite
+    is a ConfigError."""
+    declared = _KEYS.get(section, {}).get(key)
+    if declared is None:
+        raise ConfigError([f"[{section}] {key}: unknown key"])
+    many = isinstance(declared, list)
+    cast = declared[0] if many else declared
     values = []
-    for text in spec[key].split(",") if many else [spec[key]]:
+    for entry in text.split(",") if many else [text]:
         try:
-            values.append(cast(text))
+            values.append(cast(entry))
         except ValueError:
             what = "an integer" if cast is int else "a number"
-            raise ConfigError([f"[{section}] {key}: {text.strip()!r} is not {what}"]) from None
+            raise ConfigError([f"[{section}] {key}: {entry.strip()!r} is not {what}"]) from None
+        if cast is float and not math.isfinite(values[-1]):
+            raise ConfigError([f"[{section}] {key}: {entry.strip()!r} is not finite"])
     return values if many else values[0]
+
+
+def _num(cfg: ExperimentConfig, section: str, key: str, default=_REQUIRED):
+    """[section] key parsed by _read, or default when absent; a missing
+    required key is a ConfigError."""
+    spec = getattr(cfg, section)
+    if key in spec:
+        return _read(section, key, spec[key])
+    if default is _REQUIRED:
+        raise ConfigError([f"[{section}] {key}: required for kind {spec.get('kind')!r}"])
+    return default
 
 
 @contextmanager
@@ -199,29 +219,29 @@ def _config_errors(where: str):
 
 def build_objective(cfg: ExperimentConfig) -> Objective:
     kind = cfg.objective.get("kind", "quadratic")
-    num = lambda key, default=_REQUIRED, cast=float: _num(cfg, "objective", key, default, cast)
+    num = lambda key, default=_REQUIRED: _num(cfg, "objective", key, default)
     with _config_errors(f"[objective] {kind}"):
         if kind == "quadratic":
-            return make_quadratic(dim=num("dim", 1, int), lam=num("lam", 1.0))
+            return make_quadratic(dim=num("dim", 1), lam=num("lam", 1.0))
         if kind == "phi_p":
-            return make_phi_p(num("p", cast=int))
+            return make_phi_p(num("p"))
         if kind == "pl_sine":
             return make_pl_sine()
         if kind == "least_squares":
             return make_least_squares(
-                dim=num("dim", 4, int),
-                n_data=num("n_data", 256, int),
+                dim=num("dim", 4),
+                n_data=num("n_data", 256),
                 stream=derive_stream(cfg.seed, 0, "data"),
             )
         if kind == "linear_probe":
-            return make_linear_probe(dim=num("dim", 1, int))
+            return make_linear_probe(dim=num("dim", 1))
     raise ConfigError([f"[objective] kind: unknown objective {kind!r}"])
 
 
 def build_oracle(cfg: ExperimentConfig, obj: Objective) -> GradientOracle:
     spec = cfg.oracle
     kind = spec.get("kind", "gaussian")
-    num = lambda key, default, cast=float: _num(cfg, "oracle", key, default, cast)
+    num = lambda key, default: _num(cfg, "oracle", key, default)
     with _config_errors(f"[oracle] {kind}"):
         if kind in ("gaussian", "none"):
             return gaussian_oracle(obj, 0.0 if kind == "none" else num("sigma", 1.0))
@@ -231,15 +251,15 @@ def build_oracle(cfg: ExperimentConfig, obj: Objective) -> GradientOracle:
             )
         if kind == "batch_probe":
             return probe_batch_oracle(
-                obj, num("batch_m", 1, int), law=spec.get("law", "normal"), df=num("df", None)
+                obj, num("batch_m", 1), law=spec.get("law", "normal"), df=num("df", None)
             )
         if kind == "least_squares_batch":
-            return least_squares_batch_oracle(obj, num("batch_m", 1, int))
+            return least_squares_batch_oracle(obj, num("batch_m", 1))
     raise ConfigError([f"[oracle] kind: unknown oracle {kind!r}"])
 
 
 def _x0_of(cfg: ExperimentConfig, obj: Objective) -> np.ndarray:
-    vals = _num(cfg, "objective", "x0", [0.0], many=True)
+    vals = _num(cfg, "objective", "x0", [0.0])
     if len(vals) == 1:
         return np.full(obj.dim, vals[0])
     if len(vals) != obj.dim:
@@ -300,6 +320,9 @@ def _experiment_rates(cfg: ExperimentConfig) -> Outcome:
         if not _tally(out, run_id, cfg.replicates, bank.aborts):
             continue
         _emit_bank(out, run_id, bank)
+        if sched.alpha == 0.0:
+            out.report.append(f"{run_id}: constant step; power-law rate fit not applicable")
+            continue
         if oracle.eta == 0.0:
             out.report.append(
                 f"{run_id}: noiseless run decays super-polynomially;"
@@ -400,11 +423,12 @@ def _experiment_batch_eps(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
     law = cfg.oracle.get("law", "laplace")
     df = _num(cfg, "oracle", "df", None)
-    m_values = _num(cfg, "oracle", "m_values", [1, 4, 16, 64], int, many=True)
-    n_samples = int(_num(cfg, "oracle", "n_samples", 100_000))
+    m_values = _num(cfg, "oracle", "m_values", [1, 4, 16, 64])
+    n_samples = _num(cfg, "oracle", "n_samples", 100_000)
     lo = _num(cfg, "oracle", "slope_lo", -1.25)
     hi = _num(cfg, "oracle", "slope_hi", -0.75)
-    obj = make_linear_probe(_num(cfg, "objective", "dim", 1, int))
+    with _config_errors("[objective] linear_probe"):
+        obj = make_linear_probe(_num(cfg, "objective", "dim", 1))
     x = _x0_of(cfg, obj)
     with _config_errors("[oracle] batch_probe"):
         oracles = [probe_batch_oracle(obj, m, law=law, df=df) for m in m_values]
@@ -439,18 +463,21 @@ def _experiment_batch_eps(cfg: ExperimentConfig) -> Outcome:
     return out
 
 
+def _probe_steps(horizon: float, sched: StepSchedule) -> int:
+    """Iterations of a probe-exact run: whole gamma_alpha blocks in the horizon."""
+    return int(horizon / sched.gamma_alpha + 1e-9)
+
+
 def _experiment_probe_exact(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
-    obj = make_linear_probe(_num(cfg, "objective", "dim", 1, int))
-    m = _num(cfg, "oracle", "batch_m", 1, int)
+    with _config_errors("[objective] linear_probe"):
+        obj = make_linear_probe(_num(cfg, "objective", "dim", 1))
+    m = _num(cfg, "oracle", "batch_m", 1)
     with _config_errors("[oracle] batch_probe"):
         oracle = probe_batch_oracle(obj, m, law="normal")
     x0 = _x0_of(cfg, obj)
     for sched in cfg.schedules:
-        ga = sched.gamma_alpha
-        n_steps = int(cfg.horizon / ga + 1e-9)
-        if n_steps < 1:
-            raise ConfigError(["[experiment] horizon: shorter than one gamma_alpha block"])
+        n_steps = _probe_steps(cfg.horizon, sched)
         plan = log_spaced_indices(n_steps)
         run_id = _run_label(obj, oracle, sched)
         bank = run_sgd_replicates(
@@ -533,17 +560,10 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
 def _experiment_certify(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
     obj = build_objective(cfg)
-    grid = GridSpec(
-        lo=_num(cfg, "grid", "lo", -3.0),
-        hi=_num(cfg, "grid", "hi", 3.0),
-        num=_num(cfg, "grid", "num", 2001, int),
-        exclude_radius=_num(cfg, "grid", "exclude_radius", 1e-6),
-    )
     out.attempted = 1
     out.completed = 1
-    for tag in obj.class_tags:
-        report = certify_condition(obj, tag, grid)
-        out.report.append(report.line())
+    with _config_errors("[grid]"):
+        out.report += [certify_condition(obj, tag, cfg.grid).line() for tag in obj.class_tags]
     if not obj.class_tags:
         out.report.append(f"{obj.name}: no class tags to certify")
     return out
@@ -575,110 +595,107 @@ def run_experiment(cfg: ExperimentConfig) -> Outcome:
     return out
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in str(text).split(",") if str(v).strip()]
-
-
 def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate a config file; raises ConfigError listing every problem."""
-    problems = []
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    overrides = overrides or {}
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as err:
         raise ConfigError([f"config file {path!r}: {err}"]) from None
     if not read:
         raise ConfigError([f"config file {path!r} not readable"])
-    section = lambda name: dict(parser[name]) if parser.has_section(name) else {}
-    exp = section("experiment")
-    if not parser.has_section("experiment"):
-        problems.append("[experiment]: section missing")
-    kind = exp.get("kind", "")
+    problems = [] if parser.has_section("experiment") else ["[experiment]: section missing"]
+    if overrides.get("seed") is not None:
+        parser.read_dict({"experiment": {"seed": str(overrides["seed"])}})
+    if not parser.has_option("experiment", "seed"):
+        problems.append("[experiment] seed: required")
+    values = {}
+    for name in parser.sections():
+        for key, text in parser[name].items():
+            try:
+                values[name, key] = _read(name, key, text)
+            except ConfigError as err:
+                problems += err.problems
+    get = lambda name, key, default: values.get((name, key), default)
+
+    kind = get("experiment", "kind", "")
     if kind not in EXPERIMENTS:
         problems.append(f"[experiment] kind: {kind!r} not one of {EXPERIMENTS}")
-    overrides = overrides or {}
-
-    if "seed" in overrides and overrides["seed"] is not None:
-        exp["seed"] = str(overrides["seed"])
-    if "seed" not in exp:
-        problems.append("[experiment] seed: required")
-        seed = 0
-    else:
-        try:
-            seed = int(exp["seed"])
-        except ValueError:
-            problems.append(f"[experiment] seed: {exp['seed']!r} is not an integer")
-            seed = 0
-
-    def _int_field(key, default, minimum):
-        try:
-            v = int(float(exp.get(key, default)))
-        except ValueError:
-            problems.append(f"[experiment] {key}: {exp[key]!r} is not a number")
-            return default
-        if v < minimum:
-            problems.append(f"[experiment] {key}: must be >= {minimum}")
-            return default
-        return v
-
-    replicates = _int_field("replicates", 100, 1)
-    substeps = _int_field("substeps", 16, 1)
-    try:
-        horizon = float(exp.get("horizon", 0))
-    except ValueError:
-        problems.append(f"[experiment] horizon: {exp['horizon']!r} is not a number")
-        horizon = 0.0
+    seed = get("experiment", "seed", 0)
+    if seed < 0:
+        problems.append("[experiment] seed: must be >= 0")
+    replicates = get("experiment", "replicates", 100)
+    fewest = 2 if kind in ("strong-approx", "weak-approx", "couple-demo") else 1
+    if replicates < fewest:
+        problems.append(f"[experiment] replicates: must be >= {fewest}")
+    substeps = get("experiment", "substeps", 16)
+    if substeps < 1:
+        problems.append("[experiment] substeps: must be >= 1")
+    horizon = get("experiment", "horizon", 0.0)
     if kind != "certify" and horizon <= 0:
         problems.append("[experiment] horizon: must be positive")
-    out_dir = overrides.get("out_dir") or exp.get("out_dir", "results")
-
-    schedules = []
-    if parser.has_section("schedule"):
-        sect = parser["schedule"]
+    elif kind == "rates" and horizon < 1:
+        problems.append("[experiment] horizon: shorter than one step")
+    if kind == "batch-eps" and get("oracle", "n_samples", 1) < 1:
+        problems.append("[oracle] n_samples: must be >= 1")
+    grid = None
+    if kind == "certify":
+        given = {key: value for (name, key), value in values.items() if name == "grid"}
         try:
-            gammas = _parse_floats(sect.get("gamma", "0.1"))
-            alphas = _parse_floats(sect.get("alpha", "0.5"))
-        except ValueError:
-            problems.append("[schedule]: gamma/alpha must be comma-separated numbers")
-            gammas, alphas = [], []
-        for g in gammas:
-            if g <= 0:
-                problems.append(f"[schedule] gamma: {g} must be > 0")
-        for a in alphas:
-            if not 0.0 <= a <= 1.0:
-                problems.append(f"[schedule] alpha: {a} must lie in [0, 1]")
-            if a >= 1.0 and kind in ("strong-approx", "weak-approx", "couple-demo", "probe-exact"):
-                problems.append(
-                    f"[schedule] alpha: {a} invalid for {kind}; the continuous-time"
-                    " process needs alpha < 1"
-                )
-            if a >= 0.5 and kind == "probe-exact":
-                problems.append(
-                    f"[schedule] alpha: {a} invalid for probe-exact; the growing-noise"
-                    " regime needs alpha < 1/2"
-                )
-        if not problems:
-            schedules = [StepSchedule(g, a) for a in alphas for g in gammas]
-    elif kind not in ("batch-eps", "certify"):
-        problems.append("[schedule]: section required for this experiment")
+            grid = GridSpec(**{"lo": -3.0, "hi": 3.0, **given})
+        except ValueError as err:
+            problems.append(f"[grid]: {err}")
 
-    for name in parser.sections():
-        allowed = _ALLOWED_KEYS.get(name, "").split()
-        problems += [f"[{name}] {key}: unknown key" for key in parser[name] if key not in allowed]
+    continuous = kind in ("strong-approx", "weak-approx", "couple-demo", "probe-exact")
+    gammas, alphas = get("schedule", "gamma", [0.1]), get("schedule", "alpha", [0.5])
+    if not parser.has_section("schedule"):
+        gammas = alphas = []
+        if kind not in ("batch-eps", "certify"):
+            problems.append("[schedule]: section required for this experiment")
+    problems += [f"[schedule] gamma: {g} must be > 0" for g in gammas if g <= 0]
+    fine = []
+    for a in alphas:
+        if not 0.0 <= a <= 1.0:
+            problems.append(f"[schedule] alpha: {a} must lie in [0, 1]")
+        elif a >= 1.0 and continuous:
+            problems.append(
+                f"[schedule] alpha: {a} invalid for {kind}; the continuous-time"
+                " process needs alpha < 1"
+            )
+        elif a >= 0.5 and kind == "probe-exact":
+            problems.append(
+                f"[schedule] alpha: {a} invalid for probe-exact; the growing-noise"
+                " regime needs alpha < 1/2"
+            )
+        else:
+            fine.append(a)
+    schedules = [StepSchedule(g, a) for a in fine for g in gammas if g > 0]
+    if continuous and horizon > 0 and substeps >= 1:
+        for s in schedules:
+            try:
+                h = s.gamma_alpha / substeps
+            except ValueError as err:
+                problems.append(f"[schedule] {err}")
+                continue
+            if kind == "probe-exact" and _probe_steps(horizon, s) < 1:
+                problems.append("[experiment] horizon: shorter than one gamma_alpha block")
+            elif path_length(horizon, h) < 1:
+                problems.append("[experiment] horizon: shorter than one substep")
     if problems:
         raise ConfigError(problems)
+    section = lambda name: dict(parser[name]) if parser.has_section(name) else {}
     return ExperimentConfig(
         experiment=kind,
         seed=seed,
         replicates=replicates,
         horizon=horizon,
         substeps=substeps,
-        out_dir=str(out_dir),
+        out_dir=overrides.get("out_dir") or get("experiment", "out_dir", "results"),
         objective=section("objective"),
         oracle=section("oracle"),
         schedules=schedules,
-        grid=section("grid"),
-        source=str(path),
+        grid=grid,
     )
 
 

@@ -34,10 +34,20 @@ class StepSchedule:
 
     @property
     def gamma_alpha(self) -> float:
-        """Time-scale constant gamma**(1/(1-alpha)); undefined at alpha = 1."""
+        """Time-scale constant gamma**(1/(1-alpha)); undefined at alpha = 1
+        and where a float cannot hold it."""
         if self.alpha >= 1.0:
             raise ValueError("gamma_alpha is undefined for alpha = 1")
-        return self.gamma ** (1.0 / (1.0 - self.alpha))
+        try:
+            ga = self.gamma ** (1.0 / (1.0 - self.alpha))
+        except OverflowError:
+            ga = np.inf
+        if not 0.0 < ga < np.inf:
+            raise ValueError(
+                f"gamma_alpha = gamma**(1/(1-alpha)) is {ga} at gamma {self.gamma:g},"
+                f" alpha {self.alpha:g}"
+            )
+        return ga
 
     def continuous_rate(self, t):
         """Instantaneous rate (gamma_alpha + t)**(-alpha) of the companion SDE."""

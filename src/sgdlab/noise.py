@@ -76,11 +76,6 @@ class GradientOracle:
         x = np.asarray(x, dtype=float)
         return self.apply(x, self.draw_raw(x.shape[:-1], rng))
 
-    def noise_part(self, x, stream) -> np.ndarray:
-        """H(x, .) - grad f(x) for one draw."""
-        x = np.asarray(x, dtype=float)
-        return self.sample(x, stream) - self.objective.gradient(x)
-
 
 def _diagonal_fields(obj: Objective, scale_of):
     """sigma / sigma_sqrt / apply_sqrt for additive noise with diagonal scale."""

@@ -80,6 +80,10 @@ class Objective:
     lipschitz_L: float
     class_tags: tuple
 
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+
     def f_gap(self, x) -> np.ndarray:
         return self.value(x) - self.f_star
 
@@ -196,8 +200,8 @@ def make_least_squares(dim: int, n_data: int, stream: RngStream) -> LeastSquares
     equations directly; a singular normal system is reported, never
     regularized away.
     """
-    if dim > 32:
-        raise ValueError("direct solve is limited to dim <= 32")
+    if not 1 <= dim <= 32:
+        raise ValueError("dim must lie in [1, 32] for the direct solve")
     if n_data < dim:
         raise ValueError("need n_data >= dim for a determined system")
     rng = stream.generator()
@@ -303,9 +307,15 @@ class GridSpec:
     exclude_radius: float = 1e-6
     seed: int = 0
 
-    def points(self, dim: int) -> np.ndarray:
+    def __post_init__(self):
         if self.num < 2:
             raise ValueError("grid needs at least 2 points")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ValueError(f"grid needs finite lo < hi, got lo={self.lo}, hi={self.hi}")
+        if not 0.0 <= self.exclude_radius < np.inf:
+            raise ValueError(f"exclude_radius must be finite and >= 0, got {self.exclude_radius}")
+
+    def points(self, dim: int) -> np.ndarray:
         if dim == 1:
             return np.linspace(self.lo, self.hi, self.num)[:, None]
         rng = np.random.Generator(np.random.Philox(self.seed))
@@ -357,6 +367,8 @@ def certify_condition(obj: Objective, cond, grid: GridSpec) -> CertificationRepo
     gap = obj.value(pts) - obj.f_star
     dist = np.linalg.norm(pts - obj.x_star, axis=-1)
     keep = (dist > grid.exclude_radius) & (gap > 0)
+    if not keep.any():
+        raise ValueError("no grid point lies beyond exclude_radius with a positive gap")
     pts = pts[keep]
     gap = gap[keep]
     dist = dist[keep]

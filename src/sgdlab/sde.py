@@ -68,7 +68,9 @@ class BrownianPath:
         The first half is increment/2 plus an independent Normal(0, h/4)
         perturbation and the second is the remainder, so each pair sums
         back to the coarse increment to machine precision (the subtraction
-        rounds once; exact cancellation is not a float identity).
+        rounds once; exact cancellation is not a float identity).  The fine
+        path spans the count * h the coarse increments cover, which exceeds
+        the horizon when the horizon is off the coarse grid.
         """
         rng = stream.generator() if isinstance(stream, RngStream) else stream
         xi = np.sqrt(self.h) / 2.0 * rng.standard_normal(self.increments.shape)
@@ -77,7 +79,7 @@ class BrownianPath:
         fine = np.empty((2 * self.count, self.dim))
         fine[0::2] = first
         fine[1::2] = second
-        return BrownianPath(self.horizon, self.h / 2.0, fine, self.dim)
+        return BrownianPath(self.count * self.h, self.h / 2.0, fine, self.dim)
 
 
 def path_length(horizon: float, h: float) -> int:
@@ -253,16 +255,17 @@ def em_bias_probe(
 
     The second run uses the bridge refinement of the same path, so the
     difference isolates discretization error from Brownian randomness.
+    Both runs stop at the first coarse grid time at or past the horizon.
     """
     h = sched.gamma_alpha / substeps_per_block
-    final = [path_length(horizon, h) * h]
+    end = path_length(horizon, h) * h
     coarse = run_sde_em(
-        obj, sigma_sqrt, sched, x0, horizon, substeps_per_block, path,
-        plan_times=final, record_states=True,
+        obj, sigma_sqrt, sched, x0, end, substeps_per_block, path,
+        plan_times=[end], record_states=True,
     )
     fine_path = path.refine(refine_stream)
     fine = run_sde_em(
-        obj, sigma_sqrt, sched, x0, horizon, 2 * substeps_per_block, fine_path,
-        plan_times=final, record_states=True,
+        obj, sigma_sqrt, sched, x0, end, 2 * substeps_per_block, fine_path,
+        plan_times=[end], record_states=True,
     )
     return float(np.linalg.norm(coarse.states[-1] - fine.states[-1]))

@@ -4,9 +4,13 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from sgdlab import sgd
 from sgdlab.cli import (
+    _KEYS,
+    EXPERIMENTS,
     ConfigError,
     RAW_HEADER,
     SUMMARY_HEADER,
@@ -121,6 +125,21 @@ BATCH_EPS_CFG = """
     n_samples = 2000
 """
 
+CERTIFY_CFG = """
+    [experiment]
+    kind = certify
+    seed = 1
+
+    [objective]
+    kind = quadratic
+    lam = 2.0
+
+    [grid]
+    lo = -2
+    hi = 2
+    num = 401
+"""
+
 OUTPUTS = ("raw.csv", "summary.csv", "report.txt")
 
 
@@ -173,6 +192,15 @@ def test_validate_collects_every_problem(tmp_path):
     assert "gamma: -0.5" in text
     assert "alpha: 2.0" in text
     assert len(info.value.problems) >= 5
+    bad_values = RATES_CFG.replace("x0 = 1.0", "x0 = abc").replace(
+        "sigma = 1.0", "sigma = x\n    rate_tolerance = y")
+    with pytest.raises(ConfigError) as info:
+        validate_config(write_cfg(tmp_path, bad_values))
+    assert info.value.problems == [
+        "[objective] x0: 'abc' is not a number",
+        "[oracle] sigma: 'x' is not a number",
+        "[oracle] rate_tolerance: 'y' is not a number",
+    ]
 
 
 def test_validate_alpha_one_continuous_experiments(tmp_path):
@@ -380,20 +408,7 @@ def test_batch_eps_sweep(tmp_path, capsys):
 
 
 def test_certify_quadratic(tmp_path, capsys):
-    path = write_cfg(tmp_path, """
-        [experiment]
-        kind = certify
-        seed = 1
-
-        [objective]
-        kind = quadratic
-        lam = 2.0
-
-        [grid]
-        lo = -2
-        hi = 2
-        num = 401
-    """)
+    path = write_cfg(tmp_path, CERTIFY_CFG)
     assert main(["certify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 0
     stdout = capsys.readouterr().out
     assert "StronglyConvex(mu=2.0)" in stdout
@@ -498,6 +513,27 @@ def test_config_errors_exit_1(tmp_path, capsys):
          "[oracle] batch_probe: law must be one of"),
         ("probe-exact", PROBE_CFG, "batch_m = 1", "batch_m = 0",
          "[oracle] batch_probe: batch size must be >= 1"),
+        # range problems a run would otherwise meet only after it started
+        ("rates", RATES_CFG, "horizon = 400", "horizon = 0.5",
+         "[experiment] horizon: shorter than one step"),
+        ("rates", RATES_CFG, "horizon = 400", "horizon = nan",
+         "[experiment] horizon: 'nan' is not finite"),
+        ("rates", RATES_CFG, "horizon = 400", "horizon = inf",
+         "[experiment] horizon: 'inf' is not finite"),
+        ("rates", RATES_CFG, "gamma = 0.5", "gamma = nan",
+         "[schedule] gamma: 'nan' is not finite"),
+        ("rates", RATES_CFG, "x0 = 1.0", "x0 = 1.0, nan",
+         "[objective] x0: 'nan' is not finite"),
+        ("probe-exact", PROBE_CFG, "gamma = 0.1", "gamma = 0.0001, 5",
+         "[experiment] horizon: shorter than one gamma_alpha block"),
+        ("strong-approx", COUPLE_CFG.replace("couple-demo", "strong-approx"),
+         "replicates = 20", "replicates = 1", "[experiment] replicates: must be >= 2"),
+        ("weak-approx", COUPLE_CFG.replace("couple-demo", "weak-approx"),
+         "replicates = 20", "replicates = 1", "[experiment] replicates: must be >= 2"),
+        ("couple-demo", COUPLE_CFG, "replicates = 20", "replicates = 1",
+         "[experiment] replicates: must be >= 2"),
+        ("certify", CERTIFY_CFG, "num = 401", "num = 1",
+         "[grid]: grid needs at least 2 points"),
     ):
         path = write_cfg(tmp_path, text.replace(old, new))
         assert main([experiment, "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
@@ -595,3 +631,119 @@ def test_block_size_does_not_change_output(tmp_path, monkeypatch, experiment, te
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+# ---------------------------------------------------------------- fuzzing
+
+# Values every key must survive; "" and "0.5," test the blank-entry rule.
+HOSTILE = ["0", "-1", "nan", "inf", "abc", "", "5%", "1, 2", "0.5,"]
+# Well-formed values per table key, small enough that any run that goes
+# ahead is tiny: at most 3 replicates, a horizon of at most 20 and a
+# gamma_alpha no smaller than 0.09, so a few thousand steps at most.  None
+# leaves the key out; keys whose defaults run long (replicates 100,
+# n_samples 100000, m_values up to 64, num 2001) are never left out.
+VALID = {
+    ("experiment", "kind"): [None],  # the subcommand's kind
+    ("experiment", "seed"): ["0", "3"],
+    ("experiment", "replicates"): ["2", "3"],
+    ("experiment", "horizon"): ["0.5", "2", "1.005", "20"],
+    ("experiment", "substeps"): [None, "1", "4"],
+    ("experiment", "threads"): [None, "2"],
+    ("experiment", "out_dir"): [None, "elsewhere"],
+    ("objective", "kind"): [None, "quadratic", "phi_p", "pl_sine", "least_squares",
+                            "linear_probe", "bogus"],
+    ("objective", "x0"): [None, "1.0", "1, 2", "0.5, 0.5, 0.5, 0.5"],
+    ("objective", "dim"): [None, "1", "2", "4", "40"],
+    ("objective", "lam"): [None, "2"],
+    ("objective", "p"): [None, "2"],
+    ("objective", "n_data"): [None, "3", "16"],
+    ("oracle", "kind"): [None, "gaussian", "heavy", "batch_probe", "least_squares_batch",
+                         "none", "bogus"],
+    ("oracle", "sigma"): [None, "1"],
+    ("oracle", "scale"): [None, "1"],
+    ("oracle", "law"): [None, "normal", "laplace", "student", "rademacher", "bogus"],
+    ("oracle", "df"): [None, "6"],
+    ("oracle", "batch_m"): [None, "2"],
+    ("oracle", "m_values"): ["1", "1, 4"],
+    ("oracle", "n_samples"): ["2", "50"],
+    ("oracle", "rate_tolerance"): [None, "0.1"],
+    ("oracle", "slope_lo"): [None, "0.5"],
+    ("oracle", "slope_hi"): [None, "1.5"],
+    ("schedule", "gamma"): [None, "0.3", "0.5", "1", "0.3, 0.5"],
+    ("schedule", "alpha"): [None, "0", "0.25", "0.5", "1", "0.25, 0.5"],
+    ("grid", "lo"): [None, "-1", "1"],
+    ("grid", "hi"): [None, "1", "2"],
+    ("grid", "num"): ["2", "11"],
+    ("grid", "exclude_radius"): [None, "0.1", "5"],
+}
+UNKNOWN = [("oracle", "sigam"), ("schedule", "beta"), ("extra", "kind")]
+
+
+@st.composite
+def configs(draw):
+    """A subcommand and its config: every table key from its pool, up to
+    two keys hostile, and now and then a section dropped or an unknown key
+    added."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    hostile = draw(st.dictionaries(st.sampled_from(list(VALID)), st.sampled_from(HOSTILE),
+                                   max_size=2))
+    sections = {"experiment": {"kind": experiment}}
+    for (section, key), pool in VALID.items():
+        value = hostile[section, key] if (section, key) in hostile else draw(st.sampled_from(pool))
+        if value is not None:
+            sections.setdefault(section, {})[key] = value
+    sections.pop(draw(st.sampled_from([None] * 6 + sorted(sections))), None)
+    unknown = draw(st.sampled_from([None] * 6 + UNKNOWN))
+    if unknown:
+        sections.setdefault(unknown[0], {})[unknown[1]] = "1"
+    return experiment, sections
+
+
+def _ini(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+
+
+def test_fuzz_table_covers_every_key():
+    assert set(VALID) == {(s, k) for s, keys in _KEYS.items() for k in keys}
+
+
+def _case(experiment, **changes):
+    """A tiny valid config for experiment with some [section] key values replaced."""
+    sections = {
+        "experiment": {"kind": experiment, "seed": "1", "replicates": "2", "horizon": "2"},
+        "objective": {"kind": "quadratic", "x0": "1.0"},
+        "oracle": {"kind": "gaussian", "sigma": "1"},
+        "schedule": {"gamma": "0.5", "alpha": "0.25"},
+    }
+    for name, value in changes.items():
+        section, key = name.split("__")
+        sections.setdefault(section, {})[key] = value
+    return experiment, sections
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=configs())
+@example(case=_case("rates", experiment__horizon="0.5"))
+@example(case=_case("rates", experiment__horizon="nan"))
+@example(case=_case("rates", experiment__horizon="inf"))
+@example(case=_case("rates", schedule__gamma="nan"))
+@example(case=_case("strong-approx", experiment__replicates="1"))
+@example(case=_case("weak-approx", experiment__replicates="1"))
+@example(case=_case("couple-demo", experiment__replicates="1"))
+@example(case=_case("certify", grid__num="1"))
+@example(case=_case("couple-demo", experiment__horizon="1.005", experiment__substeps="16",
+                    schedule__alpha="0.5"))
+def test_fuzzed_configs_exit_cleanly(tmp_path, capsys, case):
+    """Any config runs (exit 0, or 2 when every replicate aborts) or exits
+    1 with at least one config error line; nothing raises."""
+    experiment, sections = case
+    path = write_cfg(tmp_path, _ini(sections))
+    rc = main([experiment, "--config", path, "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert "config error: " in err

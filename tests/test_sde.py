@@ -284,3 +284,21 @@ def test_em_bias_probe_shrinks_with_substeps():
                                   derive_stream(7, 0, "data"))
     assert probes[32] < 0.05
     assert probes[128] < probes[32] / 2.0
+
+
+def test_em_bias_probe_horizon_off_the_substep_grid():
+    """A horizon a third of a substep past the grid: the coarse path has 65
+    increments, and both runs stop at 65 h, where a path sampled over
+    exactly 65 h gives the same probe."""
+    obj = make_quadratic(dim=1)
+    oracle = gaussian_oracle(obj, 1.0)
+    sched = StepSchedule(0.5, 0.5)
+    h = sched.gamma_alpha / 16
+    probes = []
+    for horizon in (64.32 * h, 65 * h):
+        path = sample_brownian_path(horizon, h, 1, derive_stream(4, 0, "brownian"))
+        assert path.count == 65
+        probes.append(em_bias_probe(obj, oracle, sched, np.ones(1), horizon, 16, path,
+                                    derive_stream(4, 1, "brownian")))
+    assert np.isfinite(probes[0])
+    assert probes[0] == probes[1]
