@@ -74,6 +74,9 @@ SUMMARY_HEADER = (
     "run_id,n_or_t,f_gap_mean,f_gap_ci,dist2_mean,dist2_ci,"
     "grad_sq_mean,grad_sq_ci,suffix_avg_mean,suffix_avg_ci"
 )
+# The most steps (rates, probe-exact) or diffusion substeps (the coupled
+# experiments) one replicate may take; a config asking for more is an error.
+MAX_STEPS = 10**8
 # Every key each section allows, with the type of its value; a type in a
 # list marks a comma-separated list of that type.  [experiment] threads is
 # accepted and ignored: replicates run block by block in one thread.
@@ -142,13 +145,15 @@ def _emit_bank(out: Outcome, run_id: str, runs: ReplicateRuns):
     r, c = values.shape
     tail_counts = np.arange(c, 0, -1, dtype=float)
     suffix = np.cumsum(values[:, ::-1], axis=1)[:, ::-1] / tail_counts
-    for i in range(r):
-        for j in range(c):
-            n = indices[j]
-            out.raw_rows.append(
-                f"{run_id},{int(runs.replicate_ids[i])},{_fmt_index(n)},{_fmt(values[i, j])},"
-                f"{_fmt(dist2[i, j])},{_fmt(grad_sq[i, j])},{_fmt(suffix[i, j])}"
-            )
+    # repr of a Python float is _fmt's text; .tolist() makes those floats
+    # a row at a time instead of one numpy scalar per cell
+    labels = [_fmt_index(n) for n in indices]
+    columns = (values.tolist(), dist2.tolist(), grad_sq.tolist(), suffix.tolist())
+    for rid, *cells in zip(runs.replicate_ids.tolist(), *columns):
+        out.raw_rows += [
+            f"{run_id},{int(rid)},{n},{v!r},{d!r},{g!r},{s!r}"
+            for n, v, d, g, s in zip(labels, *cells)
+        ]
     for j in range(c):
         cells = [_fmt_index(indices[j])]
         for col in (values, dist2, grad_sq, suffix):
@@ -637,6 +642,8 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         problems.append("[experiment] horizon: must be positive")
     elif kind == "rates" and horizon < 1:
         problems.append("[experiment] horizon: shorter than one step")
+    elif kind == "rates" and int(horizon) > MAX_STEPS:
+        problems.append(f"[experiment] horizon: more than {MAX_STEPS} steps per replicate")
     if kind == "batch-eps" and get("oracle", "n_samples", 1) < 1:
         problems.append("[oracle] n_samples: must be >= 1")
     grid = None
@@ -672,15 +679,22 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
             fine.append(a)
     schedules = [StepSchedule(g, a) for a in fine for g in gammas if g > 0]
     if continuous and horizon > 0 and substeps >= 1:
+        probe = kind == "probe-exact"
+        per_block, unit = (1, "steps") if probe else (substeps, "substeps")
         for s in schedules:
             try:
-                h = s.gamma_alpha / substeps
+                ga = s.gamma_alpha
             except ValueError as err:
                 problems.append(f"[schedule] {err}")
                 continue
-            if kind == "probe-exact" and _probe_steps(horizon, s) < 1:
+            if horizon / ga * per_block > MAX_STEPS:
+                problems.append(
+                    f"[experiment] horizon: more than {MAX_STEPS} {unit} per replicate"
+                    f" at gamma {s.gamma:g}, alpha {s.alpha:g}"
+                )
+            elif probe and _probe_steps(horizon, s) < 1:
                 problems.append("[experiment] horizon: shorter than one gamma_alpha block")
-            elif path_length(horizon, h) < 1:
+            elif path_length(horizon, ga / substeps) < 1:
                 problems.append("[experiment] horizon: shorter than one substep")
     if problems:
         raise ConfigError(problems)

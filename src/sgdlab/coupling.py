@@ -25,7 +25,6 @@ from .noise import GradientOracle
 from .objectives import Objective
 from .sde import path_length
 from .sgd import (
-    CHUNK,
     DivergenceError,
     ReplicateRuns,
     Trajectory,
@@ -186,7 +185,7 @@ def _coupled_block(
         gap = y - x
         gap_d2[:, p] = np.einsum("rd,rd->r", gap, gap)
 
-    rows.run(n_blocks, max(1, CHUNK // substeps), plan, draw, step, record)
+    rows.run(n_blocks, plan, draw, step, record, substeps)
     return rows, discrete, continuous, gap_d2, x, y
 
 

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import t as student_t
+from scipy.special import ndtri, stdtrit
 
 from .core import RngStream
 from .objectives import LeastSquaresObjective, Objective
@@ -199,7 +198,11 @@ def _standardized_law(law: str, dim: int, df: float | None):
             return rng.standard_t(df, size=prefix + (dim,)) * unit
 
         def ppf(u):
-            return student_t.ppf(u, df) * unit
+            # scipy.stats.t.ppf, bit for bit: stdtrit plus its location 0.0
+            # (which turns -0.0 into 0.0), and -inf at 0, where stdtrit
+            # alone gives +inf
+            u = np.asarray(u, dtype=float)
+            return np.where(u == 0.0, -np.inf, stdtrit(df, u) + 0.0) * unit
 
         return draw, ppf
 

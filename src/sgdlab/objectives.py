@@ -145,10 +145,10 @@ def make_phi_p(p: int) -> Objective:
         return np.where(np.abs(t) <= 1.0, inner, outer)
 
     def gradient(x):
+        # outside [-1, 1] the clip gives +-1, whose power is the outer
+        # slope's sign, so one branch covers both pieces (nan stays nan)
         t = np.asarray(x, dtype=float)[..., 0]
-        inner = two_p * np.clip(t, -1.0, 1.0) ** (two_p - 1)
-        outer = two_p * np.sign(t)
-        return np.where(np.abs(t) <= 1.0, inner, outer)[..., None]
+        return (two_p * np.clip(t, -1.0, 1.0) ** (two_p - 1))[..., None]
 
     return Objective(
         name=f"phi_{p}",

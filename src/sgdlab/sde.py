@@ -17,7 +17,6 @@ from .core import RngStream, StepSchedule, derive_stream
 from .noise import GradientOracle
 from .objectives import Objective
 from .sgd import (
-    CHUNK,
     ReplicateRuns,
     Trajectory,
     _Checkpoints,
@@ -134,7 +133,7 @@ def _em_block(obj, sigma_sqrt, sched, x0, count, h, plan, ids, draw, record_stat
         y = y - rates[j] * move
         rows.check(y, j + 1, detail, obj.x_star)
 
-    rows.run(count, CHUNK, plan, draw, step, lambda p: ckpt.record(p, y))
+    rows.run(count, plan, draw, step, lambda p: ckpt.record(p, y))
     return rows, ckpt
 
 
@@ -237,7 +236,7 @@ def run_gradient_flow(
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rows.check(y, j + 1, detail, obj.x_star)
 
-    rows.run(steps, steps, plan, lambda start, m: None, step, lambda p: ckpt.record(p, y))
+    rows.run(steps, plan, lambda start, m: None, step, lambda p: ckpt.record(p, y))
     return _only_row(_replicate_runs([(rows, ckpt)], plan * h))
 
 

@@ -5,12 +5,18 @@ The recursion X_{n+1} = X_n - gamma (n+1)^{-alpha} H(X_n, Z_{n+1}) runs as
 a bank of replicates (run_sgd_replicates); a solo run (run_sgd) is a bank
 of one row.  The block scheduler (_map_blocks) steps the bank's streams in
 consecutive blocks of REPLICATE_BLOCK rows, and one block kernel
-(_Rows.run) steps each block: it draws innovations in fixed chunks from
-per-replicate counter-based streams, checks every row for divergence after
-each step and records observables at the plan's checkpoints.  The sde and
-coupling modules drive the same kernel with their own step.  Every array
-op is row-independent, so a replicate's trajectory is bit-identical
-however replicates are split into blocks.
+(_Rows.run) steps each block: it draws innovations in chunks of CHUNK
+steps (CHUNK // K for a coupled step of K substeps) from per-replicate
+counter-based streams, checks every row for divergence after each step and
+records observables at the plan's checkpoints.  The sde and coupling
+modules drive the same kernel with their own step.
+
+Block and chunk are sized together: a block's draw buffer holds
+REPLICATE_BLOCK * CHUNK = 2^18 innovations, so a wider block (fewer
+Python-level steps per bank) takes a shorter chunk and the buffer does
+not grow.  Every array op is row-independent and each stream is read in
+order whatever the chunk, so a replicate's trajectory is bit-identical
+however the replicates are split into blocks and the steps into chunks.
 
 A row whose state leaves the finite regime records its first
 DivergenceError and has its state reset to the minimizer; the other rows
@@ -28,8 +34,8 @@ from .core import RngStream, StepSchedule, derive_stream, log_spaced_indices
 from .noise import GradientOracle
 from .objectives import Objective, StronglyConvex
 
-CHUNK = 1024
-REPLICATE_BLOCK = 256
+CHUNK = 256
+REPLICATE_BLOCK = 1024
 DIVERGENCE_NORM = 1e12
 
 
@@ -135,17 +141,21 @@ class _Rows:
         record their first DivergenceError and are reset, in place, to the
         finite state reset; the other rows are untouched."""
         sq = np.einsum("rd,rd->r", x, x)
+        if sq.max() <= DIVERGENCE_NORM**2:
+            return  # nan and inf fail the comparison and take the slow path
         bad = ~np.isfinite(sq) | (sq > DIVERGENCE_NORM**2)
-        if np.any(bad):
-            for i in np.flatnonzero(bad).tolist():
-                if i not in self.aborted:
-                    self.aborted[i] = DivergenceError(int(self.ids[i]), step, detail(sq[i]))
-            x[bad] = reset
+        for i in np.flatnonzero(bad).tolist():
+            if i not in self.aborted:
+                self.aborted[i] = DivergenceError(int(self.ids[i]), step, detail(sq[i]))
+        x[bad] = reset
 
-    def run(self, n_steps: int, chunk: int, plan: np.ndarray, draw, step, record) -> None:
+    def run(self, n_steps: int, plan: np.ndarray, draw, step, record, substeps: int = 1) -> None:
         """The block kernel: draw(start, m) the noise of each chunk of m steps,
         step(n, noise, j) every step n (the j-th of its chunk), then
-        record(p) at each plan[p] == n + 1.  Stops once every row aborted."""
+        record(p) at each plan[p] == n + 1.  A chunk is CHUNK // substeps
+        steps (at least one) for steps that each draw substeps increments.
+        Stops once every row aborted."""
+        chunk = max(1, CHUNK // substeps)
         p = 0
         for start in range(0, n_steps, chunk):
             m = min(chunk, n_steps - start)
@@ -245,7 +255,7 @@ def _sgd_block(
                 x[over] *= radius / norms[over, None]
         rows.check(x, n + 1, detail, obj.x_star)
 
-    rows.run(n_steps, CHUNK, plan, draw, step, lambda p: ckpt.record(p, x))
+    rows.run(n_steps, plan, draw, step, lambda p: ckpt.record(p, x))
     return rows, ckpt
 
 

@@ -14,13 +14,17 @@ from sgdlab.cli import (
     ConfigError,
     RAW_HEADER,
     SUMMARY_HEADER,
+    Outcome,
+    _emit_bank,
+    _fmt,
+    _fmt_index,
     build_objective,
     build_oracle,
     main,
     validate_config,
 )
 from sgdlab.core import StepSchedule, derive_stream, log_spaced_indices
-from sgdlab.sgd import DivergenceError, run_sgd
+from sgdlab.sgd import DivergenceError, ReplicateRuns, run_sgd
 
 
 def write_cfg(directory, text, name="exp.ini"):
@@ -534,10 +538,38 @@ def test_config_errors_exit_1(tmp_path, capsys):
          "[experiment] replicates: must be >= 2"),
         ("certify", CERTIFY_CFG, "num = 401", "num = 1",
          "[grid]: grid needs at least 2 points"),
+        # finite configs asking for more steps than a run can plan
+        ("rates", RATES_CFG, "horizon = 400", "horizon = 1e300",
+         "[experiment] horizon: more than 100000000 steps per replicate"),
+        ("couple-demo", COUPLE_CFG, "gamma = 0.5\n    alpha = 0.5",
+         "gamma = 1e-300\n    alpha = 0",
+         "[experiment] horizon: more than 100000000 substeps per replicate"),
+        ("probe-exact", PROBE_CFG, "gamma = 0.1", "gamma = 1e-200",
+         "[experiment] horizon: more than 100000000 steps per replicate"),
     ):
         path = write_cfg(tmp_path, text.replace(old, new))
         assert main([experiment, "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
         assert f"config error: {problem}" in capsys.readouterr().err
+
+
+def test_emit_bank_rows_are_the_per_cell_text():
+    """Raw rows formatted from .tolist() columns read exactly as formatting
+    every cell with _fmt and _fmt_index."""
+    values = np.array([[1e-300, 1e16, 0.1 + 0.2], [-0.0, 3.0, 2.5e-7], [5e-324, 1.0, 1e100]])
+    runs = ReplicateRuns(np.array([1, 10, 100]), values, values[::-1].copy(),
+                         np.abs(values) * 7.0, np.array([0, 4, 9]))
+    for indices in (np.array([1, 10, 100]), np.array([0.25, 2.0, 1e17])):
+        runs.sample_indices = indices
+        out = Outcome()
+        suffix = _emit_bank(out, "run", runs)
+        expected = [
+            f"run,{int(runs.replicate_ids[i])},{_fmt_index(indices[j])},{_fmt(values[i, j])},"
+            f"{_fmt(runs.dist2_to_min[i, j])},{_fmt(runs.grad_sq[i, j])},{_fmt(suffix[i, j])}"
+            for i in range(3) for j in range(3)
+        ]
+        assert out.raw_rows == expected
+    assert out.raw_rows[1].startswith("run,0,2,1e+16,")
+    assert out.raw_rows[3].startswith("run,4,0.25,-0.0,")
 
 
 def test_subcommand_kind_mismatch_exits_1(tmp_path, capsys):
@@ -737,6 +769,9 @@ def _case(experiment, **changes):
 @example(case=_case("certify", grid__num="1"))
 @example(case=_case("couple-demo", experiment__horizon="1.005", experiment__substeps="16",
                     schedule__alpha="0.5"))
+@example(case=_case("rates", experiment__horizon="1e300"))
+@example(case=_case("couple-demo", experiment__substeps="2", schedule__gamma="1e-300",
+                    schedule__alpha="0"))
 def test_fuzzed_configs_exit_cleanly(tmp_path, capsys, case):
     """Any config runs (exit 0, or 2 when every replicate aborts) or exits
     1 with at least one config error line; nothing raises."""

@@ -184,6 +184,25 @@ def test_coupled_bank_block_size_invariance(monkeypatch):
     np.testing.assert_array_equal(banks[0].continuous.values, banks[1].continuous.values)
 
 
+@pytest.mark.parametrize("gaussian", [True, False])
+def test_coupled_bank_chunk_size_invariance(monkeypatch, gaussian):
+    """Chunks of CHUNK // substeps blocks: 7 // 4 = 1 block per draw gives
+    the same bank as the default, for the shared and the independent
+    coupling."""
+    obj = make_quadratic(dim=2, lam=1.0)
+    oracle = gaussian_oracle(obj, 1.0) if gaussian else heavy_oracle(obj, 1.0, "student", df=6.0)
+    kw = dict(x0=np.ones(2), horizon=_horizon(30), substeps_per_block=4,
+              n_replicates=5, master_seed=13, record_states=True)
+    banks = []
+    for chunk in (sgd.CHUNK, 7):
+        monkeypatch.setattr(sgd, "CHUNK", chunk)
+        banks.append(run_coupled_replicates(obj, oracle, SCHED, **kw))
+    assert banks[1].coupling_kind == (GAUSSIAN_SHARED if gaussian else INDEPENDENT)
+    np.testing.assert_array_equal(banks[0].coupled_dist2, banks[1].coupled_dist2)
+    np.testing.assert_array_equal(banks[0].discrete.states, banks[1].discrete.states)
+    np.testing.assert_array_equal(banks[0].continuous.states, banks[1].continuous.states)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_coupled_bank_drops_only_diverging_replicates():
     """Noise proportional to the state makes some replicates blow up, in

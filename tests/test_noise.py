@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,11 +110,25 @@ def test_laplace_ppf_closed_form():
 
 
 def test_student_ppf_and_scaling():
-    obj = make_quadratic(dim=1)
-    oracle = heavy_oracle(obj, 3.0, "student", df=6.0)
-    u = np.array([0.05, 0.4, 0.8])
-    expected = 3.0 * scipy_t.ppf(u, 6.0) * np.sqrt(4.0 / 6.0)
-    np.testing.assert_allclose(oracle.noise_ppf(u), expected, rtol=1e-10)
+    """The quantile is scale * unit-variance factor * scipy.stats.t.ppf,
+    bit for bit, the ends and out-of-range values included."""
+    u = np.array([-1.0, -0.0, 0.0, 1e-300, 1e-10, 0.05, 0.4, 0.5, np.nextafter(0.5, 0.0),
+                  0.8, 1.0 - 1e-16, 1.0, 1.5, np.inf, np.nan])
+    for df in (4.5, 6.0, 30.0):
+        oracle = heavy_oracle(make_quadratic(dim=1), 3.0, "student", df=df)
+        expected = 3.0 * (scipy_t.ppf(u, df) * np.sqrt((df - 2.0) / df))
+        got = oracle.noise_ppf(u)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """scipy.stats costs about half a second to import; the CLI needs
+    only scipy.special."""
+    code = "import sys, sgdlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_rademacher_ppf_is_sign_function():

@@ -93,6 +93,23 @@ def test_phi_p_gradient_matches_fd():
         np.testing.assert_allclose(obj.gradient(x), fd, atol=1e-6)
 
 
+def test_phi_p_gradient_is_the_two_branch_formula_bit_for_bit():
+    """The one-branch gradient equals evaluating both pieces and picking
+    one with np.where, at the seam, one ulp either side, far out, at
+    signed zeros, infinities and nan."""
+    one_up, one_down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    t = np.array([0.0, -0.0, 1.0, -1.0, one_up, -one_up, one_down, -one_down,
+                  2.0, -2.0, 0.3, -0.7, 1e300, np.inf, -np.inf, np.nan])
+    for p in (1, 2, 3, 5):
+        two_p = 2 * p
+        with np.errstate(invalid="ignore"):
+            old = np.where(np.abs(t) <= 1.0, two_p * np.clip(t, -1.0, 1.0) ** (two_p - 1),
+                           two_p * np.sign(t))
+        new = make_phi_p(p).gradient(t[:, None])[:, 0]
+        assert np.array_equal(new, old, equal_nan=True)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
 def test_phi_p_rejects_bad_p():
     with pytest.raises(ValueError):
         make_phi_p(0)

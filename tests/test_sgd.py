@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sgdlab.core import StepSchedule, derive_stream
-from sgdlab.noise import gaussian_oracle, heavy_oracle
+from sgdlab.noise import gaussian_oracle, heavy_oracle, least_squares_batch_oracle
 from sgdlab import sgd
-from sgdlab.objectives import make_linear_probe, make_quadratic
+from sgdlab.objectives import make_least_squares, make_linear_probe, make_quadratic
 from sgdlab.sgd import (
     DivergenceError,
     Trajectory,
@@ -78,8 +78,29 @@ def test_block_size_invariance(monkeypatch):
     np.testing.assert_array_equal(banks[0].dist2_to_min, banks[1].dist2_to_min)
 
 
+@pytest.mark.parametrize("law", ["gaussian", "rademacher", "laplace", "student", "lsq_batch"])
+def test_chunk_size_invariance(monkeypatch, law):
+    """Drawing each stream in 7-step pieces reads the same values as the
+    default chunk, for every draw the oracles make."""
+    obj = make_quadratic(dim=2)
+    if law == "gaussian":
+        oracle = gaussian_oracle(obj, 1.0)
+    elif law == "lsq_batch":
+        obj = make_least_squares(dim=2, n_data=30, stream=derive_stream(41, 0, "data"))
+        oracle = least_squares_batch_oracle(obj, 3)
+    else:
+        oracle = heavy_oracle(obj, 0.5, law, df=6.0 if law == "student" else None)
+    banks = []
+    for chunk in (sgd.CHUNK, 7):
+        monkeypatch.setattr(sgd, "CHUNK", chunk)
+        banks.append(run_sgd_replicates(obj, oracle, StepSchedule(0.3, 0.5), np.ones(2), 300,
+                                        5, 3, record_states=True))
+    np.testing.assert_array_equal(banks[0].states, banks[1].states)
+    np.testing.assert_array_equal(banks[0].values, banks[1].values)
+
+
 def test_chunk_boundary_continuity():
-    # crossing the 1024-step chunk edge must not disturb the stream
+    # crossing chunk edges must not disturb the stream
     obj = make_linear_probe(dim=1)
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.1, 0.0)
