@@ -58,6 +58,7 @@ from .objectives import (
     make_quadratic,
 )
 from .sde import em_bias_probe, path_length, sample_brownian_path
+from . import sgd
 from .sgd import ReplicateRuns, run_sgd_replicates
 
 EXPERIMENTS = (
@@ -79,7 +80,8 @@ SUMMARY_HEADER = (
 MAX_STEPS = 10**8
 # Every key each section allows, with the type of its value; a type in a
 # list marks a comma-separated list of that type.  [experiment] threads is
-# accepted and ignored: replicates run block by block in one thread.
+# accepted and ignored: the worker count is the number of usable cores
+# (sgd.WORKERS), never a setting.
 _KEYS = {
     "experiment": {"kind": str, "seed": int, "replicates": int, "horizon": float,
                    "substeps": int, "threads": int, "out_dir": str},
@@ -148,12 +150,18 @@ def _emit_bank(out: Outcome, run_id: str, runs: ReplicateRuns):
     # repr of a Python float is _fmt's text; .tolist() makes those floats
     # a row at a time instead of one numpy scalar per cell
     labels = [_fmt_index(n) for n in indices]
-    columns = (values.tolist(), dist2.tolist(), grad_sq.tolist(), suffix.tolist())
-    for rid, *cells in zip(runs.replicate_ids.tolist(), *columns):
-        out.raw_rows += [
+
+    def text(rows: slice) -> str:
+        columns = (col[rows].tolist() for col in (values, dist2, grad_sq, suffix))
+        return "\n".join(
             f"{run_id},{int(rid)},{n},{v!r},{d!r},{g!r},{s!r}"
+            for rid, *cells in zip(runs.replicate_ids[rows].tolist(), *columns)
             for n, v, d, g, s in zip(labels, *cells)
-        ]
+        )
+
+    # a raw row depends on its replicate only, so each worker formats a slice
+    for block in sgd.fork_map(text, sgd.worker_slices(r)):
+        out.raw_rows += block.split("\n")
     for j in range(c):
         cells = [_fmt_index(indices[j])]
         for col in (values, dist2, grad_sq, suffix):

@@ -40,6 +40,10 @@ GAUSSIAN_SHARED = "gaussian_shared"
 COMONOTONE_1D = "comonotone_1d"
 INDEPENDENT = "independent"
 COUPLING_KINDS = (GAUSSIAN_SHARED, COMONOTONE_1D, INDEPENDENT)
+# The comonotone map's lowest u.  For every df > 4, scipy's Student quantile
+# is accurate to about 1e-13 down to u = 1e-212; below about 1e-218 it is
+# wrong, and +inf from 1e-255 on for df near 4 (at 1e-300 for df up to 6).
+U_FLOOR = 1e-200
 
 
 @dataclass
@@ -172,7 +176,7 @@ def _coupled_block(
         if effective == GAUSSIAN_SHARED:
             h_val = obj.gradient(x) + oracle.apply_sqrt(x, g_block)
         elif effective == COMONOTONE_1D:
-            u = np.clip(ndtr(g_block), 1e-300, 1.0 - 1e-16)
+            u = np.clip(ndtr(g_block), U_FLOOR, 1.0 - 1e-16)
             h_val = obj.gradient(x) + oracle.noise_ppf(u)
         else:
             h_val = oracle.apply(x, raw[:, b])

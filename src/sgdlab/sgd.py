@@ -3,20 +3,25 @@ machinery that every process in the package runs on.
 
 The recursion X_{n+1} = X_n - gamma (n+1)^{-alpha} H(X_n, Z_{n+1}) runs as
 a bank of replicates (run_sgd_replicates); a solo run (run_sgd) is a bank
-of one row.  The block scheduler (_map_blocks) steps the bank's streams in
-consecutive blocks of REPLICATE_BLOCK rows, and one block kernel
-(_Rows.run) steps each block: it draws innovations in chunks of CHUNK
-steps (CHUNK // K for a coupled step of K substeps) from per-replicate
-counter-based streams, checks every row for divergence after each step and
-records observables at the plan's checkpoints.  The sde and coupling
-modules drive the same kernel with their own step.
+of one row.  The block scheduler (_map_blocks) cuts the bank's streams into
+consecutive near-equal blocks of at most REPLICATE_BLOCK rows, as many per
+worker (one each for a bank of up to WORKERS * REPLICATE_BLOCK rows), and
+hands them to fork_map, which runs them on WORKERS processes (this one and
+forked children, one per core this process may run on) and returns the
+results in block order.  One block kernel (_Rows.run) steps each block: it
+draws innovations in chunks of CHUNK steps (CHUNK // K for a coupled step
+of K substeps) from per-replicate counter-based streams, checks every row
+for divergence after each step and records observables at the plan's
+checkpoints.  The sde and coupling modules drive the same kernel with their
+own step.
 
 Block and chunk are sized together: a block's draw buffer holds
 REPLICATE_BLOCK * CHUNK = 2^18 innovations, so a wider block (fewer
 Python-level steps per bank) takes a shorter chunk and the buffer does
 not grow.  Every array op is row-independent and each stream is read in
 order whatever the chunk, so a replicate's trajectory is bit-identical
-however the replicates are split into blocks and the steps into chunks.
+however the replicates are split into blocks and the steps into chunks,
+and whichever process steps a block.
 
 A row whose state leaves the finite regime records its first
 DivergenceError and has its state reset to the minimizer; the other rows
@@ -25,6 +30,9 @@ its aborts field.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,6 +45,9 @@ from .objectives import Objective, StronglyConvex
 CHUNK = 256
 REPLICATE_BLOCK = 1024
 DIVERGENCE_NORM = 1e12
+# fork_map's worker count: the cores this process may run on
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_inside = False
 
 
 class DivergenceError(RuntimeError):
@@ -48,6 +59,10 @@ class DivergenceError(RuntimeError):
         )
         self.replicate_id = replicate_id
         self.step = step
+        self.detail = detail
+
+    def __reduce__(self):
+        return type(self), (self.replicate_id, self.step, self.detail)
 
 
 @dataclass
@@ -119,6 +134,10 @@ class _Checkpoints:
         self.grad_sq = np.empty((n_rows, n_ckpt))
         self.states = np.empty((n_rows, n_ckpt, obj.dim)) if record_states else None
 
+    def __getstate__(self):
+        # a worker sends back the arrays only; the parent has the objective
+        return {k: v for k, v in vars(self).items() if k != "obj"}
+
     def record(self, p: int, x: np.ndarray) -> None:
         self.values[:, p] = self.obj.value(x)
         diff = x - self.obj.x_star
@@ -169,13 +188,76 @@ class _Rows:
                     p += 1
 
 
+def fork_map(fn, items) -> list:
+    """[fn(item) for item in items] on up to WORKERS processes, this one and
+    forked children: process w runs items w, w + workers, ..., and each
+    child pipes back its pickled results, or the exception it raised, which
+    the parent raises again.  Runs in-process with one worker or one item,
+    and inside a call (in a child or in the parent's share).  Every child
+    is reaped, and killed first if the parent leaves early."""
+    global _inside
+    items = list(items)
+    workers = min(WORKERS, len(items))
+    if workers <= 1 or _inside:
+        return [fn(item) for item in items]
+    share = lambda w: [fn(item) for item in items[w::workers]]
+    pids, pipes = [], []
+    try:
+        for w in range(1, workers):
+            r, wfd = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(wfd, "wb") as writer:  # the parent's end closes after the fork
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        _inside = True
+                        try:
+                            reply = pickle.dumps(share(w))
+                        except BaseException as err:
+                            reply = pickle.dumps(err)
+                        writer.write(reply)
+                        writer.flush()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        _inside = True
+        shares = [share(0)]
+        for fh in pipes:
+            try:
+                result = pickle.load(fh)
+            except EOFError:  # killed (e.g. out of memory), or its error would not pickle
+                raise RuntimeError("a fork_map worker ended without a result") from None
+            if isinstance(result, BaseException):
+                raise result
+            shares.append(result)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _inside = False
+        for fh in pipes:
+            fh.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [shares[i % workers][i // workers] for i in range(len(items))]
+
+
+def worker_slices(n: int, cap: int | None = None) -> list[slice]:
+    """Consecutive near-equal slices of range(n), at most cap long, as few
+    as allow the same number per worker (one each when n <= WORKERS * cap)."""
+    if n == 0:
+        return []
+    count = WORKERS * -(-n // (WORKERS * (cap or n)))
+    size = -(-n // count)
+    return [slice(i, i + size) for i in range(0, n, size)]
+
+
 def _map_blocks(streams: list, work) -> list:
-    """The block scheduler: work(block) on consecutive blocks of
-    REPLICATE_BLOCK streams.  Each work call returns a tuple whose first
-    entry is the block's _Rows."""
-    return [
-        work(streams[i : i + REPLICATE_BLOCK]) for i in range(0, len(streams), REPLICATE_BLOCK)
-    ]
+    """The block scheduler: work(block) on the consecutive blocks of at most
+    REPLICATE_BLOCK streams that worker_slices cuts, run by fork_map.  Each
+    work call returns a tuple whose first entry is the block's _Rows."""
+    return fork_map(lambda s: work(streams[s]), worker_slices(len(streams), REPLICATE_BLOCK))
 
 
 def _survivors(parts: list) -> tuple[np.ndarray, list[DivergenceError]]:

@@ -2,7 +2,7 @@
 
 Each test prints one pass/fail line for the guarantee it checks.  Every
 run is a deterministic function of MASTER_SEED, so reruns reproduce the
-same numbers bit for bit (thread count included; that invariance is
+same numbers bit for bit (worker count included; that invariance is
 itself property-tested in the unit suites).
 
 The long sweeps are shared: criteria 2 and 3 read the same banks, and

@@ -21,6 +21,7 @@ from sgdlab.cli import (
     build_objective,
     build_oracle,
     main,
+    run_experiment,
     validate_config,
 )
 from sgdlab.core import StepSchedule, derive_stream, log_spaced_indices
@@ -658,6 +659,27 @@ def test_block_size_does_not_change_output(tmp_path, monkeypatch, experiment, te
         assert main(argv) == 0
         outputs.append({name: (out / name).read_bytes() for name in OUTPUTS})
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "experiment,text", [("rates", LSQ_DIVERGE_CFG), ("couple-demo", COUPLE_CFG)]
+)
+def test_worker_count_does_not_change_output(tmp_path, monkeypatch, experiment, text):
+    """1, 2 or 3 workers, each at the default block and at 7-row blocks,
+    write the same bytes and list the same aborts (the rates config has
+    some)."""
+    path = write_cfg(tmp_path, text)
+    runs = []
+    for workers in (1, 2, 3):
+        for block in (sgd.REPLICATE_BLOCK, 7):
+            monkeypatch.setattr(sgd, "WORKERS", workers)
+            monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
+            out = tmp_path / f"w{workers}b{block}"
+            outcome = run_experiment(validate_config(path, {"out_dir": str(out)}))
+            runs.append(({name: (out / name).read_bytes() for name in OUTPUTS}, outcome.aborts))
+    assert all(run == runs[0] for run in runs[1:])
+    assert (len(runs[0][1]) > 0) == (experiment == "rates")
 
 
 def test_missing_subcommand_is_usage_error():

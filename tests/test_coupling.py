@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from sgdlab import sgd
+from sgdlab import coupling, sgd
 from sgdlab.core import StepSchedule, derive_stream
 from sgdlab.coupling import (
     COMONOTONE_1D,
     GAUSSIAN_SHARED,
     INDEPENDENT,
+    U_FLOOR,
     CoupledRun,
     epsilon_hat,
     resolve_kind,
@@ -117,10 +118,38 @@ def test_comonotone_first_step_is_quantile_of_gaussian_cdf():
                       record_states=True)
     path = sample_brownian_path(_horizon(20), GA / 16, 1, derive_stream(9, 1, "brownian"))
     g0 = path.block_sums(16)[0] / np.sqrt(GA)
-    u = np.clip(ndtr(g0), 1e-300, 1.0 - 1e-16)
+    u = np.clip(ndtr(g0), U_FLOOR, 1.0 - 1e-16)
     step0 = SCHED.step_size(np.arange(1))[0]
     x1 = 2.0 - step0 * (obj.gradient(np.full((1, 1), 2.0)) + oracle.noise_ppf(u))
     np.testing.assert_array_equal(run.discrete.states[0], x1[0])
+
+
+def test_student_quantile_at_the_floor_is_finite_and_negative():
+    """scipy's Student quantile is +inf at u = 1e-300 for df 4.5 to 6; at
+    U_FLOOR it is finite, negative and below the quantile one decade up,
+    for df from just above 4 (the least heavy_oracle takes) to 1e6."""
+    obj = make_quadratic(dim=1)
+    for df in (4.000001, 4.5, 5.0, 6.0, 10.0, 30.0, 1e3, 1e6):
+        ppf = heavy_oracle(obj, 1.0, "student", df=df).noise_ppf
+        floor, above = ppf(np.array([U_FLOOR, 10.0 * U_FLOOR]))
+        assert np.isfinite(floor) and floor < above < 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_comonotone_student_step_at_the_floor(monkeypatch):
+    """A block increment so low that Phi(G) is below U_FLOOR (forced here by
+    a zero CDF) gives the discrete chain a finite, negative noise value; at
+    u = 1e-300 it was +inf.  The tiny scale keeps the step inside the
+    divergence norm, so no replicate aborts."""
+    monkeypatch.setattr(coupling, "ndtr", np.zeros_like)
+    obj = make_quadratic(dim=1, lam=1.0)
+    oracle = heavy_oracle(obj, 1e-40, "student", df=4.5)
+    bank = run_coupled_replicates(obj, oracle, SCHED, np.zeros(1), _horizon(1), 4, 3, 9,
+                                  kind=COMONOTONE_1D, plan=[1], record_states=True)
+    assert bank.aborts == []
+    x1 = -SCHED.step_size(np.arange(1))[0] * oracle.noise_ppf(np.array([U_FLOOR]))
+    np.testing.assert_array_equal(bank.discrete.states[:, 0, 0], np.full(3, x1[0]))
+    assert 0.0 < x1[0] < np.inf
 
 
 def test_independent_discrete_leg_is_plain_sgd():

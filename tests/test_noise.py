@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import laplace as scipy_laplace
 from scipy.stats import t as scipy_t
 
+import sgdlab
 from sgdlab.core import derive_stream
 from sgdlab.noise import (
     HEAVY_LAWS,
@@ -129,6 +132,22 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_pool_modules_out():
+    """The worker pool is os.fork and pipes: importing the CLI loads no
+    multiprocessing, and no sgdlab module imports multiprocessing or
+    concurrent.futures (scipy.special already loads the latter through
+    numpy.testing, so only the source can show that sgdlab does not)."""
+    code = "import sys, sgdlab.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+    for path in Path(sgdlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+                assert not any(n.split(".")[0] in ("multiprocessing", "concurrent") for n in names), path
 
 
 def test_rademacher_ppf_is_sign_function():

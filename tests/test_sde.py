@@ -243,6 +243,24 @@ def test_bank_block_size_invariance(monkeypatch):
     np.testing.assert_array_equal(banks[0].grad_sq, banks[1].grad_sq)
 
 
+def test_bank_worker_count_invariance(monkeypatch):
+    obj = make_quadratic(dim=2)
+    oracle = gaussian_oracle(obj, 0.7)
+    sched = StepSchedule(0.5, 0.5)
+    kwargs = dict(x0=np.ones(2), horizon=0.5, substeps_per_block=4,
+                  n_replicates=300, master_seed=11)
+    banks = []
+    for workers in (1, 2, 3):
+        for block in (sgd.REPLICATE_BLOCK, 7):
+            monkeypatch.setattr(sgd, "WORKERS", workers)
+            monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
+            banks.append(run_sde_em_replicates(obj, oracle, sched, **kwargs))
+    for bank in banks[1:]:
+        for name in ("values", "dist2_to_min", "grad_sq", "replicate_ids"):
+            np.testing.assert_array_equal(getattr(bank, name), getattr(banks[0], name))
+        assert bank.aborts == banks[0].aborts == []
+
+
 def test_bank_validation():
     obj = make_quadratic(dim=1)
     with pytest.raises(ValueError, match="alpha < 1"):

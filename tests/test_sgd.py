@@ -1,3 +1,7 @@
+import os
+import pickle
+import signal
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from sgdlab.sgd import (
     run_projected_sgd,
     run_sgd,
     run_sgd_replicates,
+    fork_map,
     suffix_average,
 )
 
@@ -167,6 +172,86 @@ def test_divergence_in_bank_names_replicate():
             run_sgd(obj, oracle, sched, np.array([1.0]), 5000, stream=_stream(err.replicate_id))
         assert solo.value.step == err.step
         assert str(solo.value) == str(err)
+
+
+def test_divergence_error_pickles():
+    """A worker sends its aborts to the parent pickled."""
+    err = DivergenceError(7, 42, "|X| = 1.5e+12 exceeds 1e+12")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is DivergenceError
+    assert str(back) == str(err) == "replicate 7 aborted at step 42: |X| = 1.5e+12 exceeds 1e+12"
+    assert (back.replicate_id, back.step) == (7, 42)
+
+
+def test_fork_map_keeps_item_order(monkeypatch):
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sgd, "WORKERS", workers)
+        assert fork_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
+        assert fork_map(lambda i: i, []) == []
+
+
+def test_fork_map_raises_a_child_error_and_leaves_no_child(monkeypatch):
+    """Item 1 runs in the first forked child; its error reaches the parent
+    with its type and message.  An error in the parent's own share (item 0)
+    kills the child.  Either way every child has been reaped."""
+    monkeypatch.setattr(sgd, "WORKERS", 2)
+    parent = os.getpid()
+
+    def unit(i):
+        if i == 1 and os.getpid() != parent:
+            raise DivergenceError(i, 3, "state is non-finite")
+        return i
+
+    with pytest.raises(DivergenceError, match=r"^replicate 1 aborted at step 3: state is non-finite$") as exc:
+        fork_map(unit, range(4))
+    assert (exc.value.replicate_id, exc.value.step) == (1, 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    def fail(i):
+        raise KeyError(f"unit {i}")
+
+    with pytest.raises(KeyError, match="unit 0"):
+        fork_map(fail, range(2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_names_a_child_that_died(monkeypatch):
+    monkeypatch.setattr(sgd, "WORKERS", 2)
+    parent = os.getpid()
+
+    def unit(i):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(RuntimeError, match="worker ended without a result"):
+        fork_map(unit, range(2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_inside_a_call_runs_in_process(monkeypatch):
+    monkeypatch.setattr(sgd, "WORKERS", 2)
+    outer = fork_map(lambda i: (os.getpid(), fork_map(lambda j: os.getpid(), range(2))), range(2))
+    assert outer[0][0] == os.getpid() != outer[1][0]
+    for pid, inner in outer:
+        assert inner == [pid, pid]
+
+
+def test_bank_of_one_starts_no_child(monkeypatch):
+    def no_fork():
+        raise AssertionError("a bank of one forked")
+
+    monkeypatch.setattr(sgd, "WORKERS", 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    obj = make_quadratic()
+    oracle = gaussian_oracle(obj, 1.0)
+    sched = StepSchedule(0.5, 0.5)
+    solo = run_sgd(obj, oracle, sched, np.array([1.0]), 50, stream=_stream())
+    bank = run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 50, 1, 1)
+    np.testing.assert_array_equal(bank.values[0], solo.values)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
