@@ -284,14 +284,17 @@ def _run_label(obj: Objective, oracle: GradientOracle, sched: StepSchedule) -> s
     return f"{obj.name}_{oracle.name}_{sched.label()}"
 
 
-def _tally(out: Outcome, run_id: str, attempted: int, aborts: list) -> bool:
-    """Count a bank's replicates and abort lines; False when none survived."""
+def _tally(out: Outcome, run_id: str, attempted: int, aborts: list, fewest: int = 1) -> bool:
+    """Count a bank's replicates and abort lines; False, with a report line,
+    when fewer than fewest survived."""
     out.attempted += attempted
-    out.completed += attempted - len(aborts)
+    survived = attempted - len(aborts)
+    out.completed += survived
     out.aborts += [f"{run_id} {err}" for err in aborts]
-    if len(aborts) < attempted:
+    if survived >= fewest:
         return True
-    out.report.append(f"{run_id}: all replicates aborted")
+    what = "all replicates aborted" if survived == 0 else f"fewer than {fewest} replicates survived"
+    out.report.append(f"{run_id}: {what}")
     return False
 
 
@@ -394,15 +397,14 @@ def _experiment_approx(cfg: ExperimentConfig, weak: bool) -> Outcome:
     for sched in cfg.schedules:
         run_id = _run_label(obj, oracle, sched)
         bank = run_coupled_replicates(
-            obj, oracle, sched, x0, cfg.horizon, cfg.substeps, cfg.replicates,
-            cfg.seed, record_states=weak,
+            obj, oracle, sched, x0, cfg.horizon, cfg.substeps, cfg.replicates, cfg.seed
         )
-        if not _tally(out, run_id, cfg.replicates, bank.aborts):
+        if not _tally(out, run_id, cfg.replicates, bank.aborts, fewest=2):
             continue
         _emit_coupled(out, run_id, bank)
         kind = bank.coupling_kind
         if weak:
-            est = weak_error(bank, bank, lambda x: np.sum(np.square(x), axis=-1))
+            est = weak_error(bank, lambda x: np.sum(np.square(x), axis=-1))
             value = abs(est.value)
             label = "weak error |E g| (g = squared norm)"
             detail = f"{est.value:.6g} +- {est.ci_halfwidth:.2g} over {est.n} replicates"
@@ -496,7 +498,7 @@ def _experiment_probe_exact(cfg: ExperimentConfig) -> Outcome:
         bank = run_sgd_replicates(
             obj, oracle, sched, x0, n_steps, cfg.replicates, cfg.seed, plan=plan
         )
-        if not _tally(out, run_id, cfg.replicates, bank.aborts):
+        if not _tally(out, run_id, cfg.replicates, bank.aborts, fewest=2):
             continue
         _emit_bank(out, run_id, bank)
         dist2 = bank.dist2_to_min
@@ -535,14 +537,14 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
     run_id = _run_label(obj, oracle, sched)
     bank = run_coupled_replicates(
         obj, oracle, sched, _x0_of(cfg, obj), cfg.horizon, cfg.substeps,
-        cfg.replicates, cfg.seed, record_states=True,
+        cfg.replicates, cfg.seed,
     )
-    if not _tally(out, run_id, cfg.replicates, bank.aborts):
+    if not _tally(out, run_id, cfg.replicates, bank.aborts, fewest=2):
         return out
     _emit_coupled(out, run_id, bank)
     kind = bank.coupling_kind
     s_est = strong_error(bank)
-    w_est = weak_error(bank, bank, lambda x: np.sum(np.square(x), axis=-1))
+    w_est = weak_error(bank, lambda x: np.sum(np.square(x), axis=-1))
     out.report.append(f"{run_id}: coupling kind {kind}")
     if kind == "independent":
         out.report.append(
@@ -639,7 +641,7 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     if seed < 0:
         problems.append("[experiment] seed: must be >= 0")
     replicates = get("experiment", "replicates", 100)
-    fewest = 2 if kind in ("strong-approx", "weak-approx", "couple-demo") else 1
+    fewest = 2 if kind in ("strong-approx", "weak-approx", "couple-demo", "probe-exact") else 1
     if replicates < fewest:
         problems.append(f"[experiment] replicates: must be >= {fewest}")
     substeps = get("experiment", "substeps", 16)

@@ -11,13 +11,17 @@ of three couplings per block:
 * independent: the discrete noise comes from its own stream.  This is not
   an optimal coupling; distances measured under it upper-bound nothing
   sharp and are flagged by the kind string.
+
+A bank of coupled replicates (run_coupled_replicates) is a CoupledBank; a
+solo run (run_coupled) returns the one-row bank of its stream, or raises
+that row's DivergenceError.  strong_error and weak_error reduce a bank to
+error estimates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .analysis import Estimate
 from .core import RngStream, StepSchedule, derive_stream
@@ -27,12 +31,12 @@ from .sde import path_length
 from .sgd import (
     DivergenceError,
     ReplicateRuns,
-    Trajectory,
     _Checkpoints,
     _map_blocks,
     _normalize_plan,
     _replicate_runs,
     _Rows,
+    _solo,
     _survivors,
 )
 
@@ -47,29 +51,14 @@ U_FLOOR = 1e-200
 
 
 @dataclass
-class CoupledRun:
-    """One replicate of the pair, recorded at aligned block checkpoints.
-
-    discrete.sample_indices holds block indices n; continuous records the
-    matching times n * gamma_alpha; dist2[i] is the squared distance
-    between the two states at checkpoint i.
-    """
-
-    discrete: Trajectory
-    continuous: Trajectory
-    dist2: np.ndarray
-    schedule: StepSchedule
-    coupling_kind: str
-    replicate_id: int
-
-
-@dataclass
 class CoupledBank:
     """Vectorized bank of coupled replicates (arrays are replicate-major).
 
-    Only replicates whose two processes both stayed finite have rows;
-    aborts holds the DivergenceError of each of the others, ordered by
-    replicate id.
+    discrete records at the block indices n, continuous at the matching
+    times n * gamma_alpha, and coupled_dist2[r, i] is the squared distance
+    between replicate r's two states at checkpoint i.  Only replicates
+    whose two processes both stayed finite have rows; aborts holds the
+    DivergenceError of each of the others, ordered by replicate id.
     """
 
     block_indices: np.ndarray
@@ -83,18 +72,14 @@ class CoupledBank:
     coupling_kind: str
     aborts: list[DivergenceError] = field(default_factory=list)
 
-    def run(self, i: int) -> CoupledRun:
-        return CoupledRun(
-            discrete=self.discrete.trajectory(i),
-            continuous=self.continuous.trajectory(i),
-            dist2=self.coupled_dist2[i],
-            schedule=self.schedule,
-            coupling_kind=self.coupling_kind,
-            replicate_id=int(self.discrete.replicate_ids[i]),
-        )
 
-    def runs(self) -> list[CoupledRun]:
-        return [self.run(i) for i in range(len(self.coupled_dist2))]
+def ndtr(g):
+    """The standard normal CDF.  scipy.special is imported here, on the
+    first call, because it is slow to import and only the comonotone
+    coupling uses it."""
+    from scipy.special import ndtr as phi
+
+    return phi(g)
 
 
 def resolve_kind(obj: Objective, oracle: GradientOracle, kind: str | None) -> str:
@@ -248,8 +233,9 @@ def run_coupled(
     kind: str | None = None,
     plan=None,
     record_states: bool = False,
-) -> CoupledRun:
-    """One coupled replicate over ceil(horizon / gamma_alpha) blocks.
+) -> CoupledBank:
+    """One coupled replicate over ceil(horizon / gamma_alpha) blocks: a
+    one-row bank, or the DivergenceError its row aborted with.
 
     stream identifies the replicate: its (master_seed, replicate_id) pair
     derives the brownian stream driving both processes and, for the
@@ -258,9 +244,7 @@ def run_coupled(
     bank = _coupled(
         obj, oracle, sched, x0, horizon, substeps_per_block, [stream], kind, plan, record_states
     )
-    if bank.aborts:
-        raise bank.aborts[0]
-    return bank.run(0)
+    return _solo(bank)
 
 
 def run_coupled_replicates(
@@ -310,41 +294,19 @@ def strong_error(runs: CoupledBank, checkpoint: int | None = None) -> Estimate:
     return Estimate(value=float(np.sqrt(mean)), ci_halfwidth=1.96 * se / (2.0 * np.sqrt(mean)), n=n)
 
 
-def _endpoint_states(runs: ReplicateRuns) -> np.ndarray:
-    if runs.states is None:
-        raise ValueError("weak_error needs recorded states (record_states=True)")
-    return runs.states[:, -1]
-
-
-def weak_error(runs_discrete, runs_continuous_or_coupled, g) -> Estimate:
+def weak_error(bank: CoupledBank, g) -> Estimate:
     """|E g(continuous endpoint) - E g(discrete endpoint)| with a 95% CI.
 
-    When the second argument is a CoupledBank, the paired estimator
-    mean(g(Y) - g(X)) over its replicates is used, which cancels most
-    replicate noise, and the first argument is ignored.  Otherwise both
-    arguments are ReplicateRuns recorded with record_states=True, and the
-    two sample means of g at their last checkpoint are differenced with a
-    pooled interval.
+    The paired estimator mean(g(Y) - g(X)) over the bank's replicates
+    cancels most replicate noise.
     """
-    second = runs_continuous_or_coupled
-    if isinstance(second, CoupledBank):
-        gx = np.asarray(g(second.final_discrete_states), dtype=float)
-        gy = np.asarray(g(second.final_continuous_states), dtype=float)
-        if len(gx) < 2:
-            raise ValueError("weak_error needs at least 2 replicates")
-        diffs = gy - gx
-        se = float(diffs.std(ddof=1)) / np.sqrt(len(diffs))
-        return Estimate(value=abs(float(diffs.mean())), ci_halfwidth=1.96 * se, n=len(diffs))
-    gx = np.asarray(g(_endpoint_states(runs_discrete)), dtype=float)
-    gy = np.asarray(g(_endpoint_states(second)), dtype=float)
-    if len(gx) < 2 or len(gy) < 2:
-        raise ValueError("weak_error needs at least 2 replicates per process")
-    se = np.sqrt(gx.var(ddof=1) / len(gx) + gy.var(ddof=1) / len(gy))
-    return Estimate(
-        value=abs(float(gy.mean() - gx.mean())),
-        ci_halfwidth=1.96 * float(se),
-        n=min(len(gx), len(gy)),
-    )
+    gx = np.asarray(g(bank.final_discrete_states), dtype=float)
+    gy = np.asarray(g(bank.final_continuous_states), dtype=float)
+    if len(gx) < 2:
+        raise ValueError("weak_error needs at least 2 replicates")
+    diffs = gy - gx
+    se = float(diffs.std(ddof=1)) / np.sqrt(len(diffs))
+    return Estimate(value=abs(float(diffs.mean())), ci_halfwidth=1.96 * se, n=len(diffs))
 
 
 def w2_1d(a, b) -> float:

@@ -11,13 +11,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
 
 from .core import RngStream
 from .objectives import LeastSquaresObjective, Objective
 
-VARIANCE_BOUND = "variance-bound"
-PER_SAMPLE_SMOOTH = "per-sample-smooth"
 HEAVY_LAWS = ("rademacher", "laplace", "student")
 
 _ESTIMATE_SEED = 0x5EED_C0DE
@@ -43,9 +40,9 @@ class GradientOracle:
     covariance at x (already divided by the batch size where one applies),
     sigma_sqrt its symmetric square root, and apply_sqrt(x, g) the matching
     action on a vector without forming the matrix when the structure is
-    diagonal.  eta is the declared noise bound: a uniform bound on
-    trace sigma(x) in the variance-bound setting, and the second moment of
-    the per-sample gradient at the minimizer in the per-sample-smooth one.
+    diagonal.  eta is the declared noise level: a uniform bound on
+    trace sigma(x) for the additive-noise oracles, and the second moment of
+    the per-sample gradient at the minimizer for the mini-batch ones.
 
     noise_ppf, when present, is the quantile function of one noise
     coordinate; oracles whose noise has no fixed one-dimensional law
@@ -55,7 +52,6 @@ class GradientOracle:
 
     name: str
     objective: Objective
-    setting: str
     eta: float
     draw_raw: Callable[[tuple, np.random.Generator], np.ndarray]
     apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -74,6 +70,14 @@ class GradientOracle:
         rng = _as_generator(stream)
         x = np.asarray(x, dtype=float)
         return self.apply(x, self.draw_raw(x.shape[:-1], rng))
+
+
+def _ndtri(u):
+    """The standard normal quantile.  scipy.special is imported here, on the
+    first call, because it is slow to import and only quantiles use it."""
+    from scipy.special import ndtri
+
+    return ndtri(u)
 
 
 def _diagonal_fields(obj: Objective, scale_of):
@@ -133,7 +137,7 @@ def gaussian_oracle(obj: Objective, sigma_spec, eta: float | None = None) -> Gra
             return s
 
         def ppf(u):
-            return s * ndtri(u)
+            return s * _ndtri(u)
 
     def draw_raw(prefix, rng):
         return rng.standard_normal(prefix + (obj.dim,))
@@ -145,7 +149,6 @@ def gaussian_oracle(obj: Objective, sigma_spec, eta: float | None = None) -> Gra
     return GradientOracle(
         name="gaussian",
         objective=obj,
-        setting=VARIANCE_BOUND,
         eta=float(eta),
         draw_raw=draw_raw,
         apply=apply,
@@ -164,7 +167,7 @@ def _standardized_law(law: str, dim: int, df: float | None):
         def draw(prefix, rng):
             return rng.standard_normal(prefix + (dim,))
 
-        return draw, ndtri
+        return draw, _ndtri
 
     if law == "rademacher":
 
@@ -201,6 +204,8 @@ def _standardized_law(law: str, dim: int, df: float | None):
             # scipy.stats.t.ppf, bit for bit: stdtrit plus its location 0.0
             # (which turns -0.0 into 0.0), and -inf at 0, where stdtrit
             # alone gives +inf
+            from scipy.special import stdtrit  # slow to import; see _ndtri
+
             u = np.asarray(u, dtype=float)
             return np.where(u == 0.0, -np.inf, stdtrit(df, u) + 0.0) * unit
 
@@ -237,7 +242,6 @@ def heavy_oracle(obj: Objective, scale: float, law: str, df: float | None = None
     return GradientOracle(
         name=name,
         objective=obj,
-        setting=VARIANCE_BOUND,
         eta=scale * scale * obj.dim,
         draw_raw=draw_std,
         apply=apply,
@@ -339,7 +343,6 @@ def batch_oracle(
     return GradientOracle(
         name=f"batch{m}[{data.name}]",
         objective=obj,
-        setting=PER_SAMPLE_SMOOTH,
         eta=float(eta),
         draw_raw=draw_raw,
         apply=apply,
@@ -416,17 +419,3 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     root = np.sqrt(np.clip(w, 0.0, None))
     return np.einsum("...ik,...k,...jk->...ij", v, root, v)
 
-
-def empirical_sigma(oracle: GradientOracle, x, n_samples: int, stream) -> np.ndarray:
-    """Unbiased sample covariance of the oracle output at a fixed state."""
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples for an unbiased covariance")
-    x = np.asarray(x, dtype=float)
-    rng = _as_generator(stream)
-    draws = oracle.apply(
-        np.broadcast_to(x, (n_samples,) + x.shape),
-        oracle.draw_raw((n_samples,), rng),
-    )
-    mean = draws.mean(axis=0)
-    centered = draws - mean
-    return centered.T @ centered / (n_samples - 1)

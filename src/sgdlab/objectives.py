@@ -77,7 +77,6 @@ class Objective:
     gradient: Callable[[np.ndarray], np.ndarray]
     x_star: np.ndarray
     f_star: float
-    lipschitz_L: float
     class_tags: tuple
 
     def __post_init__(self):
@@ -122,7 +121,6 @@ def make_quadratic(dim: int = 1, lam: float = 1.0) -> Objective:
         gradient=gradient,
         x_star=np.zeros(dim),
         f_star=0.0,
-        lipschitz_L=lam,
         class_tags=(StronglyConvex(lam), Convex(), Lojasiewicz(2.0, 2.0 * lam)),
     )
 
@@ -157,7 +155,6 @@ def make_phi_p(p: int) -> Objective:
         gradient=gradient,
         x_star=np.zeros(1),
         f_star=0.0,
-        lipschitz_L=float(two_p * (two_p - 1)) if p > 1 else 2.0,
         class_tags=(Convex(),),
     )
 
@@ -184,7 +181,6 @@ def make_pl_sine() -> Objective:
         gradient=gradient,
         x_star=np.zeros(1),
         f_star=0.0,
-        lipschitz_L=8.0,
         class_tags=(
             Lojasiewicz(2.0, 1.0 / PL_SINE_GRAD_DOMINANCE_C),
             QuasarConvex(PL_SINE_QUASAR_TAU),
@@ -226,7 +222,6 @@ def least_squares_from_data(a: np.ndarray, b: np.ndarray) -> LeastSquaresObjecti
         )
     x_star = np.linalg.solve(gram, a.T @ b)
     mu = eigvals[0] / n_data
-    lip = eigvals[-1] / n_data
 
     # einsum keeps the contraction order fixed for any batch shape, so
     # scalar and vectorized evaluation agree bitwise (BLAS matmul does not).
@@ -249,7 +244,6 @@ def least_squares_from_data(a: np.ndarray, b: np.ndarray) -> LeastSquaresObjecti
         gradient=gradient,
         x_star=x_star,
         f_star=f_star,
-        lipschitz_L=lip,
         class_tags=tags,
         data_a=a,
         data_b=b,
@@ -273,22 +267,8 @@ def make_linear_probe(dim: int = 1) -> Objective:
         gradient=gradient,
         x_star=np.zeros(dim),
         f_star=0.0,
-        lipschitz_L=0.0,
         class_tags=(Convex(),),
     )
-
-
-def finite_difference_gradient(value, x, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar objective at one point."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(x.shape[-1]):
-        hi = x.copy()
-        lo = x.copy()
-        hi[..., i] += step
-        lo[..., i] -= step
-        out[..., i] = (value(hi) - value(lo)) / (2.0 * step)
-    return out
 
 
 @dataclass(frozen=True)

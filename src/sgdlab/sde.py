@@ -1,11 +1,13 @@
-"""Euler integration of the decaying-rate diffusion and its noiseless flow.
+"""Euler-Maruyama integration of the decaying-rate diffusion.
 
 The continuous companion of the SGD recursion follows
 dY_t = -(c + t)^{-alpha} [grad f(Y_t) dt + c^{1/2} S(Y_t) dB_t] with
 c = gamma_alpha and S a square root of the noise covariance.  Integration
 is Euler-Maruyama with left-endpoint evaluation of both the rate and S,
-over explicitly materialized Brownian paths so that coupled and refined
-runs can share increments.
+either over an explicitly materialized Brownian path, so that refined
+runs can share its increments (run_sde_em, which returns a one-row bank),
+or over increments each replicate draws from its own stream
+(run_sde_em_replicates).
 """
 from __future__ import annotations
 
@@ -18,14 +20,13 @@ from .noise import GradientOracle
 from .objectives import Objective
 from .sgd import (
     ReplicateRuns,
-    Trajectory,
     _Checkpoints,
     _map_blocks,
     _normalize_plan,
-    _only_row,
     _replicate_runs,
     _Rows,
     _norm_detail,
+    _solo,
 )
 
 DEFAULT_SUBSTEPS = 16
@@ -148,8 +149,9 @@ def run_sde_em(
     plan_times=None,
     record_states: bool = False,
     replicate_id: int = 0,
-) -> Trajectory:
-    """Integrate the diffusion over one Brownian path.
+) -> ReplicateRuns:
+    """Integrate the diffusion over one Brownian path: a one-row bank, or
+    the DivergenceError its row aborted with.
 
     The substep is h = gamma_alpha / substeps_per_block and the path must be
     sampled on exactly that grid over [0, horizon].  Records at plan times,
@@ -170,7 +172,7 @@ def run_sde_em(
         obj, sigma_sqrt, sched, x0, count, h, plan, [replicate_id],
         lambda start, m: path.increments[None, start : start + m], record_states,
     )
-    return _only_row(_replicate_runs([part], plan * h))
+    return _solo(_replicate_runs([part], plan * h))
 
 
 def run_sde_em_replicates(
@@ -209,37 +211,6 @@ def run_sde_em_replicates(
     return _replicate_runs(_map_blocks(streams, work), plan * h)
 
 
-def run_gradient_flow(
-    obj: Objective,
-    x0,
-    horizon: float,
-    steps: int,
-    plan_times=None,
-    record_states: bool = False,
-) -> Trajectory:
-    """Classic RK4 on the autonomous flow dx/dt = -grad f(x)."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    h = horizon / steps
-    plan = _plan_substeps(plan_times, steps, h)
-    rows = _Rows([0])
-    y = np.broadcast_to(np.asarray(x0, dtype=float), (1, obj.dim)).copy()
-    ckpt = _Checkpoints(obj, 1, len(plan), record_states)
-    detail = _norm_detail("Y")
-
-    def step(j, _noise, _j):
-        nonlocal y
-        k1 = -obj.gradient(y)
-        k2 = -obj.gradient(y + 0.5 * h * k1)
-        k3 = -obj.gradient(y + 0.5 * h * k2)
-        k4 = -obj.gradient(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rows.check(y, j + 1, detail, obj.x_star)
-
-    rows.run(steps, plan, lambda start, m: None, step, lambda p: ckpt.record(p, y))
-    return _only_row(_replicate_runs([(rows, ckpt)], plan * h))
-
-
 def em_bias_probe(
     obj: Objective,
     sigma_sqrt,
@@ -267,4 +238,4 @@ def em_bias_probe(
         obj, sigma_sqrt, sched, x0, end, 2 * substeps_per_block, fine_path,
         plan_times=[end], record_states=True,
     )
-    return float(np.linalg.norm(coarse.states[-1] - fine.states[-1]))
+    return float(np.linalg.norm(coarse.states[0, -1] - fine.states[0, -1]))

@@ -2,18 +2,18 @@
 machinery that every process in the package runs on.
 
 The recursion X_{n+1} = X_n - gamma (n+1)^{-alpha} H(X_n, Z_{n+1}) runs as
-a bank of replicates (run_sgd_replicates); a solo run (run_sgd) is a bank
-of one row.  The block scheduler (_map_blocks) cuts the bank's streams into
-consecutive near-equal blocks of at most REPLICATE_BLOCK rows, as many per
-worker (one each for a bank of up to WORKERS * REPLICATE_BLOCK rows), and
-hands them to fork_map, which runs them on WORKERS processes (this one and
-forked children, one per core this process may run on) and returns the
-results in block order.  One block kernel (_Rows.run) steps each block: it
-draws innovations in chunks of CHUNK steps (CHUNK // K for a coupled step
-of K substeps) from per-replicate counter-based streams, checks every row
-for divergence after each step and records observables at the plan's
-checkpoints.  The sde and coupling modules drive the same kernel with their
-own step.
+a bank of replicates (run_sgd_replicates); a solo run (run_sgd) returns
+the one-row bank of its stream.  The block scheduler (_map_blocks) cuts
+the bank's streams into consecutive near-equal blocks of at most
+REPLICATE_BLOCK rows, as many per worker (one each for a bank of up to
+WORKERS * REPLICATE_BLOCK rows), and hands them to fork_map, which runs
+them on WORKERS processes (this one and forked children, one per core
+this process may run on) and returns the results in block order.  One
+block kernel (_Rows.run) steps each block: it draws innovations in chunks
+of CHUNK steps (CHUNK // K for a coupled step of K substeps) from
+per-replicate counter-based streams, checks every row for divergence
+after each step and records observables at the plan's checkpoints.  The
+sde and coupling modules drive the same kernel with their own step.
 
 Block and chunk are sized together: a block's draw buffer holds
 REPLICATE_BLOCK * CHUNK = 2^18 innovations, so a wider block (fewer
@@ -26,7 +26,8 @@ and whichever process steps a block.
 A row whose state leaves the finite regime records its first
 DivergenceError and has its state reset to the minimizer; the other rows
 step on, and the bank drops the aborted rows and lists their errors in
-its aborts field.
+its aborts field.  A solo runner (run_sgd here, run_sde_em and
+run_coupled in their modules) raises its row's DivergenceError instead.
 """
 from __future__ import annotations
 
@@ -66,24 +67,6 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass
-class Trajectory:
-    """One replicate sampled at a sorted set of indices (or times)."""
-
-    sample_indices: np.ndarray
-    values: np.ndarray
-    dist2_to_min: np.ndarray
-    replicate_id: int
-    states: np.ndarray | None = None
-    grad_sq: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = len(self.sample_indices)
-        for arr in (self.values, self.dist2_to_min, self.states, self.grad_sq):
-            if arr is not None and len(arr) != n:
-                raise ValueError("trajectory columns must match sample_indices")
-
-
-@dataclass
 class ReplicateRuns:
     """Checkpoint records for a bank of replicates, stacked (replicate, checkpoint).
 
@@ -98,19 +81,6 @@ class ReplicateRuns:
     replicate_ids: np.ndarray
     states: np.ndarray | None = None
     aborts: list[DivergenceError] = field(default_factory=list)
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(
-            sample_indices=self.sample_indices,
-            values=self.values[i],
-            dist2_to_min=self.dist2_to_min[i],
-            replicate_id=int(self.replicate_ids[i]),
-            states=None if self.states is None else self.states[i],
-            grad_sq=self.grad_sq[i],
-        )
-
-    def trajectories(self) -> list[Trajectory]:
-        return [self.trajectory(i) for i in range(len(self.replicate_ids))]
 
 
 def _norm_detail(symbol: str):
@@ -288,11 +258,11 @@ def _replicate_runs(parts: list, sample_indices, leg: int = 1) -> ReplicateRuns:
     )
 
 
-def _only_row(runs: ReplicateRuns) -> Trajectory:
-    """The trajectory of a bank of one, or the DivergenceError it aborted with."""
-    if runs.aborts:
-        raise runs.aborts[0]
-    return runs.trajectory(0)
+def _solo(bank):
+    """A bank of one, or the DivergenceError its row aborted with."""
+    if bank.aborts:
+        raise bank.aborts[0]
+    return bank
 
 
 def _normalize_plan(plan, n: int, error: str) -> np.ndarray:
@@ -315,7 +285,6 @@ def _sgd_block(
     plan: np.ndarray,
     streams: list[RngStream],
     record_states: bool,
-    radius: float | None,
 ):
     rows = _Rows([s.replicate_id for s in streams])
     gens = [s.generator() for s in streams]
@@ -330,11 +299,6 @@ def _sgd_block(
     def step(n, raw, j):
         nonlocal x
         x = x - steps[n] * oracle.apply(x, raw[:, j])
-        if radius is not None:
-            norms = np.sqrt(np.einsum("rd,rd->r", x, x))
-            over = norms > radius
-            if np.any(over):
-                x[over] *= radius / norms[over, None]
         rows.check(x, n + 1, detail, obj.x_star)
 
     rows.run(n_steps, plan, draw, step, lambda p: ckpt.record(p, x))
@@ -350,15 +314,12 @@ def _sgd(
     streams: list,
     plan,
     record_states: bool,
-    radius: float | None,
 ) -> ReplicateRuns:
     """The one SGD entry: the rows of streams, stepped block by block."""
     if n_steps < 1 or not streams:
         raise ValueError("n_steps and n_replicates must be >= 1")
     if any(s is None for s in streams):
         raise ValueError("SGD needs an explicit RngStream")
-    if radius is not None and np.linalg.norm(np.asarray(x0, dtype=float)) > radius:
-        raise ValueError("x0 must lie inside the projection ball")
     tag = obj.tag(StronglyConvex)
     if sched.alpha == 1.0 and tag is not None and not sched.gamma > 1.0 / (2.0 * tag.mu):
         warnings.warn(
@@ -368,7 +329,7 @@ def _sgd(
         )
     plan = _normalize_plan(plan, n_steps, "plan indices must lie in [1, n_steps]")
     work = lambda block: _sgd_block(
-        obj, oracle, sched, x0, n_steps, plan, block, record_states, radius
+        obj, oracle, sched, x0, n_steps, plan, block, record_states
     )
     return _replicate_runs(_map_blocks(streams, work), plan)
 
@@ -382,30 +343,10 @@ def run_sgd(
     plan=None,
     stream: RngStream | None = None,
     record_states: bool = False,
-) -> Trajectory:
-    """One SGD replicate, recorded at the plan's iteration indices."""
-    return _only_row(_sgd(obj, oracle, sched, x0, n_steps, [stream], plan, record_states, None))
-
-
-def run_projected_sgd(
-    obj: Objective,
-    oracle: GradientOracle,
-    sched: StepSchedule,
-    x0,
-    n_steps: int,
-    radius: float,
-    plan=None,
-    stream: RngStream | None = None,
-    record_states: bool = False,
-) -> Trajectory:
-    """SGD with each step followed by projection onto the ball |x| <= radius.
-
-    An infinite radius reproduces run_sgd bit for bit: the projection is
-    only applied to rows strictly outside the ball.
-    """
-    return _only_row(
-        _sgd(obj, oracle, sched, x0, n_steps, [stream], plan, record_states, float(radius))
-    )
+) -> ReplicateRuns:
+    """One SGD replicate, recorded at the plan's iteration indices: a
+    one-row bank, or the DivergenceError its row aborted with."""
+    return _solo(_sgd(obj, oracle, sched, x0, n_steps, [stream], plan, record_states))
 
 
 def run_sgd_replicates(
@@ -418,7 +359,6 @@ def run_sgd_replicates(
     master_seed: int,
     plan=None,
     record_states: bool = False,
-    radius: float | None = None,
 ) -> ReplicateRuns:
     """A bank of replicates with streams derived from one master seed.
 
@@ -427,12 +367,5 @@ def run_sgd_replicates(
     bank's aborts instead of its rows.
     """
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    return _sgd(obj, oracle, sched, x0, n_steps, streams, plan, record_states, radius)
+    return _sgd(obj, oracle, sched, x0, n_steps, streams, plan, record_states)
 
-
-def suffix_average(values, k: int) -> float:
-    """Mean of the last k+1 entries of values."""
-    values = np.asarray(values, dtype=float)
-    if k < 0 or k + 1 > len(values):
-        raise ValueError(f"need k+1 = {k + 1} values, have {len(values)}")
-    return float(values[len(values) - (k + 1) :].mean())

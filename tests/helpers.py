@@ -1,0 +1,28 @@
+"""Reference estimators that the tests check the library against."""
+import numpy as np
+
+
+def empirical_sigma(oracle, x, n_samples: int, stream) -> np.ndarray:
+    """Unbiased sample covariance of the oracle output at a fixed state."""
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples for an unbiased covariance")
+    x = np.asarray(x, dtype=float)
+    draws = oracle.apply(
+        np.broadcast_to(x, (n_samples,) + x.shape),
+        oracle.draw_raw((n_samples,), stream.generator()),
+    )
+    centered = draws - draws.mean(axis=0)
+    return centered.T @ centered / (n_samples - 1)
+
+
+def finite_difference_gradient(value, x, step: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar objective at one point."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    for i in range(x.shape[-1]):
+        hi = x.copy()
+        lo = x.copy()
+        hi[..., i] += step
+        lo[..., i] -= step
+        out[..., i] = (value(hi) - value(lo)) / (2.0 * step)
+    return out

@@ -308,7 +308,7 @@ def test_criterion_7_weak_error_order(coupled_sweep):
     banks = coupled_sweep
     gammas = sorted(banks, reverse=True)
     g = lambda x: np.sum(np.square(x), axis=-1)
-    weaks = [weak_error(banks[gm], banks[gm], g).value for gm in gammas]
+    weaks = [weak_error(banks[gm], g).value for gm in gammas]
     slope = _loglog_slope(gammas, weaks)
     ok = 0.8 <= slope <= 1.3
     emit(

@@ -537,6 +537,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
          "replicates = 20", "replicates = 1", "[experiment] replicates: must be >= 2"),
         ("couple-demo", COUPLE_CFG, "replicates = 20", "replicates = 1",
          "[experiment] replicates: must be >= 2"),
+        ("probe-exact", PROBE_CFG, "replicates = 50", "replicates = 1",
+         "[experiment] replicates: must be >= 2"),
         ("certify", CERTIFY_CFG, "num = 401", "num = 1",
          "[grid]: grid needs at least 2 points"),
         # finite configs asking for more steps than a run can plan
@@ -573,6 +575,14 @@ def test_emit_bank_rows_are_the_per_cell_text():
     assert out.raw_rows[3].startswith("run,4,0.25,-0.0,")
 
 
+def test_suffix_avg_is_the_mean_from_each_checkpoint_to_the_end():
+    values = np.array([[4.0, 2.0, 1.0, 3.0]])
+    runs = ReplicateRuns(np.array([1, 2, 3, 4]), values, values, values, np.array([0]))
+    out = Outcome()
+    np.testing.assert_array_equal(_emit_bank(out, "run", runs), [[2.5, 2.0, 2.0, 3.0]])
+    assert [row.rsplit(",", 1)[1] for row in out.raw_rows] == ["2.5", "2.0", "2.0", "3.0"]
+
+
 def test_subcommand_kind_mismatch_exits_1(tmp_path, capsys):
     path = write_cfg(tmp_path, RATES_CFG)
     assert main(["certify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
@@ -607,6 +617,73 @@ def test_all_replicates_aborting_exits_2(tmp_path, capsys):
     assert "all replicates aborted" in (out / "report.txt").read_text()
 
 
+# At gamma = 4 on this least-squares problem, one of the two replicates
+# diverges at seed 9.
+ONE_SURVIVOR_CFG = """
+    [experiment]
+    kind = {kind}
+    seed = 9
+    replicates = 2
+    horizon = 3200
+    substeps = 1
+
+    [objective]
+    kind = least_squares
+    dim = 4
+    n_data = 1024
+    x0 = 1.0
+
+    [oracle]
+    kind = least_squares_batch
+    batch_m = 1
+
+    [schedule]
+    gamma = 4
+    alpha = 0.5
+"""
+
+# Started on the divergence norm, a replicate of the flat probe aborts when
+# its first step points outward; one of the two does at seed 2.
+ONE_SURVIVOR_PROBE_CFG = """
+    [experiment]
+    kind = probe-exact
+    seed = 2
+    replicates = 2
+    horizon = 2
+
+    [objective]
+    x0 = 1e12
+
+    [oracle]
+    kind = batch_probe
+    batch_m = 1
+
+    [schedule]
+    gamma = 1
+    alpha = 0.25
+"""
+
+
+@pytest.mark.parametrize("kind", ["strong-approx", "weak-approx", "couple-demo", "probe-exact"])
+def test_bank_with_one_survivor_is_reported(tmp_path, capsys, kind):
+    """The standard errors of these experiments need two replicates: a bank
+    left with one is reported like an all-aborted one, and the run exits 0."""
+    if kind == "probe-exact":
+        text, run_id = ONE_SURVIVOR_PROBE_CFG, "linear_probe_batch1[iid-normal]_g1_a0.25"
+    else:
+        text, run_id = ONE_SURVIVOR_CFG.format(kind=kind), "least_squares_batch1[rows]_g4_a0.5"
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([kind, "--config", path, "--out-dir", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"{run_id}: fewer than 2 replicates survived\n"
+    assert "1 replicate(s) aborted" in captured.err
+    assert (out / "report.txt").read_text().splitlines()[2:4] == [
+        f"{run_id}: fewer than 2 replicates survived", "aborted replicates (1):"
+    ]
+    assert (out / "raw.csv").read_text() == RAW_HEADER + "\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_partial_divergence_aborts_only_the_diverging_replicates(tmp_path):
     """The report's abort lines are the errors solo runs raise for the
@@ -636,9 +713,9 @@ def test_partial_divergence_aborts_only_the_diverging_replicates(tmp_path):
                 continue
             rows = raw[run_id, rep]
             assert [int(r["n_or_t"]) for r in rows] == plan.tolist()
-            assert [float(r["f_gap"]) for r in rows] == solo.values.tolist()
-            assert [float(r["dist2"]) for r in rows] == solo.dist2_to_min.tolist()
-            assert [float(r["grad_sq"]) for r in rows] == solo.grad_sq.tolist()
+            assert [float(r["f_gap"]) for r in rows] == solo.values[0].tolist()
+            assert [float(r["dist2"]) for r in rows] == solo.dist2_to_min[0].tolist()
+            assert [float(r["grad_sq"]) for r in rows] == solo.grad_sq[0].tolist()
     assert 0 < len(aborts) < cfg.replicates
     report = (out / "report.txt").read_text().splitlines()
     start = report.index(f"aborted replicates ({len(aborts)}):")

@@ -9,7 +9,7 @@ from sgdlab.coupling import (
     GAUSSIAN_SHARED,
     INDEPENDENT,
     U_FLOOR,
-    CoupledRun,
+    CoupledBank,
     epsilon_hat,
     resolve_kind,
     run_coupled,
@@ -21,7 +21,7 @@ from sgdlab.coupling import (
 from sgdlab.noise import gaussian_oracle, heavy_oracle, probe_batch_oracle
 from sgdlab.objectives import make_linear_probe, make_quadratic
 from sgdlab.sde import run_sde_em, sample_brownian_path
-from sgdlab.sgd import DivergenceError, run_sgd, run_sgd_replicates
+from sgdlab.sgd import DivergenceError, run_sgd
 
 SCHED = StepSchedule(0.5, 0.5)  # gamma_alpha = 0.25
 GA = SCHED.gamma_alpha
@@ -75,7 +75,7 @@ def test_shared_coupling_rescales_block_increments():
     g_blocks = path.block_sums(16) / np.sqrt(GA)
     steps = SCHED.step_size(np.arange(n_blocks))
     manual = -np.cumsum(steps[:, None] * (0.8 * g_blocks), axis=0)
-    np.testing.assert_array_equal(run.discrete.states, manual)
+    np.testing.assert_array_equal(run.discrete.states[0], manual)
 
 
 def test_coupled_continuous_leg_matches_plain_integrator():
@@ -121,7 +121,7 @@ def test_comonotone_first_step_is_quantile_of_gaussian_cdf():
     u = np.clip(ndtr(g0), U_FLOOR, 1.0 - 1e-16)
     step0 = SCHED.step_size(np.arange(1))[0]
     x1 = 2.0 - step0 * (obj.gradient(np.full((1, 1), 2.0)) + oracle.noise_ppf(u))
-    np.testing.assert_array_equal(run.discrete.states[0], x1[0])
+    np.testing.assert_array_equal(run.discrete.states[0, 0], x1[0])
 
 
 def test_student_quantile_at_the_floor_is_finite_and_negative():
@@ -192,11 +192,11 @@ def test_coupled_bank_matches_solo_runs():
     for i in range(3):
         solo = run_coupled(obj, oracle, SCHED, np.ones(2), _horizon(20), 16,
                            stream=derive_stream(77, i, "noise"), record_states=True)
-        np.testing.assert_array_equal(solo.dist2, bank.coupled_dist2[i])
-        np.testing.assert_array_equal(solo.discrete.values, bank.discrete.values[i])
-        np.testing.assert_array_equal(solo.continuous.values, bank.continuous.values[i])
-        np.testing.assert_array_equal(solo.discrete.states[-1], bank.final_discrete_states[i])
-        np.testing.assert_array_equal(solo.continuous.states[-1], bank.final_continuous_states[i])
+        np.testing.assert_array_equal(solo.coupled_dist2[0], bank.coupled_dist2[i])
+        np.testing.assert_array_equal(solo.discrete.values[0], bank.discrete.values[i])
+        np.testing.assert_array_equal(solo.continuous.values[0], bank.continuous.values[i])
+        np.testing.assert_array_equal(solo.discrete.states[0, -1], bank.final_discrete_states[i])
+        np.testing.assert_array_equal(solo.continuous.states[0, -1], bank.final_continuous_states[i])
 
 
 def test_coupled_bank_block_size_invariance(monkeypatch):
@@ -253,31 +253,35 @@ def test_coupled_bank_drops_only_diverging_replicates():
             continue
         row = len(survivors)
         survivors.append(i)
-        np.testing.assert_array_equal(solo.dist2, bank.coupled_dist2[row])
-        np.testing.assert_array_equal(solo.discrete.values, bank.discrete.values[row])
-        np.testing.assert_array_equal(solo.continuous.grad_sq, bank.continuous.grad_sq[row])
-        np.testing.assert_array_equal(solo.discrete.states[-1], bank.final_discrete_states[row])
-        np.testing.assert_array_equal(solo.continuous.states[-1], bank.final_continuous_states[row])
+        np.testing.assert_array_equal(solo.coupled_dist2[0], bank.coupled_dist2[row])
+        np.testing.assert_array_equal(solo.discrete.values[0], bank.discrete.values[row])
+        np.testing.assert_array_equal(solo.continuous.grad_sq[0], bank.continuous.grad_sq[row])
+        np.testing.assert_array_equal(solo.discrete.states[0, -1], bank.final_discrete_states[row])
+        np.testing.assert_array_equal(solo.continuous.states[0, -1], bank.final_continuous_states[row])
     assert 0 < len(solo_errors) < 16
     assert [str(err) for err in bank.aborts] == solo_errors
     assert any("continuous state" in e for e in solo_errors)
     assert any("discrete state" in e for e in solo_errors)
     assert bank.discrete.replicate_ids.tolist() == survivors
     assert bank.continuous.replicate_ids.tolist() == survivors
-    assert [run.replicate_id for run in bank.runs()] == survivors
 
 
 def test_bank_run_roundtrip():
+    """A solo coupled run returns its replicate's one-row bank: the
+    replicate's id, no aborts, and the bank's row for that replicate."""
     obj = make_quadratic(dim=1, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
     bank = run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(8), 4, 3, 21)
-    runs = bank.runs()
-    assert len(runs) == 3
-    assert all(isinstance(r, CoupledRun) for r in runs)
-    assert runs[1].replicate_id == 1
-    np.testing.assert_array_equal(runs[2].dist2, bank.coupled_dist2[2])
-    np.testing.assert_array_equal(runs[0].discrete.sample_indices, bank.block_indices)
-    np.testing.assert_array_equal(runs[0].continuous.sample_indices, bank.times)
+    solo = run_coupled(obj, oracle, SCHED, np.ones(1), _horizon(8), 4,
+                       stream=derive_stream(21, 1, "noise"))
+    assert isinstance(solo, CoupledBank)
+    assert solo.discrete.replicate_ids.tolist() == solo.continuous.replicate_ids.tolist() == [1]
+    assert solo.aborts == []
+    np.testing.assert_array_equal(solo.block_indices, bank.block_indices)
+    np.testing.assert_array_equal(solo.discrete.sample_indices, bank.block_indices)
+    np.testing.assert_array_equal(solo.continuous.sample_indices, bank.times)
+    np.testing.assert_array_equal(solo.coupled_dist2, bank.coupled_dist2[1:2])
+    np.testing.assert_array_equal(solo.final_continuous_states, bank.final_continuous_states[1:2])
 
 
 def test_bank_validation():
@@ -327,38 +331,25 @@ def test_strong_error_needs_replicates():
 
 def test_weak_error_paired_matches_manual(small_bank):
     g = lambda s: np.sum(s * s, axis=-1)
-    est = weak_error(None, small_bank, g)
+    est = weak_error(small_bank, g)
     diffs = g(small_bank.final_continuous_states) - g(small_bank.final_discrete_states)
     assert est.value == pytest.approx(abs(diffs.mean()), rel=1e-12)
     assert est.n == 20
 
 
-def test_weak_error_unpaired_differences_means():
-    obj = make_quadratic(dim=1, lam=1.0)
-    oracle = gaussian_oracle(obj, 1.0)
-    n_blocks = 8
-    disc = run_sgd_replicates(obj, oracle, SCHED, np.ones(1), n_blocks, 6, 2,
-                              plan=[n_blocks], record_states=True)
-    cont = run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(n_blocks), 8,
-                                  5, 3, record_states=True).continuous
-    g = lambda s: np.sum(s * s, axis=-1)
-    est = weak_error(disc, cont, g)
-    gx = g(disc.states[:, -1])
-    gy = g(cont.states[:, -1])
-    assert est.value == pytest.approx(abs(gy.mean() - gx.mean()), rel=1e-12)
-    assert est.n == 5
-
-
 def test_weak_error_requires_states_and_replicates():
+    """weak_error reads the final states every bank keeps, recorded states
+    or not, and needs at least 2 replicates."""
     obj = make_quadratic(dim=1, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
-    bare = run_sgd_replicates(obj, oracle, SCHED, np.ones(1), 8, 3, 2)
     g = lambda s: np.sum(s * s, axis=-1)
-    with pytest.raises(ValueError, match="record_states"):
-        weak_error(bare, bare, g)
+    two = run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(4), 8, 2, 2)
+    assert two.discrete.states is None
+    diffs = g(two.final_continuous_states) - g(two.final_discrete_states)
+    assert weak_error(two, g).value == abs(diffs.mean())
     one = run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(4), 8, 1, 2)
     with pytest.raises(ValueError, match="at least 2"):
-        weak_error(None, one, g)
+        weak_error(one, g)
 
 
 # ---------------------------------------------------------------- distribution gaps

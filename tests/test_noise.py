@@ -15,11 +15,8 @@ import sgdlab
 from sgdlab.core import derive_stream
 from sgdlab.noise import (
     HEAVY_LAWS,
-    PER_SAMPLE_SMOOTH,
-    VARIANCE_BOUND,
     batch_oracle,
     empirical_data,
-    empirical_sigma,
     gaussian_oracle,
     heavy_oracle,
     iid_data,
@@ -29,11 +26,12 @@ from sgdlab.noise import (
 )
 from sgdlab.objectives import make_least_squares, make_linear_probe, make_quadratic
 
+from helpers import empirical_sigma
+
 
 def test_gaussian_oracle_fields():
     obj = make_quadratic(dim=3)
     oracle = gaussian_oracle(obj, 0.5)
-    assert oracle.setting == VARIANCE_BOUND
     assert oracle.eta == pytest.approx(0.25 * 3)
     assert oracle.gaussian_noise
     x = np.array([1.0, 0.0, -1.0])
@@ -100,7 +98,6 @@ def test_heavy_laws_standardized(law, df):
     assert abs(raw.mean()) < 0.01
     assert raw.var() == pytest.approx(1.0, abs=0.02)
     assert oracle.eta == 1.0
-    assert oracle.setting == VARIANCE_BOUND
     assert not oracle.gaussian_noise
 
 
@@ -134,12 +131,22 @@ def test_cli_import_leaves_scipy_stats_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_scipy_special_out():
+    """scipy.special takes most of the CLI's import time; only the quantile
+    functions and the comonotone coupling use it, and they import it on
+    their first call."""
+    code = "import sys, sgdlab.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_import_leaves_pool_modules_out():
-    """The worker pool is os.fork and pipes: importing the CLI loads no
-    multiprocessing, and no sgdlab module imports multiprocessing or
-    concurrent.futures (scipy.special already loads the latter through
-    numpy.testing, so only the source can show that sgdlab does not)."""
-    code = "import sys, sgdlab.cli; print('multiprocessing' in sys.modules)"
+    """The worker pool is os.fork and pipes: importing the CLI loads neither
+    multiprocessing nor concurrent.futures, and no sgdlab module imports
+    either, not even inside a function."""
+    code = ("import sys, sgdlab.cli;"
+            " print(any(m in sys.modules for m in ('multiprocessing', 'concurrent.futures')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
@@ -189,7 +196,6 @@ def test_probe_batch_oracle_covariance_scaling():
     for m in (1, 4):
         oracle = probe_batch_oracle(obj, m)
         assert oracle.batch_m == m
-        assert oracle.setting == PER_SAMPLE_SMOOTH
         assert oracle.eta == 2.0
         x = np.zeros(2)
         np.testing.assert_allclose(oracle.sigma(x), np.eye(2) / m)

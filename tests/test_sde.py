@@ -11,7 +11,6 @@ from sgdlab.sde import (
     BrownianPath,
     em_bias_probe,
     path_length,
-    run_gradient_flow,
     run_sde_em,
     run_sde_em_replicates,
     sample_brownian_path,
@@ -134,7 +133,7 @@ def test_zero_noise_em_tracks_exact_solution():
             obj, None, sched, x0, horizon, k, path,
             plan_times=[horizon], record_states=True,
         )
-        errs[k] = np.linalg.norm(traj.states[-1] - exact)
+        errs[k] = np.linalg.norm(traj.states[0, -1] - exact)
     assert errs[256] / np.linalg.norm(exact) < 5e-3
     assert errs[256] / errs[512] == pytest.approx(2.0, rel=0.1)
 
@@ -222,9 +221,10 @@ def test_bank_matches_solo_runs():
     for rid in range(5):
         path = sample_brownian_path(1.0, h, 3, derive_stream(seed, rid, "brownian"))
         solo = run_sde_em(obj, oracle, sched, x0, 1.0, k, path, replicate_id=rid)
-        np.testing.assert_array_equal(solo.values, bank.values[rid])
-        np.testing.assert_allclose(solo.dist2_to_min, bank.dist2_to_min[rid], rtol=1e-14)
-        np.testing.assert_allclose(solo.grad_sq, bank.grad_sq[rid], rtol=1e-14)
+        assert solo.replicate_ids.tolist() == [rid]
+        np.testing.assert_array_equal(solo.values[0], bank.values[rid])
+        np.testing.assert_allclose(solo.dist2_to_min[0], bank.dist2_to_min[rid], rtol=1e-14)
+        np.testing.assert_allclose(solo.grad_sq[0], bank.grad_sq[rid], rtol=1e-14)
         np.testing.assert_array_equal(solo.sample_indices, bank.sample_indices)
 
 
@@ -271,21 +271,7 @@ def test_bank_validation():
                               1.0, 4, n_replicates=0, master_seed=0)
 
 
-# ---------------------------------------------------------------- flow and probe
-
-def test_gradient_flow_matches_exact_quadratic_decay():
-    obj = make_quadratic(dim=2, lam=1.0)
-    x0 = np.array([3.0, -1.0])
-    traj = run_gradient_flow(obj, x0, 1.0, 100, plan_times=[1.0], record_states=True)
-    exact = x0 * np.exp(-1.0)
-    assert np.linalg.norm(traj.states[-1] - exact) / np.linalg.norm(exact) < 1e-9
-
-
-def test_gradient_flow_validates_steps():
-    obj = make_quadratic(dim=1)
-    with pytest.raises(ValueError, match="steps"):
-        run_gradient_flow(obj, np.ones(1), 1.0, 0)
-
+# ---------------------------------------------------------------- bias probe
 
 def test_em_bias_probe_shrinks_with_substeps():
     """The probe is the strong self-difference between one step size and its

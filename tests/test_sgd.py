@@ -11,12 +11,10 @@ from sgdlab import sgd
 from sgdlab.objectives import make_least_squares, make_linear_probe, make_quadratic
 from sgdlab.sgd import (
     DivergenceError,
-    Trajectory,
-    run_projected_sgd,
+    ReplicateRuns,
     run_sgd,
     run_sgd_replicates,
     fork_map,
-    suffix_average,
 )
 
 
@@ -36,8 +34,8 @@ def test_noiseless_quadratic_matches_recursion():
     x = 1.0
     for n in range(100):
         x = x * (1.0 - lam * gamma * (n + 1) ** (-alpha))
-        assert traj.dist2_to_min[n] == pytest.approx(x * x, rel=1e-10)
-        assert traj.values[n] == pytest.approx(0.5 * x * x, rel=1e-10)
+        assert traj.dist2_to_min[0, n] == pytest.approx(x * x, rel=1e-10)
+        assert traj.values[0, n] == pytest.approx(0.5 * x * x, rel=1e-10)
 
 
 def test_linear_probe_is_pure_noise_accumulation():
@@ -52,7 +50,7 @@ def test_linear_probe_is_pure_noise_accumulation():
     raw = _stream(3).generator().standard_normal((n, 2))
     steps = sched.step_size(np.arange(n))
     expected = -np.cumsum(steps[:, None] * raw, axis=0)
-    np.testing.assert_array_equal(traj.states, expected)
+    np.testing.assert_array_equal(traj.states[0], expected)
 
 
 def test_vectorized_bank_matches_solo_runs():
@@ -65,10 +63,10 @@ def test_vectorized_bank_matches_solo_runs():
             obj, oracle, sched, np.ones(2), 500,
             stream=derive_stream(42, i, "noise"), record_states=True,
         )
-        np.testing.assert_array_equal(bank.values[i], solo.values)
-        np.testing.assert_array_equal(bank.dist2_to_min[i], solo.dist2_to_min)
-        np.testing.assert_array_equal(bank.grad_sq[i], solo.grad_sq)
-        np.testing.assert_array_equal(bank.states[i], solo.states)
+        np.testing.assert_array_equal(bank.values[i], solo.values[0])
+        np.testing.assert_array_equal(bank.dist2_to_min[i], solo.dist2_to_min[0])
+        np.testing.assert_array_equal(bank.grad_sq[i], solo.grad_sq[0])
+        np.testing.assert_array_equal(bank.states[i], solo.states[0])
 
 
 def test_block_size_invariance(monkeypatch):
@@ -113,7 +111,7 @@ def test_chunk_boundary_continuity():
     traj = run_sgd(obj, oracle, sched, np.zeros(1), n, plan=np.array([n]), stream=_stream(9), record_states=True)
     raw = _stream(9).generator().standard_normal((n, 1))
     expected = -0.1 * raw.sum(axis=0)
-    np.testing.assert_allclose(traj.states[0], expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.states[0, 0], expected, rtol=0, atol=1e-12)
 
 
 def test_default_plan_is_log_spaced():
@@ -251,7 +249,7 @@ def test_bank_of_one_starts_no_child(monkeypatch):
     sched = StepSchedule(0.5, 0.5)
     solo = run_sgd(obj, oracle, sched, np.array([1.0]), 50, stream=_stream())
     bank = run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 50, 1, 1)
-    np.testing.assert_array_equal(bank.values[0], solo.values)
+    np.testing.assert_array_equal(bank.values[0], solo.values[0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -270,41 +268,7 @@ def test_diverged_rows_are_reset_and_the_rest_step_on():
     assert bank.replicate_ids.tolist() == kept
     for row, rep in enumerate(kept):
         solo = run_sgd(obj, oracle, sched, np.array([1.0]), 500, stream=_stream(rep, seed=3))
-        np.testing.assert_array_equal(bank.values[row], solo.values)
-
-
-def test_projected_sgd_stays_in_ball():
-    obj = make_linear_probe(dim=2)
-    oracle = gaussian_oracle(obj, 5.0)
-    sched = StepSchedule(1.0, 0.0)
-    traj = run_projected_sgd(
-        obj, oracle, sched, np.zeros(2), 400, radius=2.0,
-        plan=np.arange(1, 401), stream=_stream(4), record_states=True,
-    )
-    norms = np.linalg.norm(traj.states, axis=1)
-    assert norms.max() <= 2.0 + 1e-12
-    assert norms.max() > 1.9  # the walk actually hits the boundary
-
-
-def test_projected_sgd_with_huge_radius_matches_plain():
-    obj = make_quadratic(dim=2)
-    oracle = gaussian_oracle(obj, 1.0)
-    sched = StepSchedule(0.2, 0.5)
-    plain = run_sgd(obj, oracle, sched, np.ones(2), 300, stream=_stream(6), record_states=True)
-    proj = run_projected_sgd(
-        obj, oracle, sched, np.ones(2), 300, radius=1e9, stream=_stream(6), record_states=True
-    )
-    np.testing.assert_array_equal(plain.states, proj.states)
-
-
-def test_projected_sgd_rejects_outside_start():
-    obj = make_quadratic(dim=1)
-    oracle = gaussian_oracle(obj, 1.0)
-    with pytest.raises(ValueError):
-        run_projected_sgd(
-            obj, oracle, StepSchedule(0.1, 0.5), np.array([5.0]), 10, radius=1.0,
-            stream=_stream(),
-        )
+        np.testing.assert_array_equal(bank.values[row], solo.values[0])
 
 
 def test_alpha_one_small_gamma_warns():
@@ -321,31 +285,16 @@ def test_alpha_one_small_gamma_warns():
 
 
 def test_replicate_runs_trajectory_roundtrip():
+    """A solo run returns its replicate's one-row bank: the replicate's id,
+    no aborts, and the bank's row for that replicate."""
     obj = make_quadratic(dim=1)
     oracle = gaussian_oracle(obj, 1.0)
-    bank = run_sgd_replicates(obj, oracle, StepSchedule(0.5, 0.5), np.array([1.0]), 100, 3, 11)
-    t1 = bank.trajectory(1)
-    assert t1.replicate_id == 1
-    np.testing.assert_array_equal(t1.values, bank.values[1])
-    assert len(bank.trajectories()) == 3
-
-
-def test_trajectory_validates_lengths():
-    with pytest.raises(ValueError):
-        Trajectory(
-            sample_indices=np.array([1, 2]),
-            values=np.array([1.0]),
-            dist2_to_min=np.array([1.0, 2.0]),
-            replicate_id=0,
-        )
-
-
-def test_suffix_average():
-    vals = np.array([4.0, 2.0, 1.0, 3.0])
-    assert suffix_average(vals, 0) == 3.0
-    assert suffix_average(vals, 1) == 2.0
-    assert suffix_average(vals, 3) == 2.5
-    with pytest.raises(ValueError):
-        suffix_average(vals, 4)
-    with pytest.raises(ValueError):
-        suffix_average(vals, -1)
+    sched = StepSchedule(0.5, 0.5)
+    bank = run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 100, 3, 11)
+    solo = run_sgd(obj, oracle, sched, np.array([1.0]), 100, stream=_stream(1, seed=11))
+    assert isinstance(solo, ReplicateRuns)
+    assert solo.replicate_ids.tolist() == [1]
+    assert solo.aborts == [] and solo.states is None
+    np.testing.assert_array_equal(solo.sample_indices, bank.sample_indices)
+    for name in ("values", "dist2_to_min", "grad_sq"):
+        np.testing.assert_array_equal(getattr(solo, name), getattr(bank, name)[1:2])
