@@ -25,14 +25,6 @@ class Estimate:
     ci_halfwidth: float
     n: int
 
-    @property
-    def lo(self) -> float:
-        return self.value - self.ci_halfwidth
-
-    @property
-    def hi(self) -> float:
-        return self.value + self.ci_halfwidth
-
 
 @dataclass(frozen=True)
 class RateEstimate:
@@ -248,13 +240,3 @@ def probe_strong_error_floor(m: int, gamma: float, alpha: float, horizon: float)
         * (1.0 - 2.0 * alpha) ** (-0.5)
         * (horizon / 2.0) ** (0.5 - alpha)
     )
-
-
-def confidence_interval(samples) -> tuple[float, float]:
-    """(mean, 1.96 * standard error) of a sample."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
-        raise ValueError("need at least 2 samples")
-    mean = float(samples.mean())
-    half = 1.96 * float(samples.std(ddof=1)) / np.sqrt(samples.size)
-    return mean, half

@@ -78,6 +78,10 @@ SUMMARY_HEADER = (
 # The most steps (rates, probe-exact) or diffusion substeps (the coupled
 # experiments) one replicate may take; a config asking for more is an error.
 MAX_STEPS = 10**8
+# The most raw.csv rows one run may write (at most 64 checkpoints per
+# replicate and run id): the CLI holds them all in memory, about 1.5 GB at
+# this bound.
+MAX_ROWS = 10**7
 # Every key each section allows, with the type of its value; a type in a
 # list marks a comma-separated list of that type.  [experiment] threads is
 # accepted and ignored: the worker count is the number of usable cores
@@ -594,9 +598,12 @@ def run_experiment(cfg: ExperimentConfig) -> Outcome:
         "couple-demo": _experiment_couple_demo,
         "certify": _experiment_certify,
     }
-    out = runners[cfg.experiment](cfg)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError([f"[experiment] out_dir: {err}"]) from None
+    out = runners[cfg.experiment](cfg)
     (out_dir / "raw.csv").write_text("\n".join([RAW_HEADER] + out.raw_rows) + "\n")
     (out_dir / "summary.csv").write_text(
         "\n".join([SUMMARY_HEADER] + out.summary_rows) + "\n"
@@ -688,6 +695,17 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         else:
             fine.append(a)
     schedules = [StepSchedule(g, a) for a in fine for g in gammas if g > 0]
+    for name, key in (("schedule", "gamma"), ("schedule", "alpha"), ("oracle", "m_values")):
+        # an entry names its run ids (a float to six significant digits)
+        labels = [v if key == "m_values" else f"{v:g}" for v in get(name, key, [])]
+        problems += [f"[{name}] {key}: {v} repeated" for v in dict.fromkeys(labels) if labels.count(v) > 1]
+    if kind == "batch-eps":
+        rows = replicates * len(get("oracle", "m_values", [1, 4, 16, 64]))
+    else:
+        runs = {"certify": 0, "couple-demo": 1}.get(kind, len(schedules))
+        rows = replicates * runs * 64 * (2 if continuous and kind != "probe-exact" else 1)
+    if rows > MAX_ROWS:
+        problems.append(f"[experiment] replicates: {rows} raw.csv rows, more than {MAX_ROWS}")
     if continuous and horizon > 0 and substeps >= 1:
         probe = kind == "probe-exact"
         per_block, unit = (1, "steps") if probe else (substeps, "substeps")

@@ -2,7 +2,8 @@
 
 One Brownian path drives the diffusion; the same path's block increments,
 rescaled to standard normals, drive the discrete chain's noise through one
-of three couplings per block:
+of three couplings per block, which resolve_kind picks from the oracle's
+noise law (the first that applies):
 
 * gaussian_shared: the discrete noise IS the rescaled block increment
   (exact for oracles whose noise is sigma_sqrt(x) times a standard normal);
@@ -14,8 +15,9 @@ of three couplings per block:
 
 A bank of coupled replicates (run_coupled_replicates) is a CoupledBank; a
 solo run (run_coupled) returns the one-row bank of its stream, or raises
-that row's DivergenceError.  strong_error and weak_error reduce a bank to
-error estimates.
+that row's DivergenceError.  Each leg of a bank keeps its final states,
+after the last block.  strong_error and weak_error reduce a bank to error
+estimates.
 """
 from __future__ import annotations
 
@@ -43,7 +45,6 @@ from .sgd import (
 GAUSSIAN_SHARED = "gaussian_shared"
 COMONOTONE_1D = "comonotone_1d"
 INDEPENDENT = "independent"
-COUPLING_KINDS = (GAUSSIAN_SHARED, COMONOTONE_1D, INDEPENDENT)
 # The comonotone map's lowest u.  For every df > 4, scipy's Student quantile
 # is accurate to about 1e-13 down to u = 1e-212; below about 1e-218 it is
 # wrong, and +inf from 1e-255 on for df near 4 (at 1e-300 for df up to 6).
@@ -56,9 +57,10 @@ class CoupledBank:
 
     discrete records at the block indices n, continuous at the matching
     times n * gamma_alpha, and coupled_dist2[r, i] is the squared distance
-    between replicate r's two states at checkpoint i.  Only replicates
-    whose two processes both stayed finite have rows; aborts holds the
-    DivergenceError of each of the others, ordered by replicate id.
+    between replicate r's two states at checkpoint i.  discrete.final_states
+    and continuous.final_states hold the two states after the last block.
+    Only replicates whose two processes both stayed finite have rows; aborts
+    holds the DivergenceError of each of the others, ordered by replicate id.
     """
 
     block_indices: np.ndarray
@@ -66,8 +68,6 @@ class CoupledBank:
     coupled_dist2: np.ndarray
     discrete: ReplicateRuns
     continuous: ReplicateRuns
-    final_discrete_states: np.ndarray
-    final_continuous_states: np.ndarray
     schedule: StepSchedule
     coupling_kind: str
     aborts: list[DivergenceError] = field(default_factory=list)
@@ -82,26 +82,15 @@ def ndtr(g):
     return phi(g)
 
 
-def resolve_kind(obj: Objective, oracle: GradientOracle, kind: str | None) -> str:
-    if kind is None:
-        if oracle.gaussian_noise:
-            return GAUSSIAN_SHARED
-        if obj.dim == 1 and oracle.noise_ppf is not None:
-            return COMONOTONE_1D
-        return INDEPENDENT
-    if kind not in COUPLING_KINDS:
-        raise ValueError(f"coupling kind must be one of {COUPLING_KINDS}, got {kind!r}")
-    if kind == GAUSSIAN_SHARED and not oracle.gaussian_noise:
-        raise ValueError("gaussian_shared needs an oracle with gaussian noise")
-    if kind == COMONOTONE_1D:
-        if obj.dim != 1:
-            raise ValueError("comonotone coupling is one-dimensional only")
-        if oracle.noise_ppf is None:
-            raise ValueError(
-                "comonotone coupling needs a noise law with an invertible CDF;"
-                " this oracle does not expose a quantile function"
-            )
-    return kind
+def resolve_kind(obj: Objective, oracle: GradientOracle) -> str:
+    """The coupling of the oracle's noise law: shared for gaussian noise,
+    comonotone for other one-dimensional noise with a quantile function,
+    independent otherwise."""
+    if oracle.gaussian_noise:
+        return GAUSSIAN_SHARED
+    if obj.dim == 1 and oracle.noise_ppf is not None:
+        return COMONOTONE_1D
+    return INDEPENDENT
 
 
 def _coupled_block(
@@ -114,7 +103,6 @@ def _coupled_block(
     plan: np.ndarray,
     streams: list[RngStream],
     kind: str,
-    record_states: bool,
 ):
     rows = _Rows([s.replicate_id for s in streams])
     keys = [(s.master_seed, s.replicate_id) for s in streams]
@@ -129,22 +117,18 @@ def _coupled_block(
     rates = np.asarray(sched.continuous_rate(np.arange(n_blocks * substeps) * h))
     steps_disc = np.asarray(sched.step_size(np.arange(n_blocks)))
     x_star = obj.x_star
-    # the one-dimensional comonotone map degenerates to the shared coupling
-    # when the noise is gaussian (quantile of its own CDF), so take the
-    # exact path and keep the requested label
-    effective = GAUSSIAN_SHARED if kind == COMONOTONE_1D and oracle.gaussian_noise else kind
 
     x = np.broadcast_to(np.asarray(x0, dtype=float), (r, d)).copy()
     y = x.copy()
-    discrete = _Checkpoints(obj, r, len(plan), record_states)
-    continuous = _Checkpoints(obj, r, len(plan), record_states)
+    discrete = _Checkpoints(obj, r, len(plan))
+    continuous = _Checkpoints(obj, r, len(plan))
     gap_d2 = np.empty((r, len(plan)))
     continuous_detail = lambda sq: "continuous state is non-finite or diverged"
     discrete_detail = lambda sq: "discrete state is non-finite or diverged"
 
     def draw(k0, nb):
         db = root_h * np.stack([g.standard_normal((nb * substeps, d)) for g in brown_gens])
-        if effective != INDEPENDENT:
+        if kind != INDEPENDENT:
             return db, None
         return db, np.stack([oracle.draw_raw((nb,), g) for g in noise_gens])
 
@@ -158,9 +142,9 @@ def _coupled_block(
             )
             rows.check(y, k + 1, continuous_detail, x_star)
         g_block = db[:, b * substeps : (b + 1) * substeps].sum(axis=1) / root_ga
-        if effective == GAUSSIAN_SHARED:
+        if kind == GAUSSIAN_SHARED:
             h_val = obj.gradient(x) + oracle.apply_sqrt(x, g_block)
-        elif effective == COMONOTONE_1D:
+        elif kind == COMONOTONE_1D:
             u = np.clip(ndtr(g_block), U_FLOOR, 1.0 - 1e-16)
             h_val = obj.gradient(x) + oracle.noise_ppf(u)
         else:
@@ -175,7 +159,8 @@ def _coupled_block(
         gap_d2[:, p] = np.einsum("rd,rd->r", gap, gap)
 
     rows.run(n_blocks, plan, draw, step, record, substeps)
-    return rows, discrete, continuous, gap_d2, x, y
+    discrete.final, continuous.final = x, y
+    return rows, discrete, continuous, gap_d2
 
 
 def _coupled(
@@ -186,9 +171,7 @@ def _coupled(
     horizon: float,
     substeps_per_block: int,
     streams: list,
-    kind: str | None,
     plan,
-    record_states: bool,
 ) -> CoupledBank:
     """The one coupled entry: the pairs of the replicates that streams
     identify, stepped block by block."""
@@ -198,24 +181,21 @@ def _coupled(
         raise ValueError("n_replicates must be >= 1")
     if any(s is None for s in streams):
         raise ValueError("a coupled run needs an explicit RngStream")
-    kind = resolve_kind(obj, oracle, kind)
+    kind = resolve_kind(obj, oracle)
     ga = sched.gamma_alpha
     n_blocks = path_length(horizon, ga)
     plan = _normalize_plan(plan, n_blocks, "plan block indices must lie in [1, n_blocks]")
     work = lambda block: _coupled_block(
-        obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, block, kind, record_states
+        obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, block, kind
     )
     parts = _map_blocks(streams, work)
     keep, aborts = _survivors(parts)
-    cat = lambda i: np.concatenate([part[i] for part in parts])[keep]
     return CoupledBank(
         block_indices=plan,
         times=plan * ga,
-        coupled_dist2=cat(3),
+        coupled_dist2=np.concatenate([part[3] for part in parts])[keep],
         discrete=_replicate_runs(parts, plan, leg=1),
         continuous=_replicate_runs(parts, plan * ga, leg=2),
-        final_discrete_states=cat(4),
-        final_continuous_states=cat(5),
         schedule=sched,
         coupling_kind=kind,
         aborts=aborts,
@@ -230,9 +210,7 @@ def run_coupled(
     horizon: float,
     substeps_per_block: int = 16,
     stream: RngStream | None = None,
-    kind: str | None = None,
     plan=None,
-    record_states: bool = False,
 ) -> CoupledBank:
     """One coupled replicate over ceil(horizon / gamma_alpha) blocks: a
     one-row bank, or the DivergenceError its row aborted with.
@@ -241,10 +219,7 @@ def run_coupled(
     derives the brownian stream driving both processes and, for the
     independent kind, the separate noise stream.
     """
-    bank = _coupled(
-        obj, oracle, sched, x0, horizon, substeps_per_block, [stream], kind, plan, record_states
-    )
-    return _solo(bank)
+    return _solo(_coupled(obj, oracle, sched, x0, horizon, substeps_per_block, [stream], plan))
 
 
 def run_coupled_replicates(
@@ -256,18 +231,14 @@ def run_coupled_replicates(
     substeps_per_block: int,
     n_replicates: int,
     master_seed: int,
-    kind: str | None = None,
     plan=None,
-    record_states: bool = False,
 ) -> CoupledBank:
     """Bank of coupled replicates; the block size never changes results.
 
     Replicates that diverge are listed in the bank's aborts instead of its rows.
     """
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    return _coupled(
-        obj, oracle, sched, x0, horizon, substeps_per_block, streams, kind, plan, record_states
-    )
+    return _coupled(obj, oracle, sched, x0, horizon, substeps_per_block, streams, plan)
 
 
 def strong_error(runs: CoupledBank, checkpoint: int | None = None) -> Estimate:
@@ -300,8 +271,8 @@ def weak_error(bank: CoupledBank, g) -> Estimate:
     The paired estimator mean(g(Y) - g(X)) over the bank's replicates
     cancels most replicate noise.
     """
-    gx = np.asarray(g(bank.final_discrete_states), dtype=float)
-    gy = np.asarray(g(bank.final_continuous_states), dtype=float)
+    gx = np.asarray(g(bank.discrete.final_states), dtype=float)
+    gy = np.asarray(g(bank.continuous.final_states), dtype=float)
     if len(gx) < 2:
         raise ValueError("weak_error needs at least 2 replicates")
     diffs = gy - gx

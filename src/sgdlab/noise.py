@@ -12,22 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RngStream
 from .objectives import LeastSquaresObjective, Objective
 
 HEAVY_LAWS = ("rademacher", "laplace", "student")
-
-_ESTIMATE_SEED = 0x5EED_C0DE
-_SIGMA_EST_SAMPLES = 1 << 16
-_ETA_EST_SAMPLES = 1_000_000
-
-
-def _as_generator(stream) -> np.random.Generator:
-    if isinstance(stream, RngStream):
-        return stream.generator()
-    if isinstance(stream, np.random.Generator):
-        return stream
-    raise TypeError(f"expected RngStream or Generator, got {type(stream).__name__}")
 
 
 @dataclass(frozen=True)
@@ -36,13 +23,13 @@ class GradientOracle:
 
     draw_raw(prefix, rng) returns the raw innovation for states with the
     given batch shape; apply(x, raw) turns state plus innovation into the
-    estimate H; sample composes the two.  sigma(x) is the estimator
-    covariance at x (already divided by the batch size where one applies),
-    sigma_sqrt its symmetric square root, and apply_sqrt(x, g) the matching
-    action on a vector without forming the matrix when the structure is
-    diagonal.  eta is the declared noise level: a uniform bound on
-    trace sigma(x) for the additive-noise oracles, and the second moment of
-    the per-sample gradient at the minimizer for the mini-batch ones.
+    estimate H.  sigma(x) is the estimator covariance at x (already divided
+    by the batch size where one applies), sigma_sqrt its symmetric square
+    root, and apply_sqrt(x, g) the matching action on a vector without
+    forming the matrix when the structure is diagonal.  eta is the declared
+    noise level: a uniform bound on trace sigma(x) for the additive-noise
+    oracles, and the second moment of the per-sample gradient at the
+    minimizer for the mini-batch ones.
 
     noise_ppf, when present, is the quantile function of one noise
     coordinate; oracles whose noise has no fixed one-dimensional law
@@ -62,15 +49,6 @@ class GradientOracle:
     noise_ppf: Callable[[np.ndarray], np.ndarray] | None = None
     gaussian_noise: bool = False
 
-    def sample(self, x, stream) -> np.ndarray:
-        """One draw of H(x, .).  Accepts a stateful Generator or an
-        RngStream; a stream is opened fresh, so repeated calls with the
-        same stream repeat the same draw.
-        """
-        rng = _as_generator(stream)
-        x = np.asarray(x, dtype=float)
-        return self.apply(x, self.draw_raw(x.shape[:-1], rng))
-
 
 def _ndtri(u):
     """The standard normal quantile.  scipy.special is imported here, on the
@@ -83,14 +61,6 @@ def _ndtri(u):
 def _diagonal_fields(obj: Objective, scale_of):
     """sigma / sigma_sqrt / apply_sqrt for additive noise with diagonal scale."""
 
-    def sigma(x):
-        x = np.asarray(x, dtype=float)
-        s = np.broadcast_to(np.asarray(scale_of(x), dtype=float), x.shape)
-        out = np.zeros(x.shape + (x.shape[-1],))
-        idx = np.arange(x.shape[-1])
-        out[..., idx, idx] = s * s
-        return out
-
     def sigma_sqrt(x):
         x = np.asarray(x, dtype=float)
         s = np.broadcast_to(np.asarray(scale_of(x), dtype=float), x.shape)
@@ -98,6 +68,9 @@ def _diagonal_fields(obj: Objective, scale_of):
         idx = np.arange(x.shape[-1])
         out[..., idx, idx] = s
         return out
+
+    def sigma(x):
+        return np.square(sigma_sqrt(x))
 
     def apply_sqrt(x, g):
         return scale_of(np.asarray(x, dtype=float)) * g
@@ -253,80 +226,39 @@ def heavy_oracle(obj: Objective, scale: float, law: str, df: float | None = None
     )
 
 
-@dataclass(frozen=True)
-class DataDistribution:
-    """Samplable data source for mini-batch oracles.
-
-    draw(prefix, rng) returns data points shaped prefix + datum_shape;
-    callers append the batch axis themselves.
-    """
-
-    name: str
-    draw: Callable[[tuple, np.random.Generator], np.ndarray]
-
-
-def empirical_data(points: np.ndarray, name: str = "empirical") -> DataDistribution:
-    """Uniform resampling (with replacement) of fixed rows."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or len(points) == 0:
-        raise ValueError("points must be a nonempty (n, k) array")
-    n = len(points)
-
-    def draw(prefix, rng):
-        return points[rng.integers(0, n, size=prefix)]
-
-    return DataDistribution(name=name, draw=draw)
-
-
-def iid_data(k: int, law: str = "normal", df: float | None = None) -> DataDistribution:
-    """i.i.d. standardized coordinates from normal or one of the heavy laws."""
-    draw_std, _ = _standardized_law(law, k, df)
-    return DataDistribution(name=f"iid-{law}", draw=draw_std)
-
-
 def batch_oracle(
     obj: Objective,
     per_sample_gradient: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    data: DataDistribution,
+    data_name: str,
+    draw_data: Callable[[tuple, np.random.Generator], np.ndarray],
     m: int,
-    sigma_f: Callable[[np.ndarray], np.ndarray] | None = None,
-    eta: float | None = None,
+    sigma_f: Callable[[np.ndarray], np.ndarray],
+    eta: float,
 ) -> GradientOracle:
     """Mini-batch oracle: H(x) averages per-sample gradients of m data draws.
 
+    draw_data(prefix, rng) returns data points shaped prefix + datum shape;
+    the oracle appends the batch axis, and data_name goes into its name.
     per_sample_gradient(x, y) must broadcast over leading axes of both
     arguments; it receives x expanded with a batch axis against y of shape
     (..., m, datum).  The covariance is sigma_f(x) / m, with sigma_f the
-    single-sample gradient covariance; when no analytic sigma_f is given
-    it is estimated at call time from a fixed internal stream, and the same
-    goes for the eta bound (second moment of the per-sample gradient at
-    the minimizer).
+    closed-form single-sample gradient covariance, and eta is the second
+    moment of the per-sample gradient at the minimizer.
     """
     if m < 1:
         raise ValueError("batch size must be >= 1")
     m = int(m)
 
     def draw_raw(prefix, rng):
-        return data.draw(prefix + (m,), rng)
+        return draw_data(prefix + (m,), rng)
 
     def apply(x, raw):
         x = np.asarray(x, dtype=float)
         grads = per_sample_gradient(x[..., None, :], raw)
         return np.mean(grads, axis=-2)
 
-    def estimated_sigma_f(x):
-        x = np.asarray(x, dtype=float)
-        rng = np.random.Generator(np.random.Philox(_ESTIMATE_SEED))
-        y = data.draw((_SIGMA_EST_SAMPLES,), rng)
-        g = per_sample_gradient(x[..., None, :], y)
-        mean = g.mean(axis=-2)
-        c = g - mean[..., None, :]
-        return np.einsum("...ni,...nj->...ij", c, c) / (_SIGMA_EST_SAMPLES - 1)
-
-    sf = sigma_f if sigma_f is not None else estimated_sigma_f
-
     def sigma(x):
-        return np.asarray(sf(x), dtype=float) / m
+        return np.asarray(sigma_f(x), dtype=float) / m
 
     def sigma_sqrt(x):
         return psd_sqrt(sigma(x))
@@ -334,14 +266,8 @@ def batch_oracle(
     def apply_sqrt(x, g):
         return np.einsum("...ij,...j->...i", sigma_sqrt(x), g)
 
-    if eta is None:
-        rng = np.random.Generator(np.random.Philox(_ESTIMATE_SEED + 1))
-        y = data.draw((_ETA_EST_SAMPLES,), rng)
-        g = per_sample_gradient(obj.x_star[None, :], y)
-        eta = float(np.mean(np.sum(g * g, axis=-1)))
-
     return GradientOracle(
-        name=f"batch{m}[{data.name}]",
+        name=f"batch{m}[{data_name}]",
         objective=obj,
         eta=float(eta),
         draw_raw=draw_raw,
@@ -382,13 +308,12 @@ def least_squares_batch_oracle(obj: LeastSquaresObjective, m: int) -> GradientOr
         c = g - mean[..., None, :]
         return np.einsum("...ni,...nj->...ij", c, c) / a.shape[0]
 
+    def draw_rows(prefix, rng):
+        return rows[rng.integers(0, len(rows), size=prefix)]
+
     g_star = grads_at(obj.x_star)
     eta = float(np.mean(np.sum(g_star * g_star, axis=-1)))
-    oracle = batch_oracle(
-        obj, per_sample_gradient, empirical_data(rows, name="rows"), m,
-        sigma_f=sigma_f, eta=eta,
-    )
-    return oracle
+    return batch_oracle(obj, per_sample_gradient, "rows", draw_rows, m, sigma_f, eta)
 
 
 def probe_batch_oracle(obj: Objective, m: int, law: str = "normal", df: float | None = None) -> GradientOracle:
@@ -398,7 +323,7 @@ def probe_batch_oracle(obj: Objective, m: int, law: str = "normal", df: float | 
     vectors, the cleanest instance of batch-size covariance scaling:
     sigma = identity / m.
     """
-    data = iid_data(obj.dim, law, df)
+    draw_std, _ = _standardized_law(law, obj.dim, df)
     eye = np.eye(obj.dim)
 
     def per_sample_gradient(x, y):
@@ -409,7 +334,7 @@ def probe_batch_oracle(obj: Objective, m: int, law: str = "normal", df: float | 
         return np.broadcast_to(eye, x.shape[:-1] + (obj.dim, obj.dim))
 
     return batch_oracle(
-        obj, per_sample_gradient, data, m, sigma_f=sigma_f, eta=float(obj.dim)
+        obj, per_sample_gradient, f"iid-{law}", draw_std, m, sigma_f, float(obj.dim)
     )
 
 

@@ -2,12 +2,14 @@
 
 The continuous companion of the SGD recursion follows
 dY_t = -(c + t)^{-alpha} [grad f(Y_t) dt + c^{1/2} S(Y_t) dB_t] with
-c = gamma_alpha and S a square root of the noise covariance.  Integration
-is Euler-Maruyama with left-endpoint evaluation of both the rate and S,
-either over an explicitly materialized Brownian path, so that refined
-runs can share its increments (run_sde_em, which returns a one-row bank),
-or over increments each replicate draws from its own stream
-(run_sde_em_replicates).
+c = gamma_alpha and S(x) = oracle.sigma_sqrt(x), the square root of the
+oracle's noise covariance (a zero-noise oracle gives the deterministic
+time-changed gradient flow).  Integration is Euler-Maruyama with
+left-endpoint evaluation of both the rate and S, either over an explicitly
+materialized Brownian path, so that refined runs can share its increments
+(run_sde_em, which returns a one-row bank), or over increments each
+replicate draws from its own stream (run_sde_em_replicates).  Each bank's
+final_states are the states at the last substep.
 """
 from __future__ import annotations
 
@@ -96,58 +98,41 @@ def sample_brownian_path(horizon: float, h: float, dim: int, stream) -> Brownian
     return BrownianPath(horizon, h, inc, dim)
 
 
-def _diffusion_fn(sigma_sqrt):
-    """Normalize the diffusion spec to a callable (x, db) -> vector or None."""
-    if sigma_sqrt is None:
-        return None
-    if isinstance(sigma_sqrt, GradientOracle):
-        return sigma_sqrt.apply_sqrt
-    if callable(sigma_sqrt):
-
-        def apply(x, db):
-            return np.einsum("...ij,...j->...i", sigma_sqrt(x), db)
-
-        return apply
-    raise TypeError("sigma_sqrt must be None, an oracle, or a matrix-valued callable")
-
-
 def _plan_substeps(plan_times, count: int, h: float) -> np.ndarray:
     """Plan times snapped to substep indices in [1, count] (default: log-spaced)."""
     j = None if plan_times is None else np.rint(np.asarray(plan_times, dtype=float) / h)
     return _normalize_plan(j, count, "plan times must fall in (0, horizon] on the substep grid")
 
 
-def _em_block(obj, sigma_sqrt, sched, x0, count, h, plan, ids, draw, record_states):
+def _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw):
     """Euler-Maruyama rows of one block; draw(start, m) gives their (rows, m, dim) increments."""
-    dif = _diffusion_fn(sigma_sqrt)
     root_ga = np.sqrt(sched.gamma_alpha)
     rates = np.asarray(sched.continuous_rate(np.arange(count) * h))
     rows = _Rows(ids)
     y = np.broadcast_to(np.asarray(x0, dtype=float), (len(rows.ids), obj.dim)).copy()
-    ckpt = _Checkpoints(obj, len(rows.ids), len(plan), record_states)
+    ckpt = _Checkpoints(obj, len(rows.ids), len(plan))
     detail = _norm_detail("Y")
 
     def step(j, db, i):
         nonlocal y
         drift = obj.gradient(y) * h
-        move = drift if dif is None else drift + root_ga * dif(y, db[:, i])
-        y = y - rates[j] * move
+        y = y - rates[j] * (drift + root_ga * oracle.apply_sqrt(y, db[:, i]))
         rows.check(y, j + 1, detail, obj.x_star)
 
     rows.run(count, plan, draw, step, lambda p: ckpt.record(p, y))
+    ckpt.final = y
     return rows, ckpt
 
 
 def run_sde_em(
     obj: Objective,
-    sigma_sqrt,
+    oracle: GradientOracle,
     sched: StepSchedule,
     x0,
     horizon: float,
     substeps_per_block: int,
     path: BrownianPath,
     plan_times=None,
-    record_states: bool = False,
     replicate_id: int = 0,
 ) -> ReplicateRuns:
     """Integrate the diffusion over one Brownian path: a one-row bank, or
@@ -169,15 +154,15 @@ def run_sde_em(
     count = path_length(horizon, h)
     plan = _plan_substeps(plan_times, count, h)
     part = _em_block(
-        obj, sigma_sqrt, sched, x0, count, h, plan, [replicate_id],
-        lambda start, m: path.increments[None, start : start + m], record_states,
+        obj, oracle, sched, x0, count, h, plan, [replicate_id],
+        lambda start, m: path.increments[None, start : start + m],
     )
     return _solo(_replicate_runs([part], plan * h))
 
 
 def run_sde_em_replicates(
     obj: Objective,
-    sigma_sqrt,
+    oracle: GradientOracle,
     sched: StepSchedule,
     x0,
     horizon: float,
@@ -205,7 +190,7 @@ def run_sde_em_replicates(
         gens = [s.generator() for s in block]
         draw = lambda start, m: root_h * np.stack([g.standard_normal((m, obj.dim)) for g in gens])
         ids = [s.replicate_id for s in block]
-        return _em_block(obj, sigma_sqrt, sched, x0, count, h, plan, ids, draw, False)
+        return _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw)
 
     streams = [derive_stream(master_seed, i, "brownian") for i in range(n_replicates)]
     return _replicate_runs(_map_blocks(streams, work), plan * h)
@@ -213,7 +198,7 @@ def run_sde_em_replicates(
 
 def em_bias_probe(
     obj: Objective,
-    sigma_sqrt,
+    oracle: GradientOracle,
     sched: StepSchedule,
     x0,
     horizon: float,
@@ -229,13 +214,9 @@ def em_bias_probe(
     """
     h = sched.gamma_alpha / substeps_per_block
     end = path_length(horizon, h) * h
-    coarse = run_sde_em(
-        obj, sigma_sqrt, sched, x0, end, substeps_per_block, path,
-        plan_times=[end], record_states=True,
-    )
+    coarse = run_sde_em(obj, oracle, sched, x0, end, substeps_per_block, path, plan_times=[end])
     fine_path = path.refine(refine_stream)
     fine = run_sde_em(
-        obj, sigma_sqrt, sched, x0, end, 2 * substeps_per_block, fine_path,
-        plan_times=[end], record_states=True,
+        obj, oracle, sched, x0, end, 2 * substeps_per_block, fine_path, plan_times=[end]
     )
-    return float(np.linalg.norm(coarse.states[0, -1] - fine.states[0, -1]))
+    return float(np.linalg.norm(coarse.final_states[0] - fine.final_states[0]))

@@ -13,7 +13,9 @@ block kernel (_Rows.run) steps each block: it draws innovations in chunks
 of CHUNK steps (CHUNK // K for a coupled step of K substeps) from
 per-replicate counter-based streams, checks every row for divergence
 after each step and records observables at the plan's checkpoints.  The
-sde and coupling modules drive the same kernel with their own step.
+sde and coupling modules drive the same kernel with their own step.  Every
+bank keeps each row's state after the last step (final_states), whatever
+the plan; checkpoints record observables only.
 
 Block and chunk are sized together: a block's draw buffer holds
 REPLICATE_BLOCK * CHUNK = 2^18 innovations, so a wider block (fewer
@@ -68,7 +70,10 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class ReplicateRuns:
-    """Checkpoint records for a bank of replicates, stacked (replicate, checkpoint).
+    """Checkpoint records for a bank of replicates, stacked (replicate,
+    checkpoint), and final_states, each row's (dim,) state after the last
+    step (None only in a table no run made, such as the CLI's batch-eps
+    rows).
 
     Only replicates that never diverged have rows; aborts holds the
     DivergenceError of each of the others, ordered by replicate id.
@@ -79,7 +84,7 @@ class ReplicateRuns:
     dist2_to_min: np.ndarray
     grad_sq: np.ndarray
     replicate_ids: np.ndarray
-    states: np.ndarray | None = None
+    final_states: np.ndarray | None = None
     aborts: list[DivergenceError] = field(default_factory=list)
 
 
@@ -95,14 +100,16 @@ def _norm_detail(symbol: str):
 
 
 class _Checkpoints:
-    """One process's observables for every row of a block, one column per checkpoint."""
+    """One process's observables for every row of a block, one column per
+    checkpoint, and the rows' states after the last step (final, set by the
+    block once it has run)."""
 
-    def __init__(self, obj: Objective, n_rows: int, n_ckpt: int, record_states: bool):
+    def __init__(self, obj: Objective, n_rows: int, n_ckpt: int):
         self.obj = obj
         self.values = np.empty((n_rows, n_ckpt))
         self.dist2 = np.empty((n_rows, n_ckpt))
         self.grad_sq = np.empty((n_rows, n_ckpt))
-        self.states = np.empty((n_rows, n_ckpt, obj.dim)) if record_states else None
+        self.final = None
 
     def __getstate__(self):
         # a worker sends back the arrays only; the parent has the objective
@@ -114,8 +121,6 @@ class _Checkpoints:
         self.dist2[:, p] = np.einsum("rd,rd->r", diff, diff)
         g = self.obj.gradient(x)
         self.grad_sq[:, p] = np.einsum("rd,rd->r", g, g)
-        if self.states is not None:
-            self.states[:, p] = x
 
 
 class _Rows:
@@ -253,7 +258,7 @@ def _replicate_runs(parts: list, sample_indices, leg: int = 1) -> ReplicateRuns:
         dist2_to_min=cat([c.dist2 for c in ckpts]),
         grad_sq=cat([c.grad_sq for c in ckpts]),
         replicate_ids=cat([part[0].ids for part in parts]),
-        states=None if ckpts[0].states is None else cat([c.states for c in ckpts]),
+        final_states=cat([c.final for c in ckpts]),
         aborts=aborts,
     )
 
@@ -284,13 +289,12 @@ def _sgd_block(
     n_steps: int,
     plan: np.ndarray,
     streams: list[RngStream],
-    record_states: bool,
 ):
     rows = _Rows([s.replicate_id for s in streams])
     gens = [s.generator() for s in streams]
     x = np.broadcast_to(np.asarray(x0, dtype=float), (len(gens), obj.dim)).copy()
     steps = np.asarray(sched.step_size(np.arange(n_steps)))
-    ckpt = _Checkpoints(obj, len(gens), len(plan), record_states)
+    ckpt = _Checkpoints(obj, len(gens), len(plan))
     detail = _norm_detail("X")
 
     def draw(start, m):
@@ -302,6 +306,7 @@ def _sgd_block(
         rows.check(x, n + 1, detail, obj.x_star)
 
     rows.run(n_steps, plan, draw, step, lambda p: ckpt.record(p, x))
+    ckpt.final = x
     return rows, ckpt
 
 
@@ -313,7 +318,6 @@ def _sgd(
     n_steps: int,
     streams: list,
     plan,
-    record_states: bool,
 ) -> ReplicateRuns:
     """The one SGD entry: the rows of streams, stepped block by block."""
     if n_steps < 1 or not streams:
@@ -328,9 +332,7 @@ def _sgd(
             stacklevel=3,
         )
     plan = _normalize_plan(plan, n_steps, "plan indices must lie in [1, n_steps]")
-    work = lambda block: _sgd_block(
-        obj, oracle, sched, x0, n_steps, plan, block, record_states
-    )
+    work = lambda block: _sgd_block(obj, oracle, sched, x0, n_steps, plan, block)
     return _replicate_runs(_map_blocks(streams, work), plan)
 
 
@@ -342,11 +344,10 @@ def run_sgd(
     n_steps: int,
     plan=None,
     stream: RngStream | None = None,
-    record_states: bool = False,
 ) -> ReplicateRuns:
     """One SGD replicate, recorded at the plan's iteration indices: a
     one-row bank, or the DivergenceError its row aborted with."""
-    return _solo(_sgd(obj, oracle, sched, x0, n_steps, [stream], plan, record_states))
+    return _solo(_sgd(obj, oracle, sched, x0, n_steps, [stream], plan))
 
 
 def run_sgd_replicates(
@@ -358,7 +359,6 @@ def run_sgd_replicates(
     n_replicates: int,
     master_seed: int,
     plan=None,
-    record_states: bool = False,
 ) -> ReplicateRuns:
     """A bank of replicates with streams derived from one master seed.
 
@@ -367,5 +367,5 @@ def run_sgd_replicates(
     bank's aborts instead of its rows.
     """
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    return _sgd(obj, oracle, sched, x0, n_steps, streams, plan, record_states)
+    return _sgd(obj, oracle, sched, x0, n_steps, streams, plan)
 

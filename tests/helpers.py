@@ -26,3 +26,10 @@ def finite_difference_gradient(value, x, step: float = 1e-5) -> np.ndarray:
         lo[..., i] -= step
         out[..., i] = (value(hi) - value(lo)) / (2.0 * step)
     return out
+
+
+def states_at(final_states, ends) -> np.ndarray:
+    """(rows, len(ends), dim) states of runs stopped at each of ends, where
+    final_states(k) runs k steps (or blocks) and returns the final states
+    of its bank: the states a bank passes through at those checkpoints."""
+    return np.stack([final_states(int(k)) for k in ends], axis=1)

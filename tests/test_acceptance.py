@@ -119,8 +119,7 @@ def coupled_sweep():
     for gamma in (0.2, 0.1, 0.05, 0.025):
         banks[gamma] = run_coupled_replicates(
             obj, oracle, StepSchedule(gamma, 0.5), np.array([1.0]), 4.0, 32,
-            500, MASTER_SEED, kind="gaussian_shared",
-            record_states=True,
+            500, MASTER_SEED,
         )
     _timings["coupled_sweep"] = time.perf_counter() - t0
     return banks

@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdlab.analysis import (
-    Estimate,
     RateSetting,
-    confidence_interval,
     expected_rate,
     fit_rate,
     drift_sup_bound,
@@ -231,20 +229,3 @@ def test_probe_floor_sits_below_exact_moment():
     n = int(horizon / ga)
     exact_rms = np.sqrt(probe_exact_second_moment(m, gamma, alpha, n))
     assert exact_rms >= probe_strong_error_floor(m, gamma, alpha, horizon)
-
-
-# ---------------------------------------------------------------- intervals
-
-def test_confidence_interval_by_hand():
-    mean, half = confidence_interval([1.0, 2.0, 3.0, 4.0])
-    assert mean == pytest.approx(2.5)
-    sd = np.std([1.0, 2.0, 3.0, 4.0], ddof=1)
-    assert half == pytest.approx(1.96 * sd / 2.0, rel=1e-12)
-    with pytest.raises(ValueError, match="at least 2"):
-        confidence_interval([1.0])
-
-
-def test_estimate_interval_endpoints():
-    e = Estimate(value=2.0, ci_halfwidth=0.5, n=10)
-    assert e.lo == 1.5
-    assert e.hi == 2.5

@@ -208,6 +208,35 @@ def test_validate_collects_every_problem(tmp_path):
     ]
 
 
+def test_validate_lists_repeated_sweep_entries_in_one_pass(tmp_path):
+    """gamma, alpha and m_values entries name run ids, so a repeat is an
+    error, listed with the other problems; x0 entries may repeat."""
+    text = RATES_CFG.replace("seed = 7", "seed = -1").replace(
+        "gamma = 0.5", "gamma = 0.5, 0.5").replace("alpha = 0.5", "alpha = 0.25, 0.25")
+    with pytest.raises(ConfigError) as info:
+        validate_config(write_cfg(tmp_path, text.replace("sigma = 1.0", "m_values = 2, 2")))
+    assert info.value.problems == [
+        "[experiment] seed: must be >= 0",
+        "[schedule] gamma: 0.5 repeated",
+        "[schedule] alpha: 0.25 repeated",
+        "[oracle] m_values: 2 repeated",
+    ]
+    cfg = validate_config(write_cfg(tmp_path, RATES_CFG.replace(
+        "lam = 1.0", "lam = 1.0\n    dim = 2").replace("x0 = 1.0", "x0 = 1.0, 1.0")))
+    assert cfg.schedules == [StepSchedule(0.5, 0.5)]
+
+
+def test_validate_row_bound_counts_the_banks_a_run_makes(tmp_path):
+    """MAX_ROWS = 10^7 raw rows fits 78125 coupled replicates (64
+    checkpoints, two legs); couple-demo runs its first schedule only."""
+    text = COUPLE_CFG.replace("replicates = 20", "replicates = 78125")
+    assert validate_config(write_cfg(tmp_path, text)).replicates == 78125
+    cfg = validate_config(write_cfg(tmp_path, text.replace("gamma = 0.5", "gamma = 0.5, 0.25")))
+    assert len(cfg.schedules) == 2
+    with pytest.raises(ConfigError, match="10000128 raw.csv rows"):
+        validate_config(write_cfg(tmp_path, text.replace("78125", "78126")))
+
+
 def test_validate_alpha_one_continuous_experiments(tmp_path):
     body = """
         [experiment]
@@ -488,7 +517,7 @@ def test_weak_approx_single_gamma_has_no_slope(tmp_path, capsys):
 
 # ---------------------------------------------------------------- exit codes
 
-def test_config_errors_exit_1(tmp_path, capsys):
+def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     path = write_cfg(tmp_path, """
         [experiment]
         kind = rates
@@ -549,10 +578,44 @@ def test_config_errors_exit_1(tmp_path, capsys):
          "[experiment] horizon: more than 100000000 substeps per replicate"),
         ("probe-exact", PROBE_CFG, "gamma = 0.1", "gamma = 1e-200",
          "[experiment] horizon: more than 100000000 steps per replicate"),
+        # more raw rows than the CLI may hold: 64 per replicate and run id,
+        # two run ids per coupled bank, one row per replicate and batch size
+        ("rates", RATES_CFG, "replicates = 8", "replicates = 100000000",
+         "[experiment] replicates: 6400000000 raw.csv rows, more than 10000000"),
+        ("strong-approx", COUPLE_CFG.replace("couple-demo", "strong-approx"),
+         "replicates = 20", "replicates = 78126",
+         "[experiment] replicates: 10000128 raw.csv rows, more than 10000000"),
+        ("couple-demo", COUPLE_CFG, "replicates = 20", "replicates = 78126",
+         "[experiment] replicates: 10000128 raw.csv rows, more than 10000000"),
+        ("batch-eps", BATCH_EPS_CFG, "replicates = 2", "replicates = 5000001",
+         "[experiment] replicates: 10000002 raw.csv rows, more than 10000000"),
+        # a repeated sweep entry would repeat its run ids
+        ("strong-approx", COUPLE_CFG.replace("couple-demo", "strong-approx"),
+         "gamma = 0.5", "gamma = 0.5, 0.5", "[schedule] gamma: 0.5 repeated"),
+        ("rates", RATES_CFG, "gamma = 0.5", "gamma = 0.1, 0.5, 0.1000001",
+         "[schedule] gamma: 0.1 repeated"),
+        ("rates", RATES_CFG, "alpha = 0.5", "alpha = 0.5, 0.25, 0.50",
+         "[schedule] alpha: 0.5 repeated"),
+        ("batch-eps", BATCH_EPS_CFG, "m_values = 1, 4", "m_values = 4, 1, 4",
+         "[oracle] m_values: 4 repeated"),
     ):
         path = write_cfg(tmp_path, text.replace(old, new))
         assert main([experiment, "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
         assert f"config error: {problem}" in capsys.readouterr().err
+    # an out_dir the run cannot create is an error before the first bank
+    import sgdlab.cli as cli
+
+    def no_bank(*args, **kwargs):
+        raise AssertionError("a bank ran")
+
+    monkeypatch.setattr(cli, "run_sgd_replicates", no_bank)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out_dir in (afile / "sub", afile):
+        path = write_cfg(tmp_path, RATES_CFG.replace("seed = 7", f"seed = 7\n    out_dir = {out_dir}"))
+        assert main(["rates", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [experiment] out_dir: ") and "Traceback" not in err
 
 
 def test_emit_bank_rows_are_the_per_cell_text():
@@ -869,6 +932,8 @@ def _case(experiment, **changes):
 @example(case=_case("couple-demo", experiment__horizon="1.005", experiment__substeps="16",
                     schedule__alpha="0.5"))
 @example(case=_case("rates", experiment__horizon="1e300"))
+@example(case=_case("rates", experiment__replicates="100000000"))
+@example(case=_case("strong-approx", schedule__gamma="0.5, 0.5"))
 @example(case=_case("couple-demo", experiment__substeps="2", schedule__gamma="1e-300",
                     schedule__alpha="0"))
 def test_fuzzed_configs_exit_cleanly(tmp_path, capsys, case):

@@ -23,6 +23,8 @@ from sgdlab.objectives import make_linear_probe, make_quadratic
 from sgdlab.sde import run_sde_em, sample_brownian_path
 from sgdlab.sgd import DivergenceError, run_sgd
 
+from helpers import states_at
+
 SCHED = StepSchedule(0.5, 0.5)  # gamma_alpha = 0.25
 GA = SCHED.gamma_alpha
 
@@ -36,25 +38,13 @@ def _horizon(n_blocks):
 def test_resolve_kind_defaults():
     quad2 = make_quadratic(dim=2)
     quad1 = make_quadratic(dim=1)
-    assert resolve_kind(quad2, gaussian_oracle(quad2, 1.0), None) == GAUSSIAN_SHARED
-    assert resolve_kind(quad1, heavy_oracle(quad1, 1.0, "laplace"), None) == COMONOTONE_1D
-    assert resolve_kind(quad2, heavy_oracle(quad2, 1.0, "laplace"), None) == INDEPENDENT
-
-
-def test_resolve_kind_validation():
-    quad2 = make_quadratic(dim=2)
-    quad1 = make_quadratic(dim=1)
-    laplace2 = heavy_oracle(quad2, 1.0, "laplace")
-    with pytest.raises(ValueError, match="must be one of"):
-        resolve_kind(quad2, laplace2, "synchronized")
-    with pytest.raises(ValueError, match="gaussian noise"):
-        resolve_kind(quad2, laplace2, GAUSSIAN_SHARED)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        resolve_kind(quad2, laplace2, COMONOTONE_1D)
-    with pytest.raises(ValueError, match="quantile"):
-        resolve_kind(quad1, probe_batch_oracle(quad1, 2), COMONOTONE_1D)
-    # independent is always allowed
-    assert resolve_kind(quad1, heavy_oracle(quad1, 1.0, "laplace"), INDEPENDENT) == INDEPENDENT
+    assert resolve_kind(quad2, gaussian_oracle(quad2, 1.0)) == GAUSSIAN_SHARED
+    # one-dimensional gaussian noise shares too: its quantile map is the identity
+    assert resolve_kind(quad1, gaussian_oracle(quad1, 1.0)) == GAUSSIAN_SHARED
+    assert resolve_kind(quad1, heavy_oracle(quad1, 1.0, "laplace")) == COMONOTONE_1D
+    assert resolve_kind(quad2, heavy_oracle(quad2, 1.0, "laplace")) == INDEPENDENT
+    # a batch oracle has no quantile function, even in one dimension
+    assert resolve_kind(quad1, probe_batch_oracle(quad1, 2)) == INDEPENDENT
 
 
 # ---------------------------------------------------------------- coupling mechanics
@@ -62,66 +52,55 @@ def test_resolve_kind_validation():
 def test_shared_coupling_rescales_block_increments():
     """On the flat objective the discrete chain is exactly the running sum
     of -step_k * sigma * (block increment / sqrt(gamma_alpha)), which pins
-    the normalization that makes the block sums standard normals."""
+    the normalization that makes the block sums standard normals.  The run
+    stopped after k blocks ends there, for every k."""
     n_blocks = 20
     obj = make_linear_probe(dim=2)
     oracle = gaussian_oracle(obj, 0.8)
-    run = run_coupled(obj, oracle, SCHED, np.zeros(2), _horizon(n_blocks), 16,
-                      stream=derive_stream(5, 3, "noise"),
-                      plan=np.arange(1, n_blocks + 1), record_states=True)
-    assert run.coupling_kind == GAUSSIAN_SHARED
+    run = lambda k: run_coupled(obj, oracle, SCHED, np.zeros(2), _horizon(k), 16,
+                                stream=derive_stream(5, 3, "noise"))
+    assert run(n_blocks).coupling_kind == GAUSSIAN_SHARED
+    states = states_at(lambda k: run(k).discrete.final_states, range(1, n_blocks + 1))
     path = sample_brownian_path(_horizon(n_blocks), GA / 16, 2,
                                 derive_stream(5, 3, "brownian"))
     g_blocks = path.block_sums(16) / np.sqrt(GA)
     steps = SCHED.step_size(np.arange(n_blocks))
     manual = -np.cumsum(steps[:, None] * (0.8 * g_blocks), axis=0)
-    np.testing.assert_array_equal(run.discrete.states[0], manual)
+    np.testing.assert_array_equal(states[0], manual)
 
 
 def test_coupled_continuous_leg_matches_plain_integrator():
     """The diffusion inside the coupled runner must be the same process as
-    run_sde_em driven by the path from the same brownian stream."""
+    run_sde_em driven by the path from the same brownian stream, at every
+    checkpoint and at the end of every block up to the horizon."""
     n_blocks = 20
     obj = make_quadratic(dim=2, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
-    run = run_coupled(obj, oracle, SCHED, np.ones(2), _horizon(n_blocks), 16,
-                      stream=derive_stream(5, 0, "noise"), record_states=True)
+    coupled = lambda k: run_coupled(obj, oracle, SCHED, np.ones(2), _horizon(k), 16,
+                                    stream=derive_stream(5, 0, "noise")).continuous
     path = sample_brownian_path(_horizon(n_blocks), GA / 16, 2,
                                 derive_stream(5, 0, "brownian"))
-    solo = run_sde_em(obj, oracle, SCHED, np.ones(2), _horizon(n_blocks), 16, path,
-                      plan_times=run.continuous.sample_indices, record_states=True)
-    np.testing.assert_array_equal(run.continuous.states, solo.states)
-    np.testing.assert_array_equal(run.continuous.values, solo.values)
-
-
-def test_comonotone_gaussian_degenerates_to_shared():
-    """For gaussian noise the quantile map is the identity coupling, so the
-    comonotone runner must short-circuit to the shared path bitwise while
-    keeping the requested label."""
-    obj = make_quadratic(dim=1, lam=1.0)
-    oracle = gaussian_oracle(obj, 1.0)
-    kw = dict(x0=np.ones(1), horizon=_horizon(20), substeps_per_block=16,
-              record_states=True)
-    a = run_coupled(obj, oracle, SCHED, stream=derive_stream(9, 0, "noise"),
-                    kind=COMONOTONE_1D, **kw)
-    b = run_coupled(obj, oracle, SCHED, stream=derive_stream(9, 0, "noise"),
-                    kind=GAUSSIAN_SHARED, **kw)
-    np.testing.assert_array_equal(a.discrete.states, b.discrete.states)
-    assert a.coupling_kind == COMONOTONE_1D
+    plain = lambda k, **kw: run_sde_em(obj, oracle, SCHED, np.ones(2), _horizon(k), 16, path, **kw)
+    run = coupled(n_blocks)
+    solo = plain(n_blocks, plan_times=run.sample_indices)
+    np.testing.assert_array_equal(run.values, solo.values)
+    ends = range(1, n_blocks + 1)
+    np.testing.assert_array_equal(states_at(lambda k: coupled(k).final_states, ends),
+                                  states_at(lambda k: plain(k).final_states, ends))
 
 
 def test_comonotone_first_step_is_quantile_of_gaussian_cdf():
     obj = make_quadratic(dim=1, lam=1.0)
     oracle = heavy_oracle(obj, 1.0, "laplace")
-    run = run_coupled(obj, oracle, SCHED, np.full(1, 2.0), _horizon(20), 16,
-                      stream=derive_stream(9, 1, "noise"), plan=[1],
-                      record_states=True)
+    run = run_coupled(obj, oracle, SCHED, np.full(1, 2.0), _horizon(1), 16,
+                      stream=derive_stream(9, 1, "noise"))
+    assert run.coupling_kind == COMONOTONE_1D
     path = sample_brownian_path(_horizon(20), GA / 16, 1, derive_stream(9, 1, "brownian"))
     g0 = path.block_sums(16)[0] / np.sqrt(GA)
     u = np.clip(ndtr(g0), U_FLOOR, 1.0 - 1e-16)
     step0 = SCHED.step_size(np.arange(1))[0]
     x1 = 2.0 - step0 * (obj.gradient(np.full((1, 1), 2.0)) + oracle.noise_ppf(u))
-    np.testing.assert_array_equal(run.discrete.states[0, 0], x1[0])
+    np.testing.assert_array_equal(run.discrete.final_states[0], x1[0])
 
 
 def test_student_quantile_at_the_floor_is_finite_and_negative():
@@ -144,28 +123,29 @@ def test_comonotone_student_step_at_the_floor(monkeypatch):
     monkeypatch.setattr(coupling, "ndtr", np.zeros_like)
     obj = make_quadratic(dim=1, lam=1.0)
     oracle = heavy_oracle(obj, 1e-40, "student", df=4.5)
-    bank = run_coupled_replicates(obj, oracle, SCHED, np.zeros(1), _horizon(1), 4, 3, 9,
-                                  kind=COMONOTONE_1D, plan=[1], record_states=True)
-    assert bank.aborts == []
+    bank = run_coupled_replicates(obj, oracle, SCHED, np.zeros(1), _horizon(1), 4, 3, 9)
+    assert bank.coupling_kind == COMONOTONE_1D and bank.aborts == []
     x1 = -SCHED.step_size(np.arange(1))[0] * oracle.noise_ppf(np.array([U_FLOOR]))
-    np.testing.assert_array_equal(bank.discrete.states[:, 0, 0], np.full(3, x1[0]))
+    np.testing.assert_array_equal(bank.discrete.final_states[:, 0], np.full(3, x1[0]))
     assert 0.0 < x1[0] < np.inf
 
 
 def test_independent_discrete_leg_is_plain_sgd():
     """With the independent kind the discrete chain draws from the same
-    noise stream as run_sgd, so the two must agree bitwise."""
+    noise stream as run_sgd, so the two must agree bitwise, after every
+    block."""
     n_blocks = 20
     obj = make_quadratic(dim=2, lam=1.0)
     oracle = heavy_oracle(obj, 0.5, "laplace")
     plan = np.arange(1, n_blocks + 1)
-    run = run_coupled(obj, oracle, SCHED, np.ones(2), _horizon(n_blocks), 16,
-                      stream=derive_stream(4, 2, "noise"), plan=plan,
-                      record_states=True)
-    assert run.coupling_kind == INDEPENDENT
-    sgd = run_sgd(obj, oracle, SCHED, np.ones(2), n_blocks, plan=plan,
-                  stream=derive_stream(4, 2, "noise"), record_states=True)
-    np.testing.assert_array_equal(run.discrete.states, sgd.states)
+    run = lambda k: run_coupled(obj, oracle, SCHED, np.ones(2), _horizon(k), 16,
+                                stream=derive_stream(4, 2, "noise"), plan=plan[:k])
+    assert run(n_blocks).coupling_kind == INDEPENDENT
+    sgd = lambda k: run_sgd(obj, oracle, SCHED, np.ones(2), k, plan=plan[:k],
+                            stream=derive_stream(4, 2, "noise"))
+    np.testing.assert_array_equal(run(n_blocks).discrete.values, sgd(n_blocks).values)
+    np.testing.assert_array_equal(states_at(lambda k: run(k).discrete.final_states, plan),
+                                  states_at(lambda k: sgd(k).final_states, plan))
 
 
 def test_run_coupled_validation():
@@ -186,17 +166,17 @@ def test_run_coupled_validation():
 def test_coupled_bank_matches_solo_runs():
     obj = make_quadratic(dim=2, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
-    bank = run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(20), 16,
-                                  3, 77, record_states=True)
+    bank = run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(20), 16, 3, 77)
     assert bank.coupling_kind == GAUSSIAN_SHARED
     for i in range(3):
         solo = run_coupled(obj, oracle, SCHED, np.ones(2), _horizon(20), 16,
-                           stream=derive_stream(77, i, "noise"), record_states=True)
+                           stream=derive_stream(77, i, "noise"))
         np.testing.assert_array_equal(solo.coupled_dist2[0], bank.coupled_dist2[i])
         np.testing.assert_array_equal(solo.discrete.values[0], bank.discrete.values[i])
         np.testing.assert_array_equal(solo.continuous.values[0], bank.continuous.values[i])
-        np.testing.assert_array_equal(solo.discrete.states[0, -1], bank.final_discrete_states[i])
-        np.testing.assert_array_equal(solo.continuous.states[0, -1], bank.final_continuous_states[i])
+        np.testing.assert_array_equal(solo.discrete.final_states[0], bank.discrete.final_states[i])
+        np.testing.assert_array_equal(solo.continuous.final_states[0],
+                                      bank.continuous.final_states[i])
 
 
 def test_coupled_bank_block_size_invariance(monkeypatch):
@@ -217,19 +197,21 @@ def test_coupled_bank_block_size_invariance(monkeypatch):
 def test_coupled_bank_chunk_size_invariance(monkeypatch, gaussian):
     """Chunks of CHUNK // substeps blocks: 7 // 4 = 1 block per draw gives
     the same bank as the default, for the shared and the independent
-    coupling."""
+    coupling, and so do the banks stopped at each checkpoint."""
     obj = make_quadratic(dim=2, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0) if gaussian else heavy_oracle(obj, 1.0, "student", df=6.0)
-    kw = dict(x0=np.ones(2), horizon=_horizon(30), substeps_per_block=4,
-              n_replicates=5, master_seed=13, record_states=True)
-    banks = []
+    bank = lambda k: run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(k), 4, 5, 13)
+    monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
+    banks, states = [], []
     for chunk in (sgd.CHUNK, 7):
         monkeypatch.setattr(sgd, "CHUNK", chunk)
-        banks.append(run_coupled_replicates(obj, oracle, SCHED, **kw))
+        banks.append(bank(30))
+        ends = banks[-1].block_indices
+        states.append([states_at(lambda k: getattr(bank(k), leg).final_states, ends)
+                       for leg in ("discrete", "continuous")])
     assert banks[1].coupling_kind == (GAUSSIAN_SHARED if gaussian else INDEPENDENT)
     np.testing.assert_array_equal(banks[0].coupled_dist2, banks[1].coupled_dist2)
-    np.testing.assert_array_equal(banks[0].discrete.states, banks[1].discrete.states)
-    np.testing.assert_array_equal(banks[0].continuous.states, banks[1].continuous.states)
+    np.testing.assert_array_equal(states[0], states[1])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -241,13 +223,12 @@ def test_coupled_bank_drops_only_diverging_replicates():
     oracle = gaussian_oracle(obj, lambda x: 5.0 * np.abs(x), eta=1.0)
     sched = StepSchedule(1.0, 0.1)
     horizon = 40 * sched.gamma_alpha
-    bank = run_coupled_replicates(obj, oracle, sched, np.ones(1), horizon, 4, 16, 5,
-                                  record_states=True)
+    bank = run_coupled_replicates(obj, oracle, sched, np.ones(1), horizon, 4, 16, 5)
     solo_errors, survivors = [], []
     for i in range(16):
         try:
             solo = run_coupled(obj, oracle, sched, np.ones(1), horizon, 4,
-                               stream=derive_stream(5, i, "noise"), record_states=True)
+                               stream=derive_stream(5, i, "noise"))
         except DivergenceError as err:
             solo_errors.append(str(err))
             continue
@@ -256,8 +237,10 @@ def test_coupled_bank_drops_only_diverging_replicates():
         np.testing.assert_array_equal(solo.coupled_dist2[0], bank.coupled_dist2[row])
         np.testing.assert_array_equal(solo.discrete.values[0], bank.discrete.values[row])
         np.testing.assert_array_equal(solo.continuous.grad_sq[0], bank.continuous.grad_sq[row])
-        np.testing.assert_array_equal(solo.discrete.states[0, -1], bank.final_discrete_states[row])
-        np.testing.assert_array_equal(solo.continuous.states[0, -1], bank.final_continuous_states[row])
+        np.testing.assert_array_equal(solo.discrete.final_states[0],
+                                      bank.discrete.final_states[row])
+        np.testing.assert_array_equal(solo.continuous.final_states[0],
+                                      bank.continuous.final_states[row])
     assert 0 < len(solo_errors) < 16
     assert [str(err) for err in bank.aborts] == solo_errors
     assert any("continuous state" in e for e in solo_errors)
@@ -281,7 +264,7 @@ def test_bank_run_roundtrip():
     np.testing.assert_array_equal(solo.discrete.sample_indices, bank.block_indices)
     np.testing.assert_array_equal(solo.continuous.sample_indices, bank.times)
     np.testing.assert_array_equal(solo.coupled_dist2, bank.coupled_dist2[1:2])
-    np.testing.assert_array_equal(solo.final_continuous_states, bank.final_continuous_states[1:2])
+    np.testing.assert_array_equal(solo.continuous.final_states, bank.continuous.final_states[1:2])
 
 
 def test_bank_validation():
@@ -300,8 +283,7 @@ def test_bank_validation():
 def small_bank():
     obj = make_quadratic(dim=2, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
-    return run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(16), 8,
-                                  20, 55, record_states=True)
+    return run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(16), 8, 20, 55)
 
 
 def test_strong_error_is_root_mean_square(small_bank):
@@ -332,20 +314,20 @@ def test_strong_error_needs_replicates():
 def test_weak_error_paired_matches_manual(small_bank):
     g = lambda s: np.sum(s * s, axis=-1)
     est = weak_error(small_bank, g)
-    diffs = g(small_bank.final_continuous_states) - g(small_bank.final_discrete_states)
+    diffs = g(small_bank.continuous.final_states) - g(small_bank.discrete.final_states)
     assert est.value == pytest.approx(abs(diffs.mean()), rel=1e-12)
     assert est.n == 20
 
 
 def test_weak_error_requires_states_and_replicates():
-    """weak_error reads the final states every bank keeps, recorded states
-    or not, and needs at least 2 replicates."""
+    """weak_error reads the final states every bank keeps, one per
+    replicate and leg, and needs at least 2 replicates."""
     obj = make_quadratic(dim=1, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
     g = lambda s: np.sum(s * s, axis=-1)
     two = run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(4), 8, 2, 2)
-    assert two.discrete.states is None
-    diffs = g(two.final_continuous_states) - g(two.final_discrete_states)
+    assert two.discrete.final_states.shape == two.continuous.final_states.shape == (2, 1)
+    diffs = g(two.continuous.final_states) - g(two.discrete.final_states)
     assert weak_error(two, g).value == abs(diffs.mean())
     one = run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(4), 8, 1, 2)
     with pytest.raises(ValueError, match="at least 2"):

@@ -16,10 +16,8 @@ from sgdlab.core import derive_stream
 from sgdlab.noise import (
     HEAVY_LAWS,
     batch_oracle,
-    empirical_data,
     gaussian_oracle,
     heavy_oracle,
-    iid_data,
     least_squares_batch_oracle,
     probe_batch_oracle,
     psd_sqrt,
@@ -51,11 +49,12 @@ def test_gaussian_oracle_unbiased():
 
 
 def test_gaussian_oracle_sample_repeatable_from_stream():
+    """An oracle draws from the generator it is handed and nothing else, so
+    a stream opened afresh repeats the same draw of H(x, .)."""
     obj = make_quadratic(dim=2)
     oracle = gaussian_oracle(obj, 1.0)
     stream = derive_stream(3, 5, "noise")
-    a = oracle.sample(np.zeros(2), stream)
-    b = oracle.sample(np.zeros(2), stream)
+    a, b = (oracle.apply(np.zeros(2), oracle.draw_raw((), stream.generator())) for _ in range(2))
     np.testing.assert_array_equal(a, b)
 
 
@@ -64,7 +63,7 @@ def test_gaussian_zero_noise():
     oracle = gaussian_oracle(obj, 0.0)
     assert oracle.eta == 0.0
     x = np.array([1.0, 2.0])
-    h = oracle.sample(x, derive_stream(0, 0, "noise"))
+    h = oracle.apply(x, oracle.draw_raw((), derive_stream(0, 0, "noise").generator()))
     np.testing.assert_array_equal(h, obj.gradient(x))
 
 
@@ -185,10 +184,10 @@ def test_chunked_draws_equal_flat_draws(law, a, b):
     """Drawing (a, b, dim) in one call equals drawing (a*b, dim) and
     reshaping; the chunked engines rely on this."""
     df = 6.0 if law == "student" else None
-    data = iid_data(3, law, df)
-    flat = data.draw((a * b,), derive_stream(1, 0, "noise").generator())
-    chunked = data.draw((a, b), derive_stream(1, 0, "noise").generator())
-    np.testing.assert_array_equal(flat.reshape(a, b, 3), chunked)
+    draw = probe_batch_oracle(make_linear_probe(dim=3), 1, law, df).draw_raw
+    flat = draw((a * b,), derive_stream(1, 0, "noise").generator())
+    chunked = draw((a, b), derive_stream(1, 0, "noise").generator())
+    np.testing.assert_array_equal(flat.reshape(a, b, 1, 3), chunked)
 
 
 def test_probe_batch_oracle_covariance_scaling():
@@ -244,34 +243,25 @@ def test_least_squares_batch_requires_data_rows():
         least_squares_batch_oracle(make_quadratic(dim=2), 1)
 
 
-def test_batch_oracle_estimates_covariance_when_not_given():
-    # two-point data cloud with known population covariance of the
-    # per-sample gradient (identity map): points +-v
-    v = np.array([1.0, 2.0])
-    pts = np.stack([v, -v])
-    obj = make_linear_probe(dim=2)
-    oracle = batch_oracle(obj, lambda x, y: y + 0.0 * x, empirical_data(pts), 1)
-    sig = oracle.sigma(np.zeros(2))
-    np.testing.assert_allclose(sig, np.outer(v, v), rtol=0.05)
-    assert oracle.eta == pytest.approx(float(v @ v), rel=0.01)
-
-
 def test_batch_oracle_rejects_bad_m():
     obj = make_linear_probe(dim=1)
+    draw = lambda prefix, rng: rng.standard_normal(prefix + (1,))
     with pytest.raises(ValueError):
-        batch_oracle(obj, lambda x, y: y, iid_data(1), 0)
+        batch_oracle(obj, lambda x, y: y, "iid", draw, 0, lambda x: np.eye(1), 1.0)
 
 
 def test_empirical_data_resamples_rows():
-    pts = np.arange(12.0).reshape(4, 3)
-    data = empirical_data(pts)
-    draw = data.draw((1000,), derive_stream(2, 0, "data").generator())
-    assert draw.shape == (1000, 3)
-    # every drawn row is one of the originals
-    matches = (draw[:, None, :] == pts[None, :, :]).all(axis=2).any(axis=1)
-    assert matches.all()
-    with pytest.raises(ValueError):
-        empirical_data(np.empty((0, 3)))
+    """The least-squares batch oracle draws batches of its objective's data
+    rows (a_i, b_i), with replacement, and reaches every row."""
+    obj = make_least_squares(dim=2, n_data=4, stream=derive_stream(2, 1, "data"))
+    pts = np.hstack([obj.data_a, obj.data_b[:, None]])
+    oracle = least_squares_batch_oracle(obj, 3)
+    draw = oracle.draw_raw((1000,), derive_stream(2, 0, "data").generator())
+    assert draw.shape == (1000, 3, 3)
+    # every drawn row is one of the originals, and every original is drawn
+    matches = (draw.reshape(-1, 1, 3) == pts[None, :, :]).all(axis=2)
+    assert matches.any(axis=1).all()
+    assert matches.any(axis=0).all()
 
 
 def test_psd_sqrt_roundtrip():

@@ -1,15 +1,31 @@
+import inspect
+
 import sgdlab
 
 # Names the package no longer has: the solo result types and helpers no
-# experiment used, and two test references now in tests/helpers.py.
+# experiment used, two test references now in tests/helpers.py, and the
+# data-source and interval helpers that only tests called.
 DELETED = (
     "CoupledRun",
+    "DataDistribution",
     "Trajectory",
+    "confidence_interval",
+    "empirical_data",
     "empirical_sigma",
     "finite_difference_gradient",
+    "iid_data",
     "run_gradient_flow",
     "run_projected_sgd",
     "suffix_average",
+)
+RUNNERS = (
+    "run_coupled",
+    "run_coupled_replicates",
+    "run_sde_em",
+    "run_sde_em_replicates",
+    "run_sgd",
+    "run_sgd_replicates",
+    "em_bias_probe",
 )
 
 
@@ -20,3 +36,11 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     for name in DELETED:
         assert name not in sgdlab.__all__
         assert not hasattr(sgdlab, name), name
+
+
+def test_runners_take_no_record_or_coupling_switch():
+    """Every bank keeps its final states and the oracle alone picks the
+    coupling, so no public runner takes record_states or kind."""
+    for name in RUNNERS:
+        params = inspect.signature(getattr(sgdlab, name)).parameters
+        assert not {"record_states", "kind"} & set(params), name

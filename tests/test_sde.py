@@ -130,25 +130,11 @@ def test_zero_noise_em_tracks_exact_solution():
     for k in (256, 512):
         path = _bm(horizon, ga / k, 2)
         traj = run_sde_em(
-            obj, None, sched, x0, horizon, k, path,
-            plan_times=[horizon], record_states=True,
+            obj, gaussian_oracle(obj, 0.0), sched, x0, horizon, k, path, plan_times=[horizon]
         )
-        errs[k] = np.linalg.norm(traj.states[0, -1] - exact)
+        errs[k] = np.linalg.norm(traj.final_states[0] - exact)
     assert errs[256] / np.linalg.norm(exact) < 5e-3
     assert errs[256] / errs[512] == pytest.approx(2.0, rel=0.1)
-
-
-def test_oracle_and_matrix_diffusion_agree():
-    """A scalar gaussian oracle and the equivalent identity-matrix callable
-    must drive the state through exactly the same arithmetic."""
-    obj = make_quadratic(dim=3, lam=1.0)
-    sched = StepSchedule(0.5, 0.5)
-    k = 8
-    path = _bm(1.0, sched.gamma_alpha / k, 3, seed=99)
-    x0 = np.full(3, 2.0)
-    a = run_sde_em(obj, gaussian_oracle(obj, 1.0), sched, x0, 1.0, k, path, record_states=True)
-    b = run_sde_em(obj, lambda x: np.eye(3), sched, x0, 1.0, k, path, record_states=True)
-    np.testing.assert_array_equal(a.states, b.states)
 
 
 def test_plan_times_snap_to_substep_grid():
@@ -156,7 +142,7 @@ def test_plan_times_snap_to_substep_grid():
     sched = StepSchedule(0.5, 0.5)  # gamma_alpha = 0.25
     k = 5  # h = 0.05
     path = _bm(1.0, 0.05, 1)
-    traj = run_sde_em(obj, None, sched, np.array([1.0]), 1.0, k, path,
+    traj = run_sde_em(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 1.0, k, path,
                       plan_times=[0.5, 0.98, 1.0])
     # 0.98/0.05 = 19.6 rounds to the same substep as 1.0; duplicates collapse
     np.testing.assert_allclose(traj.sample_indices, [0.5, 1.0], rtol=1e-12)
@@ -166,7 +152,7 @@ def test_default_plan_ends_at_horizon():
     obj = make_quadratic(dim=1)
     sched = StepSchedule(0.5, 0.5)
     path = _bm(2.0, sched.gamma_alpha / 16, 1)
-    traj = run_sde_em(obj, None, sched, np.array([1.0]), 2.0, 16, path)
+    traj = run_sde_em(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 2.0, 16, path)
     assert traj.sample_indices[-1] == pytest.approx(2.0, rel=1e-9)
     assert np.all(np.diff(traj.sample_indices) > 0)
 
@@ -177,18 +163,17 @@ def test_run_sde_em_validation():
     k = 8
     good = _bm(1.0, sched.gamma_alpha / k, 2)
     x0 = np.ones(2)
+    none = gaussian_oracle(obj, 0.0)
     with pytest.raises(ValueError, match="alpha < 1"):
-        run_sde_em(obj, None, StepSchedule(1.0, 1.0), x0, 1.0, k, good)
+        run_sde_em(obj, none, StepSchedule(1.0, 1.0), x0, 1.0, k, good)
     with pytest.raises(ValueError, match="does not match"):
-        run_sde_em(obj, None, sched, x0, 1.0, 2 * k, good)
+        run_sde_em(obj, none, sched, x0, 1.0, 2 * k, good)
     with pytest.raises(ValueError, match="dim"):
-        run_sde_em(obj, None, sched, x0, 1.0, k, _bm(1.0, sched.gamma_alpha / k, 3))
+        run_sde_em(obj, none, sched, x0, 1.0, k, _bm(1.0, sched.gamma_alpha / k, 3))
     with pytest.raises(ValueError, match="cover"):
-        run_sde_em(obj, None, sched, x0, 2.0, k, good)
+        run_sde_em(obj, none, sched, x0, 2.0, k, good)
     with pytest.raises(ValueError, match="plan times"):
-        run_sde_em(obj, None, sched, x0, 1.0, k, good, plan_times=[5.0])
-    with pytest.raises(TypeError, match="sigma_sqrt"):
-        run_sde_em(obj, 1.0, sched, x0, 1.0, k, good)
+        run_sde_em(obj, none, sched, x0, 1.0, k, good, plan_times=[5.0])
 
 
 def test_sde_divergence_reports_location():
@@ -197,7 +182,7 @@ def test_sde_divergence_reports_location():
     sched = StepSchedule(0.5, 0.5)
     path = _bm(2.0, sched.gamma_alpha, 1)
     with pytest.raises(DivergenceError) as info:
-        run_sde_em(obj, None, sched, np.array([1.0]), 2.0, 1, path)
+        run_sde_em(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 2.0, 1, path)
     assert info.value.step >= 1
     assert "|Y|" in str(info.value) or "non-finite" in str(info.value)
 
@@ -223,6 +208,7 @@ def test_bank_matches_solo_runs():
         solo = run_sde_em(obj, oracle, sched, x0, 1.0, k, path, replicate_id=rid)
         assert solo.replicate_ids.tolist() == [rid]
         np.testing.assert_array_equal(solo.values[0], bank.values[rid])
+        np.testing.assert_array_equal(solo.final_states[0], bank.final_states[rid])
         np.testing.assert_allclose(solo.dist2_to_min[0], bank.dist2_to_min[rid], rtol=1e-14)
         np.testing.assert_allclose(solo.grad_sq[0], bank.grad_sq[rid], rtol=1e-14)
         np.testing.assert_array_equal(solo.sample_indices, bank.sample_indices)
@@ -263,11 +249,12 @@ def test_bank_worker_count_invariance(monkeypatch):
 
 def test_bank_validation():
     obj = make_quadratic(dim=1)
+    none = gaussian_oracle(obj, 0.0)
     with pytest.raises(ValueError, match="alpha < 1"):
-        run_sde_em_replicates(obj, None, StepSchedule(1.0, 1.0), np.ones(1),
+        run_sde_em_replicates(obj, none, StepSchedule(1.0, 1.0), np.ones(1),
                               1.0, 4, n_replicates=2, master_seed=0)
     with pytest.raises(ValueError, match="n_replicates"):
-        run_sde_em_replicates(obj, None, StepSchedule(0.5, 0.5), np.ones(1),
+        run_sde_em_replicates(obj, none, StepSchedule(0.5, 0.5), np.ones(1),
                               1.0, 4, n_replicates=0, master_seed=0)
 
 

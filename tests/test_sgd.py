@@ -5,7 +5,7 @@ import signal
 import numpy as np
 import pytest
 
-from sgdlab.core import StepSchedule, derive_stream
+from sgdlab.core import StepSchedule, derive_stream, log_spaced_indices
 from sgdlab.noise import gaussian_oracle, heavy_oracle, least_squares_batch_oracle
 from sgdlab import sgd
 from sgdlab.objectives import make_least_squares, make_linear_probe, make_quadratic
@@ -16,6 +16,8 @@ from sgdlab.sgd import (
     run_sgd_replicates,
     fork_map,
 )
+
+from helpers import states_at
 
 
 def _stream(rep=0, seed=1):
@@ -40,33 +42,44 @@ def test_noiseless_quadratic_matches_recursion():
 
 def test_linear_probe_is_pure_noise_accumulation():
     """On the flat objective the trajectory is exactly minus the running
-    weighted sum of the raw gaussian draws from the same stream."""
+    weighted sum of the raw gaussian draws from the same stream: the run
+    stopped after k steps ends there, for every k up to n."""
     obj = make_linear_probe(dim=2)
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.1, 0.25)
     n = 200
-    plan = np.arange(1, n + 1)
-    traj = run_sgd(obj, oracle, sched, np.zeros(2), n, plan=plan, stream=_stream(3), record_states=True)
+    states = states_at(
+        lambda k: run_sgd(obj, oracle, sched, np.zeros(2), k, stream=_stream(3)).final_states,
+        range(1, n + 1),
+    )
     raw = _stream(3).generator().standard_normal((n, 2))
     steps = sched.step_size(np.arange(n))
     expected = -np.cumsum(steps[:, None] * raw, axis=0)
-    np.testing.assert_array_equal(traj.states[0], expected)
+    np.testing.assert_array_equal(states[0], expected)
 
 
-def test_vectorized_bank_matches_solo_runs():
+def test_vectorized_bank_matches_solo_runs(monkeypatch):
     obj = make_quadratic(dim=2)
     oracle = heavy_oracle(obj, 0.5, "laplace")
     sched = StepSchedule(0.3, 0.5)
-    bank = run_sgd_replicates(obj, oracle, sched, np.ones(2), 500, 5, 42, record_states=True)
+    bank = run_sgd_replicates(obj, oracle, sched, np.ones(2), 500, 5, 42)
+    monkeypatch.setattr(sgd, "WORKERS", 1)  # the banks stopped early run in-process
+    ends = log_spaced_indices(500)
+    bank_states = states_at(
+        lambda k: run_sgd_replicates(obj, oracle, sched, np.ones(2), k, 5, 42).final_states, ends
+    )
     for i in range(5):
-        solo = run_sgd(
-            obj, oracle, sched, np.ones(2), 500,
-            stream=derive_stream(42, i, "noise"), record_states=True,
-        )
+        solo = run_sgd(obj, oracle, sched, np.ones(2), 500, stream=derive_stream(42, i, "noise"))
         np.testing.assert_array_equal(bank.values[i], solo.values[0])
         np.testing.assert_array_equal(bank.dist2_to_min[i], solo.dist2_to_min[0])
         np.testing.assert_array_equal(bank.grad_sq[i], solo.grad_sq[0])
-        np.testing.assert_array_equal(bank.states[i], solo.states[0])
+        np.testing.assert_array_equal(bank.final_states[i], solo.final_states[0])
+        solo_states = states_at(
+            lambda k: run_sgd(obj, oracle, sched, np.ones(2), k,
+                              stream=derive_stream(42, i, "noise")).final_states,
+            ends,
+        )
+        np.testing.assert_array_equal(bank_states[i], solo_states[0])
 
 
 def test_block_size_invariance(monkeypatch):
@@ -93,12 +106,15 @@ def test_chunk_size_invariance(monkeypatch, law):
         oracle = least_squares_batch_oracle(obj, 3)
     else:
         oracle = heavy_oracle(obj, 0.5, law, df=6.0 if law == "student" else None)
-    banks = []
+    bank = lambda k: run_sgd_replicates(obj, oracle, StepSchedule(0.3, 0.5), np.ones(2), k, 5, 3)
+    monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
+    banks, states = [], []
     for chunk in (sgd.CHUNK, 7):
         monkeypatch.setattr(sgd, "CHUNK", chunk)
-        banks.append(run_sgd_replicates(obj, oracle, StepSchedule(0.3, 0.5), np.ones(2), 300,
-                                        5, 3, record_states=True))
-    np.testing.assert_array_equal(banks[0].states, banks[1].states)
+        banks.append(bank(300))
+        states.append(states_at(lambda k: bank(k).final_states, banks[-1].sample_indices))
+    np.testing.assert_array_equal(states[0], states[1])
+    np.testing.assert_array_equal(banks[0].final_states, banks[1].final_states)
     np.testing.assert_array_equal(banks[0].values, banks[1].values)
 
 
@@ -108,10 +124,10 @@ def test_chunk_boundary_continuity():
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.1, 0.0)
     n = 1500
-    traj = run_sgd(obj, oracle, sched, np.zeros(1), n, plan=np.array([n]), stream=_stream(9), record_states=True)
+    traj = run_sgd(obj, oracle, sched, np.zeros(1), n, plan=np.array([n]), stream=_stream(9))
     raw = _stream(9).generator().standard_normal((n, 1))
     expected = -0.1 * raw.sum(axis=0)
-    np.testing.assert_allclose(traj.states[0, 0], expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.final_states[0], expected, rtol=0, atol=1e-12)
 
 
 def test_default_plan_is_log_spaced():
@@ -286,7 +302,7 @@ def test_alpha_one_small_gamma_warns():
 
 def test_replicate_runs_trajectory_roundtrip():
     """A solo run returns its replicate's one-row bank: the replicate's id,
-    no aborts, and the bank's row for that replicate."""
+    no aborts, and the bank's row for that replicate, final state included."""
     obj = make_quadratic(dim=1)
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.5, 0.5)
@@ -294,7 +310,8 @@ def test_replicate_runs_trajectory_roundtrip():
     solo = run_sgd(obj, oracle, sched, np.array([1.0]), 100, stream=_stream(1, seed=11))
     assert isinstance(solo, ReplicateRuns)
     assert solo.replicate_ids.tolist() == [1]
-    assert solo.aborts == [] and solo.states is None
+    assert solo.aborts == []
+    assert solo.final_states.shape == (1, 1)
     np.testing.assert_array_equal(solo.sample_indices, bank.sample_indices)
-    for name in ("values", "dist2_to_min", "grad_sq"):
+    for name in ("values", "dist2_to_min", "grad_sq", "final_states"):
         np.testing.assert_array_equal(getattr(solo, name), getattr(bank, name)[1:2])
