@@ -59,7 +59,7 @@ from .objectives import (
 )
 from .sde import em_bias_probe, path_length, sample_brownian_path
 from . import sgd
-from .sgd import ReplicateRuns, run_sgd_replicates
+from .sgd import DivergenceError, ReplicateRuns, run_sgd_replicates
 
 EXPERIMENTS = (
     "rates",
@@ -82,6 +82,11 @@ MAX_STEPS = 10**8
 # replicate and run id): the CLI holds them all in memory, about 1.5 GB at
 # this bound.
 MAX_ROWS = 10**7
+# The largest objective dim (the least-squares direct solve's bound, for
+# every kind), and the most noise draws (n_samples * batch size * dim) one
+# batch-eps estimate may hold at once: about 80 MB of floats per array.
+MAX_DIM = 32
+MAX_DRAWS = 10**7
 # Every key each section allows, with the type of its value; a type in a
 # list marks a comma-separated list of that type.  [experiment] threads is
 # accepted and ignored: the worker count is the number of usable cores
@@ -565,10 +570,14 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
         cfg.horizon, sched.gamma_alpha / cfg.substeps, obj.dim,
         derive_stream(cfg.seed, 0, "brownian"),
     )
-    bias = em_bias_probe(
-        obj, oracle, sched, _x0_of(cfg, obj), cfg.horizon, cfg.substeps, path,
-        derive_stream(cfg.seed, 1, "brownian"),
-    )
+    try:
+        bias = em_bias_probe(
+            obj, oracle, sched, _x0_of(cfg, obj), cfg.horizon, cfg.substeps, path,
+            derive_stream(cfg.seed, 1, "brownian"),
+        )
+    except DivergenceError as err:
+        out.report.append(f"{run_id}: integrator bias probe aborted ({err})")
+        return out
     out.report.append(
         f"{run_id}: integrator bias probe (K vs 2K) {bias:.6g}"
         + ("" if s_est.value == 0 or bias <= 0.1 * s_est.value else " WARNING: above 10% of strong error")
@@ -588,6 +597,15 @@ def _experiment_certify(cfg: ExperimentConfig) -> Outcome:
     return out
 
 
+def _write_csv(path: Path, header: str, rows: list) -> None:
+    """The header and the rows, one a line, written a slice of rows at a
+    time so that no copy of the whole file is held in memory."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(rows), 4096):
+            fh.write("\n".join(rows[i : i + 4096]) + "\n")
+
+
 def run_experiment(cfg: ExperimentConfig) -> Outcome:
     runners = {
         "rates": _experiment_rates,
@@ -604,10 +622,8 @@ def run_experiment(cfg: ExperimentConfig) -> Outcome:
     except OSError as err:
         raise ConfigError([f"[experiment] out_dir: {err}"]) from None
     out = runners[cfg.experiment](cfg)
-    (out_dir / "raw.csv").write_text("\n".join([RAW_HEADER] + out.raw_rows) + "\n")
-    (out_dir / "summary.csv").write_text(
-        "\n".join([SUMMARY_HEADER] + out.summary_rows) + "\n"
-    )
+    _write_csv(out_dir / "raw.csv", RAW_HEADER, out.raw_rows)
+    _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, out.summary_rows)
     lines = [f"experiment: {cfg.experiment}", f"seed: {cfg.seed}"]
     lines += out.report
     if out.aborts:
@@ -661,8 +677,16 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         problems.append("[experiment] horizon: shorter than one step")
     elif kind == "rates" and int(horizon) > MAX_STEPS:
         problems.append(f"[experiment] horizon: more than {MAX_STEPS} steps per replicate")
-    if kind == "batch-eps" and get("oracle", "n_samples", 1) < 1:
-        problems.append("[oracle] n_samples: must be >= 1")
+    dim = get("objective", "dim", 1)
+    if dim > MAX_DIM:
+        problems.append(f"[objective] dim: {dim} is more than {MAX_DIM}")
+    if kind == "batch-eps":
+        n_samples = get("oracle", "n_samples", 100_000)
+        draws = n_samples * max(get("oracle", "m_values", [1, 4, 16, 64]), default=1) * dim
+        if n_samples < 1:
+            problems.append("[oracle] n_samples: must be >= 1")
+        elif draws > MAX_DRAWS:
+            problems.append(f"[oracle] n_samples: {draws} draws per estimate, more than {MAX_DRAWS}")
     grid = None
     if kind == "certify":
         given = {key: value for (name, key), value in values.items() if name == "grid"}

@@ -86,6 +86,11 @@ class Objective:
     def f_gap(self, x) -> np.ndarray:
         return self.value(x) - self.f_star
 
+    def value_and_gradient(self, x) -> tuple:
+        """(value(x), gradient(x)), bit for bit; an objective whose two share
+        work computes it once."""
+        return self.value(x), self.gradient(x)
+
     def tag(self, kind):
         """First class tag of the given kind, or None."""
         for t in self.class_tags:
@@ -100,6 +105,24 @@ class LeastSquaresObjective(Objective):
 
     data_a: np.ndarray = None
     data_b: np.ndarray = None
+
+    def value_and_gradient(self, x) -> tuple:
+        resid = _residual(x, self.data_a, self.data_b)
+        return _half_mean_square(resid), _residual_gradient(resid, self.data_a)
+
+
+# einsum keeps the contraction order fixed for any batch shape, so scalar
+# and vectorized evaluation agree bitwise (BLAS matmul does not).
+def _residual(x, a, b):
+    return np.einsum("...d,nd->...n", np.asarray(x, dtype=float), a) - b
+
+
+def _half_mean_square(resid):
+    return 0.5 * np.mean(resid * resid, axis=-1)
+
+
+def _residual_gradient(resid, a):
+    return np.einsum("...n,nd->...d", resid, a) / a.shape[0]
 
 
 def make_quadratic(dim: int = 1, lam: float = 1.0) -> Objective:
@@ -223,17 +246,11 @@ def least_squares_from_data(a: np.ndarray, b: np.ndarray) -> LeastSquaresObjecti
     x_star = np.linalg.solve(gram, a.T @ b)
     mu = eigvals[0] / n_data
 
-    # einsum keeps the contraction order fixed for any batch shape, so
-    # scalar and vectorized evaluation agree bitwise (BLAS matmul does not).
     def value(x):
-        x = np.asarray(x, dtype=float)
-        resid = np.einsum("...d,nd->...n", x, a) - b
-        return 0.5 * np.mean(resid * resid, axis=-1)
+        return _half_mean_square(_residual(x, a, b))
 
     def gradient(x):
-        x = np.asarray(x, dtype=float)
-        resid = np.einsum("...d,nd->...n", x, a) - b
-        return np.einsum("...n,nd->...d", resid, a) / n_data
+        return _residual_gradient(_residual(x, a, b), a)
 
     f_star = float(value(x_star))
     tags = (Convex(), StronglyConvex(mu), Lojasiewicz(2.0, 2.0 * mu))

@@ -29,6 +29,7 @@ from .sgd import (
     _Rows,
     _norm_detail,
     _solo,
+    fork_map,
 )
 
 DEFAULT_SUBSTEPS = 16
@@ -211,12 +212,15 @@ def em_bias_probe(
     The second run uses the bridge refinement of the same path, so the
     difference isolates discretization error from Brownian randomness.
     Both runs stop at the first coarse grid time at or past the horizon.
+    The two legs run side by side through fork_map: the coarse one (K
+    substeps) in this process, the fine one (2K) in a forked child when
+    there are two workers.  A leg's DivergenceError is raised here, the
+    coarse leg's first.
     """
     h = sched.gamma_alpha / substeps_per_block
     end = path_length(horizon, h) * h
-    coarse = run_sde_em(obj, oracle, sched, x0, end, substeps_per_block, path, plan_times=[end])
-    fine_path = path.refine(refine_stream)
-    fine = run_sde_em(
-        obj, oracle, sched, x0, end, 2 * substeps_per_block, fine_path, plan_times=[end]
+    legs = [(substeps_per_block, path), (2 * substeps_per_block, path.refine(refine_stream))]
+    coarse, fine = fork_map(
+        lambda leg: run_sde_em(obj, oracle, sched, x0, end, *leg, plan_times=[end]), legs
     )
     return float(np.linalg.norm(coarse.final_states[0] - fine.final_states[0]))

@@ -12,10 +12,12 @@ this process may run on) and returns the results in block order.  One
 block kernel (_Rows.run) steps each block: it draws innovations in chunks
 of CHUNK steps (CHUNK // K for a coupled step of K substeps) from
 per-replicate counter-based streams, checks every row for divergence
-after each step and records observables at the plan's checkpoints.  The
-sde and coupling modules drive the same kernel with their own step.  Every
-bank keeps each row's state after the last step (final_states), whatever
-the plan; checkpoints record observables only.
+after each step (_Rows.check: one vdot over the block, per-row norms only
+when that sum is large or not finite) and records observables at the
+plan's checkpoints.  The sde and coupling modules drive the same kernel
+with their own step.  Every bank keeps each row's state after the last
+step (final_states), whatever the plan; checkpoints record observables
+only.
 
 Block and chunk are sized together: a block's draw buffer holds
 REPLICATE_BLOCK * CHUNK = 2^18 innovations, so a wider block (fewer
@@ -116,10 +118,9 @@ class _Checkpoints:
         return {k: v for k, v in vars(self).items() if k != "obj"}
 
     def record(self, p: int, x: np.ndarray) -> None:
-        self.values[:, p] = self.obj.value(x)
+        self.values[:, p], g = self.obj.value_and_gradient(x)
         diff = x - self.obj.x_star
         self.dist2[:, p] = np.einsum("rd,rd->r", diff, diff)
-        g = self.obj.gradient(x)
         self.grad_sq[:, p] = np.einsum("rd,rd->r", g, g)
 
 
@@ -133,7 +134,16 @@ class _Rows:
     def check(self, x: np.ndarray, step: int, detail, reset) -> None:
         """The divergence check: rows of x past DIVERGENCE_NORM or non-finite
         record their first DivergenceError and are reset, in place, to the
-        finite state reset; the other rows are untouched."""
+        finite state reset; the other rows are untouched.
+
+        One vdot over the whole block clears it first: every row's squared
+        norm is at most the sum over all rows, and the factor 1/2 covers the
+        rounding of both sums.  nan and inf fail the comparison, and only a
+        block that fails it pays for the per-row norms.  vdot, unlike dot,
+        does not warn when a square overflows to inf (a warning is an error
+        under -W error)."""
+        if np.vdot(x, x) <= 0.5 * DIVERGENCE_NORM**2:
+            return
         sq = np.einsum("rd,rd->r", x, x)
         if sq.max() <= DIVERGENCE_NORM**2:
             return  # nan and inf fail the comparison and take the slow path

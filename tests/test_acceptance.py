@@ -3,7 +3,9 @@
 Each test prints one pass/fail line for the guarantee it checks.  Every
 run is a deterministic function of MASTER_SEED, so reruns reproduce the
 same numbers bit for bit (worker count included; that invariance is
-itself property-tested in the unit suites).
+itself property-tested in the unit suites).  Every test here carries the
+acceptance marker, so `pytest -m "not acceptance"` runs the unit suites
+alone.
 
 The long sweeps are shared: criteria 2 and 3 read the same banks, and
 criteria 4 and 7 read the same coupled sweep.  Stated runtime budgets
@@ -45,6 +47,8 @@ from sgdlab import (
     weak_error,
 )
 from sgdlab.cli import main as cli_main
+
+pytestmark = pytest.mark.acceptance
 
 MASTER_SEED = 20240817
 N_LONG = 100_000

@@ -18,6 +18,7 @@ from sgdlab.cli import (
     _emit_bank,
     _fmt,
     _fmt_index,
+    _write_csv,
     build_objective,
     build_oracle,
     main,
@@ -461,6 +462,49 @@ def test_couple_demo_report(tmp_path, capsys):
     assert "integrator bias probe" in stdout
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_couple_demo_reports_a_diverging_bias_probe(tmp_path, capsys, monkeypatch):
+    """One substep per unit block on lam = 4 overshoots the minimizer more
+    every step (the step factor 4 (1 + t)^-0.1 stays above 2), so by the
+    horizon 30 of 32 coupled replicates and the bias probe's coarse leg
+    have left the finite regime.
+    The probe's abort is a report line, not a traceback: the run exits 0
+    and writes all three outputs, the same bytes for one worker and two."""
+    path = write_cfg(tmp_path, """
+        [experiment]
+        kind = couple-demo
+        seed = 5
+        replicates = 32
+        horizon = 45
+        substeps = 1
+
+        [objective]
+        kind = quadratic
+        lam = 4
+        x0 = 0
+
+        [oracle]
+        kind = gaussian
+        sigma = 1
+
+        [schedule]
+        gamma = 1
+        alpha = 0.1
+    """)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(sgd, "WORKERS", workers)
+        out = tmp_path / f"w{workers}"
+        assert main(["couple-demo", "--config", path, "--out-dir", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert ("quadratic_gaussian_g1_a0.1: integrator bias probe aborted (replicate 0"
+                " aborted at step 42: |Y| = 1.666e+12 exceeds 1e+12)") in stdout.splitlines()
+        outputs.append({name: (out / name).read_bytes() for name in OUTPUTS})
+    assert outputs[0] == outputs[1]
+    assert b"aborted replicates (30):" in outputs[0]["report.txt"]
+    assert outputs[0]["raw.csv"].count(b"\n") > 1
+
+
 def test_strong_approx_slope_line(tmp_path, capsys):
     path = write_cfg(tmp_path, """
         [experiment]
@@ -598,6 +642,17 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
          "[schedule] alpha: 0.5 repeated"),
         ("batch-eps", BATCH_EPS_CFG, "m_values = 1, 4", "m_values = 4, 1, 4",
          "[oracle] m_values: 4 repeated"),
+        # arrays a run could not allocate: a dim past the bound of every
+        # kind, and more draws than one batch-eps estimate may hold
+        ("rates", RATES_CFG, "lam = 1.0", "lam = 1.0\n    dim = 1000000000",
+         "[objective] dim: 1000000000 is more than 32"),
+        ("probe-exact", PROBE_CFG, "batch_m = 1", "batch_m = 1\n\n    [objective]\n    dim = 33",
+         "[objective] dim: 33 is more than 32"),
+        ("batch-eps", BATCH_EPS_CFG, "n_samples = 2000", "n_samples = 1000000000",
+         "[oracle] n_samples: 4000000000 draws per estimate, more than 10000000"),
+        ("batch-eps", BATCH_EPS_CFG, "m_values = 1, 4\n    n_samples = 2000",
+         "m_values = 2501, 1\n    n_samples = 2000\n\n    [objective]\n    dim = 2",
+         "[oracle] n_samples: 10004000 draws per estimate, more than 10000000"),
     ):
         path = write_cfg(tmp_path, text.replace(old, new))
         assert main([experiment, "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
@@ -636,6 +691,15 @@ def test_emit_bank_rows_are_the_per_cell_text():
         assert out.raw_rows == expected
     assert out.raw_rows[1].startswith("run,0,2,1e+16,")
     assert out.raw_rows[3].startswith("run,4,0.25,-0.0,")
+
+
+def test_csv_is_written_a_slice_of_rows_at_a_time(tmp_path):
+    """Any row count, slice boundaries included, gives the bytes of the
+    whole file joined at once."""
+    for n in (0, 1, 4095, 4096, 4097, 9000):
+        rows = [f"run,{i},{i % 7},{1.0 / (i + 1)!r}" for i in range(n)]
+        _write_csv(tmp_path / "out.csv", RAW_HEADER, rows)
+        assert (tmp_path / "out.csv").read_bytes() == ("\n".join([RAW_HEADER] + rows) + "\n").encode()
 
 
 def test_suffix_avg_is_the_mean_from_each_checkpoint_to_the_end():

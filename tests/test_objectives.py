@@ -196,6 +196,24 @@ def test_least_squares_gradient_matches_fd():
     np.testing.assert_allclose(obj.gradient(x), fd, atol=1e-7)
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (5, 3)])
+def test_value_and_gradient_is_value_then_gradient_bit_for_bit(shape):
+    """Least squares computes its residual once for both; the result is
+    bitwise value(x) and gradient(x), and those are the einsum expressions
+    of the residual.  Other objectives take the default pair."""
+    lsq = make_least_squares(dim=3, n_data=40, stream=derive_stream(4, 0, "data"))
+    x = np.random.default_rng(2).standard_normal(shape) * 3.0
+    resid = np.einsum("...d,nd->...n", x, lsq.data_a) - lsq.data_b
+    reference = (0.5 * np.mean(resid * resid, axis=-1),
+                 np.einsum("...n,nd->...d", resid, lsq.data_a) / 40)
+    for obj in (lsq, make_quadratic(dim=3, lam=2.0), make_linear_probe(dim=3)):
+        value, gradient = obj.value_and_gradient(x)
+        assert value.shape == shape[:-1] and gradient.shape == shape
+        assert value.tobytes() == np.asarray(obj.value(x)).tobytes()
+        assert gradient.tobytes() == obj.gradient(x).tobytes()
+    assert [a.tobytes() for a in lsq.value_and_gradient(x)] == [a.tobytes() for a in reference]
+
+
 def test_least_squares_singular_gram_reported():
     a = np.ones((10, 2))  # rank one
     b = np.arange(10.0)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,3 +295,43 @@ def test_em_bias_probe_horizon_off_the_substep_grid():
                                     derive_stream(4, 1, "brownian")))
     assert np.isfinite(probes[0])
     assert probes[0] == probes[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed,diverges", [(0, None), (1, "coarse"), (8, "fine"), (4, "both")])
+def test_em_bias_probe_legs_do_not_depend_on_workers(monkeypatch, seed, diverges):
+    """Noise that grows like Y^2 throws some paths past the divergence norm:
+    at these seeds neither leg, the coarse leg (K = 1, run in this
+    process), the fine leg (2K, run in a forked child) or both diverge.
+    One worker and two give the probe of the two legs run one after the
+    other, or the DivergenceError (replicate, step, detail) of the first
+    leg that diverged, and leave no child behind."""
+    obj = make_quadratic(lam=1.0)
+    oracle = gaussian_oracle(obj, lambda x: 2.0 * x * x, eta=1.0)
+    sched = StepSchedule(1.0, 0.5)
+    horizon = 20.0
+    path = _bm(horizon, sched.gamma_alpha, 1, seed=seed)
+    legs = []
+    for k, leg_path in ((1, path), (2, path.refine(derive_stream(seed, 1, "brownian")))):
+        try:
+            legs.append(run_sde_em(obj, oracle, sched, np.ones(1), horizon, k, leg_path,
+                                   plan_times=[horizon]).final_states[0])
+        except DivergenceError as err:
+            legs.append((err.replicate_id, err.step, err.detail))
+    failed = [not isinstance(leg, np.ndarray) for leg in legs]
+    assert failed == {None: [False, False], "coarse": [True, False],
+                      "fine": [False, True], "both": [True, True]}[diverges]
+    if diverges is None:
+        expected = float(np.linalg.norm(legs[0] - legs[1]))
+    else:
+        expected = legs[failed.index(True)]
+    for workers in (1, 2):
+        monkeypatch.setattr(sgd, "WORKERS", workers)
+        try:
+            got = em_bias_probe(obj, oracle, sched, np.ones(1), horizon, 1, path,
+                                derive_stream(seed, 1, "brownian"))
+        except DivergenceError as err:
+            got = err.replicate_id, err.step, err.detail
+        assert got == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

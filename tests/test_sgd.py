@@ -4,14 +4,19 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sgdlab.core import StepSchedule, derive_stream, log_spaced_indices
 from sgdlab.noise import gaussian_oracle, heavy_oracle, least_squares_batch_oracle
 from sgdlab import sgd
 from sgdlab.objectives import make_least_squares, make_linear_probe, make_quadratic
 from sgdlab.sgd import (
+    DIVERGENCE_NORM,
     DivergenceError,
     ReplicateRuns,
+    _norm_detail,
+    _Rows,
     run_sgd,
     run_sgd_replicates,
     fork_map,
@@ -315,3 +320,60 @@ def test_replicate_runs_trajectory_roundtrip():
     np.testing.assert_array_equal(solo.sample_indices, bank.sample_indices)
     for name in ("values", "dist2_to_min", "grad_sq", "final_states"):
         np.testing.assert_array_equal(getattr(solo, name), getattr(bank, name)[1:2])
+
+
+def _einsum_check(aborted, ids, x, step, detail, reset):
+    """The divergence check without the vdot bound: per-row norms always."""
+    sq = np.einsum("rd,rd->r", x, x)
+    bad = ~np.isfinite(sq) | (sq > DIVERGENCE_NORM**2)
+    for i in np.flatnonzero(bad).tolist():
+        aborted.setdefault(i, (int(ids[i]), step, detail(sq[i])))
+    x[bad] = reset
+
+
+def _edge_rows(d):
+    """Rows at and one ulp past the divergence norm, coordinates at
+    norm / sqrt(d), squares that overflow, and the non-finite and
+    signed-zero values."""
+    edge = DIVERGENCE_NORM / np.sqrt(d)
+    coord = st.sampled_from([
+        0.0, -0.0, 1.5, -2.0, 5e10, 1e200, DIVERGENCE_NORM, -DIVERGENCE_NORM,
+        np.nextafter(DIVERGENCE_NORM, np.inf), edge, np.nextafter(edge, np.inf),
+        np.nextafter(edge, 0.0), np.nan, np.inf, -np.inf,
+    ])
+    flat = st.sampled_from([edge, np.nextafter(edge, np.inf), np.nextafter(edge, 0.0)])
+    return st.one_of(st.lists(coord, min_size=d, max_size=d), flat.map(lambda c: [c] * d))
+
+
+@st.composite
+def _blocks(draw):
+    d = draw(st.sampled_from([1, 3]))
+    rows = st.lists(_edge_rows(d), min_size=1, max_size=6)
+    return d, [np.array(draw(rows), dtype=float).reshape(-1, d) for _ in range(2)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_blocks())
+@example(case=(1, [np.full((1024, 1), 5e10)] * 2))
+@example(case=(3, [np.full((1024, 3), 5e10)] * 2))
+@example(case=(1, [np.array([[DIVERGENCE_NORM], [np.nextafter(DIVERGENCE_NORM, np.inf)]])] * 2))
+def test_check_matches_the_per_row_check(case):
+    """Two steps of _Rows.check give the aborted rows, their first
+    (replicate, step, detail) and the reset states, bit for bit, of the
+    check that always takes per-row norms, and warn of no overflow.  1024
+    rows of 5e10 sum past the vdot bound, but no row is past the norm."""
+    d, blocks = case
+    n = max(len(b) for b in blocks)
+    blocks = [np.resize(b, (n, d)) for b in blocks]
+    ids = np.arange(n) * 3 + 1
+    reset = np.full(d, -0.0)
+    detail = _norm_detail("X")
+    rows, expected = _Rows(ids), {}
+    for step, block in enumerate(blocks, start=1):
+        x, ref = block.copy(), block.copy()
+        rows.check(x, step, detail, reset)
+        _einsum_check(expected, ids, ref, step, detail, reset)
+        assert x.tobytes() == ref.tobytes()
+        got = {i: (e.replicate_id, e.step, e.detail) for i, e in rows.aborted.items()}
+        assert got == expected
