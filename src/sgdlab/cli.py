@@ -3,9 +3,10 @@
 The config grammar (INI sections [experiment], [objective], [oracle],
 [schedule] and [grid], with the keys each section allows) is documented in
 the README's "Config format" section.  _KEYS is the one table of keys and
-value types.  validate_config lists every problem it and the range checks
-can see before any replicate runs; the objective and oracle constructors
-judge the rest, one at a time, when the experiment builds them.
+value types; _OBJECTIVES, _ORACLES and _EXPERIMENTS hold one row per kind.
+validate_config parses each value once, fills each default from its row,
+and builds the objective, oracles and x0, so it lists every problem in one
+pass before out_dir is made and any replicate runs.
 
 Every run is a deterministic function of (config, replicate_id).  Raw CSV
 columns: run_id, replicate, n_or_t, f_gap, dist2, grad_sq, suffix_avg.
@@ -22,6 +23,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,15 +63,6 @@ from .sde import em_bias_probe, path_length, sample_brownian_path
 from . import sgd
 from .sgd import DivergenceError, ReplicateRuns, run_sgd_replicates
 
-EXPERIMENTS = (
-    "rates",
-    "strong-approx",
-    "weak-approx",
-    "batch-eps",
-    "probe-exact",
-    "couple-demo",
-    "certify",
-)
 RAW_HEADER = "run_id,replicate,n_or_t,f_gap,dist2,grad_sq,suffix_avg"
 SUMMARY_HEADER = (
     "run_id,n_or_t,f_gap_mean,f_gap_ci,dist2_mean,dist2_ci,"
@@ -83,9 +76,20 @@ MAX_STEPS = 10**8
 # this bound.
 MAX_ROWS = 10**7
 # The largest objective dim (the least-squares direct solve's bound, for
-# every kind), and the most noise draws (n_samples * batch size * dim) one
-# batch-eps estimate may hold at once: about 80 MB of floats per array.
+# every kind).
 MAX_DIM = 32
+# The most numbers one array of a run may hold, about 80 MB of floats.  Four
+# config values size such an array:
+# - n_samples: a batch-eps estimate draws n_samples * max(m_values) * dim;
+# - batch_m: a batch oracle's draws for one chunk of a block hold
+#   rows * sgd.CHUNK * batch_m * (dim + 1) numbers (a data point has at most
+#   dim + 1: a least-squares row and its target);
+# - n_data: a least-squares objective evaluated on a block makes
+#   rows * n_data residuals, and its oracle's covariance
+#   rows * n_data * dim per-sample gradients;
+# - num: the certify grid holds num * dim coordinates.
+# rows is a block's replicates, min(replicates, sgd.REPLICATE_BLOCK), or the
+# grid's num points for certify.
 MAX_DRAWS = 10**7
 # Every key each section allows, with the type of its value; a type in a
 # list marks a comma-separated list of that type.  [experiment] threads is
@@ -110,8 +114,37 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.problems))
 
 
+# A key without a default.
+_REQUIRED = object()
+# Each objective kind: its keys with their defaults, and its constructor,
+# which takes the master seed and those keys by name.  Every kind also takes
+# kind and x0.
+_OBJECTIVES = {
+    "quadratic": ({"dim": 1, "lam": 1.0}, lambda seed, dim, lam: make_quadratic(dim, lam)),
+    "phi_p": ({"p": _REQUIRED}, lambda seed, p: make_phi_p(p)),
+    "pl_sine": ({}, lambda seed: make_pl_sine()),
+    "least_squares": ({"dim": 4, "n_data": 256}, lambda seed, dim, n_data: make_least_squares(
+        dim, n_data, derive_stream(seed, 0, "data"))),
+    "linear_probe": ({"dim": 1}, lambda seed, dim: make_linear_probe(dim)),
+}
+# Each oracle kind: its keys with their defaults, and its constructor, which
+# takes the objective and those keys by name.  Every kind also takes kind.
+_ORACLES = {
+    "gaussian": ({"sigma": 1.0}, lambda obj, sigma: gaussian_oracle(obj, sigma)),
+    "none": ({}, lambda obj: gaussian_oracle(obj, 0.0)),
+    "heavy": ({"scale": 1.0, "law": "laplace", "df": None},
+              lambda obj, scale, law, df: heavy_oracle(obj, scale, law, df=df)),
+    "batch_probe": ({"batch_m": 1, "law": "normal", "df": None},
+                    lambda obj, batch_m, law, df: probe_batch_oracle(obj, batch_m, law=law, df=df)),
+    "least_squares_batch": ({"batch_m": 1}, lambda obj, batch_m: least_squares_batch_oracle(obj, batch_m)),
+}
+
+
 @dataclass
 class ExperimentConfig:
+    # objective and oracle hold their sections' raw text, *_args the values
+    # of the keys the kinds take, defaults filled; obj, oracles (one per
+    # batch size for batch-eps, none for certify) and x0 are built from them
     experiment: str
     seed: int
     replicates: int
@@ -122,6 +155,11 @@ class ExperimentConfig:
     oracle: dict
     schedules: list
     grid: GridSpec | None = None
+    objective_args: dict | None = None
+    oracle_args: dict | None = None
+    obj: Objective | None = None
+    oracles: list = field(default_factory=list)
+    x0: np.ndarray | None = None
 
 
 @dataclass
@@ -195,9 +233,6 @@ def _loglog_slope(xs, ys) -> float:
     return float(xc @ (y - y.mean()) / (xc @ xc))
 
 
-_REQUIRED = object()
-
-
 def _read(section: str, key: str, text: str):
     """[section] key parsed by its type in _KEYS, entry by entry for a list
     type; an unknown key, a malformed value or a number that is not finite
@@ -219,17 +254,6 @@ def _read(section: str, key: str, text: str):
     return values if many else values[0]
 
 
-def _num(cfg: ExperimentConfig, section: str, key: str, default=_REQUIRED):
-    """[section] key parsed by _read, or default when absent; a missing
-    required key is a ConfigError."""
-    spec = getattr(cfg, section)
-    if key in spec:
-        return _read(section, key, spec[key])
-    if default is _REQUIRED:
-        raise ConfigError([f"[{section}] {key}: required for kind {spec.get('kind')!r}"])
-    return default
-
-
 @contextmanager
 def _config_errors(where: str):
     """Turn a constructor's ValueError or TypeError into a ConfigError at where."""
@@ -240,64 +264,28 @@ def _config_errors(where: str):
 
 
 def build_objective(cfg: ExperimentConfig) -> Objective:
-    kind = cfg.objective.get("kind", "quadratic")
-    num = lambda key, default=_REQUIRED: _num(cfg, "objective", key, default)
-    with _config_errors(f"[objective] {kind}"):
-        if kind == "quadratic":
-            return make_quadratic(dim=num("dim", 1), lam=num("lam", 1.0))
-        if kind == "phi_p":
-            return make_phi_p(num("p"))
-        if kind == "pl_sine":
-            return make_pl_sine()
-        if kind == "least_squares":
-            return make_least_squares(
-                dim=num("dim", 4),
-                n_data=num("n_data", 256),
-                stream=derive_stream(cfg.seed, 0, "data"),
-            )
-        if kind == "linear_probe":
-            return make_linear_probe(dim=num("dim", 1))
-    raise ConfigError([f"[objective] kind: unknown objective {kind!r}"])
+    keys, make = _OBJECTIVES[cfg.objective_args["kind"]]
+    with _config_errors(f"[objective] {cfg.objective_args['kind']}"):
+        return make(cfg.seed, **{key: cfg.objective_args[key] for key in keys})
 
 
-def build_oracle(cfg: ExperimentConfig, obj: Objective) -> GradientOracle:
-    spec = cfg.oracle
-    kind = spec.get("kind", "gaussian")
-    num = lambda key, default: _num(cfg, "oracle", key, default)
-    with _config_errors(f"[oracle] {kind}"):
-        if kind in ("gaussian", "none"):
-            return gaussian_oracle(obj, 0.0 if kind == "none" else num("sigma", 1.0))
-        if kind == "heavy":
-            return heavy_oracle(
-                obj, num("scale", 1.0), spec.get("law", "laplace"), df=num("df", None)
-            )
-        if kind == "batch_probe":
-            return probe_batch_oracle(
-                obj, num("batch_m", 1), law=spec.get("law", "normal"), df=num("df", None)
-            )
-        if kind == "least_squares_batch":
-            return least_squares_batch_oracle(obj, num("batch_m", 1))
-    raise ConfigError([f"[oracle] kind: unknown oracle {kind!r}"])
-
-
-def _x0_of(cfg: ExperimentConfig, obj: Objective) -> np.ndarray:
-    vals = _num(cfg, "objective", "x0", [0.0])
-    if len(vals) == 1:
-        return np.full(obj.dim, vals[0])
-    if len(vals) != obj.dim:
-        raise ConfigError([f"[objective] x0: expected 1 or {obj.dim} entries"])
-    return np.asarray(vals)
+def build_oracle(cfg: ExperimentConfig, obj: Objective, **fixed) -> GradientOracle:
+    """The config's oracle on obj; fixed gives keys the experiment sets itself."""
+    keys, make = _ORACLES[cfg.oracle_args["kind"]]
+    with _config_errors(f"[oracle] {cfg.oracle_args['kind']}"):
+        return make(obj, **{key: fixed.get(key, cfg.oracle_args[key]) for key in keys})
 
 
 def _run_label(obj: Objective, oracle: GradientOracle, sched: StepSchedule) -> str:
     return f"{obj.name}_{oracle.name}_{sched.label()}"
 
 
-def _tally(out: Outcome, run_id: str, attempted: int, aborts: list, fewest: int = 1) -> bool:
+def _tally(out: Outcome, cfg: ExperimentConfig, run_id: str, aborts: list) -> bool:
     """Count a bank's replicates and abort lines; False, with a report line,
-    when fewer than fewest survived."""
-    out.attempted += attempted
-    survived = attempted - len(aborts)
+    when fewer survived than the experiment needs."""
+    fewest = _EXPERIMENTS[cfg.experiment].fewest
+    out.attempted += cfg.replicates
+    survived = cfg.replicates - len(aborts)
     out.completed += survived
     out.aborts += [f"{run_id} {err}" for err in aborts]
     if survived >= fewest:
@@ -330,19 +318,17 @@ def _rate_settings(obj: Objective, alpha: float):
 
 def _experiment_rates(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
-    obj = build_objective(cfg)
-    oracle = build_oracle(cfg, obj)
-    tol = _num(cfg, "oracle", "rate_tolerance", 0.1)
+    obj, (oracle,) = cfg.obj, cfg.oracles
+    tol = cfg.oracle_args["rate_tolerance"]
     n_steps = int(cfg.horizon)
     plan = log_spaced_indices(n_steps)
     observables = {"f_gap": "values", "dist2": "dist2_to_min", "grad_sq": "grad_sq"}
-    x0 = _x0_of(cfg, obj)
     for sched in cfg.schedules:
         run_id = _run_label(obj, oracle, sched)
         bank = run_sgd_replicates(
-            obj, oracle, sched, x0, n_steps, cfg.replicates, cfg.seed, plan=plan
+            obj, oracle, sched, cfg.x0, n_steps, cfg.replicates, cfg.seed, plan=plan
         )
-        if not _tally(out, run_id, cfg.replicates, bank.aborts):
+        if not _tally(out, cfg, run_id, bank.aborts):
             continue
         _emit_bank(out, run_id, bank)
         if sched.alpha == 0.0:
@@ -397,18 +383,15 @@ def _emit_coupled(out: Outcome, run_id: str, bank: CoupledBank) -> None:
 
 def _experiment_approx(cfg: ExperimentConfig, weak: bool) -> Outcome:
     out = Outcome()
-    obj = build_objective(cfg)
-    oracle = build_oracle(cfg, obj)
-    lo = _num(cfg, "oracle", "slope_lo", 0.8 if weak else 0.85)
-    hi = _num(cfg, "oracle", "slope_hi", 1.3 if weak else 1.15)
-    x0 = _x0_of(cfg, obj)
+    obj, (oracle,) = cfg.obj, cfg.oracles
+    lo, hi = cfg.oracle_args["slope_lo"], cfg.oracle_args["slope_hi"]
     by_alpha: dict = {}
     for sched in cfg.schedules:
         run_id = _run_label(obj, oracle, sched)
         bank = run_coupled_replicates(
-            obj, oracle, sched, x0, cfg.horizon, cfg.substeps, cfg.replicates, cfg.seed
+            obj, oracle, sched, cfg.x0, cfg.horizon, cfg.substeps, cfg.replicates, cfg.seed
         )
-        if not _tally(out, run_id, cfg.replicates, bank.aborts, fewest=2):
+        if not _tally(out, cfg, run_id, bank.aborts):
             continue
         _emit_coupled(out, run_id, bank)
         kind = bank.coupling_kind
@@ -445,35 +428,18 @@ def _experiment_approx(cfg: ExperimentConfig, weak: bool) -> Outcome:
 
 def _experiment_batch_eps(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
-    law = cfg.oracle.get("law", "laplace")
-    df = _num(cfg, "oracle", "df", None)
-    m_values = _num(cfg, "oracle", "m_values", [1, 4, 16, 64])
-    n_samples = _num(cfg, "oracle", "n_samples", 100_000)
-    lo = _num(cfg, "oracle", "slope_lo", -1.25)
-    hi = _num(cfg, "oracle", "slope_hi", -0.75)
-    with _config_errors("[objective] linear_probe"):
-        obj = make_linear_probe(_num(cfg, "objective", "dim", 1))
-    x = _x0_of(cfg, obj)
-    with _config_errors("[oracle] batch_probe"):
-        oracles = [probe_batch_oracle(obj, m, law=law, df=df) for m in m_values]
+    args = cfg.oracle_args
+    law, m_values, lo, hi = args["law"], args["m_values"], args["slope_lo"], args["slope_hi"]
     means = []
-    for m, oracle in zip(m_values, oracles):
+    for m, oracle in zip(m_values, cfg.oracles):
         run_id = f"eps_{law}_M{m}"
-        values = []
-        out.attempted += cfg.replicates
-        for rep in range(cfg.replicates):
-            eps = epsilon_hat(
-                oracle, x, n_samples, derive_stream(cfg.seed, rep, "noise")
-            )
-            values.append(eps)
-            out.completed += 1
-        values = np.asarray(values)[:, None]
-        _emit_bank(
-            out, run_id,
-            ReplicateRuns(
-                np.array([m]), values, values**2, np.zeros_like(values), np.arange(cfg.replicates)
-            ),
-        )
+        values = np.array([
+            [epsilon_hat(oracle, cfg.x0, args["n_samples"], derive_stream(cfg.seed, rep, "noise"))]
+            for rep in range(cfg.replicates)
+        ])
+        _tally(out, cfg, run_id, [])
+        ids = np.arange(cfg.replicates)
+        _emit_bank(out, run_id, ReplicateRuns(np.array([m]), values, values**2, np.zeros_like(values), ids))
         means.append(float(values.mean()))
     if len(m_values) >= 2:
         slope = _loglog_slope(m_values, means)
@@ -494,20 +460,16 @@ def _probe_steps(horizon: float, sched: StepSchedule) -> int:
 
 def _experiment_probe_exact(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
-    with _config_errors("[objective] linear_probe"):
-        obj = make_linear_probe(_num(cfg, "objective", "dim", 1))
-    m = _num(cfg, "oracle", "batch_m", 1)
-    with _config_errors("[oracle] batch_probe"):
-        oracle = probe_batch_oracle(obj, m, law="normal")
-    x0 = _x0_of(cfg, obj)
+    obj, (oracle,) = cfg.obj, cfg.oracles
+    m = cfg.oracle_args["batch_m"]
     for sched in cfg.schedules:
         n_steps = _probe_steps(cfg.horizon, sched)
         plan = log_spaced_indices(n_steps)
         run_id = _run_label(obj, oracle, sched)
         bank = run_sgd_replicates(
-            obj, oracle, sched, x0, n_steps, cfg.replicates, cfg.seed, plan=plan
+            obj, oracle, sched, cfg.x0, n_steps, cfg.replicates, cfg.seed, plan=plan
         )
-        if not _tally(out, run_id, cfg.replicates, bank.aborts, fewest=2):
+        if not _tally(out, cfg, run_id, bank.aborts):
             continue
         _emit_bank(out, run_id, bank)
         dist2 = bank.dist2_to_min
@@ -540,15 +502,13 @@ def _experiment_probe_exact(cfg: ExperimentConfig) -> Outcome:
 
 def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
     out = Outcome()
-    obj = build_objective(cfg)
-    oracle = build_oracle(cfg, obj)
+    obj, (oracle,) = cfg.obj, cfg.oracles
     sched = cfg.schedules[0]
     run_id = _run_label(obj, oracle, sched)
     bank = run_coupled_replicates(
-        obj, oracle, sched, _x0_of(cfg, obj), cfg.horizon, cfg.substeps,
-        cfg.replicates, cfg.seed,
+        obj, oracle, sched, cfg.x0, cfg.horizon, cfg.substeps, cfg.replicates, cfg.seed
     )
-    if not _tally(out, run_id, cfg.replicates, bank.aborts, fewest=2):
+    if not _tally(out, cfg, run_id, bank.aborts):
         return out
     _emit_coupled(out, run_id, bank)
     kind = bank.coupling_kind
@@ -572,7 +532,7 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
     )
     try:
         bias = em_bias_probe(
-            obj, oracle, sched, _x0_of(cfg, obj), cfg.horizon, cfg.substeps, path,
+            obj, oracle, sched, cfg.x0, cfg.horizon, cfg.substeps, path,
             derive_stream(cfg.seed, 1, "brownian"),
         )
     except DivergenceError as err:
@@ -586,10 +546,7 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
 
 
 def _experiment_certify(cfg: ExperimentConfig) -> Outcome:
-    out = Outcome()
-    obj = build_objective(cfg)
-    out.attempted = 1
-    out.completed = 1
+    out, obj = Outcome(attempted=1, completed=1), cfg.obj
     with _config_errors("[grid]"):
         out.report += [certify_condition(obj, tag, cfg.grid).line() for tag in obj.class_tags]
     if not obj.class_tags:
@@ -606,22 +563,45 @@ def _write_csv(path: Path, header: str, rows: list) -> None:
             fh.write("\n".join(rows[i : i + 4096]) + "\n")
 
 
+@dataclass(frozen=True)
+class _Experiment:
+    run: object  # its runner: ExperimentConfig -> Outcome
+    fewest: int = 1  # replicates a bank needs (2 for a standard error)
+    legs: int = 1  # raw.csv run ids per bank
+    continuous: bool = False  # runs the diffusion, so needs alpha < 1
+    keys: dict = field(default_factory=dict)  # its own [oracle] keys, with defaults
+    # the objective and oracle kinds it always uses (None: the config's kind;
+    # an oracle of "": it takes none), and the keys of that oracle it sets
+    objective: str | None = None
+    oracle: str | None = None
+    fixed: tuple = ()
+
+
+_EXPERIMENTS = {
+    "rates": _Experiment(_experiment_rates, keys={"rate_tolerance": 0.1}),
+    "strong-approx": _Experiment(partial(_experiment_approx, weak=False), fewest=2, legs=2,
+                                 continuous=True, keys={"slope_lo": 0.85, "slope_hi": 1.15}),
+    "weak-approx": _Experiment(partial(_experiment_approx, weak=True), fewest=2, legs=2,
+                               continuous=True, keys={"slope_lo": 0.8, "slope_hi": 1.3}),
+    "batch-eps": _Experiment(
+        _experiment_batch_eps, objective="linear_probe", oracle="batch_probe", fixed=("batch_m",),
+        keys={"law": "laplace", "m_values": [1, 4, 16, 64], "n_samples": 100_000,
+              "slope_lo": -1.25, "slope_hi": -0.75}),
+    "probe-exact": _Experiment(_experiment_probe_exact, fewest=2, continuous=True,
+                               objective="linear_probe", oracle="batch_probe", fixed=("law", "df")),
+    "couple-demo": _Experiment(_experiment_couple_demo, fewest=2, legs=2, continuous=True),
+    "certify": _Experiment(_experiment_certify, legs=0, oracle=""),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
 def run_experiment(cfg: ExperimentConfig) -> Outcome:
-    runners = {
-        "rates": _experiment_rates,
-        "strong-approx": lambda c: _experiment_approx(c, weak=False),
-        "weak-approx": lambda c: _experiment_approx(c, weak=True),
-        "batch-eps": _experiment_batch_eps,
-        "probe-exact": _experiment_probe_exact,
-        "couple-demo": _experiment_couple_demo,
-        "certify": _experiment_certify,
-    }
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError([f"[experiment] out_dir: {err}"]) from None
-    out = runners[cfg.experiment](cfg)
+    out = _EXPERIMENTS[cfg.experiment].run(cfg)
     _write_csv(out_dir / "raw.csv", RAW_HEADER, out.raw_rows)
     _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, out.summary_rows)
     lines = [f"experiment: {cfg.experiment}", f"seed: {cfg.seed}"]
@@ -658,15 +638,16 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     get = lambda name, key, default: values.get((name, key), default)
 
     kind = get("experiment", "kind", "")
-    if kind not in EXPERIMENTS:
+    exp = _EXPERIMENTS.get(kind)
+    if exp is None:
         problems.append(f"[experiment] kind: {kind!r} not one of {EXPERIMENTS}")
+        exp = _Experiment(None)
     seed = get("experiment", "seed", 0)
     if seed < 0:
         problems.append("[experiment] seed: must be >= 0")
     replicates = get("experiment", "replicates", 100)
-    fewest = 2 if kind in ("strong-approx", "weak-approx", "couple-demo", "probe-exact") else 1
-    if replicates < fewest:
-        problems.append(f"[experiment] replicates: must be >= {fewest}")
+    if replicates < exp.fewest:
+        problems.append(f"[experiment] replicates: must be >= {exp.fewest}")
     substeps = get("experiment", "substeps", 16)
     if substeps < 1:
         problems.append("[experiment] substeps: must be >= 1")
@@ -677,16 +658,35 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         problems.append("[experiment] horizon: shorter than one step")
     elif kind == "rates" and int(horizon) > MAX_STEPS:
         problems.append(f"[experiment] horizon: more than {MAX_STEPS} steps per replicate")
-    dim = get("objective", "dim", 1)
+
+    # [objective] and [oracle]: the kind each runs, and the values of the
+    # keys that kind takes in this experiment over the defaults of its rows
+    args = {}
+    for section, table, always, default, extra, fixed in (
+        ("objective", _OBJECTIVES, exp.objective, "quadratic", {"x0": [0.0]}, ()),
+        ("oracle", _ORACLES, exp.oracle, "gaussian", exp.keys, exp.fixed),
+    ):
+        given = {key: v for (name, key), v in values.items() if name == section}
+        chosen = given.get("kind", always or default)
+        if always == "":
+            problems += [f"[{section}] {key}: {kind} takes no {section}" for key in given]
+        elif always and chosen != always:
+            problems.append(f"[{section}] kind: {kind} always uses {always!r}")
+        elif chosen not in table:
+            problems.append(f"[{section}] kind: unknown {section} {chosen!r}")
+        else:
+            args[section] = {"kind": chosen, **table[chosen][0], **extra}
+            takes = set(args[section]) - set(fixed)
+            args[section].update((key, v) for key, v in given.items() if key in takes)
+            problems += [f"[{section}] {key}: not a key of {section} {chosen!r} in {kind}"
+                         for key in given if key not in takes]
+            problems += [f"[{section}] {key}: required for kind {chosen!r}"
+                         for key, value in args[section].items() if value is _REQUIRED]
+    obj_args, oracle_args = args.get("objective", {}), args.get("oracle", {})
+
+    dim = obj_args.get("dim", 1)
     if dim > MAX_DIM:
         problems.append(f"[objective] dim: {dim} is more than {MAX_DIM}")
-    if kind == "batch-eps":
-        n_samples = get("oracle", "n_samples", 100_000)
-        draws = n_samples * max(get("oracle", "m_values", [1, 4, 16, 64]), default=1) * dim
-        if n_samples < 1:
-            problems.append("[oracle] n_samples: must be >= 1")
-        elif draws > MAX_DRAWS:
-            problems.append(f"[oracle] n_samples: {draws} draws per estimate, more than {MAX_DRAWS}")
     grid = None
     if kind == "certify":
         given = {key: value for (name, key), value in values.items() if name == "grid"}
@@ -694,8 +694,19 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
             grid = GridSpec(**{"lo": -3.0, "hi": 3.0, **given})
         except ValueError as err:
             problems.append(f"[grid]: {err}")
+    if oracle_args.get("n_samples", 1) < 1:
+        problems.append("[oracle] n_samples: must be >= 1")
+    # the arrays MAX_DRAWS bounds (see there)
+    block = grid.num if grid else max(1, min(replicates, sgd.REPLICATE_BLOCK))
+    arg = lambda key: {**obj_args, **oracle_args}.get(key, 0)
+    sizes = {
+        "[objective] n_data": (block * arg("n_data") * dim, "per-sample gradients per block"),
+        "[oracle] batch_m": (block * sgd.CHUNK * arg("batch_m") * (dim + 1), "draws per block chunk"),
+        "[oracle] n_samples": (arg("n_samples") * max(arg("m_values") or [1]) * dim, "draws per estimate"),
+        "[grid] num": (grid.num * dim if grid else 0, "grid coordinates"),
+    }
+    problems += [f"{where}: {n} {what}, more than {MAX_DRAWS}" for where, (n, what) in sizes.items() if n > MAX_DRAWS]
 
-    continuous = kind in ("strong-approx", "weak-approx", "couple-demo", "probe-exact")
     gammas, alphas = get("schedule", "gamma", [0.1]), get("schedule", "alpha", [0.5])
     if not parser.has_section("schedule"):
         gammas = alphas = []
@@ -706,7 +717,7 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             problems.append(f"[schedule] alpha: {a} must lie in [0, 1]")
-        elif a >= 1.0 and continuous:
+        elif a >= 1.0 and exp.continuous:
             problems.append(
                 f"[schedule] alpha: {a} invalid for {kind}; the continuous-time"
                 " process needs alpha < 1"
@@ -724,13 +735,12 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         labels = [v if key == "m_values" else f"{v:g}" for v in get(name, key, [])]
         problems += [f"[{name}] {key}: {v} repeated" for v in dict.fromkeys(labels) if labels.count(v) > 1]
     if kind == "batch-eps":
-        rows = replicates * len(get("oracle", "m_values", [1, 4, 16, 64]))
+        rows = replicates * len(oracle_args.get("m_values", []))
     else:
-        runs = {"certify": 0, "couple-demo": 1}.get(kind, len(schedules))
-        rows = replicates * runs * 64 * (2 if continuous and kind != "probe-exact" else 1)
+        rows = replicates * (1 if kind == "couple-demo" else len(schedules)) * 64 * exp.legs
     if rows > MAX_ROWS:
         problems.append(f"[experiment] replicates: {rows} raw.csv rows, more than {MAX_ROWS}")
-    if continuous and horizon > 0 and substeps >= 1:
+    if exp.continuous and horizon > 0 and substeps >= 1:
         probe = kind == "probe-exact"
         per_block, unit = (1, "steps") if probe else (substeps, "substeps")
         for s in schedules:
@@ -748,21 +758,40 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
                 problems.append("[experiment] horizon: shorter than one gamma_alpha block")
             elif path_length(horizon, ga / substeps) < 1:
                 problems.append("[experiment] horizon: shorter than one substep")
+
+    section = lambda name: dict(parser[name]) if parser.has_section(name) else {}
+    cfg = ExperimentConfig(
+        experiment=kind, seed=seed, replicates=replicates, horizon=horizon, substeps=substeps,
+        out_dir=overrides.get("out_dir") or get("experiment", "out_dir", "results"),
+        objective=section("objective"), oracle=section("oracle"), schedules=schedules, grid=grid,
+        objective_args=obj_args, oracle_args=oracle_args,
+    )
+    # build what a section's values describe once no problem names it (nor
+    # the seed the least-squares data is drawn from)
+    clean = lambda name: not any(p.startswith(f"[{name}]") for p in problems)
+    if obj_args and clean("objective") and seed >= 0:
+        try:
+            cfg.obj = build_objective(cfg)
+        except ConfigError as err:
+            problems += err.problems
+    if cfg.obj is not None:
+        x0 = obj_args["x0"]
+        if len(x0) == 1:
+            cfg.x0 = np.full(cfg.obj.dim, x0[0])
+        elif len(x0) == cfg.obj.dim:
+            cfg.x0 = np.asarray(x0)
+        else:
+            problems.append(f"[objective] x0: expected 1 or {cfg.obj.dim} entries")
+    if cfg.obj is not None and oracle_args and clean("oracle"):
+        # batch-eps runs one oracle per batch size
+        sweep = [{"batch_m": m} for m in oracle_args["m_values"]] if kind == "batch-eps" else [{}]
+        try:
+            cfg.oracles = [build_oracle(cfg, cfg.obj, **fixed) for fixed in sweep]
+        except ConfigError as err:
+            problems += err.problems
     if problems:
         raise ConfigError(problems)
-    section = lambda name: dict(parser[name]) if parser.has_section(name) else {}
-    return ExperimentConfig(
-        experiment=kind,
-        seed=seed,
-        replicates=replicates,
-        horizon=horizon,
-        substeps=substeps,
-        out_dir=overrides.get("out_dir") or get("experiment", "out_dir", "results"),
-        objective=section("objective"),
-        oracle=section("oracle"),
-        schedules=schedules,
-        grid=grid,
-    )
+    return cfg
 
 
 def main(argv=None) -> int:

@@ -296,7 +296,7 @@ def w2_1d(a, b) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def epsilon_hat(oracle: GradientOracle, x, n_samples: int, stream) -> float:
+def epsilon_hat(oracle: GradientOracle, x, n_samples: int, stream: RngStream) -> float:
     """Distance between the oracle's noise law and its gaussian surrogate.
 
     Draws n_samples of H(x, .), then n_samples of the surrogate
@@ -305,7 +305,7 @@ def epsilon_hat(oracle: GradientOracle, x, n_samples: int, stream) -> float:
     covariances this compares marginals only, which lower-bounds the
     joint distance.
     """
-    rng = stream.generator() if isinstance(stream, RngStream) else stream
+    rng = stream.generator()
     x = np.asarray(x, dtype=float)
     d = oracle.objective.dim
     draws = oracle.apply(

@@ -32,8 +32,6 @@ from .sgd import (
     fork_map,
 )
 
-DEFAULT_SUBSTEPS = 16
-
 
 @dataclass
 class BrownianPath:
@@ -65,7 +63,7 @@ class BrownianPath:
             raise ValueError(f"{self.count} increments do not split into blocks of {k}")
         return self.increments.reshape(self.count // k, k, self.dim).sum(axis=1)
 
-    def refine(self, stream) -> "BrownianPath":
+    def refine(self, stream: RngStream) -> "BrownianPath":
         """Bridge each increment into two halves of width h/2.
 
         The first half is increment/2 plus an independent Normal(0, h/4)
@@ -75,8 +73,7 @@ class BrownianPath:
         path spans the count * h the coarse increments cover, which exceeds
         the horizon when the horizon is off the coarse grid.
         """
-        rng = stream.generator() if isinstance(stream, RngStream) else stream
-        xi = np.sqrt(self.h) / 2.0 * rng.standard_normal(self.increments.shape)
+        xi = np.sqrt(self.h) / 2.0 * stream.generator().standard_normal(self.increments.shape)
         first = 0.5 * self.increments + xi
         second = self.increments - first
         fine = np.empty((2 * self.count, self.dim))
@@ -90,12 +87,11 @@ def path_length(horizon: float, h: float) -> int:
     return int(np.ceil(horizon / h - 1e-9))
 
 
-def sample_brownian_path(horizon: float, h: float, dim: int, stream) -> BrownianPath:
+def sample_brownian_path(horizon: float, h: float, dim: int, stream: RngStream) -> BrownianPath:
     if horizon <= 0 or h <= 0:
         raise ValueError("horizon and h must be positive")
-    rng = stream.generator() if isinstance(stream, RngStream) else stream
     n = path_length(horizon, h)
-    inc = np.sqrt(h) * rng.standard_normal((n, dim))
+    inc = np.sqrt(h) * stream.generator().standard_normal((n, dim))
     return BrownianPath(horizon, h, inc, dim)
 
 
@@ -205,7 +201,7 @@ def em_bias_probe(
     horizon: float,
     substeps_per_block: int,
     path: BrownianPath,
-    refine_stream,
+    refine_stream: RngStream,
 ) -> float:
     """Integrator self-consistency: |Y_T at K substeps - Y_T at 2K| on one path.
 

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from sgdlab import sgd
 from sgdlab.cli import (
+    _EXPERIMENTS,
     _KEYS,
+    _OBJECTIVES,
+    _ORACLES,
     EXPERIMENTS,
     ConfigError,
     RAW_HEADER,
@@ -218,6 +221,7 @@ def test_validate_lists_repeated_sweep_entries_in_one_pass(tmp_path):
         validate_config(write_cfg(tmp_path, text.replace("sigma = 1.0", "m_values = 2, 2")))
     assert info.value.problems == [
         "[experiment] seed: must be >= 0",
+        "[oracle] m_values: not a key of oracle 'gaussian' in rates",
         "[schedule] gamma: 0.5 repeated",
         "[schedule] alpha: 0.25 repeated",
         "[oracle] m_values: 2 repeated",
@@ -653,6 +657,17 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         ("batch-eps", BATCH_EPS_CFG, "m_values = 1, 4\n    n_samples = 2000",
          "m_values = 2501, 1\n    n_samples = 2000\n\n    [objective]\n    dim = 2",
          "[oracle] n_samples: 10004000 draws per estimate, more than 10000000"),
+        # 24 replicates * 10^9 data rows * dim 4 per-sample gradients; 24
+        # replicates * 256-step chunk * 10^8 batch * 5 numbers per row; the
+        # same at 50 replicates and 2 numbers per probe draw; 10^9 grid points
+        ("rates", LSQ_DIVERGE_CFG, "n_data = 64", "n_data = 1000000000",
+         "[objective] n_data: 96000000000 per-sample gradients per block, more than 10000000"),
+        ("rates", LSQ_DIVERGE_CFG, "batch_m = 1", "batch_m = 100000000",
+         "[oracle] batch_m: 3072000000000 draws per block chunk, more than 10000000"),
+        ("probe-exact", PROBE_CFG, "batch_m = 1", "batch_m = 100000000",
+         "[oracle] batch_m: 2560000000000 draws per block chunk, more than 10000000"),
+        ("certify", CERTIFY_CFG, "num = 401", "num = 1000000000",
+         "[grid] num: 1000000000 grid coordinates, more than 10000000"),
     ):
         path = write_cfg(tmp_path, text.replace(old, new))
         assert main([experiment, "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
@@ -671,6 +686,49 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         assert main(["rates", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: [experiment] out_dir: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("experiment,text,old,new,problems", [
+    # a key the kind does not take
+    ("rates", RATES_CFG, "kind = quadratic\n    lam = 1.0", "kind = phi_p\n    p = 2\n    lam = 3",
+     ["[objective] lam: not a key of objective 'phi_p' in rates"]),
+    ("rates", RATES_CFG, "kind = gaussian", "kind = heavy",
+     ["[oracle] sigma: not a key of oracle 'heavy' in rates"]),
+    # a key or a kind the experiment sets itself
+    ("probe-exact", PROBE_CFG, "batch_m = 1", "batch_m = 1\n    law = laplace",
+     ["[oracle] law: not a key of oracle 'batch_probe' in probe-exact"]),
+    ("batch-eps", BATCH_EPS_CFG, "n_samples = 2000", "n_samples = 2000\n\n    [objective]\n    kind = quadratic",
+     ["[objective] kind: batch-eps always uses 'linear_probe'"]),
+    # a required key left out, and constructor problems, with the others
+    ("rates", RATES_CFG, "kind = quadratic\n    lam = 1.0", "kind = phi_p",
+     ["[objective] p: required for kind 'phi_p'"]),
+    ("rates", RATES_CFG.replace("horizon = 400", "horizon = 0.5"), "kind = quadratic\n    lam = 1.0",
+     "kind = phi_p", ["[experiment] horizon: shorter than one step", "[objective] p: required for kind 'phi_p'"]),
+    ("probe-exact", PROBE_CFG.replace("replicates = 50", "replicates = 1"), "batch_m = 1", "batch_m = 0",
+     ["[experiment] replicates: must be >= 2", "[oracle] batch_probe: batch size must be >= 1"]),
+    ("batch-eps", BATCH_EPS_CFG.replace("horizon = 1", "horizon = 0"), "law = laplace", "law = foo",
+     ["[experiment] horizon: must be positive",
+      "[oracle] batch_probe: law must be one of ('rademacher', 'laplace', 'student'), got 'foo'"]),
+])
+def test_kind_keys_and_constructor_problems_are_listed_before_out_dir(
+        tmp_path, capsys, experiment, text, old, new, problems):
+    """Each kind takes its own keys, and the objective and oracle are built
+    while the config is validated: every problem is listed in one pass and
+    no out_dir is made."""
+    path = write_cfg(tmp_path, text.replace(old, new))
+    out = tmp_path / "o"
+    assert main([experiment, "--config", path, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "".join(f"config error: {p}\n" for p in problems)
+    assert not out.exists()
+
+
+def test_kind_rows_take_table_keys():
+    """Every key an objective, oracle or experiment row names is a key of
+    _KEYS in its section."""
+    rows = [("objective", keys) for keys, _ in _OBJECTIVES.values()]
+    rows += [("oracle", keys) for keys, _ in _ORACLES.values()]
+    rows += [("oracle", {**row.keys, **dict.fromkeys(row.fixed)}) for row in _EXPERIMENTS.values()]
+    assert all(set(keys) <= set(_KEYS[section]) for section, keys in rows)
 
 
 def test_emit_bank_rows_are_the_per_cell_text():
@@ -900,11 +958,15 @@ HOSTILE = ["0", "-1", "nan", "inf", "abc", "", "5%", "1, 2", "0.5,"]
 # gamma_alpha no smaller than 0.09, so a few thousand steps at most.  None
 # leaves the key out; keys whose defaults run long (replicates 100,
 # n_samples 100000, m_values up to 64, num 2001) are never left out.
+# Hypothesis draws the first value of a pool most often, so that one runs
+# for every experiment that takes the key (about 1 in 6 examples reaches a
+# run).  configs() draws each example's kinds from the cli's tables, so the
+# kind pools serve only an [oracle] kind given to certify.
 VALID = {
     ("experiment", "kind"): [None],  # the subcommand's kind
     ("experiment", "seed"): ["0", "3"],
     ("experiment", "replicates"): ["2", "3"],
-    ("experiment", "horizon"): ["0.5", "2", "1.005", "20"],
+    ("experiment", "horizon"): ["2", "0.5", "1.005", "20"],
     ("experiment", "substeps"): [None, "1", "4"],
     ("experiment", "threads"): [None, "2"],
     ("experiment", "out_dir"): [None, "elsewhere"],
@@ -913,7 +975,7 @@ VALID = {
     ("objective", "x0"): [None, "1.0", "1, 2", "0.5, 0.5, 0.5, 0.5"],
     ("objective", "dim"): [None, "1", "2", "4", "40"],
     ("objective", "lam"): [None, "2"],
-    ("objective", "p"): [None, "2"],
+    ("objective", "p"): ["2", "1", None],
     ("objective", "n_data"): [None, "3", "16"],
     ("oracle", "kind"): [None, "gaussian", "heavy", "batch_probe", "least_squares_batch",
                          "none", "bogus"],
@@ -928,7 +990,7 @@ VALID = {
     ("oracle", "slope_lo"): [None, "0.5"],
     ("oracle", "slope_hi"): [None, "1.5"],
     ("schedule", "gamma"): [None, "0.3", "0.5", "1", "0.3, 0.5"],
-    ("schedule", "alpha"): [None, "0", "0.25", "0.5", "1", "0.25, 0.5"],
+    ("schedule", "alpha"): ["0.25", None, "0", "0.5", "1", "0.25, 0.5"],
     ("grid", "lo"): [None, "-1", "1"],
     ("grid", "hi"): [None, "1", "2"],
     ("grid", "num"): ["2", "11"],
@@ -939,19 +1001,39 @@ UNKNOWN = [("oracle", "sigam"), ("schedule", "beta"), ("extra", "kind")]
 
 @st.composite
 def configs(draw):
-    """A subcommand and its config: every table key from its pool, up to
-    two keys hostile, and now and then a section dropped or an unknown key
-    added."""
+    """A subcommand and its config: the [experiment] keys, the keys of the
+    objective and oracle kinds it runs and its [schedule] (or [grid], for
+    certify), each from its pool; in a third of the examples one key of
+    another kind; up to two keys hostile, and now and then a section
+    dropped or an unknown key added."""
     experiment = draw(st.sampled_from(EXPERIMENTS))
-    hostile = draw(st.dictionaries(st.sampled_from(list(VALID)), st.sampled_from(HOSTILE),
-                                   max_size=2))
+    row = _EXPERIMENTS[experiment]
+    kinds = {"objective": row.objective or draw(st.sampled_from(sorted(_OBJECTIVES)))}
+    keys = [("experiment", key) for key in _KEYS["experiment"]]
+    keys += [("objective", key) for key in ["kind", "x0", *_OBJECTIVES[kinds["objective"]][0]]]
+    if row.oracle != "":
+        kinds["oracle"] = row.oracle or draw(st.sampled_from(sorted(_ORACLES)))
+        taken = {**_ORACLES[kinds["oracle"]][0], **row.keys}
+        keys += [("oracle", key) for key in ["kind", *taken] if key not in row.fixed]
+    own = "grid" if experiment == "certify" else "schedule"
+    keys += [(own, key) for key in _KEYS[own]]
+    if draw(st.integers(0, 2)) == 0:
+        keys.append(draw(st.sampled_from(sorted(set(VALID) - set(keys)))))
+    hostile = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(HOSTILE), max_size=2))
     sections = {"experiment": {"kind": experiment}}
-    for (section, key), pool in VALID.items():
-        value = hostile[section, key] if (section, key) in hostile else draw(st.sampled_from(pool))
+    for section, key in keys:
+        if (section, key) in hostile:
+            value = hostile[section, key]
+        elif key == "kind" and section in kinds:
+            # a kind the experiment always uses may be left out
+            fixed = (row.objective, row.oracle)[section == "oracle"]
+            value = draw(st.sampled_from([None, kinds[section]])) if fixed else kinds[section]
+        else:
+            value = draw(st.sampled_from(VALID[section, key]))
         if value is not None:
             sections.setdefault(section, {})[key] = value
-    sections.pop(draw(st.sampled_from([None] * 6 + sorted(sections))), None)
-    unknown = draw(st.sampled_from([None] * 6 + UNKNOWN))
+    sections.pop(draw(st.sampled_from([None] * 12 + sorted(sections))), None)
+    unknown = draw(st.sampled_from([None] * 12 + UNKNOWN))
     if unknown:
         sections.setdefault(unknown[0], {})[unknown[1]] = "1"
     return experiment, sections

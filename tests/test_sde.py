@@ -63,12 +63,6 @@ def test_sample_brownian_path_validates_inputs():
         sample_brownian_path(1.0, -0.1, 1, s)
 
 
-def test_sample_accepts_stream_or_generator():
-    a = sample_brownian_path(1.0, 0.25, 3, derive_stream(5, 2, "brownian"))
-    b = sample_brownian_path(1.0, 0.25, 3, derive_stream(5, 2, "brownian").generator())
-    np.testing.assert_array_equal(a.increments, b.increments)
-
-
 def test_increment_scale():
     p = _bm(64.0, 2.0**-8, 1)
     assert p.increments.var() == pytest.approx(p.h, rel=0.05)
