@@ -58,10 +58,11 @@ from .objectives import (
     make_phi_p,
     make_pl_sine,
     make_quadratic,
+    ratio_points,
 )
 from .sde import em_bias_probe, path_length, sample_brownian_path
 from . import sgd
-from .sgd import DivergenceError, ReplicateRuns, run_sgd_replicates
+from .sgd import DivergenceError, ReplicateRuns, run_sgd_replicates, run_sgd_sweep
 
 RAW_HEADER = "run_id,replicate,n_or_t,f_gap,dist2,grad_sq,suffix_avg"
 SUMMARY_HEADER = (
@@ -83,13 +84,15 @@ MAX_DIM = 32
 # - n_samples: a batch-eps estimate draws n_samples * max(m_values) * dim;
 # - batch_m: a batch oracle's draws for one chunk of a block hold
 #   rows * sgd.CHUNK * batch_m * (dim + 1) numbers (a data point has at most
-#   dim + 1: a least-squares row and its target);
+#   dim + 1: a least-squares row and its target), and one step of a stacked
+#   block makes stack * rows * batch_m * dim per-sample gradients;
 # - n_data: a least-squares objective evaluated on a block makes
-#   rows * n_data residuals, and its oracle's covariance
+#   stack * rows * n_data residuals, and its oracle's covariance
 #   rows * n_data * dim per-sample gradients;
 # - num: the certify grid holds num * dim coordinates.
 # rows is a block's replicates, min(replicates, sgd.REPLICATE_BLOCK), or the
-# grid's num points for certify.
+# grid's num points for certify; stack is the schedules a rates block steps
+# at once (run_sgd_sweep), 1 for every other experiment.
 MAX_DRAWS = 10**7
 # Every key each section allows, with the type of its value; a type in a
 # list marks a comma-separated list of that type.  [experiment] threads is
@@ -323,11 +326,11 @@ def _experiment_rates(cfg: ExperimentConfig) -> Outcome:
     n_steps = int(cfg.horizon)
     plan = log_spaced_indices(n_steps)
     observables = {"f_gap": "values", "dist2": "dist2_to_min", "grad_sq": "grad_sq"}
-    for sched in cfg.schedules:
+    banks = run_sgd_sweep(
+        obj, oracle, cfg.schedules, cfg.x0, n_steps, cfg.replicates, cfg.seed, plan=plan
+    )
+    for sched, bank in zip(cfg.schedules, banks):
         run_id = _run_label(obj, oracle, sched)
-        bank = run_sgd_replicates(
-            obj, oracle, sched, cfg.x0, n_steps, cfg.replicates, cfg.seed, plan=plan
-        )
         if not _tally(out, cfg, run_id, bank.aborts):
             continue
         _emit_bank(out, run_id, bank)
@@ -547,8 +550,7 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
 
 def _experiment_certify(cfg: ExperimentConfig) -> Outcome:
     out, obj = Outcome(attempted=1, completed=1), cfg.obj
-    with _config_errors("[grid]"):
-        out.report += [certify_condition(obj, tag, cfg.grid).line() for tag in obj.class_tags]
+    out.report += [certify_condition(obj, tag, cfg.grid).line() for tag in obj.class_tags]
     if not obj.class_tags:
         out.report.append(f"{obj.name}: no class tags to certify")
     return out
@@ -570,11 +572,14 @@ class _Experiment:
     legs: int = 1  # raw.csv run ids per bank
     continuous: bool = False  # runs the diffusion, so needs alpha < 1
     keys: dict = field(default_factory=dict)  # its own [oracle] keys, with defaults
-    # the objective and oracle kinds it always uses (None: the config's kind;
-    # an oracle of "": it takes none), and the keys of that oracle it sets
+    # the objective and oracle kinds it always uses (None: the config's
+    # kind), and the keys of that oracle it sets
     objective: str | None = None
     oracle: str | None = None
     fixed: tuple = ()
+    # the sections it reads besides [experiment] and [objective]; a key in
+    # any other section is a problem
+    sections: tuple = ("oracle", "schedule")
 
 
 _EXPERIMENTS = {
@@ -585,12 +590,12 @@ _EXPERIMENTS = {
                                continuous=True, keys={"slope_lo": 0.8, "slope_hi": 1.3}),
     "batch-eps": _Experiment(
         _experiment_batch_eps, objective="linear_probe", oracle="batch_probe", fixed=("batch_m",),
-        keys={"law": "laplace", "m_values": [1, 4, 16, 64], "n_samples": 100_000,
-              "slope_lo": -1.25, "slope_hi": -0.75}),
+        sections=("oracle",), keys={"law": "laplace", "m_values": [1, 4, 16, 64],
+                                    "n_samples": 100_000, "slope_lo": -1.25, "slope_hi": -0.75}),
     "probe-exact": _Experiment(_experiment_probe_exact, fewest=2, continuous=True,
                                objective="linear_probe", oracle="batch_probe", fixed=("law", "df")),
     "couple-demo": _Experiment(_experiment_couple_demo, fewest=2, legs=2, continuous=True),
-    "certify": _Experiment(_experiment_certify, legs=0, oracle=""),
+    "certify": _Experiment(_experiment_certify, legs=0, sections=("grid",)),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -659,6 +664,9 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     elif kind == "rates" and int(horizon) > MAX_STEPS:
         problems.append(f"[experiment] horizon: more than {MAX_STEPS} steps per replicate")
 
+    reads = ("experiment", "objective", *exp.sections)
+    problems += [f"[{name}] {key}: {kind} takes no {name}" for name, key in values if name not in reads]
+
     # [objective] and [oracle]: the kind each runs, and the values of the
     # keys that kind takes in this experiment over the defaults of its rows
     args = {}
@@ -666,11 +674,11 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         ("objective", _OBJECTIVES, exp.objective, "quadratic", {"x0": [0.0]}, ()),
         ("oracle", _ORACLES, exp.oracle, "gaussian", exp.keys, exp.fixed),
     ):
+        if section not in reads:
+            continue  # its keys are listed above
         given = {key: v for (name, key), v in values.items() if name == section}
         chosen = given.get("kind", always or default)
-        if always == "":
-            problems += [f"[{section}] {key}: {kind} takes no {section}" for key in given]
-        elif always and chosen != always:
+        if always and chosen != always:
             problems.append(f"[{section}] kind: {kind} always uses {always!r}")
         elif chosen not in table:
             problems.append(f"[{section}] kind: unknown {section} {chosen!r}")
@@ -688,7 +696,7 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     if dim > MAX_DIM:
         problems.append(f"[objective] dim: {dim} is more than {MAX_DIM}")
     grid = None
-    if kind == "certify":
+    if "grid" in reads:
         given = {key: value for (name, key), value in values.items() if name == "grid"}
         try:
             grid = GridSpec(**{"lo": -3.0, "hi": 3.0, **given})
@@ -696,22 +704,12 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
             problems.append(f"[grid]: {err}")
     if oracle_args.get("n_samples", 1) < 1:
         problems.append("[oracle] n_samples: must be >= 1")
-    # the arrays MAX_DRAWS bounds (see there)
-    block = grid.num if grid else max(1, min(replicates, sgd.REPLICATE_BLOCK))
-    arg = lambda key: {**obj_args, **oracle_args}.get(key, 0)
-    sizes = {
-        "[objective] n_data": (block * arg("n_data") * dim, "per-sample gradients per block"),
-        "[oracle] batch_m": (block * sgd.CHUNK * arg("batch_m") * (dim + 1), "draws per block chunk"),
-        "[oracle] n_samples": (arg("n_samples") * max(arg("m_values") or [1]) * dim, "draws per estimate"),
-        "[grid] num": (grid.num * dim if grid else 0, "grid coordinates"),
-    }
-    problems += [f"{where}: {n} {what}, more than {MAX_DRAWS}" for where, (n, what) in sizes.items() if n > MAX_DRAWS]
 
-    gammas, alphas = get("schedule", "gamma", [0.1]), get("schedule", "alpha", [0.5])
-    if not parser.has_section("schedule"):
-        gammas = alphas = []
-        if kind not in ("batch-eps", "certify"):
-            problems.append("[schedule]: section required for this experiment")
+    gammas = alphas = []
+    if "schedule" in reads and not parser.has_section("schedule"):
+        problems.append("[schedule]: section required for this experiment")
+    elif "schedule" in reads:
+        gammas, alphas = get("schedule", "gamma", [0.1]), get("schedule", "alpha", [0.5])
     problems += [f"[schedule] gamma: {g} must be > 0" for g in gammas if g <= 0]
     fine = []
     for a in alphas:
@@ -732,8 +730,21 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     schedules = [StepSchedule(g, a) for a in fine for g in gammas if g > 0]
     for name, key in (("schedule", "gamma"), ("schedule", "alpha"), ("oracle", "m_values")):
         # an entry names its run ids (a float to six significant digits)
-        labels = [v if key == "m_values" else f"{v:g}" for v in get(name, key, [])]
+        labels = [v if key == "m_values" else f"{v:g}" for v in get(name, key, [])] if name in reads else []
         problems += [f"[{name}] {key}: {v} repeated" for v in dict.fromkeys(labels) if labels.count(v) > 1]
+
+    # the arrays MAX_DRAWS bounds (see there)
+    block = grid.num if grid else max(1, min(replicates, sgd.REPLICATE_BLOCK))
+    stack = len(schedules) if kind == "rates" else 1
+    arg = lambda key: {**obj_args, **oracle_args}.get(key, 0)
+    sizes = {
+        "[objective] n_data": (stack * block * arg("n_data") * dim, "per-sample gradients per block"),
+        "[oracle] batch_m": (max(sgd.CHUNK, stack) * block * arg("batch_m") * (dim + 1),
+                             "numbers per block chunk or step"),
+        "[oracle] n_samples": (arg("n_samples") * max(arg("m_values") or [1]) * dim, "draws per estimate"),
+        "[grid] num": (grid.num * dim if grid else 0, "grid coordinates"),
+    }
+    problems += [f"{where}: {n} {what}, more than {MAX_DRAWS}" for where, (n, what) in sizes.items() if n > MAX_DRAWS]
     if kind == "batch-eps":
         rows = replicates * len(oracle_args.get("m_values", []))
     else:
@@ -782,6 +793,12 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
             cfg.x0 = np.asarray(x0)
         else:
             problems.append(f"[objective] x0: expected 1 or {cfg.obj.dim} entries")
+    if cfg.obj is not None and grid is not None and clean("grid") and any(
+            not isinstance(tag, (StronglyConvex, Convex)) for tag in cfg.obj.class_tags):
+        try:
+            ratio_points(cfg.obj, grid)
+        except ValueError as err:
+            problems.append(f"[grid]: {err}")
     if cfg.obj is not None and oracle_args and clean("oracle"):
         # batch-eps runs one oracle per batch size
         sweep = [{"batch_m": m} for m in oracle_args["m_values"]] if kind == "batch-eps" else [{}]

@@ -184,7 +184,7 @@ def _standardized_law(law: str, dim: int, df: float | None):
 
         return draw, ppf
 
-    raise ValueError(f"law must be one of {HEAVY_LAWS}, got {law!r}")
+    raise ValueError(f"law must be one of {('normal',) + HEAVY_LAWS}, got {law!r}")
 
 
 def heavy_oracle(obj: Objective, scale: float, law: str, df: float | None = None) -> GradientOracle:

@@ -337,6 +337,20 @@ class CertificationReport:
         )
 
 
+def ratio_points(obj: Objective, grid: GridSpec) -> tuple:
+    """The grid points a ratio condition (every condition but the convex
+    ones) is checked on: those beyond exclude_radius from the minimizer with
+    a positive gap, with their gaps and distances.  A ValueError if there is
+    none."""
+    pts = grid.points(obj.dim)
+    gap = obj.value(pts) - obj.f_star
+    dist = np.linalg.norm(pts - obj.x_star, axis=-1)
+    keep = (dist > grid.exclude_radius) & (gap > 0)
+    if not keep.any():
+        raise ValueError("no grid point lies beyond exclude_radius with a positive gap")
+    return pts[keep], gap[keep], dist[keep]
+
+
 def certify_condition(obj: Objective, cond, grid: GridSpec) -> CertificationReport:
     """Check a function-class inequality on a grid and report the worst ratio.
 
@@ -361,14 +375,7 @@ def certify_condition(obj: Objective, cond, grid: GridSpec) -> CertificationRepo
             obj.name, cond, worst, threshold, worst >= threshold, arg, int(keep.sum())
         )
 
-    gap = obj.value(pts) - obj.f_star
-    dist = np.linalg.norm(pts - obj.x_star, axis=-1)
-    keep = (dist > grid.exclude_radius) & (gap > 0)
-    if not keep.any():
-        raise ValueError("no grid point lies beyond exclude_radius with a positive gap")
-    pts = pts[keep]
-    gap = gap[keep]
-    dist = dist[keep]
+    pts, gap, dist = ratio_points(obj, grid)
     g = obj.gradient(pts)
     gnorm = np.linalg.norm(g, axis=-1)
 

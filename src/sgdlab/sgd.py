@@ -3,13 +3,17 @@ machinery that every process in the package runs on.
 
 The recursion X_{n+1} = X_n - gamma (n+1)^{-alpha} H(X_n, Z_{n+1}) runs as
 a bank of replicates (run_sgd_replicates); a solo run (run_sgd) returns
-the one-row bank of its stream.  The block scheduler (_map_blocks) cuts
-the bank's streams into consecutive near-equal blocks of at most
-REPLICATE_BLOCK rows, as many per worker (one each for a bank of up to
-WORKERS * REPLICATE_BLOCK rows), and hands them to fork_map, which runs
-them on WORKERS processes (this one and forked children, one per core
-this process may run on) and returns the results in block order.  One
-block kernel (_Rows.run) steps each block: it draws innovations in chunks
+the one-row bank of its stream.  A sweep (run_sgd_sweep: the same
+replicates under several schedules) is one stacked bank: each block steps
+its replicates under every schedule at once, draws each replicate's noise
+once for all of them, and splits back into one bank per schedule whose
+bytes equal those of that schedule's own bank.  The block scheduler
+(_map_blocks) cuts the bank's streams into consecutive near-equal blocks
+of at most REPLICATE_BLOCK replicates, as many per worker (one each for a
+bank of up to WORKERS * REPLICATE_BLOCK replicates), and hands them to
+fork_map, which runs them on WORKERS processes (this one and forked
+children, one per core this process may run on) and returns the results
+in block order.  One block kernel (_Rows.run) steps each block: it draws innovations in chunks
 of CHUNK steps (CHUNK // K for a coupled step of K substeps) from
 per-replicate counter-based streams, checks every row for divergence
 after each step (_Rows.check: one vdot over the block, per-row norms only
@@ -22,7 +26,8 @@ only.
 Block and chunk are sized together: a block's draw buffer holds
 REPLICATE_BLOCK * CHUNK = 2^18 innovations, so a wider block (fewer
 Python-level steps per bank) takes a shorter chunk and the buffer does
-not grow.  Every array op is row-independent and each stream is read in
+not grow; a stacked block shares the buffer over its schedules, so it
+does not grow with them either.  Every array op is row-independent and each stream is read in
 order whatever the chunk, so a replicate's trajectory is bit-identical
 however the replicates are split into blocks and the steps into chunks,
 and whichever process steps a block.
@@ -153,6 +158,15 @@ class _Rows:
                 self.aborted[i] = DivergenceError(int(self.ids[i]), step, detail(sq[i]))
         x[bad] = reset
 
+    def split(self, count: int) -> list[_Rows]:
+        """The rows cut into count consecutive equal parts (a stacked
+        block's schedules), each with the aborts of its own rows."""
+        size = len(self.ids) // count
+        parts = [_Rows(self.ids[k * size : (k + 1) * size]) for k in range(count)]
+        for i in sorted(self.aborted):
+            parts[i // size].aborted[i % size] = self.aborted[i]
+        return parts
+
     def run(self, n_steps: int, plan: np.ndarray, draw, step, record, substeps: int = 1) -> None:
         """The block kernel: draw(start, m) the noise of each chunk of m steps,
         step(n, noise, j) every step n (the j-th of its chunk), then
@@ -240,14 +254,15 @@ def worker_slices(n: int, cap: int | None = None) -> list[slice]:
 
 def _map_blocks(streams: list, work) -> list:
     """The block scheduler: work(block) on the consecutive blocks of at most
-    REPLICATE_BLOCK streams that worker_slices cuts, run by fork_map.  Each
-    work call returns a tuple whose first entry is the block's _Rows."""
+    REPLICATE_BLOCK streams that worker_slices cuts, run by fork_map, in
+    block order."""
     return fork_map(lambda s: work(streams[s]), worker_slices(len(streams), REPLICATE_BLOCK))
 
 
 def _survivors(parts: list) -> tuple[np.ndarray, list[DivergenceError]]:
-    """Mask of the stacked block rows that never diverged, and the aborts
-    of the others in replicate order."""
+    """Mask of the rows of parts (one tuple per block, its _Rows first),
+    stacked, that never diverged, and the aborts of the others in replicate
+    order."""
     keep, aborts = [], []
     for rows, *_ in parts:
         k = np.ones(len(rows.ids), dtype=bool)
@@ -294,17 +309,23 @@ def _normalize_plan(plan, n: int, error: str) -> np.ndarray:
 def _sgd_block(
     obj: Objective,
     oracle: GradientOracle,
-    sched: StepSchedule,
+    scheds: tuple,
     x0,
     n_steps: int,
     plan: np.ndarray,
     streams: list[RngStream],
-):
-    rows = _Rows([s.replicate_id for s in streams])
+) -> list:
+    """One block of a sweep: its streams' replicates under every schedule,
+    stepped as one (schedules, replicates, dim) state.  Each chunk is drawn
+    once per replicate and broadcast over the schedules, and step n takes
+    the schedules' steps from row n of an (n_steps, schedules) table.
+    Returns one (rows, checkpoints) pair per schedule."""
+    rows = _Rows([s.replicate_id for s in streams] * len(scheds))
     gens = [s.generator() for s in streams]
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (len(gens), obj.dim)).copy()
-    steps = np.asarray(sched.step_size(np.arange(n_steps)))
-    ckpt = _Checkpoints(obj, len(gens), len(plan))
+    shape = (len(scheds), len(gens), obj.dim)
+    x = np.broadcast_to(np.asarray(x0, dtype=float), shape).copy()
+    steps = np.stack([s.step_size(np.arange(n_steps)) for s in scheds], axis=1)[..., None, None]
+    ckpts = [_Checkpoints(obj, len(gens), len(plan)) for _ in scheds]
     detail = _norm_detail("X")
 
     def draw(start, m):
@@ -313,37 +334,47 @@ def _sgd_block(
     def step(n, raw, j):
         nonlocal x
         x = x - steps[n] * oracle.apply(x, raw[:, j])
-        rows.check(x, n + 1, detail, obj.x_star)
+        rows.check(x.reshape(-1, obj.dim), n + 1, detail, obj.x_star)
 
-    rows.run(n_steps, plan, draw, step, lambda p: ckpt.record(p, x))
-    ckpt.final = x
-    return rows, ckpt
+    def record(p):
+        for ckpt, xs in zip(ckpts, x):
+            ckpt.record(p, xs)
+
+    rows.run(n_steps, plan, draw, step, record)
+    for ckpt, xs in zip(ckpts, x):
+        ckpt.final = xs
+    return list(zip(rows.split(len(scheds)), ckpts))
 
 
 def _sgd(
     obj: Objective,
     oracle: GradientOracle,
-    sched: StepSchedule,
+    scheds: tuple,
     x0,
     n_steps: int,
     streams: list,
     plan,
-) -> ReplicateRuns:
-    """The one SGD entry: the rows of streams, stepped block by block."""
+) -> list[ReplicateRuns]:
+    """The one SGD entry: the rows of streams under each of scheds, stepped
+    block by block; one bank per schedule."""
     if n_steps < 1 or not streams:
         raise ValueError("n_steps and n_replicates must be >= 1")
+    if not scheds:
+        raise ValueError("a sweep needs at least one schedule")
     if any(s is None for s in streams):
         raise ValueError("SGD needs an explicit RngStream")
     tag = obj.tag(StronglyConvex)
-    if sched.alpha == 1.0 and tag is not None and not sched.gamma > 1.0 / (2.0 * tag.mu):
-        warnings.warn(
-            f"alpha=1 with gamma={sched.gamma:g} <= 1/(2 mu)={1.0 / (2.0 * tag.mu):g}:"
-            " the strongly convex rate guarantee needs a larger gamma",
-            stacklevel=3,
-        )
+    for sched in scheds:
+        if sched.alpha == 1.0 and tag is not None and not sched.gamma > 1.0 / (2.0 * tag.mu):
+            warnings.warn(
+                f"alpha=1 with gamma={sched.gamma:g} <= 1/(2 mu)={1.0 / (2.0 * tag.mu):g}:"
+                " the strongly convex rate guarantee needs a larger gamma",
+                stacklevel=3,
+            )
     plan = _normalize_plan(plan, n_steps, "plan indices must lie in [1, n_steps]")
-    work = lambda block: _sgd_block(obj, oracle, sched, x0, n_steps, plan, block)
-    return _replicate_runs(_map_blocks(streams, work), plan)
+    work = lambda block: _sgd_block(obj, oracle, scheds, x0, n_steps, plan, block)
+    blocks = _map_blocks(streams, work)
+    return [_replicate_runs([block[k] for block in blocks], plan) for k in range(len(scheds))]
 
 
 def run_sgd(
@@ -357,7 +388,30 @@ def run_sgd(
 ) -> ReplicateRuns:
     """One SGD replicate, recorded at the plan's iteration indices: a
     one-row bank, or the DivergenceError its row aborted with."""
-    return _solo(_sgd(obj, oracle, sched, x0, n_steps, [stream], plan))
+    (bank,) = _sgd(obj, oracle, (sched,), x0, n_steps, [stream], plan)
+    return _solo(bank)
+
+
+def run_sgd_sweep(
+    obj: Objective,
+    oracle: GradientOracle,
+    scheds,
+    x0,
+    n_steps: int,
+    n_replicates: int,
+    master_seed: int,
+    plan=None,
+) -> list[ReplicateRuns]:
+    """One bank per schedule of scheds, each of the same replicates, with
+    streams derived from one master seed.
+
+    The sweep runs as one stacked bank that draws each replicate's noise
+    once for every schedule; each bank's bytes equal those of
+    run_sgd_replicates under its schedule.  A replicate that diverges under
+    one schedule is listed in that bank's aborts only.
+    """
+    streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
+    return _sgd(obj, oracle, tuple(scheds), x0, n_steps, streams, plan)
 
 
 def run_sgd_replicates(
@@ -370,12 +424,13 @@ def run_sgd_replicates(
     master_seed: int,
     plan=None,
 ) -> ReplicateRuns:
-    """A bank of replicates with streams derived from one master seed.
+    """A bank of replicates with streams derived from one master seed: the
+    one-schedule run_sgd_sweep.
 
     Results are identical for any block size, and equal to run_sgd
     replicate by replicate; replicates that diverge are listed in the
     bank's aborts instead of its rows.
     """
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    return _sgd(obj, oracle, sched, x0, n_steps, streams, plan)
-
+    (bank,) = _sgd(obj, oracle, (sched,), x0, n_steps, streams, plan)
+    return bank

@@ -41,6 +41,7 @@ from sgdlab import (
     probe_strong_error_floor,
     run_coupled_replicates,
     run_sgd_replicates,
+    run_sgd_sweep,
     sample_brownian_path,
     strong_error,
     w2_1d,
@@ -92,19 +93,20 @@ def _loglog_slope(xs, ys):
 
 @pytest.fixture(scope="module")
 def phi_sweep():
-    """Mean trajectories for phi_p, p in {2, 5}, alpha grid 0.3..0.7."""
+    """Mean trajectories for phi_p, p in {2, 5}, alpha grid 0.3..0.7: one
+    stacked sweep per p, whose banks are those of each alpha alone."""
     t0 = time.perf_counter()
     plan = log_spaced_indices(N_LONG)
     curves = {}
+    alphas = (0.3, 0.4, 0.5, 0.6, 0.7)
     for p in (2, 5):
         obj = make_phi_p(p)
         oracle = gaussian_oracle(obj, 1.0)
-        for alpha in (0.3, 0.4, 0.5, 0.6, 0.7):
-            sched = StepSchedule(0.5, alpha)
-            bank = run_sgd_replicates(
-                obj, oracle, sched, np.array([1.0]), N_LONG, R_LONG,
-                MASTER_SEED, plan=plan,
-            )
+        banks = run_sgd_sweep(
+            obj, oracle, [StepSchedule(0.5, a) for a in alphas], np.array([1.0]),
+            N_LONG, R_LONG, MASTER_SEED, plan=plan,
+        )
+        for alpha, bank in zip(alphas, banks):
             curves[(p, alpha)] = (
                 bank.values.mean(axis=0),
                 bank.grad_sq.mean(axis=0),

@@ -657,15 +657,25 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         ("batch-eps", BATCH_EPS_CFG, "m_values = 1, 4\n    n_samples = 2000",
          "m_values = 2501, 1\n    n_samples = 2000\n\n    [objective]\n    dim = 2",
          "[oracle] n_samples: 10004000 draws per estimate, more than 10000000"),
-        # 24 replicates * 10^9 data rows * dim 4 per-sample gradients; 24
-        # replicates * 256-step chunk * 10^8 batch * 5 numbers per row; the
-        # same at 50 replicates and 2 numbers per probe draw; 10^9 grid points
+        # 2 stacked schedules * 24 replicates * 10^9 data rows * dim 4
+        # per-sample gradients; 2 schedules * 1024 replicates * 2000 rows *
+        # dim 4 (8.2 * 10^6 for one schedule alone); 24 replicates *
+        # 256-step chunk * 10^8 batch * 5 numbers per row; the same at 50
+        # replicates and 2 numbers per probe draw; 400 stacked schedules
+        # (more than a chunk's 256 steps) * 2 replicates * batch 3000 * 5
+        # numbers per row in one step; 10^9 grid points
         ("rates", LSQ_DIVERGE_CFG, "n_data = 64", "n_data = 1000000000",
-         "[objective] n_data: 96000000000 per-sample gradients per block, more than 10000000"),
+         "[objective] n_data: 192000000000 per-sample gradients per block, more than 10000000"),
+        ("rates", LSQ_DIVERGE_CFG.replace("replicates = 24", "replicates = 1024"), "n_data = 64",
+         "n_data = 2000", "[objective] n_data: 16384000 per-sample gradients per block, more than 10000000"),
         ("rates", LSQ_DIVERGE_CFG, "batch_m = 1", "batch_m = 100000000",
-         "[oracle] batch_m: 3072000000000 draws per block chunk, more than 10000000"),
+         "[oracle] batch_m: 3072000000000 numbers per block chunk or step, more than 10000000"),
         ("probe-exact", PROBE_CFG, "batch_m = 1", "batch_m = 100000000",
-         "[oracle] batch_m: 2560000000000 draws per block chunk, more than 10000000"),
+         "[oracle] batch_m: 2560000000000 numbers per block chunk or step, more than 10000000"),
+        ("rates", LSQ_DIVERGE_CFG.replace("replicates = 24", "replicates = 2"),
+         "batch_m = 1\n\n    [schedule]\n    gamma = 1, 4",
+         "batch_m = 3000\n\n    [schedule]\n    gamma = " + ", ".join(map(str, range(1, 401))),
+         "[oracle] batch_m: 12000000 numbers per block chunk or step, more than 10000000"),
         ("certify", CERTIFY_CFG, "num = 401", "num = 1000000000",
          "[grid] num: 1000000000 grid coordinates, more than 10000000"),
     ):
@@ -673,12 +683,10 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         assert main([experiment, "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
         assert f"config error: {problem}" in capsys.readouterr().err
     # an out_dir the run cannot create is an error before the first bank
-    import sgdlab.cli as cli
-
     def no_bank(*args, **kwargs):
         raise AssertionError("a bank ran")
 
-    monkeypatch.setattr(cli, "run_sgd_replicates", no_bank)
+    monkeypatch.setattr(sgd, "_sgd", no_bank)  # every SGD bank, sweeps included
     afile = tmp_path / "afile"
     afile.write_text("")
     for out_dir in (afile / "sub", afile):
@@ -708,7 +716,21 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
      ["[experiment] replicates: must be >= 2", "[oracle] batch_probe: batch size must be >= 1"]),
     ("batch-eps", BATCH_EPS_CFG.replace("horizon = 1", "horizon = 0"), "law = laplace", "law = foo",
      ["[experiment] horizon: must be positive",
-      "[oracle] batch_probe: law must be one of ('rademacher', 'laplace', 'student'), got 'foo'"]),
+      "[oracle] batch_probe: law must be one of ('normal', 'rademacher', 'laplace', 'student'),"
+      " got 'foo'"]),
+    ("batch-eps", BATCH_EPS_CFG, "law = laplace", "law = foo",
+     ["[oracle] batch_probe: law must be one of ('normal', 'rademacher', 'laplace', 'student'),"
+      " got 'foo'"]),
+    # a certify grid with no point for the ratio conditions
+    ("certify", CERTIFY_CFG, "lo = -2\n    hi = 2", "lo = -1\n    hi = 1\n    exclude_radius = 5",
+     ["[grid]: no grid point lies beyond exclude_radius with a positive gap"]),
+    # a section the experiment does not read
+    ("rates", RATES_CFG, "alpha = 0.5", "alpha = 0.5\n\n    [grid]\n    num = 5",
+     ["[grid] num: rates takes no grid"]),
+    ("batch-eps", BATCH_EPS_CFG, "n_samples = 2000", "n_samples = 2000\n\n    [schedule]\n    gamma = 0.5",
+     ["[schedule] gamma: batch-eps takes no schedule"]),
+    ("certify", CERTIFY_CFG, "num = 401", "num = 401\n\n    [schedule]\n    alpha = 0.5\n\n    [oracle]\n"
+     "    sigma = 1", ["[schedule] alpha: certify takes no schedule", "[oracle] sigma: certify takes no oracle"]),
 ])
 def test_kind_keys_and_constructor_problems_are_listed_before_out_dir(
         tmp_path, capsys, experiment, text, old, new, problems):
@@ -1002,8 +1024,8 @@ UNKNOWN = [("oracle", "sigam"), ("schedule", "beta"), ("extra", "kind")]
 @st.composite
 def configs(draw):
     """A subcommand and its config: the [experiment] keys, the keys of the
-    objective and oracle kinds it runs and its [schedule] (or [grid], for
-    certify), each from its pool; in a third of the examples one key of
+    objective and oracle kinds it runs and of the other sections it reads,
+    each from its pool; in a third of the examples one key of
     another kind; up to two keys hostile, and now and then a section
     dropped or an unknown key added."""
     experiment = draw(st.sampled_from(EXPERIMENTS))
@@ -1011,12 +1033,11 @@ def configs(draw):
     kinds = {"objective": row.objective or draw(st.sampled_from(sorted(_OBJECTIVES)))}
     keys = [("experiment", key) for key in _KEYS["experiment"]]
     keys += [("objective", key) for key in ["kind", "x0", *_OBJECTIVES[kinds["objective"]][0]]]
-    if row.oracle != "":
+    if "oracle" in row.sections:
         kinds["oracle"] = row.oracle or draw(st.sampled_from(sorted(_ORACLES)))
         taken = {**_ORACLES[kinds["oracle"]][0], **row.keys}
         keys += [("oracle", key) for key in ["kind", *taken] if key not in row.fixed]
-    own = "grid" if experiment == "certify" else "schedule"
-    keys += [(own, key) for key in _KEYS[own]]
+    keys += [(own, key) for own in ("schedule", "grid") if own in row.sections for key in _KEYS[own]]
     if draw(st.integers(0, 2)) == 0:
         keys.append(draw(st.sampled_from(sorted(set(VALID) - set(keys)))))
     hostile = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(HOSTILE), max_size=2))

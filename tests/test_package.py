@@ -25,6 +25,7 @@ RUNNERS = (
     "run_sde_em_replicates",
     "run_sgd",
     "run_sgd_replicates",
+    "run_sgd_sweep",
     "em_bias_probe",
 )
 

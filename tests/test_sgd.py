@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sgdlab.core import StepSchedule, derive_stream, log_spaced_indices
 from sgdlab.noise import gaussian_oracle, heavy_oracle, least_squares_batch_oracle
 from sgdlab import sgd
-from sgdlab.objectives import make_least_squares, make_linear_probe, make_quadratic
+from sgdlab.objectives import make_least_squares, make_linear_probe, make_phi_p, make_quadratic
 from sgdlab.sgd import (
     DIVERGENCE_NORM,
     DivergenceError,
@@ -19,6 +19,7 @@ from sgdlab.sgd import (
     _Rows,
     run_sgd,
     run_sgd_replicates,
+    run_sgd_sweep,
     fork_map,
 )
 
@@ -97,6 +98,50 @@ def test_block_size_invariance(monkeypatch):
         banks.append(run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 300, 600, 7))
     np.testing.assert_array_equal(banks[0].values, banks[1].values)
     np.testing.assert_array_equal(banks[0].dist2_to_min, banks[1].dist2_to_min)
+
+
+def _bank_bytes(bank):
+    """Every field of a bank, arrays as bytes and aborts as their
+    (replicate, step, detail)."""
+    arrays = ("values", "dist2_to_min", "grad_sq", "final_states", "replicate_ids")
+    aborts = [(e.replicate_id, e.step, e.detail) for e in bank.aborts]
+    return [getattr(bank, name).tobytes() for name in arrays] + [aborts]
+
+
+@pytest.mark.parametrize("case", ["phi_2", "least_squares"])
+def test_sweep_equals_per_schedule_banks(monkeypatch, case):
+    """A sweep steps one stacked bank, yet each of its banks is, bit for
+    bit, the bank of its schedule run alone, under one or two workers and
+    any block size.  At gamma 4 some least-squares replicates diverge, and
+    they abort under that schedule only."""
+    if case == "phi_2":
+        obj = make_phi_p(2)
+        oracle = gaussian_oracle(obj, 1.0)
+        scheds = [StepSchedule(0.5, a) for a in (0.3, 0.5, 0.7)]
+    else:
+        obj = make_least_squares(dim=4, n_data=64, stream=derive_stream(1, 0, "data"))
+        oracle = least_squares_batch_oracle(obj, 1)
+        scheds = [StepSchedule(g, 0.5) for g in (1.0, 4.0)]
+    x0 = np.ones(obj.dim)
+    alone = [_bank_bytes(run_sgd_replicates(obj, oracle, s, x0, 100, 24, 1)) for s in scheds]
+    if case == "least_squares":
+        assert not alone[0][-1] and 0 < len(alone[1][-1]) < 24
+    for workers, block in ((1, sgd.REPLICATE_BLOCK), (2, sgd.REPLICATE_BLOCK), (1, 7), (2, 7)):
+        monkeypatch.setattr(sgd, "WORKERS", workers)
+        monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
+        sweep = run_sgd_sweep(obj, oracle, scheds, x0, 100, 24, 1)
+        assert [_bank_bytes(bank) for bank in sweep] == alone
+
+
+def test_sweep_warns_for_each_alpha_one_schedule_below_the_critical_step():
+    obj = make_quadratic(lam=1.0)
+    oracle = gaussian_oracle(obj, 1.0)
+    scheds = [StepSchedule(g, 1.0) for g in (0.4, 1.0, 0.3)] + [StepSchedule(0.3, 0.5)]
+    with pytest.warns(UserWarning, match="alpha=1") as caught:
+        run_sgd_sweep(obj, oracle, scheds, np.array([1.0]), 10, 2, 1)
+    assert [str(w.message).split(" <=")[0] for w in caught] == [
+        "alpha=1 with gamma=0.4", "alpha=1 with gamma=0.3"]
+    assert all(w.filename == __file__ for w in caught)  # the caller's line
 
 
 @pytest.mark.parametrize("law", ["gaussian", "rademacher", "laplace", "student", "lsq_batch"])
