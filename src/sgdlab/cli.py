@@ -21,7 +21,7 @@ import argparse
 import configparser
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -79,7 +79,7 @@ MAX_ROWS = 10**7
 # The largest objective dim (the least-squares direct solve's bound, for
 # every kind).
 MAX_DIM = 32
-# The most numbers one array of a run may hold, about 80 MB of floats.  Four
+# The most numbers one array of a run may hold, about 80 MB of floats.  Five
 # config values size such an array:
 # - n_samples: a batch-eps estimate draws n_samples * max(m_values) * dim;
 # - batch_m: a batch oracle's draws for one chunk of a block hold
@@ -89,7 +89,10 @@ MAX_DIM = 32
 # - n_data: a least-squares objective evaluated on a block makes
 #   stack * rows * n_data residuals, and its oracle's covariance
 #   rows * n_data * dim per-sample gradients;
-# - num: the certify grid holds num * dim coordinates.
+# - num: the certify grid holds num * dim coordinates;
+# - horizon: couple-demo's bias probe refines its Brownian path of
+#   path_length(horizon, gamma_alpha / substeps) increments into twice as
+#   many, 2 * path_length * dim numbers.
 # rows is a block's replicates, min(replicates, sgd.REPLICATE_BLOCK), or the
 # grid's num points for certify; stack is the schedules a rates block steps
 # at once (run_sgd_sweep), 1 for every other experiment.
@@ -184,44 +187,53 @@ def _fmt_index(v) -> str:
     return str(int(f)) if f == int(f) else repr(f)
 
 
-def _emit_bank(out: Outcome, run_id: str, runs: ReplicateRuns):
-    """Raw rows, summary rows, and the suffix-average column for one run.
+def _emit_banks(out: Outcome, banks) -> list:
+    """Raw rows and summary rows for each (run_id, runs) of banks, in order,
+    and each bank's suffix-average column.
 
     suffix_avg at a checkpoint is the mean of that replicate's recorded
     values from the checkpoint to the end of the run (so the last entry is
     the final value itself); it averages recorded checkpoints, not every
     iterate.
     """
-    indices, values = runs.sample_indices, runs.values
-    dist2, grad_sq = runs.dist2_to_min, runs.grad_sq
-    r, c = values.shape
-    tail_counts = np.arange(c, 0, -1, dtype=float)
-    suffix = np.cumsum(values[:, ::-1], axis=1)[:, ::-1] / tail_counts
-    # repr of a Python float is _fmt's text; .tolist() makes those floats
-    # a row at a time instead of one numpy scalar per cell
-    labels = [_fmt_index(n) for n in indices]
+    suffixes = []
+    for _, runs in banks:
+        tail_counts = np.arange(runs.values.shape[1], 0, -1, dtype=float)
+        suffixes.append(np.cumsum(runs.values[:, ::-1], axis=1)[:, ::-1] / tail_counts)
 
-    def text(rows: slice) -> str:
-        columns = (col[rows].tolist() for col in (values, dist2, grad_sq, suffix))
+    def text(task) -> str:
+        k, rows = task
+        (run_id, runs), suffix = banks[k], suffixes[k]
+        # repr of a Python float is _fmt's text; .tolist() makes those
+        # floats a row at a time instead of one numpy scalar per cell
+        labels = [_fmt_index(n) for n in runs.sample_indices]
+        columns = (
+            col[rows].tolist() for col in (runs.values, runs.dist2_to_min, runs.grad_sq, suffix)
+        )
         return "\n".join(
             f"{run_id},{int(rid)},{n},{v!r},{d!r},{g!r},{s!r}"
             for rid, *cells in zip(runs.replicate_ids[rows].tolist(), *columns)
             for n, v, d, g, s in zip(labels, *cells)
         )
 
-    # a raw row depends on its replicate only, so each worker formats a slice
-    for block in sgd.fork_map(text, sgd.worker_slices(r)):
-        out.raw_rows += block.split("\n")
-    for j in range(c):
-        cells = [_fmt_index(indices[j])]
-        for col in (values, dist2, grad_sq, suffix):
-            mean = float(col[:, j].mean())
-            ci = (
-                1.96 * float(col[:, j].std(ddof=1)) / np.sqrt(r) if r > 1 else 0.0
-            )
-            cells += [_fmt(mean), _fmt(ci)]
-        out.summary_rows.append(f"{run_id}," + ",".join(cells))
-    return suffix
+    # a raw row depends on its replicate only, so the workers format slices
+    # of every bank in one fork_map; each slice's text goes once it is split
+    tasks = [(k, rows) for k, s in enumerate(suffixes) for rows in sgd.worker_slices(len(s))]
+    blocks = sgd.fork_map(text, tasks)
+    while blocks:
+        out.raw_rows += blocks.pop(0).split("\n")
+    for (run_id, runs), suffix in zip(banks, suffixes):
+        r = len(suffix)
+        for j, index in enumerate(runs.sample_indices):
+            cells = [_fmt_index(index)]
+            for col in (runs.values, runs.dist2_to_min, runs.grad_sq, suffix):
+                mean = float(col[:, j].mean())
+                ci = (
+                    1.96 * float(col[:, j].std(ddof=1)) / np.sqrt(r) if r > 1 else 0.0
+                )
+                cells += [_fmt(mean), _fmt(ci)]
+            out.summary_rows.append(f"{run_id}," + ",".join(cells))
+    return suffixes
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -333,7 +345,7 @@ def _experiment_rates(cfg: ExperimentConfig) -> Outcome:
         run_id = _run_label(obj, oracle, sched)
         if not _tally(out, cfg, run_id, bank.aborts):
             continue
-        _emit_bank(out, run_id, bank)
+        _emit_banks(out, [(run_id, bank)])
         if sched.alpha == 0.0:
             out.report.append(f"{run_id}: constant step; power-law rate fit not applicable")
             continue
@@ -380,8 +392,7 @@ def _experiment_rates(cfg: ExperimentConfig) -> Outcome:
 
 
 def _emit_coupled(out: Outcome, run_id: str, bank: CoupledBank) -> None:
-    _emit_bank(out, run_id + ":discrete", bank.discrete)
-    _emit_bank(out, run_id + ":continuous", bank.continuous)
+    _emit_banks(out, [(f"{run_id}:discrete", bank.discrete), (f"{run_id}:continuous", bank.continuous)])
 
 
 def _experiment_approx(cfg: ExperimentConfig, weak: bool) -> Outcome:
@@ -442,7 +453,8 @@ def _experiment_batch_eps(cfg: ExperimentConfig) -> Outcome:
         ])
         _tally(out, cfg, run_id, [])
         ids = np.arange(cfg.replicates)
-        _emit_bank(out, run_id, ReplicateRuns(np.array([m]), values, values**2, np.zeros_like(values), ids))
+        runs = ReplicateRuns(np.array([m]), values, values**2, np.zeros_like(values), ids)
+        _emit_banks(out, [(run_id, runs)])
         means.append(float(values.mean()))
     if len(m_values) >= 2:
         slope = _loglog_slope(m_values, means)
@@ -474,7 +486,7 @@ def _experiment_probe_exact(cfg: ExperimentConfig) -> Outcome:
         )
         if not _tally(out, cfg, run_id, bank.aborts):
             continue
-        _emit_bank(out, run_id, bank)
+        _emit_banks(out, [(run_id, bank)])
         dist2 = bank.dist2_to_min
         r = dist2.shape[0]
         worst = 0.0
@@ -508,8 +520,26 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
     obj, (oracle,) = cfg.obj, cfg.oracles
     sched = cfg.schedules[0]
     run_id = _run_label(obj, oracle, sched)
+
+    def bias_probe():
+        """The integrator bias probe, or the DivergenceError it aborted with
+        (as a value, so that a diverging probe is a report line)."""
+        path = sample_brownian_path(
+            cfg.horizon, sched.gamma_alpha / cfg.substeps, obj.dim,
+            derive_stream(cfg.seed, 0, "brownian"),
+        )
+        try:
+            return em_bias_probe(
+                obj, oracle, sched, cfg.x0, cfg.horizon, cfg.substeps, path,
+                derive_stream(cfg.seed, 1, "brownian"),
+            )
+        except DivergenceError as err:
+            return err
+
+    # the probe runs beside the bank's blocks, on a core they leave free
     bank = run_coupled_replicates(
-        obj, oracle, sched, cfg.x0, cfg.horizon, cfg.substeps, cfg.replicates, cfg.seed
+        obj, oracle, sched, cfg.x0, cfg.horizon, cfg.substeps, cfg.replicates, cfg.seed,
+        beside=(bias_probe,),
     )
     if not _tally(out, cfg, run_id, bank.aborts):
         return out
@@ -529,17 +559,9 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
     out.report.append(
         f"{run_id}: weak error (squared norm) {w_est.value:.6g} +- {w_est.ci_halfwidth:.2g}"
     )
-    path = sample_brownian_path(
-        cfg.horizon, sched.gamma_alpha / cfg.substeps, obj.dim,
-        derive_stream(cfg.seed, 0, "brownian"),
-    )
-    try:
-        bias = em_bias_probe(
-            obj, oracle, sched, cfg.x0, cfg.horizon, cfg.substeps, path,
-            derive_stream(cfg.seed, 1, "brownian"),
-        )
-    except DivergenceError as err:
-        out.report.append(f"{run_id}: integrator bias probe aborted ({err})")
+    (bias,) = bank.beside
+    if isinstance(bias, DivergenceError):
+        out.report.append(f"{run_id}: integrator bias probe aborted ({bias})")
         return out
     out.report.append(
         f"{run_id}: integrator bias probe (K vs 2K) {bias:.6g}"
@@ -737,7 +759,16 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     block = grid.num if grid else max(1, min(replicates, sgd.REPLICATE_BLOCK))
     stack = len(schedules) if kind == "rates" else 1
     arg = lambda key: {**obj_args, **oracle_args}.get(key, 0)
+    # couple-demo's bias probe refines its Brownian path (a path past
+    # MAX_STEPS substeps, or a schedule without gamma_alpha, is listed below)
+    probe_path = 0
+    if kind == "couple-demo" and schedules and horizon > 0 and substeps >= 1:
+        with suppress(ValueError):
+            ga = schedules[0].gamma_alpha
+            if horizon / ga * substeps <= MAX_STEPS:
+                probe_path = 2 * path_length(horizon, ga / substeps) * dim
     sizes = {
+        "[experiment] horizon": (probe_path, "numbers in the bias probe's refined Brownian path"),
         "[objective] n_data": (stack * block * arg("n_data") * dim, "per-sample gradients per block"),
         "[oracle] batch_m": (max(sgd.CHUNK, stack) * block * arg("batch_m") * (dim + 1),
                              "numbers per block chunk or step"),

@@ -16,8 +16,10 @@ noise law (the first that applies):
 A bank of coupled replicates (run_coupled_replicates) is a CoupledBank; a
 solo run (run_coupled) returns the one-row bank of its stream, or raises
 that row's DivergenceError.  Each leg of a bank keeps its final states,
-after the last block.  strong_error and weak_error reduce a bank to error
-estimates.
+after the last block.  A bank can run zero-argument tasks beside its
+blocks, in the same fork_map (couple-demo's integrator bias probe), and
+returns their results in its beside list.  strong_error and weak_error
+reduce a bank to error estimates.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .analysis import Estimate
 from .core import RngStream, StepSchedule, derive_stream
 from .noise import GradientOracle
 from .objectives import Objective
-from .sde import path_length
+from .sde import _brownian_draw, path_length
 from .sgd import (
     DivergenceError,
     ReplicateRuns,
@@ -61,6 +63,7 @@ class CoupledBank:
     and continuous.final_states hold the two states after the last block.
     Only replicates whose two processes both stayed finite have rows; aborts
     holds the DivergenceError of each of the others, ordered by replicate id.
+    beside holds the results of the tasks run beside the bank, in order.
     """
 
     block_indices: np.ndarray
@@ -71,6 +74,7 @@ class CoupledBank:
     schedule: StepSchedule
     coupling_kind: str
     aborts: list[DivergenceError] = field(default_factory=list)
+    beside: list = field(default_factory=list)
 
 
 def ndtr(g):
@@ -107,16 +111,16 @@ def _coupled_block(
     rows = _Rows([s.replicate_id for s in streams])
     keys = [(s.master_seed, s.replicate_id) for s in streams]
     brown_gens = [derive_stream(*key, "brownian").generator() for key in keys]
-    noise_gens = [derive_stream(*key, "noise").generator() for key in keys]
+    noise_gens = [derive_stream(*key, "noise").generator() for key in keys if kind == INDEPENDENT]
     r = len(brown_gens)
     d = obj.dim
     ga = sched.gamma_alpha
     h = ga / substeps
     root_ga = np.sqrt(ga)
-    root_h = np.sqrt(h)
-    rates = np.asarray(sched.continuous_rate(np.arange(n_blocks * substeps) * h))
+    rates = sched.continuous_rate(np.arange(n_blocks * substeps) * h)
     steps_disc = np.asarray(sched.step_size(np.arange(n_blocks)))
     x_star = obj.x_star
+    brown = _brownian_draw(brown_gens, d, substeps, np.sqrt(h))
 
     x = np.broadcast_to(np.asarray(x0, dtype=float), (r, d)).copy()
     y = x.copy()
@@ -127,21 +131,24 @@ def _coupled_block(
     discrete_detail = lambda sq: "discrete state is non-finite or diverged"
 
     def draw(k0, nb):
-        db = root_h * np.stack([g.standard_normal((nb * substeps, d)) for g in brown_gens])
-        if kind != INDEPENDENT:
-            return db, None
-        return db, np.stack([oracle.draw_raw((nb,), g) for g in noise_gens])
+        # the chunk's increments copied substep-major, so that each substep
+        # reads a contiguous (rows, dim) slice, and their rates as a list;
+        # each block's rescaled increment sum (one reshape of the draw, the
+        # same bits as summing each block's slice); the independent noise
+        db = brown(k0, nb)
+        g_blocks = db.reshape(r, nb, substeps, d).sum(axis=2) / root_ga
+        raw = np.stack([oracle.draw_raw((nb,), g) for g in noise_gens]) if noise_gens else None
+        rate = rates[k0 * substeps : (k0 + nb) * substeps].tolist()
+        return db.transpose(1, 0, 2).copy(), rate, g_blocks, raw
 
     def step(k, noise, b):
         nonlocal x, y
-        db, raw = noise
-        for j in range(substeps):
+        db, rate, g_blocks, raw = noise
+        for j in range(b * substeps, (b + 1) * substeps):
             drift = obj.gradient(y) * h
-            y = y - rates[k * substeps + j] * (
-                drift + root_ga * oracle.apply_sqrt(y, db[:, b * substeps + j])
-            )
+            y = y - rate[j] * (drift + root_ga * oracle.apply_sqrt(y, db[j]))
             rows.check(y, k + 1, continuous_detail, x_star)
-        g_block = db[:, b * substeps : (b + 1) * substeps].sum(axis=1) / root_ga
+        g_block = g_blocks[:, b]
         if kind == GAUSSIAN_SHARED:
             h_val = obj.gradient(x) + oracle.apply_sqrt(x, g_block)
         elif kind == COMONOTONE_1D:
@@ -172,9 +179,11 @@ def _coupled(
     substeps_per_block: int,
     streams: list,
     plan,
+    beside=(),
 ) -> CoupledBank:
     """The one coupled entry: the pairs of the replicates that streams
-    identify, stepped block by block."""
+    identify, stepped block by block, with the tasks of beside run in the
+    same fork_map."""
     if sched.alpha >= 1.0:
         raise ValueError("coupling needs alpha < 1")
     if not streams:
@@ -188,7 +197,7 @@ def _coupled(
     work = lambda block: _coupled_block(
         obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, block, kind
     )
-    parts = _map_blocks(streams, work)
+    parts, side = _map_blocks(streams, work, beside)
     keep, aborts = _survivors(parts)
     return CoupledBank(
         block_indices=plan,
@@ -199,6 +208,7 @@ def _coupled(
         schedule=sched,
         coupling_kind=kind,
         aborts=aborts,
+        beside=side,
     )
 
 
@@ -232,13 +242,19 @@ def run_coupled_replicates(
     n_replicates: int,
     master_seed: int,
     plan=None,
+    beside=(),
 ) -> CoupledBank:
     """Bank of coupled replicates; the block size never changes results.
 
-    Replicates that diverge are listed in the bank's aborts instead of its rows.
+    Replicates that diverge are listed in the bank's aborts instead of its
+    rows.  beside holds zero-argument tasks that run in the bank's
+    fork_map, on the cores its blocks leave free (the block scheduler cuts
+    the bank into fewer blocks to make room for them); their results are
+    the bank's beside list, and an exception a task raises reaches the
+    caller.
     """
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    return _coupled(obj, oracle, sched, x0, horizon, substeps_per_block, streams, plan)
+    return _coupled(obj, oracle, sched, x0, horizon, substeps_per_block, streams, plan, beside)
 
 
 def strong_error(runs: CoupledBank, checkpoint: int | None = None) -> Estimate:

@@ -20,6 +20,7 @@ import numpy as np
 from .core import RngStream, StepSchedule, derive_stream
 from .noise import GradientOracle
 from .objectives import Objective
+from . import sgd
 from .sgd import (
     ReplicateRuns,
     _Checkpoints,
@@ -101,22 +102,47 @@ def _plan_substeps(plan_times, count: int, h: float) -> np.ndarray:
     return _normalize_plan(j, count, "plan times must fall in (0, horizon] on the substep grid")
 
 
+def _brownian_draw(gens: list, dim: int, per_step: int, scale: float):
+    """draw(start, m) for the block kernel: the next m * per_step standard
+    normal dim-vectors of each generator, times scale, as a (rows,
+    m * per_step, dim) view of one buffer that each chunk refills in place.
+    The buffer holds a whole chunk of the kernel (sgd.CHUNK // per_step
+    steps, read at this call); each stream is read as standard_normal((m *
+    per_step, dim)) reads it."""
+    buf = np.empty((len(gens), max(1, sgd.CHUNK // per_step) * per_step, dim))
+
+    def draw(start, m):
+        out = buf[:, : m * per_step]
+        for g, row in zip(gens, out):
+            g.standard_normal(out=row)
+        out *= scale
+        return out
+
+    return draw
+
+
 def _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw):
-    """Euler-Maruyama rows of one block; draw(start, m) gives their (rows, m, dim) increments."""
+    """Euler-Maruyama rows of one block; draw(start, m) gives their (m, rows, dim)
+    increments, so that each substep reads a contiguous (rows, dim) slice.
+    A chunk's rates are read from a list."""
     root_ga = np.sqrt(sched.gamma_alpha)
-    rates = np.asarray(sched.continuous_rate(np.arange(count) * h))
+    rates = sched.continuous_rate(np.arange(count) * h)
     rows = _Rows(ids)
     y = np.broadcast_to(np.asarray(x0, dtype=float), (len(rows.ids), obj.dim)).copy()
     ckpt = _Checkpoints(obj, len(rows.ids), len(plan))
     detail = _norm_detail("Y")
 
-    def step(j, db, i):
+    def chunk(start, m):
+        return draw(start, m), rates[start : start + m].tolist()
+
+    def step(j, noise, i):
         nonlocal y
+        db, rate = noise
         drift = obj.gradient(y) * h
-        y = y - rates[j] * (drift + root_ga * oracle.apply_sqrt(y, db[:, i]))
+        y = y - rate[i] * (drift + root_ga * oracle.apply_sqrt(y, db[i]))
         rows.check(y, j + 1, detail, obj.x_star)
 
-    rows.run(count, plan, draw, step, lambda p: ckpt.record(p, y))
+    rows.run(count, plan, chunk, step, lambda p: ckpt.record(p, y))
     ckpt.final = y
     return rows, ckpt
 
@@ -152,7 +178,7 @@ def run_sde_em(
     plan = _plan_substeps(plan_times, count, h)
     part = _em_block(
         obj, oracle, sched, x0, count, h, plan, [replicate_id],
-        lambda start, m: path.increments[None, start : start + m],
+        lambda start, m: path.increments[start : start + m, None],
     )
     return _solo(_replicate_runs([part], plan * h))
 
@@ -184,13 +210,14 @@ def run_sde_em_replicates(
     root_h = np.sqrt(h)
 
     def work(block):
-        gens = [s.generator() for s in block]
-        draw = lambda start, m: root_h * np.stack([g.standard_normal((m, obj.dim)) for g in gens])
+        brown = _brownian_draw([s.generator() for s in block], obj.dim, 1, root_h)
+        draw = lambda start, m: brown(start, m).transpose(1, 0, 2).copy()
         ids = [s.replicate_id for s in block]
         return _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw)
 
     streams = [derive_stream(master_seed, i, "brownian") for i in range(n_replicates)]
-    return _replicate_runs(_map_blocks(streams, work), plan * h)
+    blocks, _ = _map_blocks(streams, work)
+    return _replicate_runs(blocks, plan * h)
 
 
 def em_bias_probe(
@@ -210,8 +237,10 @@ def em_bias_probe(
     Both runs stop at the first coarse grid time at or past the horizon.
     The two legs run side by side through fork_map: the coarse one (K
     substeps) in this process, the fine one (2K) in a forked child when
-    there are two workers.  A leg's DivergenceError is raised here, the
-    coarse leg's first.
+    there are two workers.  Called inside a fork_map task, as couple-demo
+    runs the whole probe beside its coupled bank, both legs run in that
+    task's process, one after the other.  A leg's DivergenceError is
+    raised here, the coarse leg's first.
     """
     h = sched.gamma_alpha / substeps_per_block
     end = path_length(horizon, h) * h

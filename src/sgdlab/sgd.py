@@ -8,20 +8,23 @@ replicates under several schedules) is one stacked bank: each block steps
 its replicates under every schedule at once, draws each replicate's noise
 once for all of them, and splits back into one bank per schedule whose
 bytes equal those of that schedule's own bank.  The block scheduler
-(_map_blocks) cuts the bank's streams into consecutive near-equal blocks
-of at most REPLICATE_BLOCK replicates, as many per worker (one each for a
-bank of up to WORKERS * REPLICATE_BLOCK replicates), and hands them to
+(_map_blocks) cuts the bank's streams into the fewest consecutive blocks
+of at most REPLICATE_BLOCK replicates that, with the zero-argument tasks
+a caller runs beside the bank (couple-demo's bias probe), make the same
+number per worker (one block each for a bank of up to WORKERS *
+REPLICATE_BLOCK replicates and no task), and hands blocks and tasks to
 fork_map, which runs them on WORKERS processes (this one and forked
 children, one per core this process may run on) and returns the results
-in block order.  One block kernel (_Rows.run) steps each block: it draws innovations in chunks
-of CHUNK steps (CHUNK // K for a coupled step of K substeps) from
-per-replicate counter-based streams, checks every row for divergence
-after each step (_Rows.check: one vdot over the block, per-row norms only
-when that sum is large or not finite) and records observables at the
-plan's checkpoints.  The sde and coupling modules drive the same kernel
-with their own step.  Every bank keeps each row's state after the last
-step (final_states), whatever the plan; checkpoints record observables
-only.
+in order.  One block kernel (_Rows.run) steps each block: it draws
+innovations in chunks of CHUNK steps (CHUNK // K for a coupled step of K
+substeps) from per-replicate counter-based streams, checks every row for
+divergence after each step (_Rows.check: one vdot over the block, per-row
+norms only when that sum is large or not finite) and records observables
+at the plan's checkpoints.  The sde and coupling modules drive the same
+kernel with their own step; their blocks draw Brownian increments into
+one buffer that each chunk refills (sde._brownian_draw).  Every bank
+keeps each row's state after the last step (final_states), whatever the
+plan; checkpoints record observables only.
 
 Block and chunk are sized together: a block's draw buffer holds
 REPLICATE_BLOCK * CHUNK = 2^18 innovations, so a wider block (fewer
@@ -45,6 +48,7 @@ import pickle
 import signal
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -242,21 +246,30 @@ def fork_map(fn, items) -> list:
     return [shares[i % workers][i // workers] for i in range(len(items))]
 
 
-def worker_slices(n: int, cap: int | None = None) -> list[slice]:
-    """Consecutive near-equal slices of range(n), at most cap long, as few
-    as allow the same number per worker (one each when n <= WORKERS * cap)."""
+def worker_slices(n: int, cap: int | None = None, beside: int = 0) -> list[slice]:
+    """Consecutive slices of range(n), at most cap long: the fewest that,
+    with beside other tasks, make a multiple of WORKERS (one per worker
+    when n <= WORKERS * cap and beside is 0), or n slices of one when n is
+    smaller.  The first slices all have the same length and the rest are
+    no longer."""
     if n == 0:
         return []
-    count = WORKERS * -(-n // (WORKERS * (cap or n)))
+    count = -(-n // (cap or n))
+    count = min(n, count + -(count + beside) % WORKERS)
     size = -(-n // count)
-    return [slice(i, i + size) for i in range(0, n, size)]
+    edges = [min(i * size, n - count + i) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _map_blocks(streams: list, work) -> list:
+def _map_blocks(streams: list, work, beside=()) -> tuple[list, list]:
     """The block scheduler: work(block) on the consecutive blocks of at most
-    REPLICATE_BLOCK streams that worker_slices cuts, run by fork_map, in
-    block order."""
-    return fork_map(lambda s: work(streams[s]), worker_slices(len(streams), REPLICATE_BLOCK))
+    REPLICATE_BLOCK streams that worker_slices cuts, and each zero-argument
+    task of beside, run together by fork_map; returns the blocks' results in
+    block order and the tasks' results in task order."""
+    slices = worker_slices(len(streams), REPLICATE_BLOCK, len(beside))
+    tasks = [partial(work, streams[s]) for s in slices] + list(beside)
+    results = fork_map(lambda task: task(), tasks)
+    return results[: len(slices)], results[len(slices) :]
 
 
 def _survivors(parts: list) -> tuple[np.ndarray, list[DivergenceError]]:
@@ -373,7 +386,7 @@ def _sgd(
             )
     plan = _normalize_plan(plan, n_steps, "plan indices must lie in [1, n_steps]")
     work = lambda block: _sgd_block(obj, oracle, scheds, x0, n_steps, plan, block)
-    blocks = _map_blocks(streams, work)
+    blocks, _ = _map_blocks(streams, work)
     return [_replicate_runs([block[k] for block in blocks], plan) for k in range(len(scheds))]
 
 

@@ -141,12 +141,13 @@ def test_criterion_1_strongly_convex_rate():
     oracle = gaussian_oracle(obj, 1.0)
     plan = log_spaced_indices(N_LONG)
     cases = [(0.3, 0.5, 0.07), (0.5, 0.5, 0.07), (0.7, 0.5, 0.07), (1.0, 1.0, 0.1)]
+    # one stacked sweep, whose banks are those of each schedule alone
+    banks = run_sgd_sweep(
+        obj, oracle, [StepSchedule(gamma, alpha) for alpha, gamma, _ in cases],
+        np.array([1.0]), N_LONG, R_LONG, MASTER_SEED, plan=plan,
+    )
     decays, oks = [], []
-    for alpha, gamma, tol in cases:
-        bank = run_sgd_replicates(
-            obj, oracle, StepSchedule(gamma, alpha), np.array([1.0]), N_LONG,
-            R_LONG, MASTER_SEED, plan=plan,
-        )
+    for (alpha, gamma, tol), bank in zip(cases, banks):
         est = fit_rate(zip(plan.tolist(), bank.dist2_to_min.mean(axis=0).tolist()))
         decays.append(-est.slope)
         oks.append(abs(-est.slope - alpha) <= tol)

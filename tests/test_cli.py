@@ -18,7 +18,7 @@ from sgdlab.cli import (
     RAW_HEADER,
     SUMMARY_HEADER,
     Outcome,
-    _emit_bank,
+    _emit_banks,
     _fmt,
     _fmt_index,
     _write_csv,
@@ -472,8 +472,10 @@ def test_couple_demo_reports_a_diverging_bias_probe(tmp_path, capsys, monkeypatc
     every step (the step factor 4 (1 + t)^-0.1 stays above 2), so by the
     horizon 30 of 32 coupled replicates and the bias probe's coarse leg
     have left the finite regime.
-    The probe's abort is a report line, not a traceback: the run exits 0
-    and writes all three outputs, the same bytes for one worker and two."""
+    The probe runs beside the bank and returns its abort, which is a report
+    line, not a traceback: the run exits 0 and writes all three outputs,
+    the same bytes for one worker and two, at the default block and at
+    7-row blocks."""
     path = write_cfg(tmp_path, """
         [experiment]
         kind = couple-demo
@@ -496,15 +498,16 @@ def test_couple_demo_reports_a_diverging_bias_probe(tmp_path, capsys, monkeypatc
         alpha = 0.1
     """)
     outputs = []
-    for workers in (1, 2):
+    for workers, block in ((1, sgd.REPLICATE_BLOCK), (2, sgd.REPLICATE_BLOCK), (1, 7), (2, 7)):
         monkeypatch.setattr(sgd, "WORKERS", workers)
-        out = tmp_path / f"w{workers}"
+        monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
+        out = tmp_path / f"w{workers}b{block}"
         assert main(["couple-demo", "--config", path, "--out-dir", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert ("quadratic_gaussian_g1_a0.1: integrator bias probe aborted (replicate 0"
                 " aborted at step 42: |Y| = 1.666e+12 exceeds 1e+12)") in stdout.splitlines()
         outputs.append({name: (out / name).read_bytes() for name in OUTPUTS})
-    assert outputs[0] == outputs[1]
+    assert all(output == outputs[0] for output in outputs[1:])
     assert b"aborted replicates (30):" in outputs[0]["report.txt"]
     assert outputs[0]["raw.csv"].count(b"\n") > 1
 
@@ -678,6 +681,13 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
          "[oracle] batch_m: 12000000 numbers per block chunk or step, more than 10000000"),
         ("certify", CERTIFY_CFG, "num = 401", "num = 1000000000",
          "[grid] num: 1000000000 grid coordinates, more than 10000000"),
+        # the bias probe's path of 400 / (0.05^2 / 32) = 5 120 000 substeps
+        # of dim 32, refined into twice as many
+        ("couple-demo", COUPLE_CFG.replace("replicates = 20\n    horizon = 1.0\n    substeps = 4",
+                                           "replicates = 2\n    horizon = 400\n    substeps = 32")
+         .replace("gamma = 0.5", "gamma = 0.05"), "x0 = 1.0", "x0 = 1.0\n    dim = 32",
+         "[experiment] horizon: 327680000 numbers in the bias probe's refined Brownian path,"
+         " more than 10000000"),
     ):
         path = write_cfg(tmp_path, text.replace(old, new))
         assert main([experiment, "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
@@ -762,7 +772,7 @@ def test_emit_bank_rows_are_the_per_cell_text():
     for indices in (np.array([1, 10, 100]), np.array([0.25, 2.0, 1e17])):
         runs.sample_indices = indices
         out = Outcome()
-        suffix = _emit_bank(out, "run", runs)
+        (suffix,) = _emit_banks(out, [("run", runs)])
         expected = [
             f"run,{int(runs.replicate_ids[i])},{_fmt_index(indices[j])},{_fmt(values[i, j])},"
             f"{_fmt(runs.dist2_to_min[i, j])},{_fmt(runs.grad_sq[i, j])},{_fmt(suffix[i, j])}"
@@ -786,7 +796,7 @@ def test_suffix_avg_is_the_mean_from_each_checkpoint_to_the_end():
     values = np.array([[4.0, 2.0, 1.0, 3.0]])
     runs = ReplicateRuns(np.array([1, 2, 3, 4]), values, values, values, np.array([0]))
     out = Outcome()
-    np.testing.assert_array_equal(_emit_bank(out, "run", runs), [[2.5, 2.0, 2.0, 3.0]])
+    np.testing.assert_array_equal(_emit_banks(out, [("run", runs)])[0], [[2.5, 2.0, 2.0, 3.0]])
     assert [row.rsplit(",", 1)[1] for row in out.raw_rows] == ["2.5", "2.0", "2.0", "3.0"]
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -247,6 +249,38 @@ def test_coupled_bank_drops_only_diverging_replicates():
     assert any("discrete state" in e for e in solo_errors)
     assert bank.discrete.replicate_ids.tolist() == survivors
     assert bank.continuous.replicate_ids.tolist() == survivors
+
+
+def test_tasks_beside_a_bank_return_with_it_and_leave_it_unchanged(monkeypatch):
+    """On two workers a bank of 9 is one block, and a task beside it runs
+    on the other worker; the tasks' results come back in order in the
+    bank's beside list, and the bank's arrays do not change."""
+    obj = make_quadratic(lam=1.0)
+    oracle = gaussian_oracle(obj, 1.0)
+    monkeypatch.setattr(sgd, "WORKERS", 2)
+    run = lambda beside: run_coupled_replicates(
+        obj, oracle, SCHED, np.ones(1), _horizon(6), 4, 9, 3, beside=beside)
+    plain, bank = run(()), run((os.getpid,))
+    assert plain.beside == [] and bank.beside[0] != os.getpid()
+    np.testing.assert_array_equal(bank.coupled_dist2, plain.coupled_dist2)
+    np.testing.assert_array_equal(bank.continuous.final_states, plain.continuous.final_states)
+    assert run((lambda: 1, lambda: "two", lambda: None)).beside == [1, "two", None]
+
+
+def test_a_task_beside_a_bank_raises_to_the_caller_and_leaves_no_child(monkeypatch):
+    obj = make_quadratic(lam=1.0)
+    oracle = gaussian_oracle(obj, 1.0)
+
+    def fail():
+        raise DivergenceError(0, 7, "state is non-finite")
+
+    for workers in (1, 2):
+        monkeypatch.setattr(sgd, "WORKERS", workers)
+        with pytest.raises(DivergenceError, match="replicate 0 aborted at step 7"):
+            run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(6), 4, 9, 3,
+                                   beside=(fail,))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_bank_run_roundtrip():

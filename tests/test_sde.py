@@ -11,6 +11,7 @@ from sgdlab.noise import gaussian_oracle
 from sgdlab.objectives import make_quadratic
 from sgdlab.sde import (
     BrownianPath,
+    _brownian_draw,
     em_bias_probe,
     path_length,
     run_sde_em,
@@ -241,6 +242,31 @@ def test_bank_worker_count_invariance(monkeypatch):
         for name in ("values", "dist2_to_min", "grad_sq", "replicate_ids"):
             np.testing.assert_array_equal(getattr(bank, name), getattr(banks[0], name))
         assert bank.aborts == banks[0].aborts == []
+
+
+@pytest.mark.parametrize("chunk", [256, 7, 1024])
+@pytest.mark.parametrize("k", [1, 3, 32])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_buffered_draw_equals_the_stacked_draw(monkeypatch, chunk, k, d):
+    """Each chunk's draw into the block's buffer, and the block sums of k
+    increments taken from it with one reshape, equal bit for bit the
+    stacked per-replicate draw and its per-block sums.  The buffer is
+    sized from sgd.CHUNK at the call (1024 needs more than the default)."""
+    monkeypatch.setattr(sgd, "CHUNK", chunk)
+    gens = lambda: [derive_stream(3, i, "brownian").generator() for i in range(5)]
+    scale = np.sqrt(0.01)
+    draw, ref = _brownian_draw(gens(), d, k, scale), gens()
+    steps = max(1, chunk // k)
+    for start, m in ((0, steps), (steps, steps), (2 * steps, 1)):
+        db = draw(start, m)
+        stacked = scale * np.stack([g.standard_normal((m * k, d)) for g in ref])
+        assert db.shape == stacked.shape and db.tobytes() == stacked.tobytes()
+        sums = db.reshape(5, m, k, d).sum(axis=2)
+        for b in range(m):
+            assert sums[:, b].tobytes() == stacked[:, b * k : (b + 1) * k].sum(axis=1).tobytes()
+        steps_major = db.transpose(1, 0, 2).copy()
+        for j in range(m * k):
+            assert steps_major[j].tobytes() == stacked[:, j].tobytes()
 
 
 def test_bank_validation():

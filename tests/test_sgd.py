@@ -21,6 +21,7 @@ from sgdlab.sgd import (
     run_sgd_replicates,
     run_sgd_sweep,
     fork_map,
+    worker_slices,
 )
 
 from helpers import states_at
@@ -302,6 +303,48 @@ def test_fork_map_inside_a_call_runs_in_process(monkeypatch):
     assert outer[0][0] == os.getpid() != outer[1][0]
     for pid, inner in outer:
         assert inner == [pid, pid]
+
+
+def _counted_cut(n, cap, workers):
+    """The cut before tasks could run beside a bank: ceil(n / (workers * cap))
+    slices per worker of ceil(n / count) rows each, the last one shorter
+    (or missing, so that it has fewer slices than it counted)."""
+    count = workers * -(-n // (workers * cap))
+    size = -(-n // count)
+    return count, [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+
+def test_worker_slices_cut_blocks_and_make_room_for_tasks(monkeypatch):
+    """With no task beside, the cut is the counted cut wherever that one had
+    the slices it counted, and otherwise has that many (n slices of one
+    when n is smaller): 4 rows on 3 workers are 3 slices, not 2.  With
+    tasks beside, the slices cover range(n) in order, each at most cap
+    long, and they are the fewest that with the tasks make a multiple of
+    the workers (n slices of one when n is smaller)."""
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sgd, "WORKERS", workers)
+        for cap in (7, 1024):
+            # every n up to 5000 at the default cap; at cap 7, where a cut
+            # has hundreds of slices, every n up to 700 and every 13th after
+            for n in range(1, 5001) if cap == 1024 else [*range(1, 700), *range(700, 5001, 13)]:
+                count, counted = _counted_cut(n, cap, workers)
+                cut = worker_slices(n, cap)
+                if len(counted) == count:
+                    assert cut == counted
+                else:
+                    assert len(cut) == min(n, count)
+                for beside in (1, 2, 3) if n % 7 == 0 or n < 100 else ():
+                    cut = worker_slices(n, cap, beside)
+                    assert cut[0].start == 0 and cut[-1].stop == n
+                    assert all(a.stop == b.start for a, b in zip(cut, cut[1:]))
+                    assert all(0 < s.stop - s.start <= cap for s in cut)
+                    fewest = -(-n // cap)
+                    fewest += -(fewest + beside) % workers
+                    assert len(cut) == min(n, fewest)
+    monkeypatch.setattr(sgd, "WORKERS", 2)
+    assert worker_slices(512, 1024, 1) == [slice(0, 512)]
+    assert worker_slices(2048, 1024, 1) == [slice(0, 683), slice(683, 1366), slice(1366, 2048)]
+    assert worker_slices(0, 1024, 1) == []
 
 
 def test_bank_of_one_starts_no_child(monkeypatch):
