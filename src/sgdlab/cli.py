@@ -148,9 +148,9 @@ _ORACLES = {
 
 @dataclass
 class ExperimentConfig:
-    # objective and oracle hold their sections' raw text, *_args the values
-    # of the keys the kinds take, defaults filled; obj, oracles (one per
-    # batch size for batch-eps, none for certify) and x0 are built from them
+    # objective holds its section's raw text, *_args the values of the keys
+    # the kinds take, defaults filled; obj, oracles (one per batch size for
+    # batch-eps, none for certify) and x0 are built from them
     experiment: str
     seed: int
     replicates: int
@@ -158,7 +158,6 @@ class ExperimentConfig:
     substeps: int
     out_dir: str
     objective: dict
-    oracle: dict
     schedules: list
     grid: GridSpec | None = None
     objective_args: dict | None = None
@@ -170,7 +169,7 @@ class ExperimentConfig:
 
 @dataclass
 class Outcome:
-    raw_rows: list = field(default_factory=list)
+    raw_rows: list = field(default_factory=list)  # raw.csv text, a block of rows an entry
     summary_rows: list = field(default_factory=list)
     report: list = field(default_factory=list)
     aborts: list = field(default_factory=list)
@@ -217,11 +216,9 @@ def _emit_banks(out: Outcome, banks) -> list:
         )
 
     # a raw row depends on its replicate only, so the workers format slices
-    # of every bank in one fork_map; each slice's text goes once it is split
+    # of every bank in one fork_map; each slice's text is one entry
     tasks = [(k, rows) for k, s in enumerate(suffixes) for rows in sgd.worker_slices(len(s))]
-    blocks = sgd.fork_map(text, tasks)
-    while blocks:
-        out.raw_rows += blocks.pop(0).split("\n")
+    out.raw_rows += sgd.fork_map(text, tasks)
     for (run_id, runs), suffix in zip(banks, suffixes):
         r = len(suffix)
         for j, index in enumerate(runs.sample_indices):
@@ -579,12 +576,13 @@ def _experiment_certify(cfg: ExperimentConfig) -> Outcome:
 
 
 def _write_csv(path: Path, header: str, rows: list) -> None:
-    """The header and the rows, one a line, written a slice of rows at a
-    time so that no copy of the whole file is held in memory."""
+    """The header, then each entry of rows (a row or a block of rows) and a
+    newline; an entry is not joined to its newline, which would copy a block."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(rows), 4096):
-            fh.write("\n".join(rows[i : i + 4096]) + "\n")
+        for row in rows:
+            fh.write(row)
+            fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -805,7 +803,7 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     cfg = ExperimentConfig(
         experiment=kind, seed=seed, replicates=replicates, horizon=horizon, substeps=substeps,
         out_dir=overrides.get("out_dir") or get("experiment", "out_dir", "results"),
-        objective=section("objective"), oracle=section("oracle"), schedules=schedules, grid=grid,
+        objective=section("objective"), schedules=schedules, grid=grid,
         objective_args=obj_args, oracle_args=oracle_args,
     )
     # build what a section's values describe once no problem names it (nor

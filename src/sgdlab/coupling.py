@@ -5,13 +5,15 @@ rescaled to standard normals, drive the discrete chain's noise through one
 of three couplings per block, which resolve_kind picks from the oracle's
 noise law (the first that applies):
 
-* gaussian_shared: the discrete noise IS the rescaled block increment
-  (exact for oracles whose noise is sigma_sqrt(x) times a standard normal);
+* gaussian_shared: the discrete step is oracle.apply(x, G) with G the
+  rescaled block increment (exact for oracles whose raw innovation is a
+  standard normal, so that apply(x, G) = grad f(x) + sigma_sqrt(x) G);
 * comonotone_1d: the discrete noise is F^{-1}(Phi(G)) for the oracle's
   one-dimensional noise law F, the W2-optimal coupling of 1-D marginals;
-* independent: the discrete noise comes from its own stream.  This is not
-  an optimal coupling; distances measured under it upper-bound nothing
-  sharp and are flagged by the kind string.
+* independent: the discrete step is oracle.apply(x, raw) with raw drawn
+  from its own stream.  This is not an optimal coupling; distances
+  measured under it upper-bound nothing sharp and are flagged by the kind
+  string.
 
 A bank of coupled replicates (run_coupled_replicates) is a CoupledBank; a
 solo run (run_coupled) returns the one-row bank of its stream, or raises
@@ -71,7 +73,6 @@ class CoupledBank:
     coupled_dist2: np.ndarray
     discrete: ReplicateRuns
     continuous: ReplicateRuns
-    schedule: StepSchedule
     coupling_kind: str
     aborts: list[DivergenceError] = field(default_factory=list)
     beside: list = field(default_factory=list)
@@ -134,25 +135,25 @@ def _coupled_block(
         # the chunk's increments copied substep-major, so that each substep
         # reads a contiguous (rows, dim) slice, and their rates as a list;
         # each block's rescaled increment sum (one reshape of the draw, the
-        # same bits as summing each block's slice); the independent noise
+        # same bits as summing each block's slice) is the discrete chain's
+        # raw innovation, unless the independent kind draws its own
         db = brown(k0, nb)
-        g_blocks = db.reshape(r, nb, substeps, d).sum(axis=2) / root_ga
-        raw = np.stack([oracle.draw_raw((nb,), g) for g in noise_gens]) if noise_gens else None
+        if kind == INDEPENDENT:
+            raw = np.stack([oracle.draw_raw((nb,), g) for g in noise_gens])
+        else:
+            raw = db.reshape(r, nb, substeps, d).sum(axis=2) / root_ga
         rate = rates[k0 * substeps : (k0 + nb) * substeps].tolist()
-        return db.transpose(1, 0, 2).copy(), rate, g_blocks, raw
+        return db.transpose(1, 0, 2).copy(), rate, raw
 
     def step(k, noise, b):
         nonlocal x, y
-        db, rate, g_blocks, raw = noise
+        db, rate, raw = noise
         for j in range(b * substeps, (b + 1) * substeps):
             drift = obj.gradient(y) * h
             y = y - rate[j] * (drift + root_ga * oracle.apply_sqrt(y, db[j]))
             rows.check(y, k + 1, continuous_detail, x_star)
-        g_block = g_blocks[:, b]
-        if kind == GAUSSIAN_SHARED:
-            h_val = obj.gradient(x) + oracle.apply_sqrt(x, g_block)
-        elif kind == COMONOTONE_1D:
-            u = np.clip(ndtr(g_block), U_FLOOR, 1.0 - 1e-16)
+        if kind == COMONOTONE_1D:
+            u = np.clip(ndtr(raw[:, b]), U_FLOOR, 1.0 - 1e-16)
             h_val = obj.gradient(x) + oracle.noise_ppf(u)
         else:
             h_val = oracle.apply(x, raw[:, b])
@@ -205,7 +206,6 @@ def _coupled(
         coupled_dist2=np.concatenate([part[3] for part in parts])[keep],
         discrete=_replicate_runs(parts, plan, leg=1),
         continuous=_replicate_runs(parts, plan * ga, leg=2),
-        schedule=sched,
         coupling_kind=kind,
         aborts=aborts,
         beside=side,

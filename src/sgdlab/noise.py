@@ -1,6 +1,8 @@
 """Stochastic gradient oracles and their covariance structure.
 
-An oracle is the pair (objective, noise law).  Every oracle separates
+An oracle is the pair (objective, noise law): additive noise (gaussian and
+heavy share one builder of grad f(x) + scale(x) * a unit-variance draw), or
+the mean of per-sample gradients over a drawn batch.  Every oracle separates
 *drawing* raw innovations from *applying* them to a state, so a driver can
 pre-draw blocks, reuse them across coupled processes, and stay bit-identical
 between scalar and vectorized paths.
@@ -33,8 +35,9 @@ class GradientOracle:
 
     noise_ppf, when present, is the quantile function of one noise
     coordinate; oracles whose noise has no fixed one-dimensional law
-    (resampled data batches) leave it None.  gaussian_noise marks oracles
-    whose noise is exactly sigma_sqrt(x) @ standard normal.
+    (resampled data batches, a state-dependent scale) leave it None.
+    gaussian_noise marks oracles whose raw innovation is a standard normal
+    G with apply(x, G) = grad f(x) + sigma_sqrt(x) G.
     """
 
     name: str
@@ -58,83 +61,12 @@ def _ndtri(u):
     return ndtri(u)
 
 
-def _diagonal_fields(obj: Objective, scale_of):
-    """sigma / sigma_sqrt / apply_sqrt for additive noise with diagonal scale."""
-
-    def sigma_sqrt(x):
-        x = np.asarray(x, dtype=float)
-        s = np.broadcast_to(np.asarray(scale_of(x), dtype=float), x.shape)
-        out = np.zeros(x.shape + (x.shape[-1],))
-        idx = np.arange(x.shape[-1])
-        out[..., idx, idx] = s
-        return out
-
-    def sigma(x):
-        return np.square(sigma_sqrt(x))
-
-    def apply_sqrt(x, g):
-        return scale_of(np.asarray(x, dtype=float)) * g
-
-    return sigma, sigma_sqrt, apply_sqrt
-
-
-def gaussian_oracle(obj: Objective, sigma_spec, eta: float | None = None) -> GradientOracle:
-    """Additive gaussian noise: H = grad f(x) + scale(x) * G.
-
-    sigma_spec is either a constant scalar scale or a callable mapping x to
-    per-coordinate scales (a state-dependent diagonal).  For a callable
-    spec the uniform trace bound cannot be inferred, so eta must be given.
-    """
-    if callable(sigma_spec):
-        if eta is None:
-            raise ValueError(
-                "state-dependent sigma needs an explicit eta bound on trace sigma(x)"
-            )
-        base = sigma_spec
-
-        def scale_of(x):
-            d = np.asarray(base(x), dtype=float)
-            if np.any(d < 0):
-                raise ValueError("sigma entries must be nonnegative")
-            return d
-
-        ppf = None
-    else:
-        s = float(sigma_spec)
-        if s < 0:
-            raise ValueError(f"sigma must be nonnegative, got {s}")
-        if eta is None:
-            eta = s * s * obj.dim
-
-        def scale_of(x):
-            return s
-
-        def ppf(u):
-            return s * _ndtri(u)
-
-    def draw_raw(prefix, rng):
-        return rng.standard_normal(prefix + (obj.dim,))
-
-    def apply(x, raw):
-        return obj.gradient(x) + scale_of(x) * raw
-
-    sigma, sigma_sqrt, apply_sqrt = _diagonal_fields(obj, scale_of)
-    return GradientOracle(
-        name="gaussian",
-        objective=obj,
-        eta=float(eta),
-        draw_raw=draw_raw,
-        apply=apply,
-        sigma=sigma,
-        sigma_sqrt=sigma_sqrt,
-        apply_sqrt=apply_sqrt,
-        noise_ppf=ppf,
-        gaussian_noise=True,
-    )
-
-
 def _standardized_law(law: str, dim: int, df: float | None):
-    """draw(prefix, rng) and ppf for one of the unit-variance heavy laws."""
+    """draw(prefix, rng) and ppf for one of the unit-variance laws."""
+    if law not in ("normal",) + HEAVY_LAWS:
+        raise ValueError(f"law must be one of {('normal',) + HEAVY_LAWS}, got {law!r}")
+    if df is not None and law != "student":
+        raise ValueError("df applies to student noise only")
     if law == "normal":
 
         def draw(prefix, rng):
@@ -164,27 +96,88 @@ def _standardized_law(law: str, dim: int, df: float | None):
 
         return draw, ppf
 
-    if law == "student":
-        if df is None or df <= 4:
-            raise ValueError("student noise needs df > 4")
-        df = float(df)
-        unit = np.sqrt((df - 2.0) / df)
+    if df is None or df <= 4:
+        raise ValueError("student noise needs df > 4")
+    df = float(df)
+    unit = np.sqrt((df - 2.0) / df)
 
-        def draw(prefix, rng):
-            return rng.standard_t(df, size=prefix + (dim,)) * unit
+    def draw(prefix, rng):
+        return rng.standard_t(df, size=prefix + (dim,)) * unit
 
-        def ppf(u):
-            # scipy.stats.t.ppf, bit for bit: stdtrit plus its location 0.0
-            # (which turns -0.0 into 0.0), and -inf at 0, where stdtrit
-            # alone gives +inf
-            from scipy.special import stdtrit  # slow to import; see _ndtri
+    def ppf(u):
+        # scipy.stats.t.ppf, bit for bit: stdtrit plus its location 0.0
+        # (which turns -0.0 into 0.0), and -inf at 0, where stdtrit
+        # alone gives +inf
+        from scipy.special import stdtrit  # slow to import; see _ndtri
 
-            u = np.asarray(u, dtype=float)
-            return np.where(u == 0.0, -np.inf, stdtrit(df, u) + 0.0) * unit
+        u = np.asarray(u, dtype=float)
+        return np.where(u == 0.0, -np.inf, stdtrit(df, u) + 0.0) * unit
 
-        return draw, ppf
+    return draw, ppf
 
-    raise ValueError(f"law must be one of {('normal',) + HEAVY_LAWS}, got {law!r}")
+
+def _additive_oracle(obj: Objective, law: str, scale_of, eta, scale=None, df=None, name=None):
+    """H = grad f(x) + scale_of(x) * raw, with raw i.i.d. unit-variance
+    draws of law: a diagonal sigma_sqrt(x) holding scale_of(x).
+
+    scale is the constant that scale_of returns, and None when the scale
+    depends on x; only a constant scale gives the noise a quantile.  name
+    defaults to the law (student carries its df).
+    """
+    draw_raw, std_ppf = _standardized_law(law, obj.dim, df)
+
+    def apply(x, raw):
+        return obj.gradient(x) + scale_of(x) * raw
+
+    def sigma_sqrt(x):
+        x = np.asarray(x, dtype=float)
+        s = np.broadcast_to(np.asarray(scale_of(x), dtype=float), x.shape)
+        out = np.zeros(x.shape + (x.shape[-1],))
+        idx = np.arange(x.shape[-1])
+        out[..., idx, idx] = s
+        return out
+
+    def sigma(x):
+        return np.square(sigma_sqrt(x))
+
+    def apply_sqrt(x, g):
+        return scale_of(np.asarray(x, dtype=float)) * g
+
+    def noise_ppf(u):
+        return scale * std_ppf(u)
+
+    return GradientOracle(
+        name=name or (f"student{df:g}" if law == "student" else law), objective=obj,
+        eta=float(eta), draw_raw=draw_raw, apply=apply, sigma=sigma, sigma_sqrt=sigma_sqrt,
+        apply_sqrt=apply_sqrt, noise_ppf=None if scale is None else noise_ppf,
+        gaussian_noise=law == "normal",
+    )
+
+
+def gaussian_oracle(obj: Objective, sigma_spec, eta: float | None = None) -> GradientOracle:
+    """Additive gaussian noise: H = grad f(x) + scale(x) * G.
+
+    sigma_spec is either a constant scalar scale or a callable mapping x to
+    per-coordinate scales (a state-dependent diagonal).  For a callable
+    spec the uniform trace bound cannot be inferred, so eta must be given.
+    """
+    if callable(sigma_spec):
+        if eta is None:
+            raise ValueError("state-dependent sigma needs an explicit eta bound on trace sigma(x)")
+
+        def scale_of(x):
+            d = np.asarray(sigma_spec(x), dtype=float)
+            if np.any(d < 0):
+                raise ValueError("sigma entries must be nonnegative")
+            return d
+
+        return _additive_oracle(obj, "normal", scale_of, eta, name="gaussian")
+    s = float(sigma_spec)
+    if s < 0:
+        raise ValueError(f"sigma must be nonnegative, got {s}")
+    if eta is None:
+        eta = s * s * obj.dim
+    return _additive_oracle(obj, "normal", lambda x: s, eta, scale=s, name="gaussian")
 
 
 def heavy_oracle(obj: Objective, scale: float, law: str, df: float | None = None) -> GradientOracle:
@@ -199,31 +192,7 @@ def heavy_oracle(obj: Objective, scale: float, law: str, df: float | None = None
     scale = float(scale)
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    draw_std, std_ppf = _standardized_law(law, obj.dim, df)
-
-    def scale_of(x):
-        return scale
-
-    def apply(x, raw):
-        return obj.gradient(x) + scale * raw
-
-    def ppf(u):
-        return scale * std_ppf(u)
-
-    sigma, sigma_sqrt, apply_sqrt = _diagonal_fields(obj, scale_of)
-    name = f"student{df:g}" if law == "student" else law
-    return GradientOracle(
-        name=name,
-        objective=obj,
-        eta=scale * scale * obj.dim,
-        draw_raw=draw_std,
-        apply=apply,
-        sigma=sigma,
-        sigma_sqrt=sigma_sqrt,
-        apply_sqrt=apply_sqrt,
-        noise_ppf=ppf,
-        gaussian_noise=False,
-    )
+    return _additive_oracle(obj, law, lambda x: scale, scale * scale * obj.dim, scale=scale, df=df)
 
 
 def batch_oracle(
@@ -276,8 +245,6 @@ def batch_oracle(
         sigma_sqrt=sigma_sqrt,
         apply_sqrt=apply_sqrt,
         batch_m=m,
-        noise_ppf=None,
-        gaussian_noise=False,
     )
 
 

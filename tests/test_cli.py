@@ -688,10 +688,17 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
          .replace("gamma = 0.5", "gamma = 0.05"), "x0 = 1.0", "x0 = 1.0\n    dim = 32",
          "[experiment] horizon: 327680000 numbers in the bias probe's refined Brownian path,"
          " more than 10000000"),
+        # a df with a law other than student
+        ("rates", RATES_CFG, "kind = gaussian\n    sigma = 1.0",
+         "kind = heavy\n    law = laplace\n    df = 6",
+         "[oracle] heavy: df applies to student noise only"),
+        ("batch-eps", BATCH_EPS_CFG, "law = laplace", "law = laplace\n    df = 6",
+         "[oracle] batch_probe: df applies to student noise only"),
     ):
         path = write_cfg(tmp_path, text.replace(old, new))
         assert main([experiment, "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
         assert f"config error: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
     # an out_dir the run cannot create is an error before the first bank
     def no_bank(*args, **kwargs):
         raise AssertionError("a bank ran")
@@ -778,18 +785,22 @@ def test_emit_bank_rows_are_the_per_cell_text():
             f"{_fmt(runs.dist2_to_min[i, j])},{_fmt(runs.grad_sq[i, j])},{_fmt(suffix[i, j])}"
             for i in range(3) for j in range(3)
         ]
-        assert out.raw_rows == expected
-    assert out.raw_rows[1].startswith("run,0,2,1e+16,")
-    assert out.raw_rows[3].startswith("run,4,0.25,-0.0,")
+        lines = "\n".join(out.raw_rows).split("\n")
+        assert lines == expected
+    assert lines[1].startswith("run,0,2,1e+16,")
+    assert lines[3].startswith("run,4,0.25,-0.0,")
 
 
-def test_csv_is_written_a_slice_of_rows_at_a_time(tmp_path):
-    """Any row count, slice boundaries included, gives the bytes of the
-    whole file joined at once."""
+def test_csv_writes_each_entry_on_lines_of_its_own(tmp_path):
+    """Rows given one an entry, or as blocks of rows joined by newlines,
+    give the bytes of the whole file joined at once."""
     for n in (0, 1, 4095, 4096, 4097, 9000):
         rows = [f"run,{i},{i % 7},{1.0 / (i + 1)!r}" for i in range(n)]
-        _write_csv(tmp_path / "out.csv", RAW_HEADER, rows)
-        assert (tmp_path / "out.csv").read_bytes() == ("\n".join([RAW_HEADER] + rows) + "\n").encode()
+        expected = ("\n".join([RAW_HEADER] + rows) + "\n").encode()
+        blocks = ["\n".join(rows[i : i + 1000]) for i in range(0, n, 1000)]
+        for entries in (rows, blocks):
+            _write_csv(tmp_path / "out.csv", RAW_HEADER, entries)
+            assert (tmp_path / "out.csv").read_bytes() == expected
 
 
 def test_suffix_avg_is_the_mean_from_each_checkpoint_to_the_end():
@@ -797,7 +808,8 @@ def test_suffix_avg_is_the_mean_from_each_checkpoint_to_the_end():
     runs = ReplicateRuns(np.array([1, 2, 3, 4]), values, values, values, np.array([0]))
     out = Outcome()
     np.testing.assert_array_equal(_emit_banks(out, [("run", runs)])[0], [[2.5, 2.0, 2.0, 3.0]])
-    assert [row.rsplit(",", 1)[1] for row in out.raw_rows] == ["2.5", "2.0", "2.0", "3.0"]
+    lines = "\n".join(out.raw_rows).split("\n")
+    assert [row.rsplit(",", 1)[1] for row in lines] == ["2.5", "2.0", "2.0", "3.0"]
 
 
 def test_subcommand_kind_mismatch_exits_1(tmp_path, capsys):
@@ -956,9 +968,20 @@ def test_block_size_does_not_change_output(tmp_path, monkeypatch, experiment, te
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    "experiment,text", [("rates", LSQ_DIVERGE_CFG), ("couple-demo", COUPLE_CFG)]
-)
+@pytest.mark.parametrize("experiment,text", [
+    ("rates", LSQ_DIVERGE_CFG),
+    ("couple-demo", COUPLE_CFG),
+    pytest.param("strong-approx", COUPLE_CFG.replace("couple-demo", "strong-approx")
+                 .replace("gamma = 0.5", "gamma = 0.5, 0.25"), id="strong-approx"),
+    pytest.param("weak-approx", COUPLE_CFG.replace("couple-demo", "weak-approx")
+                 .replace("gamma = 0.5", "gamma = 0.5, 0.25"), id="weak-approx"),
+    pytest.param("probe-exact", PROBE_CFG, id="probe-exact"),
+    pytest.param("batch-eps", BATCH_EPS_CFG, id="batch-eps"),
+    # one-dimensional laplace noise: the comonotone coupling
+    pytest.param("couple-demo", COUPLE_CFG.replace("kind = gaussian\n    sigma = 1.0",
+                                                   "kind = heavy\n    law = laplace"),
+                 id="couple-demo-laplace"),
+])
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch, experiment, text):
     """1, 2 or 3 workers, each at the default block and at 7-row blocks,
     write the same bytes and list the same aborts (the rates config has

@@ -100,6 +100,47 @@ def test_heavy_laws_standardized(law, df):
     assert not oracle.gaussian_noise
 
 
+def _same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_additive_oracles_are_gradient_plus_scale_times_raw_bit_for_bit():
+    """Every additive oracle applies grad f(x) + scale * raw, and its
+    quantile is scale times the standardized law's, bit for bit; a
+    gaussian oracle's apply on a standard normal G is grad f(x) +
+    apply_sqrt(x, G), which the shared coupling steps through."""
+    from scipy.special import ndtri, stdtrit
+
+    obj = make_quadratic(dim=3, lam=2.0)
+    rng = derive_stream(43, 0, "noise").generator()
+    x = rng.standard_normal((5, 3)) * 3.0
+    x[0] = [-0.0, 0.0, 1e-300]
+    u = np.array([1e-200, 0.01, 0.3, 0.5, np.nextafter(0.5, 0.0), 0.9, 1.0 - 1e-16])
+    b = 1.0 / np.sqrt(2.0)
+    laplace_ppf = lambda u: np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(2.0 * (1.0 - u)))
+    unit6 = np.sqrt(4.0 / 6.0)
+    cases = [
+        (gaussian_oracle(obj, 0.5), 0.5, ndtri),
+        (gaussian_oracle(obj, 0.0), 0.0, ndtri),
+        (gaussian_oracle(obj, lambda x: np.abs(x) + 0.25, eta=9.0), None, None),
+        (heavy_oracle(obj, 0.5, "rademacher"), 0.5, lambda u: np.where(u < 0.5, -1.0, 1.0)),
+        (heavy_oracle(obj, 0.5, "laplace"), 0.5, laplace_ppf),
+        (heavy_oracle(obj, 0.5, "student", df=6.0), 0.5, lambda u: (stdtrit(6.0, u) + 0.0) * unit6),
+    ]
+    for oracle, scale, std_ppf in cases:
+        raw = oracle.draw_raw((5,), rng)
+        expected_scale = np.abs(x) + 0.25 if scale is None else scale
+        assert _same_bits(oracle.apply(x, raw), obj.gradient(x) + expected_scale * raw)
+        if scale is None:
+            assert oracle.noise_ppf is None
+        else:
+            assert _same_bits(oracle.noise_ppf(u), scale * std_ppf(u))
+        if oracle.gaussian_noise:
+            g = rng.standard_normal((5, 3))
+            assert _same_bits(oracle.apply(x, g), obj.gradient(x) + oracle.apply_sqrt(x, g))
+    assert [o.gaussian_noise for o, _, _ in cases] == [True] * 3 + [False] * 3
+
+
 def test_laplace_ppf_closed_form():
     obj = make_quadratic(dim=1)
     oracle = heavy_oracle(obj, 1.0, "laplace")
@@ -168,10 +209,13 @@ def test_student_requires_heavy_df():
     obj = make_quadratic(dim=1)
     with pytest.raises(ValueError):
         heavy_oracle(obj, 1.0, "student", df=4.0)
-    with pytest.raises(ValueError):
-        heavy_oracle(obj, 1.0, "student")
+    with pytest.raises(ValueError, match="student noise needs df > 4"):
+        heavy_oracle(obj, 1, "student")
     with pytest.raises(ValueError):
         heavy_oracle(obj, 1.0, "cauchy")
+    # and df belongs to student noise only
+    with pytest.raises(ValueError, match="df applies to student noise only"):
+        heavy_oracle(obj, 1.0, "laplace", df=6.0)
 
 
 @settings(max_examples=25, deadline=None)
