@@ -20,11 +20,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import shutil
 import sys
-from contextlib import contextmanager, suppress
+import tempfile
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -73,8 +76,9 @@ SUMMARY_HEADER = (
 # experiments) one replicate may take; a config asking for more is an error.
 MAX_STEPS = 10**8
 # The most raw.csv rows one run may write (at most 64 checkpoints per
-# replicate and run id): the CLI holds them all in memory, about 1.5 GB at
-# this bound.
+# replicate and run id).  The rows' text goes from the workers to temp files
+# on disk, so the CLI's memory scales with the bank arrays they are formatted
+# from: 4 floats per raw row, about 320 MB at this bound.
 MAX_ROWS = 10**7
 # The largest objective dim (the least-squares direct solve's bound, for
 # every kind).
@@ -169,7 +173,12 @@ class ExperimentConfig:
 
 @dataclass
 class Outcome:
-    raw_rows: list = field(default_factory=list)  # raw.csv text, a block of rows an entry
+    """What a run writes.  raw holds raw.csv's rows, each ending in a
+    newline: an unnamed temp file in out_dir that each _emit_banks appends
+    to and run_experiment copies into raw.csv after the header."""
+
+    out_dir: Path
+    raw: BinaryIO
     summary_rows: list = field(default_factory=list)
     report: list = field(default_factory=list)
     aborts: list = field(default_factory=list)
@@ -190,6 +199,14 @@ def _emit_banks(out: Outcome, banks) -> list:
     """Raw rows and summary rows for each (run_id, runs) of banks, in order,
     and each bank's suffix-average column.
 
+    The workers format the raw rows and write them to disk: fork_map hands
+    each a slice of a bank's replicates and its part, an unnamed temp file
+    in out.out_dir opened here before the fork, and the worker writes the
+    slice's rows there a replicate at a time and returns nothing.  The parts
+    are then appended to out.raw in order and closed, so no raw-row text
+    crosses a pipe or stays in this process, and a run holds one call's
+    parts open at a time.
+
     suffix_avg at a checkpoint is the mean of that replicate's recorded
     values from the checkpoint to the end of the run (so the last entry is
     the final value itself); it averages recorded checkpoints, not every
@@ -200,25 +217,30 @@ def _emit_banks(out: Outcome, banks) -> list:
         tail_counts = np.arange(runs.values.shape[1], 0, -1, dtype=float)
         suffixes.append(np.cumsum(runs.values[:, ::-1], axis=1)[:, ::-1] / tail_counts)
 
-    def text(task) -> str:
-        k, rows = task
+    def write(task) -> None:
+        k, rows, part = task
         (run_id, runs), suffix = banks[k], suffixes[k]
         # repr of a Python float is _fmt's text; .tolist() makes those
-        # floats a row at a time instead of one numpy scalar per cell
+        # floats a replicate at a time instead of one numpy scalar per cell
         labels = [_fmt_index(n) for n in runs.sample_indices]
-        columns = (
-            col[rows].tolist() for col in (runs.values, runs.dist2_to_min, runs.grad_sq, suffix)
-        )
-        return "\n".join(
-            f"{run_id},{int(rid)},{n},{v!r},{d!r},{g!r},{s!r}"
-            for rid, *cells in zip(runs.replicate_ids[rows].tolist(), *columns)
-            for n, v, d, g, s in zip(labels, *cells)
-        )
+        columns = (runs.values, runs.dist2_to_min, runs.grad_sq, suffix)
+        for i in range(rows.start, rows.stop):
+            rid = int(runs.replicate_ids[i])
+            part.write("".join(
+                f"{run_id},{rid},{n},{v!r},{d!r},{g!r},{s!r}\n"
+                for n, v, d, g, s in zip(labels, *(col[i].tolist() for col in columns))
+            ).encode())
+        part.flush()  # a forked worker leaves through os._exit, which flushes nothing
 
     # a raw row depends on its replicate only, so the workers format slices
-    # of every bank in one fork_map; each slice's text is one entry
-    tasks = [(k, rows) for k, s in enumerate(suffixes) for rows in sgd.worker_slices(len(s))]
-    out.raw_rows += sgd.fork_map(text, tasks)
+    # of every bank in one fork_map
+    with ExitStack() as stack:
+        tasks = [(k, rows, stack.enter_context(tempfile.TemporaryFile(dir=out.out_dir)))
+                 for k, s in enumerate(suffixes) for rows in sgd.worker_slices(len(s))]
+        sgd.fork_map(write, tasks)
+        for _, _, part in tasks:
+            part.seek(0)
+            shutil.copyfileobj(part, out.raw)
     for (run_id, runs), suffix in zip(banks, suffixes):
         r = len(suffix)
         for j, index in enumerate(runs.sample_indices):
@@ -328,8 +350,7 @@ def _rate_settings(obj: Objective, alpha: float):
     return settings
 
 
-def _experiment_rates(cfg: ExperimentConfig) -> Outcome:
-    out = Outcome()
+def _experiment_rates(cfg: ExperimentConfig, out: Outcome) -> None:
     obj, (oracle,) = cfg.obj, cfg.oracles
     tol = cfg.oracle_args["rate_tolerance"]
     n_steps = int(cfg.horizon)
@@ -385,15 +406,13 @@ def _experiment_rates(cfg: ExperimentConfig) -> Outcome:
                 f" window {est.window[0]:g}..{est.window[1]:g})"
                 f" {'PASS' if ok else 'FAIL'}{note}"
             )
-    return out
 
 
 def _emit_coupled(out: Outcome, run_id: str, bank: CoupledBank) -> None:
     _emit_banks(out, [(f"{run_id}:discrete", bank.discrete), (f"{run_id}:continuous", bank.continuous)])
 
 
-def _experiment_approx(cfg: ExperimentConfig, weak: bool) -> Outcome:
-    out = Outcome()
+def _experiment_approx(cfg: ExperimentConfig, out: Outcome, weak: bool) -> None:
     obj, (oracle,) = cfg.obj, cfg.oracles
     lo, hi = cfg.oracle_args["slope_lo"], cfg.oracle_args["slope_hi"]
     by_alpha: dict = {}
@@ -434,11 +453,9 @@ def _experiment_approx(cfg: ExperimentConfig, weak: bool) -> Outcome:
             f"alpha={alpha:g}: error-vs-gamma slope {slope:.4f}"
             f" (window [{lo:g}, {hi:g}]) {'PASS' if ok else 'FAIL'}"
         )
-    return out
 
 
-def _experiment_batch_eps(cfg: ExperimentConfig) -> Outcome:
-    out = Outcome()
+def _experiment_batch_eps(cfg: ExperimentConfig, out: Outcome) -> None:
     args = cfg.oracle_args
     law, m_values, lo, hi = args["law"], args["m_values"], args["slope_lo"], args["slope_hi"]
     means = []
@@ -462,7 +479,6 @@ def _experiment_batch_eps(cfg: ExperimentConfig) -> Outcome:
         )
     for m, v in zip(m_values, means):
         out.report.append(f"eps_{law} M={m}: mean eps {v:.6g}")
-    return out
 
 
 def _probe_steps(horizon: float, sched: StepSchedule) -> int:
@@ -470,8 +486,7 @@ def _probe_steps(horizon: float, sched: StepSchedule) -> int:
     return int(horizon / sched.gamma_alpha + 1e-9)
 
 
-def _experiment_probe_exact(cfg: ExperimentConfig) -> Outcome:
-    out = Outcome()
+def _experiment_probe_exact(cfg: ExperimentConfig, out: Outcome) -> None:
     obj, (oracle,) = cfg.obj, cfg.oracles
     m = cfg.oracle_args["batch_m"]
     for sched in cfg.schedules:
@@ -509,11 +524,9 @@ def _experiment_probe_exact(cfg: ExperimentConfig) -> Outcome:
                 f"{run_id}: final RMS deviation {final:.6g} vs lower bound {floor:.6g}"
                 f" {'PASS' if final >= floor else 'FAIL'}"
             )
-    return out
 
 
-def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
-    out = Outcome()
+def _experiment_couple_demo(cfg: ExperimentConfig, out: Outcome) -> None:
     obj, (oracle,) = cfg.obj, cfg.oracles
     sched = cfg.schedules[0]
     run_id = _run_label(obj, oracle, sched)
@@ -539,7 +552,7 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
         beside=(bias_probe,),
     )
     if not _tally(out, cfg, run_id, bank.aborts):
-        return out
+        return
     _emit_coupled(out, run_id, bank)
     kind = bank.coupling_kind
     s_est = strong_error(bank)
@@ -559,35 +572,35 @@ def _experiment_couple_demo(cfg: ExperimentConfig) -> Outcome:
     (bias,) = bank.beside
     if isinstance(bias, DivergenceError):
         out.report.append(f"{run_id}: integrator bias probe aborted ({bias})")
-        return out
+        return
     out.report.append(
         f"{run_id}: integrator bias probe (K vs 2K) {bias:.6g}"
         + ("" if s_est.value == 0 or bias <= 0.1 * s_est.value else " WARNING: above 10% of strong error")
     )
-    return out
 
 
-def _experiment_certify(cfg: ExperimentConfig) -> Outcome:
-    out, obj = Outcome(attempted=1, completed=1), cfg.obj
+def _experiment_certify(cfg: ExperimentConfig, out: Outcome) -> None:
+    obj = cfg.obj
+    out.attempted = out.completed = 1
     out.report += [certify_condition(obj, tag, cfg.grid).line() for tag in obj.class_tags]
     if not obj.class_tags:
         out.report.append(f"{obj.name}: no class tags to certify")
-    return out
 
 
-def _write_csv(path: Path, header: str, rows: list) -> None:
-    """The header, then each entry of rows (a row or a block of rows) and a
-    newline; an entry is not joined to its newline, which would copy a block."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row)
-            fh.write("\n")
+def _write_csv(path: Path, header: str, rows, rest=None) -> None:
+    """The header and each entry of rows (a row or a block of rows) on lines
+    of their own, then the bytes of rest (a binary file whose rows each end
+    in a newline) from its start."""
+    with open(path, "wb") as fh:
+        fh.write("".join(f"{row}\n" for row in [header, *rows]).encode())
+        if rest is not None:
+            rest.seek(0)
+            shutil.copyfileobj(rest, fh)
 
 
 @dataclass(frozen=True)
 class _Experiment:
-    run: object  # its runner: ExperimentConfig -> Outcome
+    run: object  # its runner: fills the Outcome it is given from an ExperimentConfig
     fewest: int = 1  # replicates a bank needs (2 for a standard error)
     legs: int = 1  # raw.csv run ids per bank
     continuous: bool = False  # runs the diffusion, so needs alpha < 1
@@ -626,8 +639,10 @@ def run_experiment(cfg: ExperimentConfig) -> Outcome:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError([f"[experiment] out_dir: {err}"]) from None
-    out = _EXPERIMENTS[cfg.experiment].run(cfg)
-    _write_csv(out_dir / "raw.csv", RAW_HEADER, out.raw_rows)
+    with tempfile.TemporaryFile(dir=out_dir) as raw:  # deleted when closed
+        out = Outcome(out_dir, raw)
+        _EXPERIMENTS[cfg.experiment].run(cfg, out)
+        _write_csv(out_dir / "raw.csv", RAW_HEADER, [], raw)
     _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, out.summary_rows)
     lines = [f"experiment: {cfg.experiment}", f"seed: {cfg.seed}"]
     lines += out.report

@@ -197,7 +197,10 @@ def fork_map(fn, items) -> list:
     child pipes back its pickled results, or the exception it raised, which
     the parent raises again.  Runs in-process with one worker or one item,
     and inside a call (in a child or in the parent's share).  Every child
-    is reaped, and killed first if the parent leaves early."""
+    is reaped, and killed first if the parent leaves early.  A child leaves
+    through os._exit, which flushes no file buffer, so fn flushes any file it
+    writes (cli._emit_banks' workers write raw rows to files opened before
+    the fork) before it returns."""
     global _inside
     items = list(items)
     workers = min(WORKERS, len(items))

@@ -1,13 +1,19 @@
 import csv
+import importlib
+import os
+import subprocess
+import sys
+import tempfile
 import textwrap
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sgdlab import sgd
+from sgdlab import cli, sgd
 from sgdlab.cli import (
     _EXPERIMENTS,
     _KEYS,
@@ -770,25 +776,59 @@ def test_kind_rows_take_table_keys():
     assert all(set(keys) <= set(_KEYS[section]) for section, keys in rows)
 
 
-def test_emit_bank_rows_are_the_per_cell_text():
+def _per_cell_text(run_id, runs, suffix) -> list:
+    """The raw rows of a bank with every cell formatted by _fmt and _fmt_index."""
+    return [
+        f"{run_id},{int(runs.replicate_ids[i])},{_fmt_index(n)},{_fmt(runs.values[i, j])},"
+        f"{_fmt(runs.dist2_to_min[i, j])},{_fmt(runs.grad_sq[i, j])},{_fmt(suffix[i, j])}"
+        for i in range(len(runs.replicate_ids)) for j, n in enumerate(runs.sample_indices)
+    ]
+
+
+def _emitted(out: Outcome) -> bytes:
+    """The raw rows the emissions into out have written; closes out.raw."""
+    with out.raw as fh:
+        fh.seek(0)
+        return fh.read()
+
+
+def test_emit_bank_rows_are_the_per_cell_text(tmp_path, monkeypatch):
     """Raw rows formatted from .tolist() columns read exactly as formatting
-    every cell with _fmt and _fmt_index."""
+    every cell with _fmt and _fmt_index (two workers: slices of 2 and 1)."""
+    monkeypatch.setattr(sgd, "WORKERS", 2)
     values = np.array([[1e-300, 1e16, 0.1 + 0.2], [-0.0, 3.0, 2.5e-7], [5e-324, 1.0, 1e100]])
     runs = ReplicateRuns(np.array([1, 10, 100]), values, values[::-1].copy(),
                          np.abs(values) * 7.0, np.array([0, 4, 9]))
     for indices in (np.array([1, 10, 100]), np.array([0.25, 2.0, 1e17])):
         runs.sample_indices = indices
-        out = Outcome()
+        out = Outcome(tmp_path, tempfile.TemporaryFile(dir=tmp_path))
         (suffix,) = _emit_banks(out, [("run", runs)])
-        expected = [
-            f"run,{int(runs.replicate_ids[i])},{_fmt_index(indices[j])},{_fmt(values[i, j])},"
-            f"{_fmt(runs.dist2_to_min[i, j])},{_fmt(runs.grad_sq[i, j])},{_fmt(suffix[i, j])}"
-            for i in range(3) for j in range(3)
-        ]
-        lines = "\n".join(out.raw_rows).split("\n")
-        assert lines == expected
+        lines = _per_cell_text("run", runs, suffix)
+        assert _emitted(out) == "".join(f"{line}\n" for line in lines).encode()
     assert lines[1].startswith("run,0,2,1e+16,")
     assert lines[3].startswith("run,4,0.25,-0.0,")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _bank(n_rows: int, n_ckpt: int, seed: int) -> ReplicateRuns:
+    rng = np.random.default_rng(seed)
+    cols = [rng.standard_normal((n_rows, n_ckpt)) ** 3 for _ in range(3)]
+    return ReplicateRuns(np.arange(1, n_ckpt + 1), *cols, np.arange(n_rows) * 3 + seed)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_emitted_bytes_are_the_per_cell_text_at_every_part_boundary(tmp_path, monkeypatch, workers):
+    """Banks of 3 replicates (slices of 2 and 1 at two workers), of one
+    replicate and of 5, emitted two in one call and one in the next, append
+    exactly the per-cell text of each bank in order."""
+    monkeypatch.setattr(sgd, "WORKERS", workers)
+    banks = [("a", _bank(3, 4, 0)), ("b", _bank(1, 2, 1)), ("c", _bank(5, 3, 2))]
+    out = Outcome(tmp_path, tempfile.TemporaryFile(dir=tmp_path))
+    suffixes = _emit_banks(out, banks[:2]) + _emit_banks(out, banks[2:])
+    expected = [line for (run_id, runs), suffix in zip(banks, suffixes)
+                for line in _per_cell_text(run_id, runs, suffix)]
+    assert _emitted(out) == "".join(f"{line}\n" for line in expected).encode()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_writes_each_entry_on_lines_of_its_own(tmp_path):
@@ -801,14 +841,18 @@ def test_csv_writes_each_entry_on_lines_of_its_own(tmp_path):
         for entries in (rows, blocks):
             _write_csv(tmp_path / "out.csv", RAW_HEADER, entries)
             assert (tmp_path / "out.csv").read_bytes() == expected
+        with tempfile.TemporaryFile() as rest:  # rows after the header, as raw.csv's
+            rest.write("".join(f"{row}\n" for row in rows).encode())
+            _write_csv(tmp_path / "out.csv", RAW_HEADER, [], rest)
+        assert (tmp_path / "out.csv").read_bytes() == expected
 
 
-def test_suffix_avg_is_the_mean_from_each_checkpoint_to_the_end():
+def test_suffix_avg_is_the_mean_from_each_checkpoint_to_the_end(tmp_path):
     values = np.array([[4.0, 2.0, 1.0, 3.0]])
     runs = ReplicateRuns(np.array([1, 2, 3, 4]), values, values, values, np.array([0]))
-    out = Outcome()
+    out = Outcome(tmp_path, tempfile.TemporaryFile(dir=tmp_path))
     np.testing.assert_array_equal(_emit_banks(out, [("run", runs)])[0], [[2.5, 2.0, 2.0, 3.0]])
-    lines = "\n".join(out.raw_rows).split("\n")
+    lines = _emitted(out).decode().splitlines()
     assert [row.rsplit(",", 1)[1] for row in lines] == ["2.5", "2.0", "2.0", "3.0"]
 
 
@@ -818,9 +862,11 @@ def test_subcommand_kind_mismatch_exits_1(tmp_path, capsys):
     assert "subcommand was invoked" in capsys.readouterr().err
 
 
-def test_all_replicates_aborting_exits_2(tmp_path, capsys):
+def test_all_replicates_aborting_exits_2(tmp_path, capsys, monkeypatch):
     """A constant step of 3 on the unit quadratic alternates sign and
-    doubles every iterate, so every replicate diverges."""
+    doubles every iterate, so every replicate diverges; raw.csv is the
+    header alone."""
+    monkeypatch.setattr(sgd, "WORKERS", 2)
     path = write_cfg(tmp_path, """
         [experiment]
         kind = rates
@@ -844,6 +890,8 @@ def test_all_replicates_aborting_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "aborted" in captured.err
     assert "all replicates aborted" in (out / "report.txt").read_text()
+    assert (out / "raw.csv").read_bytes() == f"{RAW_HEADER}\n".encode()
+    assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUTS)
 
 
 # At gamma = 4 on this least-squares problem, one of the two replicates
@@ -997,6 +1045,133 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch, experiment, 
             runs.append(({name: (out / name).read_bytes() for name in OUTPUTS}, outcome.aborts))
     assert all(run == runs[0] for run in runs[1:])
     assert (len(runs[0][1]) > 0) == (experiment == "rates")
+
+
+def test_no_raw_row_text_crosses_a_pipe_and_only_the_outputs_stay(tmp_path, monkeypatch):
+    """At two workers no fork_map task of a rates run or a couple-demo run
+    returns text (an emission task returns None: its rows went to a temp
+    file), and out_dir then holds the three outputs alone."""
+    monkeypatch.setattr(sgd, "WORKERS", 2)
+    fork_map, emissions = sgd.fork_map, []
+
+    def watched(fn, items):
+        results = fork_map(fn, items)
+        assert not any(isinstance(r, (str, bytes)) for r in results)
+        if fn.__qualname__.startswith("_emit_banks."):
+            emissions.append(results)
+        return results
+
+    monkeypatch.setattr(sgd, "fork_map", watched)
+    for experiment, text in (("rates", RATES_CFG), ("couple-demo", COUPLE_CFG)):
+        out = tmp_path / experiment
+        assert main([experiment, "--config", write_cfg(tmp_path, text), "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUTS)
+    # one slice per worker of the rates bank, and of each couple-demo leg
+    assert emissions == [[None] * 2, [None] * 4]
+
+
+def _open_fds() -> int | None:
+    fds = Path("/proc/self/fd")
+    return len(list(fds.iterdir())) if fds.is_dir() else None
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_formatter_raises_to_the_caller_and_leaves_no_part_or_child(
+        tmp_path, monkeypatch, where):
+    """A cell formatter that raises in the forked worker's slice, or in the
+    parent's own: the error reaches the caller, out_dir holds no file, no
+    temp file stays open and every child has been reaped."""
+    monkeypatch.setattr(sgd, "WORKERS", 2)
+    parent, fmt_index = os.getpid(), cli._fmt_index
+
+    def failing(v):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ValueError(f"formatter failed in the {where}")
+        return fmt_index(v)
+
+    monkeypatch.setattr(cli, "_fmt_index", failing)
+    cfg = validate_config(write_cfg(tmp_path, RATES_CFG), {"out_dir": str(tmp_path / "o")})
+    fds = _open_fds()
+    with pytest.raises(ValueError, match=f"formatter failed in the {where}"):
+        run_experiment(cfg)
+    assert list((tmp_path / "o").iterdir()) == []
+    assert _open_fds() == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _simd_targets() -> tuple:
+    """numpy's _multiarray_umath module name and the SIMD dispatch targets
+    above the baseline that it finds on this host (the "found" list of
+    numpy.show_runtime())."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(name)
+        except ImportError:
+            continue
+        return name, [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return None, []
+
+
+# Run in a child process: print the dispatch targets it finds, then run
+# each (experiment, config) of argv[3:] at 1 and 2 workers and at 1024- and
+# 3-row blocks, writing to argv[2]/<experiment>-w<workers>b<block>.
+_DISPATCH_CHILD = """
+import importlib, sys
+from sgdlab import cli, sgd
+umath = importlib.import_module(sys.argv[1])
+print(*[t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)])
+root, runs = sys.argv[2], sys.argv[3:]
+for workers, block in ((1, 1024), (2, 1024), (1, 3), (2, 3)):
+    sgd.WORKERS, sgd.REPLICATE_BLOCK = workers, block
+    for kind, path in zip(runs[::2], runs[1::2]):
+        out = f"{root}/{kind}-w{workers}b{block}"
+        assert cli.main([kind, "--config", path, "--out-dir", out]) == 0
+"""
+
+TINY_PHI_RATES_CFG = """
+    [experiment]
+    kind = rates
+    seed = 3
+    replicates = 16
+    horizon = 300
+
+    [objective]
+    kind = phi_p
+    p = 2
+    x0 = 1.0
+
+    [oracle]
+    kind = gaussian
+    sigma = 1.0
+
+    [schedule]
+    gamma = 0.5
+    alpha = 0.3, 0.7
+"""
+
+
+def test_outputs_do_not_depend_on_workers_or_block_under_the_baseline_dispatch(tmp_path):
+    """With every SIMD dispatch target above numpy's baseline disabled (an
+    environment variable that acts on the child process only), a phi_p
+    rates sweep and a couple-demo run write the same bytes at 1 and 2
+    workers and at 1024- and 3-row blocks."""
+    module, found = _simd_targets()
+    if not found:
+        pytest.skip("numpy finds no SIMD dispatch target above its baseline")
+    runs = [("rates", write_cfg(tmp_path, TINY_PHI_RATES_CFG, "rates.ini")),
+            ("couple-demo", write_cfg(tmp_path, COUPLE_CFG, "couple.ini"))]
+    src = str(Path(sgd.__file__).parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", _DISPATCH_CHILD, module, str(tmp_path)]
+    child = subprocess.run(argv + [a for run in runs for a in run], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.splitlines()[0] == ""  # no target above baseline is left
+    for kind, _ in runs:
+        outputs = [{name: (tmp_path / f"{kind}-w{w}b{b}" / name).read_bytes() for name in OUTPUTS}
+                   for w, b in ((1, 1024), (2, 1024), (1, 3), (2, 3))]
+        assert all(o == outputs[0] for o in outputs[1:]), kind
 
 
 def test_missing_subcommand_is_usage_error():
