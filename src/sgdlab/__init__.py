@@ -1,5 +1,7 @@
 """Decaying-step SGD, its diffusion limit, and coupled error diagnostics."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     Estimate,
     RateEstimate,
@@ -68,61 +70,8 @@ from .sgd import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "batch_oracle",
-    "BrownianPath",
-    "CertificationReport",
-    "certify_condition",
-    "Convex",
-    "CoupledBank",
-    "derive_stream",
-    "DivergenceError",
-    "drift_sup_bound",
-    "drift_sup_verify",
-    "em_bias_probe",
-    "epsilon_hat",
-    "Estimate",
-    "expected_rate",
-    "fit_rate",
-    "gaussian_oracle",
-    "GradientOracle",
-    "GridSpec",
-    "heavy_oracle",
-    "least_squares_batch_oracle",
-    "least_squares_from_data",
-    "LeastSquaresObjective",
-    "log_spaced_indices",
-    "Lojasiewicz",
-    "make_least_squares",
-    "make_linear_probe",
-    "make_phi_p",
-    "make_pl_sine",
-    "make_quadratic",
-    "MixedDominance",
-    "Objective",
-    "path_length",
-    "probe_batch_oracle",
-    "probe_exact_second_moment",
-    "probe_strong_error_floor",
-    "psd_sqrt",
-    "QuasarConvex",
-    "RateEstimate",
-    "RateSetting",
-    "ReplicateRuns",
-    "resolve_kind",
-    "RngStream",
-    "run_coupled",
-    "run_coupled_replicates",
-    "run_sde_em",
-    "run_sde_em_replicates",
-    "run_sgd",
-    "run_sgd_replicates",
-    "run_sgd_sweep",
-    "sample_brownian_path",
-    "SingularGramError",
-    "StepSchedule",
-    "strong_error",
-    "StronglyConvex",
-    "w2_1d",
-    "weak_error",
-]
+# every name imported above, but not the submodules those imports bind
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -152,9 +152,10 @@ _ORACLES = {
 
 @dataclass
 class ExperimentConfig:
-    # objective holds its section's raw text, *_args the values of the keys
-    # the kinds take, defaults filled; obj, oracles (one per batch size for
-    # batch-eps, none for certify) and x0 are built from them
+    # objective holds its section's raw text (perfbench/run.py reads x0
+    # from it), *_args the values of the keys the kinds take, defaults
+    # filled; obj, oracles (one per batch size for batch-eps, none for
+    # certify) and x0 are built from them
     experiment: str
     seed: int
     replicates: int
@@ -692,7 +693,7 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     if substeps < 1:
         problems.append("[experiment] substeps: must be >= 1")
     horizon = get("experiment", "horizon", 0.0)
-    if kind != "certify" and horizon <= 0:
+    if kind not in ("certify", "batch-eps") and horizon <= 0:  # neither reads it
         problems.append("[experiment] horizon: must be positive")
     elif kind == "rates" and horizon < 1:
         problems.append("[experiment] horizon: shorter than one step")
@@ -814,12 +815,11 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
             elif path_length(horizon, ga / substeps) < 1:
                 problems.append("[experiment] horizon: shorter than one substep")
 
-    section = lambda name: dict(parser[name]) if parser.has_section(name) else {}
     cfg = ExperimentConfig(
         experiment=kind, seed=seed, replicates=replicates, horizon=horizon, substeps=substeps,
         out_dir=overrides.get("out_dir") or get("experiment", "out_dir", "results"),
-        objective=section("objective"), schedules=schedules, grid=grid,
-        objective_args=obj_args, oracle_args=oracle_args,
+        objective=dict(parser["objective"]) if parser.has_section("objective") else {},
+        schedules=schedules, grid=grid, objective_args=obj_args, oracle_args=oracle_args,
     )
     # build what a section's values describe once no problem names it (nor
     # the seed the least-squares data is drawn from)

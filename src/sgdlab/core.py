@@ -90,11 +90,11 @@ def derive_stream(master_seed: int, replicate_id: int, role: str) -> RngStream:
     return RngStream(int(master_seed), int(replicate_id), role)
 
 
-def log_spaced_indices(n_max: int, count: int = 64, start: int = 1) -> np.ndarray:
-    """Distinct integer checkpoints, geometrically spaced in [start, n_max]."""
-    if n_max < start:
-        raise ValueError("n_max must be >= start")
-    pts = np.geomspace(start, n_max, num=count)
+def log_spaced_indices(n_max: int) -> np.ndarray:
+    """At most 64 distinct integer checkpoints, geometrically spaced in [1, n_max]."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    pts = np.geomspace(1, n_max, num=64)
     idx = np.unique(np.rint(pts).astype(np.int64))
     idx[-1] = n_max
     return idx

@@ -293,7 +293,7 @@ class GridSpec:
     """Sampling box for condition certification.
 
     One-dimensional objectives get a regular grid; higher dimensions get
-    uniform points seeded for reproducibility.  Points within
+    uniform points drawn from a fixed seed.  Points within
     exclude_radius of the minimizer are dropped for ratio conditions,
     which are 0/0 there.
     """
@@ -302,7 +302,6 @@ class GridSpec:
     hi: float
     num: int = 2001
     exclude_radius: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.num < 2:
@@ -315,7 +314,7 @@ class GridSpec:
     def points(self, dim: int) -> np.ndarray:
         if dim == 1:
             return np.linspace(self.lo, self.hi, self.num)[:, None]
-        rng = np.random.Generator(np.random.Philox(self.seed))
+        rng = np.random.Generator(np.random.Philox(0))
         return rng.uniform(self.lo, self.hi, size=(self.num, dim))
 
 

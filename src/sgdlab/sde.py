@@ -7,9 +7,11 @@ oracle's noise covariance (a zero-noise oracle gives the deterministic
 time-changed gradient flow).  Integration is Euler-Maruyama with
 left-endpoint evaluation of both the rate and S, either over an explicitly
 materialized Brownian path, so that refined runs can share its increments
-(run_sde_em, which returns a one-row bank), or over increments each
-replicate draws from its own stream (run_sde_em_replicates).  Each bank's
-final_states are the states at the last substep.
+(run_sde_em, which returns a one-row bank; em_bias_probe runs it on a path
+and on that path's refinement, one after the other, in the calling
+process), or over increments each replicate draws from its own stream
+(run_sde_em_replicates).  Each bank's final_states are the states at the
+last substep.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .sgd import (
     _Rows,
     _norm_detail,
     _solo,
-    fork_map,
 )
 
 
@@ -235,17 +236,15 @@ def em_bias_probe(
     The second run uses the bridge refinement of the same path, so the
     difference isolates discretization error from Brownian randomness.
     Both runs stop at the first coarse grid time at or past the horizon.
-    The two legs run side by side through fork_map: the coarse one (K
-    substeps) in this process, the fine one (2K) in a forked child when
-    there are two workers.  Called inside a fork_map task, as couple-demo
-    runs the whole probe beside its coupled bank, both legs run in that
-    task's process, one after the other.  A leg's DivergenceError is
-    raised here, the coarse leg's first.
+    The legs run in this process, the coarse one (K substeps) first, so a
+    leg's DivergenceError is raised here, the coarse leg's first.
+    couple-demo runs the whole probe beside its coupled bank, as one task
+    of the bank's fork_map.
     """
     h = sched.gamma_alpha / substeps_per_block
     end = path_length(horizon, h) * h
     legs = [(substeps_per_block, path), (2 * substeps_per_block, path.refine(refine_stream))]
-    coarse, fine = fork_map(
-        lambda leg: run_sde_em(obj, oracle, sched, x0, end, *leg, plan_times=[end]), legs
-    )
-    return float(np.linalg.norm(coarse.final_states[0] - fine.final_states[0]))
+    coarse, fine = [
+        run_sde_em(obj, oracle, sched, x0, end, *leg, plan_times=[end]).final_states[0] for leg in legs
+    ]
+    return float(np.linalg.norm(coarse - fine))

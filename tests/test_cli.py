@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +38,7 @@ from sgdlab.cli import (
 )
 from sgdlab.core import StepSchedule, derive_stream, log_spaced_indices
 from sgdlab.sgd import DivergenceError, ReplicateRuns, run_sgd
+from test_acceptance import CONFIGS, GATE
 
 
 def write_cfg(directory, text, name="exp.ini"):
@@ -167,7 +170,7 @@ def test_validate_minimal_config(tmp_path):
     assert cfg.replicates == 8
     assert cfg.horizon == 400.0
     assert cfg.schedules == [StepSchedule(0.5, 0.5)]
-    assert cfg.objective["kind"] == "quadratic"
+    assert cfg.objective_args["kind"] == "quadratic"
 
 
 def test_validate_schedule_cross_product(tmp_path):
@@ -280,6 +283,14 @@ def test_validate_probe_exact_needs_growing_noise(tmp_path):
     """)
     with pytest.raises(ConfigError, match="alpha < 1/2"):
         validate_config(path)
+
+
+def test_committed_configs_are_the_gates_and_validate():
+    """configs/ holds exactly the configs the acceptance gate runs, and
+    each one validates."""
+    assert sorted(GATE) == sorted(path.name for path in CONFIGS.glob("*.ini"))
+    for name in GATE:
+        validate_config(str(CONFIGS / name))
 
 
 def test_validate_missing_file():
@@ -450,6 +461,20 @@ def test_batch_eps_sweep(tmp_path, capsys):
     with open(out / "raw.csv") as fh:
         ms = {row["n_or_t"] for row in csv.DictReader(fh)}
     assert ms == {"1", "4"}
+
+
+def test_batch_eps_needs_no_horizon(tmp_path):
+    """batch-eps reads no horizon: a config without one runs and writes the
+    bytes of the same config with one."""
+    without = BATCH_EPS_CFG.replace("    horizon = 1\n", "")
+    assert "horizon" not in without
+    outputs = []
+    for name, text in (("with", BATCH_EPS_CFG), ("without", without)):
+        out = tmp_path / name
+        assert main(["batch-eps", "--config", write_cfg(tmp_path, text, f"{name}.ini"),
+                     "--out-dir", str(out)]) == 0
+        outputs.append({n: (out / n).read_bytes() for n in OUTPUTS})
+    assert outputs[0] == outputs[1]
 
 
 def test_certify_quadratic(tmp_path, capsys):
@@ -737,8 +762,8 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
      "kind = phi_p", ["[experiment] horizon: shorter than one step", "[objective] p: required for kind 'phi_p'"]),
     ("probe-exact", PROBE_CFG.replace("replicates = 50", "replicates = 1"), "batch_m = 1", "batch_m = 0",
      ["[experiment] replicates: must be >= 2", "[oracle] batch_probe: batch size must be >= 1"]),
-    ("batch-eps", BATCH_EPS_CFG.replace("horizon = 1", "horizon = 0"), "law = laplace", "law = foo",
-     ["[experiment] horizon: must be positive",
+    ("batch-eps", BATCH_EPS_CFG.replace("replicates = 2", "replicates = 0"), "law = laplace", "law = foo",
+     ["[experiment] replicates: must be >= 1",
       "[oracle] batch_probe: law must be one of ('normal', 'rademacher', 'laplace', 'student'),"
       " got 'foo'"]),
     ("batch-eps", BATCH_EPS_CFG, "law = laplace", "law = foo",
@@ -1114,20 +1139,38 @@ def _simd_targets() -> tuple:
 
 
 # Run in a child process: print the dispatch targets it finds, then run
-# each (experiment, config) of argv[3:] at 1 and 2 workers and at 1024- and
-# 3-row blocks, writing to argv[2]/<experiment>-w<workers>b<block>.
+# each config of argv[4:] (by the subcommand its kind names) at each
+# <workers>x<block> setting of argv[3], writing to argv[2]/<config>-<setting>.
 _DISPATCH_CHILD = """
 import importlib, sys
+from pathlib import Path
 from sgdlab import cli, sgd
 umath = importlib.import_module(sys.argv[1])
 print(*[t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)])
-root, runs = sys.argv[2], sys.argv[3:]
-for workers, block in ((1, 1024), (2, 1024), (1, 3), (2, 3)):
-    sgd.WORKERS, sgd.REPLICATE_BLOCK = workers, block
-    for kind, path in zip(runs[::2], runs[1::2]):
-        out = f"{root}/{kind}-w{workers}b{block}"
-        assert cli.main([kind, "--config", path, "--out-dir", out]) == 0
+root, settings, configs = sys.argv[2], sys.argv[3].split(), sys.argv[4:]
+for setting in settings:
+    sgd.WORKERS, sgd.REPLICATE_BLOCK = map(int, setting.split("x"))
+    for path in configs:
+        out = f"{root}/{Path(path).stem}-{setting}"
+        assert cli.main([cli.validate_config(path).experiment, "--config", path, "--out-dir", out]) == 0
 """
+
+
+def _run_under_the_baseline_dispatch(root, settings, configs) -> None:
+    """Run configs at settings through _DISPATCH_CHILD with every SIMD
+    dispatch target above numpy's baseline disabled (an environment
+    variable that acts on the child process only); skip the test when
+    numpy finds no such target."""
+    module, found = _simd_targets()
+    if not found:
+        pytest.skip("numpy finds no SIMD dispatch target above its baseline")
+    src = str(Path(sgd.__file__).parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", _DISPATCH_CHILD, module, str(root), " ".join(settings), *map(str, configs)]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.splitlines()[0] == ""  # no target above baseline is left
+
 
 TINY_PHI_RATES_CFG = """
     [experiment]
@@ -1152,26 +1195,30 @@ TINY_PHI_RATES_CFG = """
 
 
 def test_outputs_do_not_depend_on_workers_or_block_under_the_baseline_dispatch(tmp_path):
-    """With every SIMD dispatch target above numpy's baseline disabled (an
-    environment variable that acts on the child process only), a phi_p
-    rates sweep and a couple-demo run write the same bytes at 1 and 2
-    workers and at 1024- and 3-row blocks."""
-    module, found = _simd_targets()
-    if not found:
-        pytest.skip("numpy finds no SIMD dispatch target above its baseline")
-    runs = [("rates", write_cfg(tmp_path, TINY_PHI_RATES_CFG, "rates.ini")),
-            ("couple-demo", write_cfg(tmp_path, COUPLE_CFG, "couple.ini"))]
-    src = str(Path(sgd.__file__).parents[1])
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found),
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-c", _DISPATCH_CHILD, module, str(tmp_path)]
-    child = subprocess.run(argv + [a for run in runs for a in run], env=env,
-                           capture_output=True, text=True, check=True)
-    assert child.stdout.splitlines()[0] == ""  # no target above baseline is left
-    for kind, _ in runs:
-        outputs = [{name: (tmp_path / f"{kind}-w{w}b{b}" / name).read_bytes() for name in OUTPUTS}
-                   for w, b in ((1, 1024), (2, 1024), (1, 3), (2, 3))]
-        assert all(o == outputs[0] for o in outputs[1:]), kind
+    """Under the baseline dispatch, a phi_p rates sweep and a couple-demo
+    run write the same bytes at 1 and 2 workers and at 1024- and 3-row
+    blocks."""
+    configs = [write_cfg(tmp_path, TINY_PHI_RATES_CFG, "rates.ini"),
+               write_cfg(tmp_path, COUPLE_CFG, "couple.ini")]
+    settings = ["1x1024", "2x1024", "1x3", "2x3"]
+    _run_under_the_baseline_dispatch(tmp_path, settings, configs)
+    for name in ("rates", "couple"):
+        outputs = [{n: (tmp_path / f"{name}-{s}" / n).read_bytes() for n in OUTPUTS} for s in settings]
+        assert all(o == outputs[0] for o in outputs[1:]), name
+
+
+def test_workload_reports_match_their_pins_under_the_baseline_dispatch(tmp_path):
+    """report.txt does not depend on numpy's SIMD dispatch: under the
+    baseline dispatch each benchmark workload, run from its config in
+    perfbench/workloads, writes the report.txt whose SHA-256 is pinned in
+    perfbench/workloads.json (its raw.csv and summary.csv hold float bits
+    that the dispatch changes)."""
+    bench = Path(__file__).parents[1] / "perfbench"
+    workloads = json.loads((bench / "workloads.json").read_text())["workloads"]
+    _run_under_the_baseline_dispatch(tmp_path, ["2x1024"], [bench / "workloads" / w["config"] for w in workloads])
+    for w in workloads:
+        report = (tmp_path / f"{Path(w['config']).stem}-2x1024" / "report.txt").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == w["sha256"]["report.txt"], w["name"]
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,4 +1,5 @@
 import inspect
+from types import ModuleType
 
 import sgdlab
 
@@ -33,7 +34,7 @@ RUNNERS = (
 def test_public_names_resolve_and_deleted_names_are_gone():
     assert len(set(sgdlab.__all__)) == len(sgdlab.__all__)
     for name in sgdlab.__all__:
-        getattr(sgdlab, name)
+        assert not isinstance(getattr(sgdlab, name), ModuleType), name
     for name in DELETED:
         assert name not in sgdlab.__all__
         assert not hasattr(sgdlab, name), name
