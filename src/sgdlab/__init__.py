@@ -18,7 +18,6 @@ from .coupling import (
     CoupledBank,
     epsilon_hat,
     resolve_kind,
-    run_coupled,
     run_coupled_replicates,
     strong_error,
     w2_1d,
@@ -63,8 +62,6 @@ from .sde import (
 from .sgd import (
     DivergenceError,
     ReplicateRuns,
-    run_sgd,
-    run_sgd_replicates,
     run_sgd_sweep,
 )
 

@@ -65,7 +65,7 @@ from .objectives import (
 )
 from .sde import em_bias_probe, path_length, sample_brownian_path
 from . import sgd
-from .sgd import DivergenceError, ReplicateRuns, run_sgd_replicates, run_sgd_sweep
+from .sgd import DivergenceError, ReplicateRuns, run_sgd_sweep
 
 RAW_HEADER = "run_id,replicate,n_or_t,f_gap,dist2,grad_sq,suffix_avg"
 SUMMARY_HEADER = (
@@ -494,8 +494,8 @@ def _experiment_probe_exact(cfg: ExperimentConfig, out: Outcome) -> None:
         n_steps = _probe_steps(cfg.horizon, sched)
         plan = log_spaced_indices(n_steps)
         run_id = _run_label(obj, oracle, sched)
-        bank = run_sgd_replicates(
-            obj, oracle, sched, cfg.x0, n_steps, cfg.replicates, cfg.seed, plan=plan
+        (bank,) = run_sgd_sweep(
+            obj, oracle, [sched], cfg.x0, n_steps, cfg.replicates, cfg.seed, plan=plan
         )
         if not _tally(out, cfg, run_id, bank.aborts):
             continue
@@ -724,8 +724,10 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
             args[section].update((key, v) for key, v in given.items() if key in takes)
             problems += [f"[{section}] {key}: not a key of {section} {chosen!r} in {kind}"
                          for key in given if key not in takes]
+            # a key given but unreadable is listed above, not as missing
             problems += [f"[{section}] {key}: required for kind {chosen!r}"
-                         for key, value in args[section].items() if value is _REQUIRED]
+                         for key, value in args[section].items()
+                         if value is _REQUIRED and not parser.has_option(section, key)]
     obj_args, oracle_args = args.get("objective", {}), args.get("oracle", {})
 
     dim = obj_args.get("dim", 1)

@@ -15,13 +15,12 @@ noise law (the first that applies):
   measured under it upper-bound nothing sharp and are flagged by the kind
   string.
 
-A bank of coupled replicates (run_coupled_replicates) is a CoupledBank; a
-solo run (run_coupled) returns the one-row bank of its stream, or raises
-that row's DivergenceError.  Each leg of a bank keeps its final states,
-after the last block.  A bank can run zero-argument tasks beside its
-blocks, in the same fork_map (couple-demo's integrator bias probe), and
-returns their results in its beside list.  strong_error and weak_error
-reduce a bank to error estimates.
+A bank of coupled replicates (run_coupled_replicates) is a CoupledBank;
+a replicate that diverges is listed in its aborts.  Each leg of a bank
+keeps its final states, after the last block.  A bank can run
+zero-argument tasks beside its blocks, in the same fork_map (couple-demo's
+integrator bias probe), and returns their results in its beside list.
+strong_error and weak_error reduce a bank to error estimates.
 """
 from __future__ import annotations
 
@@ -42,7 +41,6 @@ from .sgd import (
     _normalize_plan,
     _replicate_runs,
     _Rows,
-    _solo,
     _survivors,
 )
 
@@ -171,30 +169,39 @@ def _coupled_block(
     return rows, discrete, continuous, gap_d2
 
 
-def _coupled(
+def run_coupled_replicates(
     obj: Objective,
     oracle: GradientOracle,
     sched: StepSchedule,
     x0,
     horizon: float,
     substeps_per_block: int,
-    streams: list,
-    plan,
+    n_replicates: int,
+    master_seed: int,
+    plan=None,
     beside=(),
 ) -> CoupledBank:
-    """The one coupled entry: the pairs of the replicates that streams
-    identify, stepped block by block, with the tasks of beside run in the
-    same fork_map."""
+    """Bank of coupled replicates over ceil(horizon / gamma_alpha) blocks;
+    the block size never changes results.
+
+    Replicate i's (master_seed, i) pair derives the brownian stream driving
+    both processes and, for the independent kind, the separate noise
+    stream.  Replicates that diverge are listed in the bank's aborts
+    instead of its rows.  beside holds zero-argument tasks that run in the
+    bank's fork_map, on the cores its blocks leave free (the block
+    scheduler cuts the bank into fewer blocks to make room for them);
+    their results are the bank's beside list, and an exception a task
+    raises reaches the caller.
+    """
     if sched.alpha >= 1.0:
         raise ValueError("coupling needs alpha < 1")
-    if not streams:
+    if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
-    if any(s is None for s in streams):
-        raise ValueError("a coupled run needs an explicit RngStream")
     kind = resolve_kind(obj, oracle)
     ga = sched.gamma_alpha
     n_blocks = path_length(horizon, ga)
     plan = _normalize_plan(plan, n_blocks, "plan block indices must lie in [1, n_blocks]")
+    streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
     work = lambda block: _coupled_block(
         obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, block, kind
     )
@@ -210,51 +217,6 @@ def _coupled(
         aborts=aborts,
         beside=side,
     )
-
-
-def run_coupled(
-    obj: Objective,
-    oracle: GradientOracle,
-    sched: StepSchedule,
-    x0,
-    horizon: float,
-    substeps_per_block: int = 16,
-    stream: RngStream | None = None,
-    plan=None,
-) -> CoupledBank:
-    """One coupled replicate over ceil(horizon / gamma_alpha) blocks: a
-    one-row bank, or the DivergenceError its row aborted with.
-
-    stream identifies the replicate: its (master_seed, replicate_id) pair
-    derives the brownian stream driving both processes and, for the
-    independent kind, the separate noise stream.
-    """
-    return _solo(_coupled(obj, oracle, sched, x0, horizon, substeps_per_block, [stream], plan))
-
-
-def run_coupled_replicates(
-    obj: Objective,
-    oracle: GradientOracle,
-    sched: StepSchedule,
-    x0,
-    horizon: float,
-    substeps_per_block: int,
-    n_replicates: int,
-    master_seed: int,
-    plan=None,
-    beside=(),
-) -> CoupledBank:
-    """Bank of coupled replicates; the block size never changes results.
-
-    Replicates that diverge are listed in the bank's aborts instead of its
-    rows.  beside holds zero-argument tasks that run in the bank's
-    fork_map, on the cores its blocks leave free (the block scheduler cuts
-    the bank into fewer blocks to make room for them); their results are
-    the bank's beside list, and an exception a task raises reaches the
-    caller.
-    """
-    streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    return _coupled(obj, oracle, sched, x0, horizon, substeps_per_block, streams, plan, beside)
 
 
 def strong_error(runs: CoupledBank, checkpoint: int | None = None) -> Estimate:

@@ -31,7 +31,6 @@ from .sgd import (
     _replicate_runs,
     _Rows,
     _norm_detail,
-    _solo,
 )
 
 
@@ -181,7 +180,10 @@ def run_sde_em(
         obj, oracle, sched, x0, count, h, plan, [replicate_id],
         lambda start, m: path.increments[start : start + m, None],
     )
-    return _solo(_replicate_runs([part], plan * h))
+    bank = _replicate_runs([part], plan * h)
+    if bank.aborts:
+        raise bank.aborts[0]
+    return bank
 
 
 def run_sde_em_replicates(

@@ -2,20 +2,19 @@
 machinery that every process in the package runs on.
 
 The recursion X_{n+1} = X_n - gamma (n+1)^{-alpha} H(X_n, Z_{n+1}) runs as
-a bank of replicates (run_sgd_replicates); a solo run (run_sgd) returns
-the one-row bank of its stream.  A sweep (run_sgd_sweep: the same
-replicates under several schedules) is one stacked bank: each block steps
-its replicates under every schedule at once, draws each replicate's noise
-once for all of them, and splits back into one bank per schedule whose
-bytes equal those of that schedule's own bank.  The block scheduler
-(_map_blocks) cuts the bank's streams into the fewest consecutive blocks
-of at most REPLICATE_BLOCK replicates that, with the zero-argument tasks
-a caller runs beside the bank (couple-demo's bias probe), make the same
-number per worker (one block each for a bank of up to WORKERS *
-REPLICATE_BLOCK replicates and no task), and hands blocks and tasks to
-fork_map, which runs them on WORKERS processes (this one and forked
-children, one per core this process may run on) and returns the results
-in order.  One block kernel (_Rows.run) steps each block: it draws
+a bank of replicates, one per schedule of a sweep (run_sgd_sweep: the same
+replicates under one or more schedules).  A sweep is one stacked bank:
+each block steps its replicates under every schedule at once, draws each
+replicate's noise once for all of them, and splits back into one bank per
+schedule whose bytes equal those of that schedule's sweep alone.  The
+block scheduler (_map_blocks) cuts the bank's streams into the fewest
+consecutive blocks of at most REPLICATE_BLOCK replicates that, with the
+zero-argument tasks a caller runs beside the bank (couple-demo's bias
+probe), make the same number per worker (one block each for a bank of up
+to WORKERS * REPLICATE_BLOCK replicates and no task), and hands blocks and
+tasks to fork_map, which runs them on WORKERS processes (this one and
+forked children, one per core this process may run on) and returns the
+results in order.  One block kernel (_Rows.run) steps each block: it draws
 innovations in chunks of CHUNK steps (CHUNK // K for a coupled step of K
 substeps) from per-replicate counter-based streams, checks every row for
 divergence after each step (_Rows.check: one vdot over the block, per-row
@@ -38,8 +37,8 @@ and whichever process steps a block.
 A row whose state leaves the finite regime records its first
 DivergenceError and has its state reset to the minimizer; the other rows
 step on, and the bank drops the aborted rows and lists their errors in
-its aborts field.  A solo runner (run_sgd here, run_sde_em and
-run_coupled in their modules) raises its row's DivergenceError instead.
+its aborts field.  The one solo runner, sde.run_sde_em, raises its row's
+DivergenceError instead.
 """
 from __future__ import annotations
 
@@ -52,7 +51,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import RngStream, StepSchedule, derive_stream, log_spaced_indices
+from .core import RngStream, derive_stream, log_spaced_indices
 from .noise import GradientOracle
 from .objectives import Objective, StronglyConvex
 
@@ -304,13 +303,6 @@ def _replicate_runs(parts: list, sample_indices, leg: int = 1) -> ReplicateRuns:
     )
 
 
-def _solo(bank):
-    """A bank of one, or the DivergenceError its row aborted with."""
-    if bank.aborts:
-        raise bank.aborts[0]
-    return bank
-
-
 def _normalize_plan(plan, n: int, error: str) -> np.ndarray:
     """Sorted distinct checkpoint indices in [1, n] (default: log-spaced);
     raises ValueError(error) for indices outside."""
@@ -362,52 +354,6 @@ def _sgd_block(
     return list(zip(rows.split(len(scheds)), ckpts))
 
 
-def _sgd(
-    obj: Objective,
-    oracle: GradientOracle,
-    scheds: tuple,
-    x0,
-    n_steps: int,
-    streams: list,
-    plan,
-) -> list[ReplicateRuns]:
-    """The one SGD entry: the rows of streams under each of scheds, stepped
-    block by block; one bank per schedule."""
-    if n_steps < 1 or not streams:
-        raise ValueError("n_steps and n_replicates must be >= 1")
-    if not scheds:
-        raise ValueError("a sweep needs at least one schedule")
-    if any(s is None for s in streams):
-        raise ValueError("SGD needs an explicit RngStream")
-    tag = obj.tag(StronglyConvex)
-    for sched in scheds:
-        if sched.alpha == 1.0 and tag is not None and not sched.gamma > 1.0 / (2.0 * tag.mu):
-            warnings.warn(
-                f"alpha=1 with gamma={sched.gamma:g} <= 1/(2 mu)={1.0 / (2.0 * tag.mu):g}:"
-                " the strongly convex rate guarantee needs a larger gamma",
-                stacklevel=3,
-            )
-    plan = _normalize_plan(plan, n_steps, "plan indices must lie in [1, n_steps]")
-    work = lambda block: _sgd_block(obj, oracle, scheds, x0, n_steps, plan, block)
-    blocks, _ = _map_blocks(streams, work)
-    return [_replicate_runs([block[k] for block in blocks], plan) for k in range(len(scheds))]
-
-
-def run_sgd(
-    obj: Objective,
-    oracle: GradientOracle,
-    sched: StepSchedule,
-    x0,
-    n_steps: int,
-    plan=None,
-    stream: RngStream | None = None,
-) -> ReplicateRuns:
-    """One SGD replicate, recorded at the plan's iteration indices: a
-    one-row bank, or the DivergenceError its row aborted with."""
-    (bank,) = _sgd(obj, oracle, (sched,), x0, n_steps, [stream], plan)
-    return _solo(bank)
-
-
 def run_sgd_sweep(
     obj: Objective,
     oracle: GradientOracle,
@@ -422,31 +368,25 @@ def run_sgd_sweep(
     streams derived from one master seed.
 
     The sweep runs as one stacked bank that draws each replicate's noise
-    once for every schedule; each bank's bytes equal those of
-    run_sgd_replicates under its schedule.  A replicate that diverges under
-    one schedule is listed in that bank's aborts only.
+    once for every schedule; each bank's bytes equal those of the sweep of
+    its schedule alone, for any block size.  A replicate that diverges
+    under one schedule is listed in that bank's aborts instead of its rows.
     """
+    scheds = tuple(scheds)
+    if n_steps < 1 or n_replicates < 1:
+        raise ValueError("n_steps and n_replicates must be >= 1")
+    if not scheds:
+        raise ValueError("a sweep needs at least one schedule")
+    tag = obj.tag(StronglyConvex)
+    for sched in scheds:
+        if sched.alpha == 1.0 and tag is not None and not sched.gamma > 1.0 / (2.0 * tag.mu):
+            warnings.warn(
+                f"alpha=1 with gamma={sched.gamma:g} <= 1/(2 mu)={1.0 / (2.0 * tag.mu):g}:"
+                " the strongly convex rate guarantee needs a larger gamma",
+                stacklevel=2,
+            )
+    plan = _normalize_plan(plan, n_steps, "plan indices must lie in [1, n_steps]")
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    return _sgd(obj, oracle, tuple(scheds), x0, n_steps, streams, plan)
-
-
-def run_sgd_replicates(
-    obj: Objective,
-    oracle: GradientOracle,
-    sched: StepSchedule,
-    x0,
-    n_steps: int,
-    n_replicates: int,
-    master_seed: int,
-    plan=None,
-) -> ReplicateRuns:
-    """A bank of replicates with streams derived from one master seed: the
-    one-schedule run_sgd_sweep.
-
-    Results are identical for any block size, and equal to run_sgd
-    replicate by replicate; replicates that diverge are listed in the
-    bank's aborts instead of its rows.
-    """
-    streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    (bank,) = _sgd(obj, oracle, (sched,), x0, n_steps, streams, plan)
-    return bank
+    work = lambda block: _sgd_block(obj, oracle, scheds, x0, n_steps, plan, block)
+    blocks, _ = _map_blocks(streams, work)
+    return [_replicate_runs([block[k] for block in blocks], plan) for k in range(len(scheds))]

@@ -24,8 +24,8 @@ laptop; the elapsed time printed per line is wall time on this host.
 """
 import csv
 import re
-import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -65,26 +65,28 @@ GATE = (
     "pl_sine_rates.ini",  # 8
 )
 
-_reporter = None
+_plugins = None
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _grab_reporter(request):
-    global _reporter
-    _reporter = request.config.pluginmanager.get_plugin("terminalreporter")
+def _grab_plugins(request):
+    global _plugins
+    _plugins = request.config.pluginmanager
     yield
 
 
 def emit(line):
-    # pytest captures fd 1 even through sys.__stdout__, so route the
-    # verdict lines through its own terminal writer; plain print keeps
-    # them in the captured-output block of a failure report too
-    if _reporter is not None:
-        _reporter.ensure_newline()
-        _reporter.write_line(line)
-    else:
-        print(line, file=sys.__stdout__, flush=True)
-    print(line)
+    # pytest captures fd 1 even through sys.__stdout__, so each verdict line
+    # is written once, with capture suspended, through pytest's terminal
+    # writer: it shows on a pass as on a failure, with or without -s
+    capman = _plugins.get_plugin("capturemanager")
+    reporter = _plugins.get_plugin("terminalreporter")
+    with capman.global_and_fixture_disabled() if capman else nullcontext():
+        if reporter is None:
+            print(line, flush=True)
+        else:
+            reporter.ensure_newline()
+            reporter.write_line(line)
 
 
 def _verdict(ok):

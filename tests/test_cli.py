@@ -36,8 +36,8 @@ from sgdlab.cli import (
     run_experiment,
     validate_config,
 )
-from sgdlab.core import StepSchedule, derive_stream, log_spaced_indices
-from sgdlab.sgd import DivergenceError, ReplicateRuns, run_sgd
+from sgdlab.core import StepSchedule, log_spaced_indices
+from sgdlab.sgd import ReplicateRuns, run_sgd_sweep
 from test_acceptance import CONFIGS, GATE
 
 
@@ -734,7 +734,7 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     def no_bank(*args, **kwargs):
         raise AssertionError("a bank ran")
 
-    monkeypatch.setattr(sgd, "_sgd", no_bank)  # every SGD bank, sweeps included
+    monkeypatch.setattr(sgd, "_sgd_block", no_bank)  # every block of every SGD bank
     afile = tmp_path / "afile"
     afile.write_text("")
     for out_dir in (afile / "sub", afile):
@@ -758,6 +758,9 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     # a required key left out, and constructor problems, with the others
     ("rates", RATES_CFG, "kind = quadratic\n    lam = 1.0", "kind = phi_p",
      ["[objective] p: required for kind 'phi_p'"]),
+    # a required key given but unreadable is listed once, as unreadable
+    ("rates", RATES_CFG, "kind = quadratic\n    lam = 1.0", "kind = phi_p\n    p = 2.5",
+     ["[objective] p: '2.5' is not an integer"]),
     ("rates", RATES_CFG.replace("horizon = 400", "horizon = 0.5"), "kind = quadratic\n    lam = 1.0",
      "kind = phi_p", ["[experiment] horizon: shorter than one step", "[objective] p: required for kind 'phi_p'"]),
     ("probe-exact", PROBE_CFG.replace("replicates = 50", "replicates = 1"), "batch_m = 1", "batch_m = 0",
@@ -987,10 +990,10 @@ def test_bank_with_one_survivor_is_reported(tmp_path, capsys, kind):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_partial_divergence_aborts_only_the_diverging_replicates(tmp_path):
-    """The report's abort lines are the errors solo runs raise for the
-    diverging replicates, and the raw rows of every other replicate are
-    its solo trajectory."""
+def test_partial_divergence_aborts_only_the_diverging_replicates(tmp_path, monkeypatch):
+    """The report's abort lines are the errors the diverging replicates
+    abort with when every replicate steps alone (a block size of 1), and
+    the raw rows of every other replicate are its trajectory then."""
     path = write_cfg(tmp_path, LSQ_DIVERGE_CFG)
     out = tmp_path / "o"
     assert main(["rates", "--config", path, "--out-dir", str(out)]) == 0
@@ -1002,22 +1005,22 @@ def test_partial_divergence_aborts_only_the_diverging_replicates(tmp_path):
     with open(out / "raw.csv") as fh:
         for row in csv.DictReader(fh):
             raw[row["run_id"], int(row["replicate"])].append(row)
+    monkeypatch.setattr(sgd, "REPLICATE_BLOCK", 1)
     aborts = []
     for sched in cfg.schedules:
         run_id = f"{obj.name}_{oracle.name}_{sched.label()}"
-        for rep in range(cfg.replicates):
-            try:
-                solo = run_sgd(obj, oracle, sched, np.ones(4), 100, plan=plan,
-                               stream=derive_stream(cfg.seed, rep, "noise"))
-            except DivergenceError as err:
-                aborts.append(f"  {run_id} {err}")
-                assert (run_id, rep) not in raw
-                continue
+        (alone,) = run_sgd_sweep(obj, oracle, [sched], np.ones(4), 100, cfg.replicates, cfg.seed, plan)
+        for err in alone.aborts:
+            aborts.append(f"  {run_id} {err}")
+            assert (run_id, err.replicate_id) not in raw
+        kept = alone.replicate_ids.tolist()
+        assert sorted(kept + [err.replicate_id for err in alone.aborts]) == list(range(cfg.replicates))
+        for row, rep in enumerate(kept):
             rows = raw[run_id, rep]
             assert [int(r["n_or_t"]) for r in rows] == plan.tolist()
-            assert [float(r["f_gap"]) for r in rows] == solo.values[0].tolist()
-            assert [float(r["dist2"]) for r in rows] == solo.dist2_to_min[0].tolist()
-            assert [float(r["grad_sq"]) for r in rows] == solo.grad_sq[0].tolist()
+            assert [float(r["f_gap"]) for r in rows] == alone.values[row].tolist()
+            assert [float(r["dist2"]) for r in rows] == alone.dist2_to_min[row].tolist()
+            assert [float(r["grad_sq"]) for r in rows] == alone.grad_sq[row].tolist()
     assert 0 < len(aborts) < cfg.replicates
     report = (out / "report.txt").read_text().splitlines()
     start = report.index(f"aborted replicates ({len(aborts)}):")

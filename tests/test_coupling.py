@@ -11,10 +11,8 @@ from sgdlab.coupling import (
     GAUSSIAN_SHARED,
     INDEPENDENT,
     U_FLOOR,
-    CoupledBank,
     epsilon_hat,
     resolve_kind,
-    run_coupled,
     run_coupled_replicates,
     strong_error,
     w2_1d,
@@ -23,7 +21,7 @@ from sgdlab.coupling import (
 from sgdlab.noise import gaussian_oracle, heavy_oracle, probe_batch_oracle
 from sgdlab.objectives import make_linear_probe, make_quadratic
 from sgdlab.sde import run_sde_em, sample_brownian_path
-from sgdlab.sgd import DivergenceError, run_sgd
+from sgdlab.sgd import DivergenceError, run_sgd_sweep
 
 from helpers import states_at
 
@@ -51,16 +49,17 @@ def test_resolve_kind_defaults():
 
 # ---------------------------------------------------------------- coupling mechanics
 
-def test_shared_coupling_rescales_block_increments():
+def test_shared_coupling_rescales_block_increments(monkeypatch):
     """On the flat objective the discrete chain is exactly the running sum
     of -step_k * sigma * (block increment / sqrt(gamma_alpha)), which pins
     the normalization that makes the block sums standard normals.  The run
-    stopped after k blocks ends there, for every k."""
+    stopped after k blocks ends there, for every k (shown for replicate
+    3)."""
     n_blocks = 20
     obj = make_linear_probe(dim=2)
     oracle = gaussian_oracle(obj, 0.8)
-    run = lambda k: run_coupled(obj, oracle, SCHED, np.zeros(2), _horizon(k), 16,
-                                stream=derive_stream(5, 3, "noise"))
+    run = lambda k: run_coupled_replicates(obj, oracle, SCHED, np.zeros(2), _horizon(k), 16, 4, 5)
+    monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
     assert run(n_blocks).coupling_kind == GAUSSIAN_SHARED
     states = states_at(lambda k: run(k).discrete.final_states, range(1, n_blocks + 1))
     path = sample_brownian_path(_horizon(n_blocks), GA / 16, 2,
@@ -68,7 +67,7 @@ def test_shared_coupling_rescales_block_increments():
     g_blocks = path.block_sums(16) / np.sqrt(GA)
     steps = SCHED.step_size(np.arange(n_blocks))
     manual = -np.cumsum(steps[:, None] * (0.8 * g_blocks), axis=0)
-    np.testing.assert_array_equal(states[0], manual)
+    np.testing.assert_array_equal(states[3], manual)
 
 
 def test_coupled_continuous_leg_matches_plain_integrator():
@@ -78,8 +77,8 @@ def test_coupled_continuous_leg_matches_plain_integrator():
     n_blocks = 20
     obj = make_quadratic(dim=2, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
-    coupled = lambda k: run_coupled(obj, oracle, SCHED, np.ones(2), _horizon(k), 16,
-                                    stream=derive_stream(5, 0, "noise")).continuous
+    coupled = lambda k: run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(k), 16,
+                                               1, 5).continuous
     path = sample_brownian_path(_horizon(n_blocks), GA / 16, 2,
                                 derive_stream(5, 0, "brownian"))
     plain = lambda k, **kw: run_sde_em(obj, oracle, SCHED, np.ones(2), _horizon(k), 16, path, **kw)
@@ -94,15 +93,14 @@ def test_coupled_continuous_leg_matches_plain_integrator():
 def test_comonotone_first_step_is_quantile_of_gaussian_cdf():
     obj = make_quadratic(dim=1, lam=1.0)
     oracle = heavy_oracle(obj, 1.0, "laplace")
-    run = run_coupled(obj, oracle, SCHED, np.full(1, 2.0), _horizon(1), 16,
-                      stream=derive_stream(9, 1, "noise"))
+    run = run_coupled_replicates(obj, oracle, SCHED, np.full(1, 2.0), _horizon(1), 16, 2, 9)
     assert run.coupling_kind == COMONOTONE_1D
     path = sample_brownian_path(_horizon(20), GA / 16, 1, derive_stream(9, 1, "brownian"))
     g0 = path.block_sums(16)[0] / np.sqrt(GA)
     u = np.clip(ndtr(g0), U_FLOOR, 1.0 - 1e-16)
     step0 = SCHED.step_size(np.arange(1))[0]
     x1 = 2.0 - step0 * (obj.gradient(np.full((1, 1), 2.0)) + oracle.noise_ppf(u))
-    np.testing.assert_array_equal(run.discrete.final_states[0], x1[0])
+    np.testing.assert_array_equal(run.discrete.final_states[1], x1[0])
 
 
 def test_student_quantile_at_the_floor_is_finite_and_negative():
@@ -132,67 +130,54 @@ def test_comonotone_student_step_at_the_floor(monkeypatch):
     assert 0.0 < x1[0] < np.inf
 
 
-def test_independent_discrete_leg_is_plain_sgd():
+def test_independent_discrete_leg_is_plain_sgd(monkeypatch):
     """With the independent kind the discrete chain draws from the same
-    noise stream as run_sgd, so the two must agree bitwise, after every
-    block."""
+    noise stream as an SGD bank of the same seed, so the two must agree
+    bitwise, replicate by replicate, after every block."""
     n_blocks = 20
     obj = make_quadratic(dim=2, lam=1.0)
     oracle = heavy_oracle(obj, 0.5, "laplace")
     plan = np.arange(1, n_blocks + 1)
-    run = lambda k: run_coupled(obj, oracle, SCHED, np.ones(2), _horizon(k), 16,
-                                stream=derive_stream(4, 2, "noise"), plan=plan[:k])
+    run = lambda k: run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(k), 16, 3, 4,
+                                           plan=plan[:k])
     assert run(n_blocks).coupling_kind == INDEPENDENT
-    sgd = lambda k: run_sgd(obj, oracle, SCHED, np.ones(2), k, plan=plan[:k],
-                            stream=derive_stream(4, 2, "noise"))
-    np.testing.assert_array_equal(run(n_blocks).discrete.values, sgd(n_blocks).values)
+    monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
+    sgd_bank = lambda k: run_sgd_sweep(obj, oracle, [SCHED], np.ones(2), k, 3, 4, plan=plan[:k])[0]
+    np.testing.assert_array_equal(run(n_blocks).discrete.values, sgd_bank(n_blocks).values)
     np.testing.assert_array_equal(states_at(lambda k: run(k).discrete.final_states, plan),
-                                  states_at(lambda k: sgd(k).final_states, plan))
-
-
-def test_run_coupled_validation():
-    obj = make_quadratic(dim=1)
-    oracle = gaussian_oracle(obj, 1.0)
-    with pytest.raises(ValueError, match="alpha < 1"):
-        run_coupled(obj, oracle, StepSchedule(1.0, 1.0), np.ones(1), 1.0,
-                    stream=derive_stream(0, 0, "noise"))
-    with pytest.raises(ValueError, match="RngStream"):
-        run_coupled(obj, oracle, SCHED, np.ones(1), 1.0)
-    with pytest.raises(ValueError, match="block indices"):
-        run_coupled(obj, oracle, SCHED, np.ones(1), _horizon(4), 8,
-                    stream=derive_stream(0, 0, "noise"), plan=[0, 2])
+                                  states_at(lambda k: sgd_bank(k).final_states, plan))
 
 
 # ---------------------------------------------------------------- banks
 
-def test_coupled_bank_matches_solo_runs():
-    obj = make_quadratic(dim=2, lam=1.0)
-    oracle = gaussian_oracle(obj, 1.0)
-    bank = run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(20), 16, 3, 77)
-    assert bank.coupling_kind == GAUSSIAN_SHARED
-    for i in range(3):
-        solo = run_coupled(obj, oracle, SCHED, np.ones(2), _horizon(20), 16,
-                           stream=derive_stream(77, i, "noise"))
-        np.testing.assert_array_equal(solo.coupled_dist2[0], bank.coupled_dist2[i])
-        np.testing.assert_array_equal(solo.discrete.values[0], bank.discrete.values[i])
-        np.testing.assert_array_equal(solo.continuous.values[0], bank.continuous.values[i])
-        np.testing.assert_array_equal(solo.discrete.final_states[0], bank.discrete.final_states[i])
-        np.testing.assert_array_equal(solo.continuous.final_states[0],
-                                      bank.continuous.final_states[i])
+def _coupled_bytes(bank):
+    """Every field of a coupled bank but beside: arrays as bytes, aborts as
+    their (replicate, step, detail)."""
+    arrays = [bank.block_indices, bank.times, bank.coupled_dist2]
+    for leg in (bank.discrete, bank.continuous):
+        arrays += [leg.sample_indices, leg.values, leg.dist2_to_min, leg.grad_sq,
+                   leg.final_states, leg.replicate_ids]
+    aborts = [(e.replicate_id, e.step, e.detail) for e in bank.aborts]
+    return [a.tobytes() for a in arrays] + [aborts, bank.coupling_kind]
 
 
 def test_coupled_bank_block_size_invariance(monkeypatch):
-    obj = make_quadratic(dim=1, lam=1.0)
+    """A coupled bank is the same bytes for every block size, 1 included,
+    where each replicate steps alone.  Its discrete leg
+    records at the block indices and its continuous leg at their times."""
+    obj = make_quadratic(dim=2, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
-    kw = dict(x0=np.ones(1), horizon=_horizon(8), substeps_per_block=4,
+    kw = dict(x0=np.ones(2), horizon=_horizon(8), substeps_per_block=4,
               n_replicates=300, master_seed=13)
     banks = []
-    for block in (sgd.REPLICATE_BLOCK, 7):
+    for block in (sgd.REPLICATE_BLOCK, 7, 1):
         monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
-        banks.append(run_coupled_replicates(obj, oracle, SCHED, **kw))
-    np.testing.assert_array_equal(banks[0].coupled_dist2, banks[1].coupled_dist2)
-    np.testing.assert_array_equal(banks[0].discrete.values, banks[1].discrete.values)
-    np.testing.assert_array_equal(banks[0].continuous.values, banks[1].continuous.values)
+        bank = run_coupled_replicates(obj, oracle, SCHED, **kw)
+        banks.append(_coupled_bytes(bank))
+    assert bank.coupling_kind == GAUSSIAN_SHARED and bank.aborts == []
+    np.testing.assert_array_equal(bank.discrete.sample_indices, bank.block_indices)
+    np.testing.assert_array_equal(bank.continuous.sample_indices, bank.times)
+    assert banks[1] == banks[0] and banks[2] == banks[0]
 
 
 @pytest.mark.parametrize("gaussian", [True, False])
@@ -217,38 +202,26 @@ def test_coupled_bank_chunk_size_invariance(monkeypatch, gaussian):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_coupled_bank_drops_only_diverging_replicates():
+def test_coupled_bank_drops_only_diverging_replicates(monkeypatch):
     """Noise proportional to the state makes some replicates blow up, in
-    one leg or the other.  Each aborts alone with the error its solo run
-    raises, and every other replicate matches its solo run bitwise."""
+    one leg or the other.  Each aborts alone, with the error and the step
+    it has when every replicate steps alone, and every other replicate's
+    rows are bitwise those it has then."""
     obj = make_quadratic(dim=1, lam=1.0)
     oracle = gaussian_oracle(obj, lambda x: 5.0 * np.abs(x), eta=1.0)
     sched = StepSchedule(1.0, 0.1)
     horizon = 40 * sched.gamma_alpha
-    bank = run_coupled_replicates(obj, oracle, sched, np.ones(1), horizon, 4, 16, 5)
-    solo_errors, survivors = [], []
-    for i in range(16):
-        try:
-            solo = run_coupled(obj, oracle, sched, np.ones(1), horizon, 4,
-                               stream=derive_stream(5, i, "noise"))
-        except DivergenceError as err:
-            solo_errors.append(str(err))
-            continue
-        row = len(survivors)
-        survivors.append(i)
-        np.testing.assert_array_equal(solo.coupled_dist2[0], bank.coupled_dist2[row])
-        np.testing.assert_array_equal(solo.discrete.values[0], bank.discrete.values[row])
-        np.testing.assert_array_equal(solo.continuous.grad_sq[0], bank.continuous.grad_sq[row])
-        np.testing.assert_array_equal(solo.discrete.final_states[0],
-                                      bank.discrete.final_states[row])
-        np.testing.assert_array_equal(solo.continuous.final_states[0],
-                                      bank.continuous.final_states[row])
-    assert 0 < len(solo_errors) < 16
-    assert [str(err) for err in bank.aborts] == solo_errors
-    assert any("continuous state" in e for e in solo_errors)
-    assert any("discrete state" in e for e in solo_errors)
+    run = lambda: run_coupled_replicates(obj, oracle, sched, np.ones(1), horizon, 4, 16, 5)
+    bank = run()
+    errors = [str(err) for err in bank.aborts]
+    assert 0 < len(errors) < 16
+    assert any("continuous state" in e for e in errors)
+    assert any("discrete state" in e for e in errors)
+    survivors = sorted(set(range(16)) - {err.replicate_id for err in bank.aborts})
     assert bank.discrete.replicate_ids.tolist() == survivors
     assert bank.continuous.replicate_ids.tolist() == survivors
+    monkeypatch.setattr(sgd, "REPLICATE_BLOCK", 1)  # every row steps alone
+    assert _coupled_bytes(bank) == _coupled_bytes(run())
 
 
 def test_tasks_beside_a_bank_return_with_it_and_leave_it_unchanged(monkeypatch):
@@ -283,24 +256,6 @@ def test_a_task_beside_a_bank_raises_to_the_caller_and_leaves_no_child(monkeypat
             os.waitpid(-1, os.WNOHANG)
 
 
-def test_bank_run_roundtrip():
-    """A solo coupled run returns its replicate's one-row bank: the
-    replicate's id, no aborts, and the bank's row for that replicate."""
-    obj = make_quadratic(dim=1, lam=1.0)
-    oracle = gaussian_oracle(obj, 1.0)
-    bank = run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(8), 4, 3, 21)
-    solo = run_coupled(obj, oracle, SCHED, np.ones(1), _horizon(8), 4,
-                       stream=derive_stream(21, 1, "noise"))
-    assert isinstance(solo, CoupledBank)
-    assert solo.discrete.replicate_ids.tolist() == solo.continuous.replicate_ids.tolist() == [1]
-    assert solo.aborts == []
-    np.testing.assert_array_equal(solo.block_indices, bank.block_indices)
-    np.testing.assert_array_equal(solo.discrete.sample_indices, bank.block_indices)
-    np.testing.assert_array_equal(solo.continuous.sample_indices, bank.times)
-    np.testing.assert_array_equal(solo.coupled_dist2, bank.coupled_dist2[1:2])
-    np.testing.assert_array_equal(solo.continuous.final_states, bank.continuous.final_states[1:2])
-
-
 def test_bank_validation():
     obj = make_quadratic(dim=1)
     oracle = gaussian_oracle(obj, 1.0)
@@ -309,6 +264,8 @@ def test_bank_validation():
                                1.0, 4, 2, 0)
     with pytest.raises(ValueError, match="n_replicates"):
         run_coupled_replicates(obj, oracle, SCHED, np.ones(1), 1.0, 4, 0, 0)
+    with pytest.raises(ValueError, match="block indices"):
+        run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(4), 8, 2, 0, plan=[0, 2])
 
 
 # ---------------------------------------------------------------- error estimators

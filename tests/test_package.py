@@ -4,8 +4,9 @@ from types import ModuleType
 import sgdlab
 
 # Names the package no longer has: the solo result types and helpers no
-# experiment used, two test references now in tests/helpers.py, and the
-# data-source and interval helpers that only tests called.
+# experiment used, two test references now in tests/helpers.py, the
+# data-source and interval helpers that only tests called, and the solo and
+# one-schedule SGD and coupled runners, which only re-entered a bank.
 DELETED = (
     "CoupledRun",
     "DataDistribution",
@@ -16,16 +17,16 @@ DELETED = (
     "finite_difference_gradient",
     "iid_data",
     "run_gradient_flow",
+    "run_coupled",
     "run_projected_sgd",
+    "run_sgd",
+    "run_sgd_replicates",
     "suffix_average",
 )
 RUNNERS = (
-    "run_coupled",
     "run_coupled_replicates",
     "run_sde_em",
     "run_sde_em_replicates",
-    "run_sgd",
-    "run_sgd_replicates",
     "run_sgd_sweep",
     "em_bias_probe",
 )

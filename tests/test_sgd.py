@@ -14,11 +14,8 @@ from sgdlab.objectives import make_least_squares, make_linear_probe, make_phi_p,
 from sgdlab.sgd import (
     DIVERGENCE_NORM,
     DivergenceError,
-    ReplicateRuns,
     _norm_detail,
     _Rows,
-    run_sgd,
-    run_sgd_replicates,
     run_sgd_sweep,
     fork_map,
     worker_slices,
@@ -27,8 +24,8 @@ from sgdlab.sgd import (
 from helpers import states_at
 
 
-def _stream(rep=0, seed=1):
-    return derive_stream(seed, rep, "noise")
+def _stream(rep):
+    return derive_stream(1, rep, "noise")
 
 
 def test_noiseless_quadratic_matches_recursion():
@@ -39,7 +36,7 @@ def test_noiseless_quadratic_matches_recursion():
     oracle = gaussian_oracle(obj, 0.0)
     sched = StepSchedule(gamma, alpha)
     plan = np.arange(1, 101)
-    traj = run_sgd(obj, oracle, sched, np.array([1.0]), 100, plan=plan, stream=_stream())
+    (traj,) = run_sgd_sweep(obj, oracle, [sched], np.array([1.0]), 100, 1, 1, plan=plan)
     x = 1.0
     for n in range(100):
         x = x * (1.0 - lam * gamma * (n + 1) ** (-alpha))
@@ -47,66 +44,57 @@ def test_noiseless_quadratic_matches_recursion():
         assert traj.values[0, n] == pytest.approx(0.5 * x * x, rel=1e-10)
 
 
-def test_linear_probe_is_pure_noise_accumulation():
-    """On the flat objective the trajectory is exactly minus the running
-    weighted sum of the raw gaussian draws from the same stream: the run
+def test_linear_probe_is_pure_noise_accumulation(monkeypatch):
+    """On the flat objective replicate 3's trajectory is exactly minus the
+    running weighted sum of the raw gaussian draws from its stream: the run
     stopped after k steps ends there, for every k up to n."""
     obj = make_linear_probe(dim=2)
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.1, 0.25)
     n = 200
+    monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
     states = states_at(
-        lambda k: run_sgd(obj, oracle, sched, np.zeros(2), k, stream=_stream(3)).final_states,
+        lambda k: run_sgd_sweep(obj, oracle, [sched], np.zeros(2), k, 4, 1)[0].final_states,
         range(1, n + 1),
     )
     raw = _stream(3).generator().standard_normal((n, 2))
     steps = sched.step_size(np.arange(n))
     expected = -np.cumsum(steps[:, None] * raw, axis=0)
-    np.testing.assert_array_equal(states[0], expected)
-
-
-def test_vectorized_bank_matches_solo_runs(monkeypatch):
-    obj = make_quadratic(dim=2)
-    oracle = heavy_oracle(obj, 0.5, "laplace")
-    sched = StepSchedule(0.3, 0.5)
-    bank = run_sgd_replicates(obj, oracle, sched, np.ones(2), 500, 5, 42)
-    monkeypatch.setattr(sgd, "WORKERS", 1)  # the banks stopped early run in-process
-    ends = log_spaced_indices(500)
-    bank_states = states_at(
-        lambda k: run_sgd_replicates(obj, oracle, sched, np.ones(2), k, 5, 42).final_states, ends
-    )
-    for i in range(5):
-        solo = run_sgd(obj, oracle, sched, np.ones(2), 500, stream=derive_stream(42, i, "noise"))
-        np.testing.assert_array_equal(bank.values[i], solo.values[0])
-        np.testing.assert_array_equal(bank.dist2_to_min[i], solo.dist2_to_min[0])
-        np.testing.assert_array_equal(bank.grad_sq[i], solo.grad_sq[0])
-        np.testing.assert_array_equal(bank.final_states[i], solo.final_states[0])
-        solo_states = states_at(
-            lambda k: run_sgd(obj, oracle, sched, np.ones(2), k,
-                              stream=derive_stream(42, i, "noise")).final_states,
-            ends,
-        )
-        np.testing.assert_array_equal(bank_states[i], solo_states[0])
-
-
-def test_block_size_invariance(monkeypatch):
-    obj = make_quadratic(dim=1)
-    oracle = gaussian_oracle(obj, 1.0)
-    sched = StepSchedule(0.5, 0.5)
-    banks = []
-    for block in (sgd.REPLICATE_BLOCK, 7):
-        monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
-        banks.append(run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 300, 600, 7))
-    np.testing.assert_array_equal(banks[0].values, banks[1].values)
-    np.testing.assert_array_equal(banks[0].dist2_to_min, banks[1].dist2_to_min)
+    np.testing.assert_array_equal(states[3], expected)
 
 
 def _bank_bytes(bank):
     """Every field of a bank, arrays as bytes and aborts as their
     (replicate, step, detail)."""
-    arrays = ("values", "dist2_to_min", "grad_sq", "final_states", "replicate_ids")
+    arrays = ("sample_indices", "values", "dist2_to_min", "grad_sq", "final_states", "replicate_ids")
     aborts = [(e.replicate_id, e.step, e.detail) for e in bank.aborts]
     return [getattr(bank, name).tobytes() for name in arrays] + [aborts]
+
+
+@pytest.mark.parametrize("case", ["gaussian", "laplace"])
+def test_block_size_invariance(monkeypatch, case):
+    """A bank is the same bytes for every block size, 1 included, where
+    each row steps alone.  The laplace banks, in dimension 2, are also
+    stopped at each checkpoint, and the states they pass through agree
+    too."""
+    if case == "gaussian":
+        obj = make_quadratic(dim=1)
+        oracle = gaussian_oracle(obj, 1.0)
+        sched, x0, n, reps, seed = StepSchedule(0.5, 0.5), np.array([1.0]), 300, 600, 7
+    else:
+        obj = make_quadratic(dim=2)
+        oracle = heavy_oracle(obj, 0.5, "laplace")
+        sched, x0, n, reps, seed = StepSchedule(0.3, 0.5), np.ones(2), 500, 5, 42
+        monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
+    bank = lambda k: run_sgd_sweep(obj, oracle, [sched], x0, k, reps, seed)[0]
+    ends = log_spaced_indices(n) if case == "laplace" else []
+    banks, states = [], []
+    for block in (sgd.REPLICATE_BLOCK, 7, 1):
+        monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
+        banks.append(_bank_bytes(bank(n)))
+        states.append([bank(k).final_states.tobytes() for k in ends])
+    assert banks[1] == banks[0] and banks[2] == banks[0]
+    assert states[1] == states[0] and states[2] == states[0]
 
 
 @pytest.mark.parametrize("case", ["phi_2", "least_squares"])
@@ -124,7 +112,7 @@ def test_sweep_equals_per_schedule_banks(monkeypatch, case):
         oracle = least_squares_batch_oracle(obj, 1)
         scheds = [StepSchedule(g, 0.5) for g in (1.0, 4.0)]
     x0 = np.ones(obj.dim)
-    alone = [_bank_bytes(run_sgd_replicates(obj, oracle, s, x0, 100, 24, 1)) for s in scheds]
+    alone = [_bank_bytes(run_sgd_sweep(obj, oracle, [s], x0, 100, 24, 1)[0]) for s in scheds]
     if case == "least_squares":
         assert not alone[0][-1] and 0 < len(alone[1][-1]) < 24
     for workers, block in ((1, sgd.REPLICATE_BLOCK), (2, sgd.REPLICATE_BLOCK), (1, 7), (2, 7)):
@@ -157,7 +145,7 @@ def test_chunk_size_invariance(monkeypatch, law):
         oracle = least_squares_batch_oracle(obj, 3)
     else:
         oracle = heavy_oracle(obj, 0.5, law, df=6.0 if law == "student" else None)
-    bank = lambda k: run_sgd_replicates(obj, oracle, StepSchedule(0.3, 0.5), np.ones(2), k, 5, 3)
+    bank = lambda k: run_sgd_sweep(obj, oracle, [StepSchedule(0.3, 0.5)], np.ones(2), k, 5, 3)[0]
     monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
     banks, states = [], []
     for chunk in (sgd.CHUNK, 7):
@@ -170,21 +158,21 @@ def test_chunk_size_invariance(monkeypatch, law):
 
 
 def test_chunk_boundary_continuity():
-    # crossing chunk edges must not disturb the stream
+    # crossing chunk edges must not disturb replicate 9's stream
     obj = make_linear_probe(dim=1)
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.1, 0.0)
     n = 1500
-    traj = run_sgd(obj, oracle, sched, np.zeros(1), n, plan=np.array([n]), stream=_stream(9))
+    (traj,) = run_sgd_sweep(obj, oracle, [sched], np.zeros(1), n, 10, 1, plan=np.array([n]))
     raw = _stream(9).generator().standard_normal((n, 1))
     expected = -0.1 * raw.sum(axis=0)
-    np.testing.assert_allclose(traj.final_states[0], expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.final_states[9], expected, rtol=0, atol=1e-12)
 
 
 def test_default_plan_is_log_spaced():
     obj = make_quadratic()
     oracle = gaussian_oracle(obj, 0.0)
-    traj = run_sgd(obj, oracle, StepSchedule(0.1, 0.5), np.array([1.0]), 10_000, stream=_stream())
+    (traj,) = run_sgd_sweep(obj, oracle, [StepSchedule(0.1, 0.5)], np.array([1.0]), 10_000, 1, 1)
     assert traj.sample_indices[0] == 1
     assert traj.sample_indices[-1] == 10_000
     assert len(traj.sample_indices) <= 64
@@ -194,49 +182,37 @@ def test_plan_normalization_and_validation():
     obj = make_quadratic()
     oracle = gaussian_oracle(obj, 0.0)
     sched = StepSchedule(0.1, 0.5)
-    traj = run_sgd(obj, oracle, sched, np.array([1.0]), 50, plan=[10, 5, 10, 50], stream=_stream())
+    run = lambda n, plan=None, reps=1: run_sgd_sweep(obj, oracle, [sched], np.array([1.0]), n, reps, 1, plan)
+    (traj,) = run(50, [10, 5, 10, 50])
     np.testing.assert_array_equal(traj.sample_indices, [5, 10, 50])
-    with pytest.raises(ValueError):
-        run_sgd(obj, oracle, sched, np.array([1.0]), 50, plan=[0, 5], stream=_stream())
-    with pytest.raises(ValueError):
-        run_sgd(obj, oracle, sched, np.array([1.0]), 50, plan=[51], stream=_stream())
-    with pytest.raises(ValueError):
-        run_sgd(obj, oracle, sched, np.array([1.0]), 0, stream=_stream())
+    with pytest.raises(ValueError, match="plan indices"):
+        run(50, [0, 5])
+    with pytest.raises(ValueError, match="plan indices"):
+        run(50, [51])
+    with pytest.raises(ValueError, match="n_steps and n_replicates"):
+        run(0)
+    with pytest.raises(ValueError, match="n_steps and n_replicates"):
+        run(50, reps=0)
+    with pytest.raises(ValueError, match="at least one schedule"):
+        run_sgd_sweep(obj, oracle, [], np.array([1.0]), 50, 1, 1)
 
 
-def test_stream_is_required():
-    obj = make_quadratic()
-    oracle = gaussian_oracle(obj, 1.0)
-    with pytest.raises(ValueError):
-        run_sgd(obj, oracle, StepSchedule(0.1, 0.5), np.array([1.0]), 10)
-
-
-def test_divergence_raises_with_location():
+def test_divergence_in_bank_names_replicate(monkeypatch):
+    """Each diverging replicate aborts alone: the bank keeps no row for it
+    and lists its error, at the step where it left the finite regime, as
+    when every replicate steps alone."""
     obj = make_quadratic(lam=1.0)
-    oracle = gaussian_oracle(obj, 0.0)
+    oracle = gaussian_oracle(obj, 1.0)
     # constant step 3 > 2/lam diverges geometrically from x0 != 0
     sched = StepSchedule(3.0, 0.0)
-    with pytest.raises(DivergenceError) as exc:
-        run_sgd(obj, oracle, sched, np.array([1.0]), 5000, stream=_stream())
-    assert exc.value.replicate_id == 0
-    assert exc.value.step > 0
-
-
-def test_divergence_in_bank_names_replicate():
-    """Each diverging replicate aborts alone: the bank keeps no row for it
-    and lists the error its solo run raises, at the same step."""
-    obj = make_quadratic(lam=1.0)
-    oracle = gaussian_oracle(obj, 1.0)
-    sched = StepSchedule(3.0, 0.0)
-    bank = run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 5000, 3, 1)
+    run = lambda: run_sgd_sweep(obj, oracle, [sched], np.array([1.0]), 5000, 3, 1)[0]
+    bank = run()
     assert [err.replicate_id for err in bank.aborts] == [0, 1, 2]
+    assert all(err.step > 0 for err in bank.aborts)
     assert len(bank.replicate_ids) == 0
     assert bank.values.shape == (0, len(bank.sample_indices))
-    for err in bank.aborts:
-        with pytest.raises(DivergenceError) as solo:
-            run_sgd(obj, oracle, sched, np.array([1.0]), 5000, stream=_stream(err.replicate_id))
-        assert solo.value.step == err.step
-        assert str(solo.value) == str(err)
+    monkeypatch.setattr(sgd, "REPLICATE_BLOCK", 1)  # every row steps alone
+    assert _bank_bytes(bank) == _bank_bytes(run())
 
 
 def test_divergence_error_pickles():
@@ -355,59 +331,43 @@ def test_bank_of_one_starts_no_child(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     obj = make_quadratic()
     oracle = gaussian_oracle(obj, 1.0)
-    sched = StepSchedule(0.5, 0.5)
-    solo = run_sgd(obj, oracle, sched, np.array([1.0]), 50, stream=_stream())
-    bank = run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 50, 1, 1)
-    np.testing.assert_array_equal(bank.values[0], solo.values[0])
+    scheds = [StepSchedule(0.5, 0.5), StepSchedule(0.5, 0.7)]
+    banks = run_sgd_sweep(obj, oracle, scheds, np.array([1.0]), 50, 1, 1)
+    assert [bank.replicate_ids.tolist() for bank in banks] == [[0], [0]]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_diverged_rows_are_reset_and_the_rest_step_on():
+def test_diverged_rows_are_reset_and_the_rest_step_on(monkeypatch):
     """Noise scaled by x**2 throws some replicates past the divergence norm,
     after which they would overflow within a few steps.  A diverged row is
     reset to the minimizer, where this noise vanishes, so nothing
-    overflows, and the surviving rows run on to their solo results."""
+    overflows, and the surviving rows run on to the results they have
+    when every replicate steps alone."""
     obj = make_quadratic(lam=1.0)
     oracle = gaussian_oracle(obj, lambda x: 2.0 * x * x, eta=1.0)
     sched = StepSchedule(1.0, 0.5)
-    bank = run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 500, 16, 3)
+    run = lambda: run_sgd_sweep(obj, oracle, [sched], np.array([1.0]), 500, 16, 3)[0]
+    bank = run()
     assert 0 < len(bank.aborts) < 16
     aborted = {err.replicate_id for err in bank.aborts}
     kept = [i for i in range(16) if i not in aborted]
     assert bank.replicate_ids.tolist() == kept
-    for row, rep in enumerate(kept):
-        solo = run_sgd(obj, oracle, sched, np.array([1.0]), 500, stream=_stream(rep, seed=3))
-        np.testing.assert_array_equal(bank.values[row], solo.values[0])
+    monkeypatch.setattr(sgd, "REPLICATE_BLOCK", 1)  # every row steps alone
+    assert _bank_bytes(bank) == _bank_bytes(run())
 
 
 def test_alpha_one_small_gamma_warns():
     obj = make_quadratic(lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
+    run = lambda gamma: run_sgd_sweep(obj, oracle, [StepSchedule(gamma, 1.0)], np.array([1.0]), 10, 1, 1)
     with pytest.warns(UserWarning, match="alpha=1") as caught:
-        run_sgd(obj, oracle, StepSchedule(0.4, 1.0), np.array([1.0]), 10, stream=_stream())
+        run(0.4)
     assert caught[0].filename == __file__  # points at the caller's line
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run_sgd(obj, oracle, StepSchedule(1.0, 1.0), np.array([1.0]), 10, stream=_stream())
-
-
-def test_replicate_runs_trajectory_roundtrip():
-    """A solo run returns its replicate's one-row bank: the replicate's id,
-    no aborts, and the bank's row for that replicate, final state included."""
-    obj = make_quadratic(dim=1)
-    oracle = gaussian_oracle(obj, 1.0)
-    sched = StepSchedule(0.5, 0.5)
-    bank = run_sgd_replicates(obj, oracle, sched, np.array([1.0]), 100, 3, 11)
-    solo = run_sgd(obj, oracle, sched, np.array([1.0]), 100, stream=_stream(1, seed=11))
-    assert isinstance(solo, ReplicateRuns)
-    assert solo.replicate_ids.tolist() == [1]
-    assert solo.aborts == []
-    assert solo.final_states.shape == (1, 1)
-    np.testing.assert_array_equal(solo.sample_indices, bank.sample_indices)
-    for name in ("values", "dist2_to_min", "grad_sq", "final_states"):
-        np.testing.assert_array_equal(getattr(solo, name), getattr(bank, name)[1:2])
+        run(1.0)
 
 
 def _einsum_check(aborted, ids, x, step, detail, reset):
