@@ -23,7 +23,10 @@ read the same phi_p sweeps.  Stated runtime budgets assume a multi-core
 laptop; the elapsed time printed per line is wall time on this host.
 """
 import csv
+import os
 import re
+import subprocess
+import sys
 import time
 from contextlib import nullcontext
 from pathlib import Path
@@ -138,6 +141,28 @@ def _columns(summary, column):
     for row in summary:
         runs.setdefault(row["run_id"], []).append((float(row["n_or_t"]), float(row[column])))
     return {run_id: np.array(rows).T for run_id, rows in runs.items()}
+
+
+@pytest.mark.parametrize("flags", [[], ["-s"]], ids=["captured", "no-capture"])
+def test_emit_writes_each_line_once(tmp_path, flags):
+    """A verdict line reaches the terminal exactly once, whether pytest
+    captures output or runs with -s, on a pass as on a failure."""
+    (tmp_path / "test_lines.py").write_text(
+        "from test_acceptance import _grab_plugins, emit\n"
+        "def test_pass():\n    emit('criterion A: PASS')\n"
+        "def test_fail():\n    emit('criterion B: FAIL')\n    assert False\n"
+    )
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags, "test_lines.py"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    ).stdout
+    assert "1 failed, 1 passed" in out, out
+    # a failure's traceback quotes the emit call, which ends in a quote
+    assert len(re.findall(r"criterion A: PASS$", out, re.M)) == 1, out
+    assert len(re.findall(r"criterion B: FAIL$", out, re.M)) == 1, out
 
 
 # ---------------------------------------------------------------- criteria

@@ -224,6 +224,33 @@ def test_coupled_bank_drops_only_diverging_replicates(monkeypatch):
     assert _coupled_bytes(bank) == _coupled_bytes(run())
 
 
+@pytest.mark.parametrize("case", ["gaussian", "diverging"])
+def test_coupled_replicate_rows_do_not_depend_on_bank_size(case):
+    """A coupled replicate's rows in both legs and its abort are a function
+    of the master seed and its id alone: a bank of 16 holds, bit for bit,
+    what a bank of 8 holds for replicates 0-7."""
+    obj = make_quadratic(dim=1, lam=1.0)
+    if case == "gaussian":
+        oracle, sched = gaussian_oracle(obj, 1.0), SCHED
+    else:
+        oracle, sched = gaussian_oracle(obj, lambda x: 5.0 * np.abs(x), eta=1.0), StepSchedule(1.0, 0.1)
+    run = lambda reps: run_coupled_replicates(obj, oracle, sched, np.ones(1),
+                                              40 * sched.gamma_alpha, 4, reps, 5)
+    small, big = run(8), run(16)
+    if case == "diverging":
+        assert 0 < len(small.aborts) < 8
+    first = big.discrete.replicate_ids < 8
+    np.testing.assert_array_equal(big.continuous.replicate_ids < 8, first)
+    cut = [big.block_indices.tobytes(), big.times.tobytes(), big.coupled_dist2[first].tobytes()]
+    for leg in (big.discrete, big.continuous):
+        cut += [leg.sample_indices.tobytes()]
+        cut += [a[first].tobytes() for a in (leg.values, leg.dist2_to_min, leg.grad_sq,
+                                             leg.final_states, leg.replicate_ids)]
+    cut += [[(e.replicate_id, e.step, e.detail) for e in big.aborts if e.replicate_id < 8],
+            big.coupling_kind]
+    assert cut == _coupled_bytes(small)
+
+
 def test_tasks_beside_a_bank_return_with_it_and_leave_it_unchanged(monkeypatch):
     """On two workers a bank of 9 is one block, and a task beside it runs
     on the other worker; the tasks' results come back in order in the

@@ -356,6 +356,29 @@ def test_diverged_rows_are_reset_and_the_rest_step_on(monkeypatch):
     assert _bank_bytes(bank) == _bank_bytes(run())
 
 
+@pytest.mark.parametrize("case", ["stable", "diverging"])
+def test_replicate_rows_do_not_depend_on_bank_size(case):
+    """A replicate's row and abort are a function of the master seed and
+    its id alone: a bank of 16 holds, bit for bit, what a bank of 8 holds
+    for replicates 0-7, aborts included."""
+    obj = make_quadratic(lam=1.0)
+    if case == "stable":
+        oracle = gaussian_oracle(obj, 1.0)
+    else:
+        oracle = gaussian_oracle(obj, lambda x: 2.0 * x * x, eta=1.0)
+    run = lambda reps: run_sgd_sweep(obj, oracle, [StepSchedule(1.0, 0.5)], np.array([1.0]),
+                                     500, reps, 3)[0]
+    small, big = run(8), run(16)
+    if case == "diverging":
+        assert 0 < len(small.aborts) < 8
+    first = big.replicate_ids < 8
+    cut = [big.sample_indices.tobytes()]
+    cut += [getattr(big, name)[first].tobytes()
+            for name in ("values", "dist2_to_min", "grad_sq", "final_states", "replicate_ids")]
+    cut.append([(e.replicate_id, e.step, e.detail) for e in big.aborts if e.replicate_id < 8])
+    assert cut == _bank_bytes(small)
+
+
 def test_alpha_one_small_gamma_warns():
     obj = make_quadratic(lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
