@@ -77,8 +77,13 @@ SUMMARY_HEADER = (
 MAX_STEPS = 10**8
 # The most raw.csv rows one run may write (at most 64 checkpoints per
 # replicate and run id).  The rows' text goes from the workers to temp files
-# on disk, so the CLI's memory scales with the bank arrays they are formatted
-# from: 4 floats per raw row, about 320 MB at this bound.
+# on disk, and the bank blocks write their arrays in place, so the CLI's
+# memory scales with the bank arrays the rows are formatted from (3 floats
+# per raw row, and a fourth for suffix_avg).  A rates sweep of 8192
+# replicates x 5 alphas x 300 steps (1.97e6 raw rows, 45 MiB of bank arrays)
+# peaks at 91 MB, 33 MB of it held before the first bank: about 1.3 times
+# the arrays, some 30 bytes per raw row, so about 300 MB more at this bound
+# (blocks that pickled their arrays back made that 137 MB, 2.3 times).
 MAX_ROWS = 10**7
 # The largest objective dim (the least-squares direct solve's bound, for
 # every kind).

@@ -39,8 +39,10 @@ from .sgd import (
     _Checkpoints,
     _map_blocks,
     _normalize_plan,
+    _raw_draw,
     _replicate_runs,
     _Rows,
+    _shared,
     _survivors,
 )
 
@@ -104,9 +106,14 @@ def _coupled_block(
     n_blocks: int,
     substeps: int,
     plan: np.ndarray,
-    streams: list[RngStream],
     kind: str,
-):
+    streams: list[RngStream],
+    discrete: _Checkpoints,
+    continuous: _Checkpoints,
+    gap_d2: np.ndarray,
+) -> _Rows:
+    """One block of a coupled bank, recorded into the block's rows of each
+    leg's checkpoints and of gap_d2."""
     rows = _Rows([s.replicate_id for s in streams])
     keys = [(s.master_seed, s.replicate_id) for s in streams]
     brown_gens = [derive_stream(*key, "brownian").generator() for key in keys]
@@ -120,12 +127,10 @@ def _coupled_block(
     steps_disc = np.asarray(sched.step_size(np.arange(n_blocks)))
     x_star = obj.x_star
     brown = _brownian_draw(brown_gens, d, substeps, np.sqrt(h))
+    independent = _raw_draw(oracle, noise_gens)
 
     x = np.broadcast_to(np.asarray(x0, dtype=float), (r, d)).copy()
     y = x.copy()
-    discrete = _Checkpoints(obj, r, len(plan))
-    continuous = _Checkpoints(obj, r, len(plan))
-    gap_d2 = np.empty((r, len(plan)))
     continuous_detail = lambda sq: "continuous state is non-finite or diverged"
     discrete_detail = lambda sq: "discrete state is non-finite or diverged"
 
@@ -137,7 +142,7 @@ def _coupled_block(
         # raw innovation, unless the independent kind draws its own
         db = brown(k0, nb)
         if kind == INDEPENDENT:
-            raw = np.stack([oracle.draw_raw((nb,), g) for g in noise_gens])
+            raw = independent(k0, nb)
         else:
             raw = db.reshape(r, nb, substeps, d).sum(axis=2) / root_ga
         rate = rates[k0 * substeps : (k0 + nb) * substeps].tolist()
@@ -165,8 +170,8 @@ def _coupled_block(
         gap_d2[:, p] = np.einsum("rd,rd->r", gap, gap)
 
     rows.run(n_blocks, plan, draw, step, record, substeps)
-    discrete.final, continuous.final = x, y
-    return rows, discrete, continuous, gap_d2
+    discrete.final[...], continuous.final[...] = x, y
+    return rows
 
 
 def run_coupled_replicates(
@@ -202,17 +207,20 @@ def run_coupled_replicates(
     n_blocks = path_length(horizon, ga)
     plan = _normalize_plan(plan, n_blocks, "plan block indices must lie in [1, n_blocks]")
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    work = lambda block: _coupled_block(
-        obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, block, kind
+    discrete, continuous = (_Checkpoints.bank(obj, n_replicates, len(plan)) for _ in range(2))
+    gap_d2 = _shared(n_replicates * len(plan)).reshape(n_replicates, len(plan))
+    work = lambda s: _coupled_block(
+        obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, kind, streams[s],
+        discrete.rows(s), continuous.rows(s), gap_d2[s],
     )
-    parts, side = _map_blocks(streams, work, beside)
-    keep, aborts = _survivors(parts)
+    parts, side = _map_blocks(n_replicates, work, beside)
+    (coupled_dist2,), aborts = _survivors(parts, [gap_d2])
     return CoupledBank(
         block_indices=plan,
         times=plan * ga,
-        coupled_dist2=np.concatenate([part[3] for part in parts])[keep],
-        discrete=_replicate_runs(parts, plan, leg=1),
-        continuous=_replicate_runs(parts, plan * ga, leg=2),
+        coupled_dist2=coupled_dist2,
+        discrete=_replicate_runs(discrete, parts, plan),
+        continuous=_replicate_runs(continuous, parts, plan * ga),
         coupling_kind=kind,
         aborts=aborts,
         beside=side,

@@ -121,16 +121,17 @@ def _brownian_draw(gens: list, dim: int, per_step: int, scale: float):
     return draw
 
 
-def _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw):
-    """Euler-Maruyama rows of one block; draw(start, m) gives their (m, rows, dim)
-    increments, so that each substep reads a contiguous (rows, dim) slice.
-    A chunk's rates are read from a list."""
+def _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw, ckpt):
+    """Euler-Maruyama rows of one block, recorded into ckpt (the block's
+    rows); draw(start, m) gives their (m, rows, dim) increments, so that
+    each substep reads a contiguous (rows, dim) slice.  A chunk's rates are
+    read from a list."""
     root_ga = np.sqrt(sched.gamma_alpha)
     rates = sched.continuous_rate(np.arange(count) * h)
     rows = _Rows(ids)
     y = np.broadcast_to(np.asarray(x0, dtype=float), (len(rows.ids), obj.dim)).copy()
-    ckpt = _Checkpoints(obj, len(rows.ids), len(plan))
     detail = _norm_detail("Y")
+    gradient, apply_sqrt, check, x_star = obj.gradient, oracle.apply_sqrt, rows.check, obj.x_star
 
     def chunk(start, m):
         return draw(start, m), rates[start : start + m].tolist()
@@ -138,13 +139,13 @@ def _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw):
     def step(j, noise, i):
         nonlocal y
         db, rate = noise
-        drift = obj.gradient(y) * h
-        y = y - rate[i] * (drift + root_ga * oracle.apply_sqrt(y, db[i]))
-        rows.check(y, j + 1, detail, obj.x_star)
+        drift = gradient(y) * h
+        y = y - rate[i] * (drift + root_ga * apply_sqrt(y, db[i]))
+        check(y, j + 1, detail, x_star)
 
     rows.run(count, plan, chunk, step, lambda p: ckpt.record(p, y))
-    ckpt.final = y
-    return rows, ckpt
+    ckpt.final[...] = y
+    return rows
 
 
 def run_sde_em(
@@ -176,11 +177,12 @@ def run_sde_em(
         raise ValueError("path does not cover the horizon")
     count = path_length(horizon, h)
     plan = _plan_substeps(plan_times, count, h)
+    ckpt = _Checkpoints.bank(obj, 1, len(plan))
     part = _em_block(
         obj, oracle, sched, x0, count, h, plan, [replicate_id],
-        lambda start, m: path.increments[start : start + m, None],
+        lambda start, m: path.increments[start : start + m, None], ckpt,
     )
-    bank = _replicate_runs([part], plan * h)
+    bank = _replicate_runs(ckpt, [part], plan * h)
     if bank.aborts:
         raise bank.aborts[0]
     return bank
@@ -212,15 +214,17 @@ def run_sde_em_replicates(
     plan = _plan_substeps(plan_times, count, h)
     root_h = np.sqrt(h)
 
-    def work(block):
-        brown = _brownian_draw([s.generator() for s in block], obj.dim, 1, root_h)
-        draw = lambda start, m: brown(start, m).transpose(1, 0, 2).copy()
-        ids = [s.replicate_id for s in block]
-        return _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw)
-
     streams = [derive_stream(master_seed, i, "brownian") for i in range(n_replicates)]
-    blocks, _ = _map_blocks(streams, work)
-    return _replicate_runs(blocks, plan * h)
+    ckpts = _Checkpoints.bank(obj, n_replicates, len(plan))
+
+    def work(s):
+        brown = _brownian_draw([stream.generator() for stream in streams[s]], obj.dim, 1, root_h)
+        draw = lambda start, m: brown(start, m).transpose(1, 0, 2).copy()
+        ids = [stream.replicate_id for stream in streams[s]]
+        return _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw, ckpts.rows(s))
+
+    blocks, _ = _map_blocks(n_replicates, work)
+    return _replicate_runs(ckpts, blocks, plan * h)
 
 
 def em_bias_probe(

@@ -16,14 +16,21 @@ tasks to fork_map, which runs them on WORKERS processes (this one and
 forked children, one per core this process may run on) and returns the
 results in order.  One block kernel (_Rows.run) steps each block: it draws
 innovations in chunks of CHUNK steps (CHUNK // K for a coupled step of K
-substeps) from per-replicate counter-based streams, checks every row for
-divergence after each step (_Rows.check: one vdot over the block, per-row
-norms only when that sum is large or not finite) and records observables
-at the plan's checkpoints.  The sde and coupling modules drive the same
-kernel with their own step; their blocks draw Brownian increments into
-one buffer that each chunk refills (sde._brownian_draw).  Every bank
-keeps each row's state after the last step (final_states), whatever the
-plan; checkpoints record observables only.
+substeps) from per-replicate counter-based streams into one buffer that
+each chunk refills (_raw_draw; sde._brownian_draw for Brownian
+increments), checks every row for divergence after each step
+(_Rows.check: one vdot over the block, per-row norms only when that sum
+is large or not finite) and records observables at the plan's
+checkpoints.  The sde and coupling modules drive the same kernel with
+their own step.  Every bank keeps each row's state after the last step
+(final_states), whatever the plan; checkpoints record observables only.
+
+Results are written in place: a bank's checkpoint arrays and final
+states are allocated once, before its blocks fork, in anonymous shared
+memory (_Checkpoints.bank), and each block records into the rows of its
+own, in whichever process steps it.  A block's result, the only thing a
+forked worker pipes back, is its rows' ids and aborts (_Rows); no
+checkpoint array is pickled or concatenated.
 
 Block and chunk are sized together: a block's draw buffer holds
 REPLICATE_BLOCK * CHUNK = 2^18 innovations, so a wider block (fewer
@@ -37,11 +44,14 @@ and whichever process steps a block.
 A row whose state leaves the finite regime records its first
 DivergenceError and has its state reset to the minimizer; the other rows
 step on, and the bank drops the aborted rows and lists their errors in
-its aborts field.  The one solo runner, sde.run_sde_em, raises its row's
-DivergenceError instead.
+its aborts field.  A bank with no aborted row holds views of the shared
+arrays its blocks wrote; one with aborts holds a copy of the surviving
+rows, and the shared arrays go with the run.  The one solo runner,
+sde.run_sde_em, raises its row's DivergenceError instead.
 """
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import signal
@@ -58,6 +68,9 @@ from .objectives import Objective, StronglyConvex
 CHUNK = 256
 REPLICATE_BLOCK = 1024
 DIVERGENCE_NORM = 1e12
+# _Rows.check's squared bounds: the vdot over a block and a row's squared norm
+_BLOCK_CLEAR_SQ = 0.5 * DIVERGENCE_NORM**2
+_ROW_CLEAR_SQ = DIVERGENCE_NORM**2
 # fork_map's worker count: the cores this process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _inside = False
@@ -109,21 +122,30 @@ def _norm_detail(symbol: str):
     return detail
 
 
+def _shared(n: int) -> np.ndarray:
+    """n floats in anonymous shared memory: what a forked child writes
+    there, the parent reads.  The memory is unmapped with the last view."""
+    return np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), dtype=float, count=n)
+
+
 class _Checkpoints:
-    """One process's observables for every row of a block, one column per
-    checkpoint, and the rows' states after the last step (final, set by the
-    block once it has run)."""
+    """Observables of rows of a bank, one column per checkpoint, and the
+    rows' states after the last step (final, which a block fills once it
+    has run).  bank allocates them for a whole bank, as views of one
+    shared buffer; rows(s) is the part a block records into."""
 
-    def __init__(self, obj: Objective, n_rows: int, n_ckpt: int):
+    def __init__(self, obj: Objective, values, dist2, grad_sq, final):
         self.obj = obj
-        self.values = np.empty((n_rows, n_ckpt))
-        self.dist2 = np.empty((n_rows, n_ckpt))
-        self.grad_sq = np.empty((n_rows, n_ckpt))
-        self.final = None
+        self.values, self.dist2, self.grad_sq, self.final = values, dist2, grad_sq, final
 
-    def __getstate__(self):
-        # a worker sends back the arrays only; the parent has the objective
-        return {k: v for k, v in vars(self).items() if k != "obj"}
+    @classmethod
+    def bank(cls, obj: Objective, n_rows: int, n_ckpt: int) -> _Checkpoints:
+        size = 3 * n_rows * n_ckpt
+        buf = _shared(size + n_rows * obj.dim)
+        return cls(obj, *buf[:size].reshape(3, n_rows, n_ckpt), buf[size:].reshape(n_rows, obj.dim))
+
+    def rows(self, s: slice) -> _Checkpoints:
+        return _Checkpoints(self.obj, self.values[s], self.dist2[s], self.grad_sq[s], self.final[s])
 
     def record(self, p: int, x: np.ndarray) -> None:
         self.values[:, p], g = self.obj.value_and_gradient(x)
@@ -133,11 +155,13 @@ class _Checkpoints:
 
 
 class _Rows:
-    """The replicate rows of one block and the first divergence of each row."""
+    """The replicate rows of one block and the first divergence of each row
+    (all_aborted once every row has one)."""
 
     def __init__(self, ids):
         self.ids = np.asarray(ids)
         self.aborted: dict[int, DivergenceError] = {}
+        self.all_aborted = False
 
     def check(self, x: np.ndarray, step: int, detail, reset) -> None:
         """The divergence check: rows of x past DIVERGENCE_NORM or non-finite
@@ -150,16 +174,17 @@ class _Rows:
         block that fails it pays for the per-row norms.  vdot, unlike dot,
         does not warn when a square overflows to inf (a warning is an error
         under -W error)."""
-        if np.vdot(x, x) <= 0.5 * DIVERGENCE_NORM**2:
+        if np.vdot(x, x) <= _BLOCK_CLEAR_SQ:
             return
         sq = np.einsum("rd,rd->r", x, x)
-        if sq.max() <= DIVERGENCE_NORM**2:
+        if sq.max() <= _ROW_CLEAR_SQ:
             return  # nan and inf fail the comparison and take the slow path
-        bad = ~np.isfinite(sq) | (sq > DIVERGENCE_NORM**2)
+        bad = ~np.isfinite(sq) | (sq > _ROW_CLEAR_SQ)
         for i in np.flatnonzero(bad).tolist():
             if i not in self.aborted:
                 self.aborted[i] = DivergenceError(int(self.ids[i]), step, detail(sq[i]))
         x[bad] = reset
+        self.all_aborted = len(self.aborted) == len(self.ids)
 
     def split(self, count: int) -> list[_Rows]:
         """The rows cut into count consecutive equal parts (a stacked
@@ -177,24 +202,29 @@ class _Rows:
         steps (at least one) for steps that each draw substeps increments.
         Stops once every row aborted."""
         chunk = max(1, CHUNK // substeps)
-        p = 0
+        plan = plan.tolist() + [None]
+        p, due = 0, plan[0]
         for start in range(0, n_steps, chunk):
             m = min(chunk, n_steps - start)
             noise = draw(start, m)
             for j in range(m):
                 step(start + j, noise, j)
-                if len(self.aborted) == len(self.ids):
+                if self.all_aborted:
                     return
-                while p < len(plan) and plan[p] == start + j + 1:
+                if due == start + j + 1:
                     record(p)
                     p += 1
+                    due = plan[p]
+            del noise  # freed before the next chunk is drawn, not after
 
 
 def fork_map(fn, items) -> list:
     """[fn(item) for item in items] on up to WORKERS processes, this one and
     forked children: process w runs items w, w + workers, ..., and each
     child pipes back its pickled results, or the exception it raised, which
-    the parent raises again.  Runs in-process with one worker or one item,
+    the parent raises again.  A bank's block results are its rows' ids and
+    aborts only: the blocks write their checkpoint arrays in place, into
+    shared memory allocated before the fork (_Checkpoints.bank).  Runs in-process with one worker or one item,
     and inside a call (in a child or in the parent's share).  Every child
     is reaped, and killed first if the parent leaves early.  A child leaves
     through os._exit, which flushes no file buffer, so fn flushes any file it
@@ -263,44 +293,36 @@ def worker_slices(n: int, cap: int | None = None, beside: int = 0) -> list[slice
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _map_blocks(streams: list, work, beside=()) -> tuple[list, list]:
-    """The block scheduler: work(block) on the consecutive blocks of at most
-    REPLICATE_BLOCK streams that worker_slices cuts, and each zero-argument
-    task of beside, run together by fork_map; returns the blocks' results in
-    block order and the tasks' results in task order."""
-    slices = worker_slices(len(streams), REPLICATE_BLOCK, len(beside))
-    tasks = [partial(work, streams[s]) for s in slices] + list(beside)
+def _map_blocks(n: int, work, beside=()) -> tuple[list, list]:
+    """The block scheduler: work(s) on each of the consecutive slices s of at
+    most REPLICATE_BLOCK of a bank's n rows that worker_slices cuts, and
+    each zero-argument task of beside, run together by fork_map; returns the
+    blocks' results in block order and the tasks' results in task order."""
+    slices = worker_slices(n, REPLICATE_BLOCK, len(beside))
+    tasks = [partial(work, s) for s in slices] + list(beside)
     results = fork_map(lambda task: task(), tasks)
     return results[: len(slices)], results[len(slices) :]
 
 
-def _survivors(parts: list) -> tuple[np.ndarray, list[DivergenceError]]:
-    """Mask of the rows of parts (one tuple per block, its _Rows first),
-    stacked, that never diverged, and the aborts of the others in replicate
-    order."""
-    keep, aborts = [], []
-    for rows, *_ in parts:
-        k = np.ones(len(rows.ids), dtype=bool)
-        k[list(rows.aborted)] = False
-        keep.append(k)
-        aborts += [rows.aborted[i] for i in sorted(rows.aborted)]
-    return np.concatenate(keep), aborts
+def _survivors(parts: list, arrays: list) -> tuple[list, list[DivergenceError]]:
+    """arrays, each stacked over the rows of parts (one _Rows per block, in
+    order), cut to the rows that never diverged, and the aborts of the
+    others in replicate order: the arrays themselves when no row aborted,
+    else copies of the surviving rows."""
+    aborts = [rows.aborted[i] for rows in parts for i in sorted(rows.aborted)]
+    if aborts:
+        keep = np.concatenate(
+            [~np.isin(np.arange(len(rows.ids)), list(rows.aborted)) for rows in parts]
+        )
+        arrays = [a[keep] for a in arrays]
+    return arrays, aborts
 
 
-def _replicate_runs(parts: list, sample_indices, leg: int = 1) -> ReplicateRuns:
-    """Stack the _Checkpoints at position leg of every block's result."""
-    keep, aborts = _survivors(parts)
-    cat = lambda arrays: np.concatenate(arrays)[keep]
-    ckpts = [part[leg] for part in parts]
-    return ReplicateRuns(
-        sample_indices=sample_indices,
-        values=cat([c.values for c in ckpts]),
-        dist2_to_min=cat([c.dist2 for c in ckpts]),
-        grad_sq=cat([c.grad_sq for c in ckpts]),
-        replicate_ids=cat([part[0].ids for part in parts]),
-        final_states=cat([c.final for c in ckpts]),
-        aborts=aborts,
-    )
+def _replicate_runs(ckpts: _Checkpoints, parts: list, sample_indices) -> ReplicateRuns:
+    """The bank that ckpts recorded, parts its blocks' _Rows in order."""
+    ids = np.concatenate([rows.ids for rows in parts])
+    arrays, aborts = _survivors(parts, [ckpts.values, ckpts.dist2, ckpts.grad_sq, ids, ckpts.final])
+    return ReplicateRuns(sample_indices, *arrays, aborts)
 
 
 def _normalize_plan(plan, n: int, error: str) -> np.ndarray:
@@ -314,6 +336,24 @@ def _normalize_plan(plan, n: int, error: str) -> np.ndarray:
     return plan
 
 
+def _raw_draw(oracle: GradientOracle, gens: list):
+    """draw(start, m) for the block kernel: the next m raw innovations of
+    each generator, as a (rows, m, ...) view of one buffer that each chunk
+    refills in place; the buffer is sized by the first chunk, the longest."""
+    buf = None
+
+    def draw(start, m):
+        nonlocal buf
+        for i, g in enumerate(gens):
+            raw = oracle.draw_raw((m,), g)
+            if buf is None:
+                buf = np.empty((len(gens),) + raw.shape, raw.dtype)
+            buf[i, :m] = raw
+        return buf[:, :m]
+
+    return draw
+
+
 def _sgd_block(
     obj: Objective,
     oracle: GradientOracle,
@@ -322,22 +362,20 @@ def _sgd_block(
     n_steps: int,
     plan: np.ndarray,
     streams: list[RngStream],
-) -> list:
+    ckpts: list[_Checkpoints],
+) -> list[_Rows]:
     """One block of a sweep: its streams' replicates under every schedule,
-    stepped as one (schedules, replicates, dim) state.  Each chunk is drawn
-    once per replicate and broadcast over the schedules, and step n takes
-    the schedules' steps from row n of an (n_steps, schedules) table.
-    Returns one (rows, checkpoints) pair per schedule."""
+    stepped as one (schedules, replicates, dim) state, recorded into ckpts
+    (one per schedule, the block's rows).  Each chunk is drawn once per
+    replicate and broadcast over the schedules, and step n takes the
+    schedules' steps from row n of an (n_steps, schedules) table.  Returns
+    one _Rows per schedule."""
     rows = _Rows([s.replicate_id for s in streams] * len(scheds))
-    gens = [s.generator() for s in streams]
-    shape = (len(scheds), len(gens), obj.dim)
+    shape = (len(scheds), len(streams), obj.dim)
     x = np.broadcast_to(np.asarray(x0, dtype=float), shape).copy()
     steps = np.stack([s.step_size(np.arange(n_steps)) for s in scheds], axis=1)[..., None, None]
-    ckpts = [_Checkpoints(obj, len(gens), len(plan)) for _ in scheds]
+    draw = _raw_draw(oracle, [s.generator() for s in streams])
     detail = _norm_detail("X")
-
-    def draw(start, m):
-        return np.stack([oracle.draw_raw((m,), g) for g in gens])
 
     def step(n, raw, j):
         nonlocal x
@@ -350,8 +388,8 @@ def _sgd_block(
 
     rows.run(n_steps, plan, draw, step, record)
     for ckpt, xs in zip(ckpts, x):
-        ckpt.final = xs
-    return list(zip(rows.split(len(scheds)), ckpts))
+        ckpt.final[...] = xs
+    return rows.split(len(scheds))
 
 
 def run_sgd_sweep(
@@ -387,6 +425,11 @@ def run_sgd_sweep(
             )
     plan = _normalize_plan(plan, n_steps, "plan indices must lie in [1, n_steps]")
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    work = lambda block: _sgd_block(obj, oracle, scheds, x0, n_steps, plan, block)
-    blocks, _ = _map_blocks(streams, work)
-    return [_replicate_runs([block[k] for block in blocks], plan) for k in range(len(scheds))]
+    ckpts = [_Checkpoints.bank(obj, n_replicates, len(plan)) for _ in scheds]
+    work = lambda s: _sgd_block(
+        obj, oracle, scheds, x0, n_steps, plan, streams[s], [c.rows(s) for c in ckpts]
+    )
+    blocks, _ = _map_blocks(n_replicates, work)
+    return [
+        _replicate_runs(ckpt, [block[k] for block in blocks], plan) for k, ckpt in enumerate(ckpts)
+    ]

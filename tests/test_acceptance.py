@@ -81,7 +81,9 @@ def _grab_plugins(request):
 def emit(line):
     # pytest captures fd 1 even through sys.__stdout__, so each verdict line
     # is written once, with capture suspended, through pytest's terminal
-    # writer: it shows on a pass as on a failure, with or without -s
+    # writer: it shows on a pass as on a failure, with or without -s.  It
+    # starts a line of its own, also after the progress dots of pytest -q,
+    # which leave the writer's line open without a file path
     capman = _plugins.get_plugin("capturemanager")
     reporter = _plugins.get_plugin("terminalreporter")
     with capman.global_and_fixture_disabled() if capman else nullcontext():
@@ -89,6 +91,8 @@ def emit(line):
             print(line, flush=True)
         else:
             reporter.ensure_newline()
+            if reporter._tw.width_of_current_line:
+                reporter._tw.line()
             reporter.write_line(line)
 
 
@@ -145,8 +149,9 @@ def _columns(summary, column):
 
 @pytest.mark.parametrize("flags", [[], ["-s"]], ids=["captured", "no-capture"])
 def test_emit_writes_each_line_once(tmp_path, flags):
-    """A verdict line reaches the terminal exactly once, whether pytest
-    captures output or runs with -s, on a pass as on a failure."""
+    """A verdict line reaches the terminal exactly once, on a line of its
+    own, whether pytest captures output or runs with -s, on a pass as on a
+    failure."""
     (tmp_path / "test_lines.py").write_text(
         "from test_acceptance import _grab_plugins, emit\n"
         "def test_pass():\n    emit('criterion A: PASS')\n"
@@ -161,8 +166,8 @@ def test_emit_writes_each_line_once(tmp_path, flags):
     ).stdout
     assert "1 failed, 1 passed" in out, out
     # a failure's traceback quotes the emit call, which ends in a quote
-    assert len(re.findall(r"criterion A: PASS$", out, re.M)) == 1, out
-    assert len(re.findall(r"criterion B: FAIL$", out, re.M)) == 1, out
+    assert len(re.findall(r"^criterion A: PASS$", out, re.M)) == 1, out
+    assert len(re.findall(r"^criterion B: FAIL$", out, re.M)) == 1, out
 
 
 # ---------------------------------------------------------------- criteria

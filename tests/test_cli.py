@@ -8,6 +8,7 @@ import sys
 import tempfile
 import textwrap
 from collections import defaultdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -1075,27 +1076,71 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch, experiment, 
     assert (len(runs[0][1]) > 0) == (experiment == "rates")
 
 
+def _arrays_in(obj):
+    """Every ndarray reachable from obj through lists, tuples, dicts and
+    instance attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays_in(item)
+    elif isinstance(obj, dict):
+        yield from _arrays_in(list(obj.values()))
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays_in(vars(obj))
+
+
 def test_no_raw_row_text_crosses_a_pipe_and_only_the_outputs_stay(tmp_path, monkeypatch):
     """At two workers no fork_map task of a rates run or a couple-demo run
     returns text (an emission task returns None: its rows went to a temp
-    file), and out_dir then holds the three outputs alone."""
+    file), and out_dir then holds the three outputs alone.  No bank block
+    returns a checkpoint array: no array in its result has more entries
+    than the block has rows.  The banks, which no replicate aborts, are
+    emitted from views of the shared buffers the blocks wrote."""
     monkeypatch.setattr(sgd, "WORKERS", 2)
-    fork_map, emissions = sgd.fork_map, []
+    fork_map, emissions, blocks = sgd.fork_map, [], []
 
     def watched(fn, items):
+        items = list(items)
         results = fork_map(fn, items)
         assert not any(isinstance(r, (str, bytes)) for r in results)
         if fn.__qualname__.startswith("_emit_banks."):
             emissions.append(results)
+        for task, result in zip(items, results):
+            if isinstance(task, partial) and isinstance(task.args[0], slice):
+                rows = task.args[0].stop - task.args[0].start
+                assert all(a.size <= rows for a in _arrays_in(result))
+                blocks.append(rows)
         return results
 
+    shared, buffers = sgd._shared, []
+
+    def recorded(n):
+        buffers.append(shared(n))
+        return buffers[-1]
+
+    emit_banks, emitted = cli._emit_banks, []
+
+    def emit(out, banks):
+        emitted.extend(runs for _, runs in banks)
+        return emit_banks(out, banks)
+
     monkeypatch.setattr(sgd, "fork_map", watched)
+    monkeypatch.setattr(sgd, "_shared", recorded)
+    monkeypatch.setattr(cli, "_emit_banks", emit)
     for experiment, text in (("rates", RATES_CFG), ("couple-demo", COUPLE_CFG)):
         out = tmp_path / experiment
         assert main([experiment, "--config", write_cfg(tmp_path, text), "--out-dir", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUTS)
     # one slice per worker of the rates bank, and of each couple-demo leg
     assert emissions == [[None] * 2, [None] * 4]
+    # the rates bank's 8 rows, a block per worker, and couple-demo's 20 in
+    # one block beside the bias probe
+    assert blocks == [4, 4, 20]
+    assert len(emitted) == 3 and not any(runs.aborts for runs in emitted)
+    for runs in emitted:
+        for a in (runs.values, runs.dist2_to_min, runs.grad_sq, runs.final_states):
+            assert any(np.shares_memory(a, buf) for buf in buffers)
 
 
 def _open_fds() -> int | None:

@@ -97,12 +97,15 @@ def test_block_size_invariance(monkeypatch, case):
     assert states[1] == states[0] and states[2] == states[0]
 
 
-@pytest.mark.parametrize("case", ["phi_2", "least_squares"])
+@pytest.mark.parametrize("case", ["phi_2", "least_squares", "least_squares_compacted"])
 def test_sweep_equals_per_schedule_banks(monkeypatch, case):
     """A sweep steps one stacked bank, yet each of its banks is, bit for
     bit, the bank of its schedule run alone, under one or two workers and
     any block size.  At gamma 4 some least-squares replicates diverge, and
-    they abort under that schedule only."""
+    they abort under that schedule only.  The compacted case has 40
+    replicates (six 7-row blocks), and at gamma 64 every one of them
+    diverges: those banks copy out some of their rows, or none."""
+    n_replicates = 40 if case == "least_squares_compacted" else 24
     if case == "phi_2":
         obj = make_phi_p(2)
         oracle = gaussian_oracle(obj, 1.0)
@@ -110,15 +113,20 @@ def test_sweep_equals_per_schedule_banks(monkeypatch, case):
     else:
         obj = make_least_squares(dim=4, n_data=64, stream=derive_stream(1, 0, "data"))
         oracle = least_squares_batch_oracle(obj, 1)
-        scheds = [StepSchedule(g, 0.5) for g in (1.0, 4.0)]
+        gammas = (4.0, 64.0, 1.0) if case == "least_squares_compacted" else (1.0, 4.0)
+        scheds = [StepSchedule(g, 0.5) for g in gammas]
     x0 = np.ones(obj.dim)
-    alone = [_bank_bytes(run_sgd_sweep(obj, oracle, [s], x0, 100, 24, 1)[0]) for s in scheds]
+    alone = [
+        _bank_bytes(run_sgd_sweep(obj, oracle, [s], x0, 100, n_replicates, 1)[0]) for s in scheds
+    ]
     if case == "least_squares":
         assert not alone[0][-1] and 0 < len(alone[1][-1]) < 24
+    if case == "least_squares_compacted":
+        assert [len(bank[-1]) for bank in alone] == [8, 40, 0]
     for workers, block in ((1, sgd.REPLICATE_BLOCK), (2, sgd.REPLICATE_BLOCK), (1, 7), (2, 7)):
         monkeypatch.setattr(sgd, "WORKERS", workers)
         monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
-        sweep = run_sgd_sweep(obj, oracle, scheds, x0, 100, 24, 1)
+        sweep = run_sgd_sweep(obj, oracle, scheds, x0, 100, n_replicates, 1)
         assert [_bank_bytes(bank) for bank in sweep] == alone
 
 
