@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import sorted_distinct
+
 FUNCTION_CLASSES = (
     "strongly_convex",
     "convex",
@@ -176,7 +178,7 @@ def drift_sup_bound(
     if len(u_init) < n0 + 2:
         raise ValueError(f"need initial values up to index n0+1 = {n0 + 1}")
     if check_grid:
-        ns = np.unique(np.geomspace(n0 + 1, max(n0 + 2, n_check), 16).astype(int)) - 1
+        ns = sorted_distinct(np.geomspace(n0 + 1, max(n0 + 2, n_check), 16).astype(int)) - 1
         ns = ns[ns >= n0]
         span = max(3.0 * a1, a1 + 10.0)
         for n in ns:

@@ -95,9 +95,10 @@ MAX_DIM = 32
 #   rows * sgd.CHUNK * batch_m * (dim + 1) numbers (a data point has at most
 #   dim + 1: a least-squares row and its target), and one step of a stacked
 #   block makes stack * rows * batch_m * dim per-sample gradients;
-# - n_data: a least-squares objective evaluated on a block makes
-#   stack * rows * n_data residuals, and its oracle's covariance
-#   rows * n_data * dim per-sample gradients;
+# - n_data: a least-squares oracle's covariance (in coupled and SDE runs)
+#   makes rows * n_data * dim per-sample gradients, bounded here as
+#   stack * rows * n_data * dim; the objective itself evaluates in row
+#   blocks of at most objectives.RESIDUAL_BLOCK residuals;
 # - num: the certify grid holds num * dim coordinates;
 # - horizon: couple-demo's bias probe refines its Brownian path of
 #   path_length(horizon, gamma_alpha / substeps) increments into twice as

@@ -107,22 +107,34 @@ class LeastSquaresObjective(Objective):
     data_b: np.ndarray = None
 
     def value_and_gradient(self, x) -> tuple:
-        resid = _residual(x, self.data_a, self.data_b)
-        return _half_mean_square(resid), _residual_gradient(resid, self.data_a)
+        return _least_squares(x, self.data_a, self.data_b, True, True)
 
 
-# einsum keeps the contraction order fixed for any batch shape, so scalar
-# and vectorized evaluation agree bitwise (BLAS matmul does not).
-def _residual(x, a, b):
-    return np.einsum("...d,nd->...n", np.asarray(x, dtype=float), a) - b
+# The most residuals (floats) one least-squares row block holds: a block of
+# max(1, RESIDUAL_BLOCK // n_data) rows keeps each (rows, n_data) temporary
+# within 128 KiB, in cache, whatever the number of rows evaluated.
+RESIDUAL_BLOCK = 2**14
 
 
-def _half_mean_square(resid):
-    return 0.5 * np.mean(resid * resid, axis=-1)
-
-
-def _residual_gradient(resid, a):
-    return np.einsum("...n,nd->...d", resid, a) / a.shape[0]
+def _least_squares(x, a, b, value: bool, gradient: bool) -> tuple:
+    """(value, gradient) of mean (a . x - b)^2 / 2 at x (..., dim), each None
+    unless asked for, evaluated over consecutive row blocks of x.  einsum
+    keeps the contraction order fixed for any batch shape, so a row's bits
+    do not depend on its block or on the shape of x (BLAS matmul's would)."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1, x.shape[-1])
+    values = np.empty(len(flat)) if value else None
+    grads = np.empty(flat.shape) if gradient else None
+    step = max(1, RESIDUAL_BLOCK // len(b))
+    for lo in range(0, len(flat), step):
+        rows = slice(lo, lo + step)
+        resid = np.einsum("rd,nd->rn", flat[rows], a) - b
+        if value:
+            values[rows] = 0.5 * np.mean(resid * resid, axis=-1)
+        if gradient:
+            grads[rows] = np.einsum("rn,nd->rd", resid, a) / len(b)
+    return (values.reshape(x.shape[:-1])[()] if value else None,
+            grads.reshape(x.shape) if gradient else None)
 
 
 def make_quadratic(dim: int = 1, lam: float = 1.0) -> Objective:
@@ -247,10 +259,10 @@ def least_squares_from_data(a: np.ndarray, b: np.ndarray) -> LeastSquaresObjecti
     mu = eigvals[0] / n_data
 
     def value(x):
-        return _half_mean_square(_residual(x, a, b))
+        return _least_squares(x, a, b, True, False)[0]
 
     def gradient(x):
-        return _residual_gradient(_residual(x, a, b), a)
+        return _least_squares(x, a, b, False, True)[1]
 
     f_star = float(value(x_star))
     tags = (Convex(), StronglyConvex(mu), Lojasiewicz(2.0, 2.0 * mu))

@@ -61,7 +61,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import RngStream, derive_stream, log_spaced_indices
+from .core import RngStream, derive_stream, log_spaced_indices, sorted_distinct
 from .noise import GradientOracle
 from .objectives import Objective, StronglyConvex
 
@@ -330,7 +330,7 @@ def _normalize_plan(plan, n: int, error: str) -> np.ndarray:
     raises ValueError(error) for indices outside."""
     if plan is None:
         return log_spaced_indices(n)
-    plan = np.unique(np.asarray(plan, dtype=np.int64))
+    plan = sorted_distinct(np.asarray(plan, dtype=np.int64))
     if len(plan) == 0 or plan[0] < 1 or plan[-1] > n:
         raise ValueError(error)
     return plan

@@ -1269,6 +1269,19 @@ def test_workload_reports_match_their_pins_under_the_baseline_dispatch(tmp_path)
         assert hashlib.sha256(report).hexdigest() == w["sha256"]["report.txt"], w["name"]
 
 
+@pytest.mark.parametrize("text", [RATES_CFG, LSQ_DIVERGE_CFG], ids=["quadratic", "least-squares"])
+def test_a_rates_run_leaves_numpy_ma_out(tmp_path, text):
+    """A rates run in a fresh interpreter never imports numpy.ma (numpy's
+    unique does on its first call, some 1 MB of RSS in every run)."""
+    path = write_cfg(tmp_path, text)
+    code = ("import sys; from sgdlab.cli import main;"
+            f" assert main(['rates', '--config', {path!r}, '--out-dir', {str(tmp_path / 'o')!r}]) == 0;"
+            " print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])

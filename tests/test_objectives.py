@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from sgdlab import objectives
 from sgdlab.core import derive_stream
 from sgdlab.objectives import (
     PL_SINE_GRAD_DOMINANCE_C,
@@ -196,11 +199,15 @@ def test_least_squares_gradient_matches_fd():
     np.testing.assert_allclose(obj.gradient(x), fd, atol=1e-7)
 
 
-@pytest.mark.parametrize("shape", [(3,), (1, 3), (5, 3)])
-def test_value_and_gradient_is_value_then_gradient_bit_for_bit(shape):
-    """Least squares computes its residual once for both; the result is
-    bitwise value(x) and gradient(x), and those are the einsum expressions
-    of the residual.  Other objectives take the default pair."""
+# with 4-row least-squares blocks: one row, a block less one, a block, a
+# block and one, several blocks and a remainder, and a stacked (S, R, d) bank
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 3), (4, 3), (5, 3), (11, 3), (2, 5, 3)])
+def test_value_and_gradient_is_value_then_gradient_bit_for_bit(shape, monkeypatch):
+    """Least squares computes its residual once for both, a block of rows
+    at a time; the result is bitwise value(x) and gradient(x), and those are
+    the one-shot einsum expressions of the residual.  Other objectives take
+    the default pair."""
+    monkeypatch.setattr(objectives, "RESIDUAL_BLOCK", 4 * 40)
     lsq = make_least_squares(dim=3, n_data=40, stream=derive_stream(4, 0, "data"))
     x = np.random.default_rng(2).standard_normal(shape) * 3.0
     resid = np.einsum("...d,nd->...n", x, lsq.data_a) - lsq.data_b
@@ -212,6 +219,21 @@ def test_value_and_gradient_is_value_then_gradient_bit_for_bit(shape):
         assert value.tobytes() == np.asarray(obj.value(x)).tobytes()
         assert gradient.tobytes() == obj.gradient(x).tobytes()
     assert [a.tobytes() for a in lsq.value_and_gradient(x)] == [a.tobytes() for a in reference]
+
+
+def test_least_squares_residuals_stay_within_a_row_block():
+    """A 1024-row evaluation at n_data 1024 holds 16 rows of residuals at a
+    time (128 KiB), not all 1024 (8 MiB per temporary)."""
+    lsq = make_least_squares(dim=4, n_data=1024, stream=derive_stream(5, 0, "data"))
+    x = np.random.default_rng(3).standard_normal((1024, 4))
+    lsq.value_and_gradient(x)
+    tracemalloc.start()
+    try:
+        lsq.value_and_gradient(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_least_squares_singular_gram_reported():

@@ -197,6 +197,8 @@ def test_plan_normalization_and_validation():
         run(50, [0, 5])
     with pytest.raises(ValueError, match="plan indices"):
         run(50, [51])
+    with pytest.raises(ValueError, match="plan indices"):
+        run(50, [])
     with pytest.raises(ValueError, match="n_steps and n_replicates"):
         run(0)
     with pytest.raises(ValueError, match="n_steps and n_replicates"):
