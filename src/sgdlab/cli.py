@@ -79,11 +79,14 @@ MAX_STEPS = 10**8
 # replicate and run id).  The rows' text goes from the workers to temp files
 # on disk, and the bank blocks write their arrays in place, so the CLI's
 # memory scales with the bank arrays the rows are formatted from (3 floats
-# per raw row, and a fourth for suffix_avg).  A rates sweep of 8192
-# replicates x 5 alphas x 300 steps (1.97e6 raw rows, 45 MiB of bank arrays)
-# peaks at 91 MB, 33 MB of it held before the first bank: about 1.3 times
-# the arrays, some 30 bytes per raw row, so about 300 MB more at this bound
-# (blocks that pickled their arrays back made that 137 MB, 2.3 times).
+# per raw row, and a fourth for suffix_avg): while a sweep steps, with the
+# CLI's own rows of every schedule; while it reports, with one whole bank
+# and its suffix_avg, which go before the next schedule is reported.  A
+# rates sweep of 8192 replicates x 5 alphas x 300 steps (1.97e6 raw rows,
+# 45 MiB of bank arrays) peaks at 72 MB, 32 MB of it held before the first
+# bank: some 20 bytes per raw row.  One bank of as many rows (40960
+# replicates, one alpha) peaks at 103 MB, some 36 bytes per raw row, so
+# about 360 MB more at this bound.
 MAX_ROWS = 10**7
 # The largest objective dim (the least-squares direct solve's bound, for
 # every kind).
@@ -221,8 +224,10 @@ def _emit_banks(out: Outcome, banks) -> list:
     """
     suffixes = []
     for _, runs in banks:
-        tail_counts = np.arange(runs.values.shape[1], 0, -1, dtype=float)
-        suffixes.append(np.cumsum(runs.values[:, ::-1], axis=1)[:, ::-1] / tail_counts)
+        # one bank-sized buffer: the tail sums, divided in place
+        suffix = np.cumsum(runs.values[:, ::-1], axis=1)[:, ::-1]
+        suffix /= np.arange(runs.values.shape[1], 0, -1, dtype=float)
+        suffixes.append(suffix)
 
     def write(task) -> None:
         k, rows, part = task
@@ -366,7 +371,10 @@ def _experiment_rates(cfg: ExperimentConfig, out: Outcome) -> None:
     banks = run_sgd_sweep(
         obj, oracle, cfg.schedules, cfg.x0, n_steps, cfg.replicates, cfg.seed, plan=plan
     )
-    for sched, bank in zip(cfg.schedules, banks):
+    for sched in cfg.schedules:
+        # taken off the list, so a bank and its shared arrays go once its
+        # schedule is reported
+        bank = banks.pop(0)
         run_id = _run_label(obj, oracle, sched)
         if not _tally(out, cfg, run_id, bank.aborts):
             continue
@@ -425,6 +433,7 @@ def _experiment_approx(cfg: ExperimentConfig, out: Outcome, weak: bool) -> None:
     by_alpha: dict = {}
     for sched in cfg.schedules:
         run_id = _run_label(obj, oracle, sched)
+        bank = None  # the last schedule's bank goes before this one runs
         bank = run_coupled_replicates(
             obj, oracle, sched, cfg.x0, cfg.horizon, cfg.substeps, cfg.replicates, cfg.seed
         )
@@ -500,6 +509,7 @@ def _experiment_probe_exact(cfg: ExperimentConfig, out: Outcome) -> None:
         n_steps = _probe_steps(cfg.horizon, sched)
         plan = log_spaced_indices(n_steps)
         run_id = _run_label(obj, oracle, sched)
+        bank = dist2 = None  # the last schedule's bank goes before this one runs
         (bank,) = run_sgd_sweep(
             obj, oracle, [sched], cfg.x0, n_steps, cfg.replicates, cfg.seed, plan=plan
         )

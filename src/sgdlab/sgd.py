@@ -46,7 +46,9 @@ DivergenceError and has its state reset to the minimizer; the other rows
 step on, and the bank drops the aborted rows and lists their errors in
 its aborts field.  A bank with no aborted row holds views of the shared
 arrays its blocks wrote; one with aborts holds a copy of the surviving
-rows, and the shared arrays go with the run.  The one solo runner,
+rows.  Either way a bank's arrays go when the bank is dropped, so a
+caller that drops each bank once it is done with it holds one at a time
+(the stepping itself holds every bank of a sweep).  The one solo runner,
 sde.run_sde_em, raises its row's DivergenceError instead.
 """
 from __future__ import annotations

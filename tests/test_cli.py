@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import importlib
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import weakref
 from collections import defaultdict
 from functools import partial
 from pathlib import Path
@@ -883,6 +885,18 @@ def test_suffix_avg_is_the_mean_from_each_checkpoint_to_the_end(tmp_path):
     np.testing.assert_array_equal(_emit_banks(out, [("run", runs)])[0], [[2.5, 2.0, 2.0, 3.0]])
     lines = _emitted(out).decode().splitlines()
     assert [row.rsplit(",", 1)[1] for row in lines] == ["2.5", "2.0", "2.0", "3.0"]
+    # a bank of non-dyadic values: the column, its raw rows and its summary
+    # cells are, bit for bit, those of the tail sums over the tail counts
+    runs = _bank(37, 29, 3)
+    v, n = runs.values, runs.values.shape[1]
+    reference = np.cumsum(v[:, ::-1], axis=1)[:, ::-1] / np.arange(n, 0, -1)
+    out = Outcome(tmp_path, tempfile.TemporaryFile(dir=tmp_path))
+    assert _emit_banks(out, [("run", runs)])[0].tobytes() == reference.tobytes()
+    expected = "".join(f"{line}\n" for line in _per_cell_text("run", runs, reference))
+    assert _emitted(out) == expected.encode()
+    assert [row.split(",")[-2:] for row in out.summary_rows] == [
+        [_fmt(c.mean()), _fmt(1.96 * c.std(ddof=1) / np.sqrt(len(c)))] for c in reference.T
+    ]
 
 
 def test_subcommand_kind_mismatch_exits_1(tmp_path, capsys):
@@ -1141,6 +1155,67 @@ def test_no_raw_row_text_crosses_a_pipe_and_only_the_outputs_stay(tmp_path, monk
     for runs in emitted:
         for a in (runs.values, runs.dist2_to_min, runs.grad_sq, runs.final_states):
             assert any(np.shares_memory(a, buf) for buf in buffers)
+
+
+def _owner(a: np.ndarray):
+    """What holds the memory a views: the memoryview of a shared buffer, or
+    the array that owns its data."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a if a.base is None else a.base
+
+
+@pytest.mark.parametrize("experiment,text,schedules,aborts", [
+    pytest.param("rates", RATES_CFG.replace("alpha = 0.5", "alpha = 0.3, 0.5, 0.7"), 3, False,
+                 id="rates"),
+    pytest.param("rates", LSQ_DIVERGE_CFG, 2, True, id="rates-survivors"),
+    pytest.param("probe-exact", PROBE_CFG.replace("gamma = 0.1", "gamma = 0.1, 0.05"), 2, False,
+                 id="probe-exact"),
+    pytest.param("strong-approx", COUPLE_CFG.replace("couple-demo", "strong-approx")
+                 .replace("gamma = 0.5", "gamma = 0.5, 0.25"), 2, False, id="strong-approx"),
+])
+def test_each_bank_is_dropped_once_its_schedule_is_reported(
+        tmp_path, monkeypatch, experiment, text, schedules, aborts):
+    """A run lets go of each schedule's bank once it is reported: when the
+    next bank is emitted (rates, whose sweep steps every schedule at once)
+    or the next schedule starts to run (probe-exact, strong-approx), no
+    bank emitted before, none of its arrays and none of the memory they
+    view (the shared buffers its blocks wrote, or its copy of the
+    survivors after aborts) is alive.  The garbage collector is off, so
+    only reference counts free them."""
+    monkeypatch.setattr(sgd, "WORKERS", 2)
+    reported, entries, aborted = [], [], []
+
+    def checked(fn):
+        def entered(*args, **kwargs):
+            entries.append(fn.__name__)
+            alive = sum(ref() is not None for ref in reported)
+            assert alive == 0, f"{alive} of {len(reported)} reported objects alive at {fn.__name__}"
+            return fn(*args, **kwargs)
+        return entered
+
+    emit_banks = checked(cli._emit_banks)
+
+    def emit(out, banks):
+        suffixes = emit_banks(out, banks)
+        for _, runs in banks:
+            arrays = (runs.values, runs.dist2_to_min, runs.grad_sq, runs.final_states)
+            reported.extend(weakref.ref(x) for x in (runs, *arrays, *map(_owner, arrays)))
+            aborted.append(bool(runs.aborts))
+        return suffixes
+
+    monkeypatch.setattr(cli, "_emit_banks", emit)
+    monkeypatch.setattr(cli, "run_sgd_sweep", checked(cli.run_sgd_sweep))
+    monkeypatch.setattr(cli, "run_coupled_replicates", checked(cli.run_coupled_replicates))
+    path = write_cfg(tmp_path, text)
+    gc.disable()
+    try:
+        assert main([experiment, "--config", path, "--out-dir", str(tmp_path / "o")]) == 0
+    finally:
+        gc.enable()
+    assert entries.count("_emit_banks") == schedules
+    assert len(entries) == schedules + (1 if experiment == "rates" else schedules)
+    assert any(aborted) == aborts
 
 
 def _open_fds() -> int | None:
