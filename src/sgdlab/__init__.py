@@ -51,14 +51,7 @@ from .objectives import (
     make_pl_sine,
     make_quadratic,
 )
-from .sde import (
-    BrownianPath,
-    em_bias_probe,
-    path_length,
-    run_sde_em,
-    run_sde_em_replicates,
-    sample_brownian_path,
-)
+from .sde import em_bias_probe, path_length, run_sde_em_replicates
 from .sgd import (
     DivergenceError,
     ReplicateRuns,

@@ -23,7 +23,7 @@ import math
 import shutil
 import sys
 import tempfile
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -63,7 +63,7 @@ from .objectives import (
     make_quadratic,
     ratio_points,
 )
-from .sde import em_bias_probe, path_length, sample_brownian_path
+from .sde import em_bias_probe, path_length
 from . import sgd
 from .sgd import DivergenceError, ReplicateRuns, run_sgd_sweep
 
@@ -91,7 +91,7 @@ MAX_ROWS = 10**7
 # The largest objective dim (the least-squares direct solve's bound, for
 # every kind).
 MAX_DIM = 32
-# The most numbers one array of a run may hold, about 80 MB of floats.  Five
+# The most numbers one array of a run may hold, about 80 MB of floats.  Four
 # config values size such an array:
 # - n_samples: a batch-eps estimate draws n_samples * max(m_values) * dim;
 # - batch_m: a batch oracle's draws for one chunk of a block hold
@@ -102,10 +102,7 @@ MAX_DIM = 32
 #   makes rows * n_data * dim per-sample gradients, bounded here as
 #   stack * rows * n_data * dim; the objective itself evaluates in row
 #   blocks of at most objectives.RESIDUAL_BLOCK residuals;
-# - num: the certify grid holds num * dim coordinates;
-# - horizon: couple-demo's bias probe refines its Brownian path of
-#   path_length(horizon, gamma_alpha / substeps) increments into twice as
-#   many, 2 * path_length * dim numbers.
+# - num: the certify grid holds num * dim coordinates.
 # rows is a block's replicates, min(replicates, sgd.REPLICATE_BLOCK), or the
 # grid's num points for certify; stack is the schedules a rates block steps
 # at once (run_sgd_sweep), 1 for every other experiment.
@@ -551,15 +548,8 @@ def _experiment_couple_demo(cfg: ExperimentConfig, out: Outcome) -> None:
     def bias_probe():
         """The integrator bias probe, or the DivergenceError it aborted with
         (as a value, so that a diverging probe is a report line)."""
-        path = sample_brownian_path(
-            cfg.horizon, sched.gamma_alpha / cfg.substeps, obj.dim,
-            derive_stream(cfg.seed, 0, "brownian"),
-        )
         try:
-            return em_bias_probe(
-                obj, oracle, sched, cfg.x0, cfg.horizon, cfg.substeps, path,
-                derive_stream(cfg.seed, 1, "brownian"),
-            )
+            return em_bias_probe(obj, oracle, sched, cfg.x0, cfg.horizon, cfg.substeps, cfg.seed)
         except DivergenceError as err:
             return err
 
@@ -791,16 +781,7 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     block = grid.num if grid else max(1, min(replicates, sgd.REPLICATE_BLOCK))
     stack = len(schedules) if kind == "rates" else 1
     arg = lambda key: {**obj_args, **oracle_args}.get(key, 0)
-    # couple-demo's bias probe refines its Brownian path (a path past
-    # MAX_STEPS substeps, or a schedule without gamma_alpha, is listed below)
-    probe_path = 0
-    if kind == "couple-demo" and schedules and horizon > 0 and substeps >= 1:
-        with suppress(ValueError):
-            ga = schedules[0].gamma_alpha
-            if horizon / ga * substeps <= MAX_STEPS:
-                probe_path = 2 * path_length(horizon, ga / substeps) * dim
     sizes = {
-        "[experiment] horizon": (probe_path, "numbers in the bias probe's refined Brownian path"),
         "[objective] n_data": (stack * block * arg("n_data") * dim, "per-sample gradients per block"),
         "[oracle] batch_m": (max(sgd.CHUNK, stack) * block * arg("batch_m") * (dim + 1),
                              "numbers per block chunk or step"),

@@ -41,16 +41,11 @@ class Convex:
 class Lojasiewicz:
     """Gradient dominance |grad f(x)|^r >= tau_tilde (f(x) - f*).
 
-    With r = 2 this is the Polyak gradient-dominance inequality; its
-    reciprocal constant c = 1/tau_tilde bounds f - f* by c |grad f|^2.
+    With r = 2 this is the Polyak gradient-dominance inequality.
     """
 
     r: float
     tau_tilde: float
-
-    @property
-    def c(self) -> float:
-        return 1.0 / self.tau_tilde
 
 
 @dataclass(frozen=True)
@@ -337,7 +332,6 @@ class CertificationReport:
     worst_ratio: float
     threshold: float
     passed: bool
-    arg_worst: np.ndarray
     n_points: int
 
     def line(self) -> str:
@@ -366,8 +360,7 @@ def certify_condition(obj: Objective, cond, grid: GridSpec) -> CertificationRepo
     """Check a function-class inequality on a grid and report the worst ratio.
 
     Failure is an outcome, not an error: the report carries the extremal
-    ratio, the threshold implied by the supplied constants, and the point
-    where the inequality is tightest.
+    ratio and the threshold implied by the supplied constants.
     """
     pts = grid.points(obj.dim)
 
@@ -379,12 +372,8 @@ def certify_condition(obj: Objective, cond, grid: GridSpec) -> CertificationRepo
         keep = denom > 0
         ratio = np.sum(dg * dx, axis=-1)[keep] / denom[keep]
         threshold = cond.mu if isinstance(cond, StronglyConvex) else 0.0
-        i = int(np.argmin(ratio))
-        worst = float(ratio[i])
-        arg = x[keep][i]
-        return CertificationReport(
-            obj.name, cond, worst, threshold, worst >= threshold, arg, int(keep.sum())
-        )
+        worst = float(ratio.min())
+        return CertificationReport(obj.name, cond, worst, threshold, worst >= threshold, int(keep.sum()))
 
     pts, gap, dist = ratio_points(obj, grid)
     g = obj.gradient(pts)
@@ -404,9 +393,5 @@ def certify_condition(obj: Objective, cond, grid: GridSpec) -> CertificationRepo
     else:
         raise TypeError(f"unsupported condition {cond!r}")
 
-    ratio = num / gap
-    i = int(np.argmin(ratio))
-    worst = float(ratio[i])
-    return CertificationReport(
-        obj.name, cond, worst, threshold, worst >= threshold, pts[i], len(pts)
-    )
+    worst = float((num / gap).min())
+    return CertificationReport(obj.name, cond, worst, threshold, worst >= threshold, len(pts))

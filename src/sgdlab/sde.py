@@ -5,21 +5,17 @@ dY_t = -(c + t)^{-alpha} [grad f(Y_t) dt + c^{1/2} S(Y_t) dB_t] with
 c = gamma_alpha and S(x) = oracle.sigma_sqrt(x), the square root of the
 oracle's noise covariance (a zero-noise oracle gives the deterministic
 time-changed gradient flow).  Integration is Euler-Maruyama with
-left-endpoint evaluation of both the rate and S, either over an explicitly
-materialized Brownian path, so that refined runs can share its increments
-(run_sde_em, which returns a one-row bank; em_bias_probe runs it on a path
-and on that path's refinement, one after the other, in the calling
-process), or over increments each replicate draws from its own stream
-(run_sde_em_replicates).  Each bank's final_states are the states at the
-last substep.
+left-endpoint evaluation of both the rate and S, over increments each
+replicate draws from its own stream chunk by chunk, so no path is ever
+held (run_sde_em_replicates; em_bias_probe runs one replicate and the
+bridge refinement of its path, one after the other, in the calling
+process).  Each bank's final_states are the states at the last substep.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import RngStream, StepSchedule, derive_stream
+from .core import StepSchedule, derive_stream
 from .noise import GradientOracle
 from .objectives import Objective
 from . import sgd
@@ -34,66 +30,9 @@ from .sgd import (
 )
 
 
-@dataclass
-class BrownianPath:
-    """Increments of one Brownian motion on a uniform grid of width h.
-
-    increment j is B_{(j+1)h} - B_{jh} ~ Normal(0, h Id).
-    """
-
-    horizon: float
-    h: float
-    increments: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        expected = path_length(self.horizon, self.h)
-        if self.increments.shape != (expected, self.dim):
-            raise ValueError(
-                f"path needs {expected} increments of dim {self.dim},"
-                f" got array of shape {self.increments.shape}"
-            )
-
-    @property
-    def count(self) -> int:
-        return len(self.increments)
-
-    def block_sums(self, k: int) -> np.ndarray:
-        """Sums of consecutive groups of k increments (count must divide)."""
-        if self.count % k != 0:
-            raise ValueError(f"{self.count} increments do not split into blocks of {k}")
-        return self.increments.reshape(self.count // k, k, self.dim).sum(axis=1)
-
-    def refine(self, stream: RngStream) -> "BrownianPath":
-        """Bridge each increment into two halves of width h/2.
-
-        The first half is increment/2 plus an independent Normal(0, h/4)
-        perturbation and the second is the remainder, so each pair sums
-        back to the coarse increment to machine precision (the subtraction
-        rounds once; exact cancellation is not a float identity).  The fine
-        path spans the count * h the coarse increments cover, which exceeds
-        the horizon when the horizon is off the coarse grid.
-        """
-        xi = np.sqrt(self.h) / 2.0 * stream.generator().standard_normal(self.increments.shape)
-        first = 0.5 * self.increments + xi
-        second = self.increments - first
-        fine = np.empty((2 * self.count, self.dim))
-        fine[0::2] = first
-        fine[1::2] = second
-        return BrownianPath(self.count * self.h, self.h / 2.0, fine, self.dim)
-
-
 def path_length(horizon: float, h: float) -> int:
     """ceil(horizon/h), robust to the quotient sitting a few ulp above an integer."""
     return int(np.ceil(horizon / h - 1e-9))
-
-
-def sample_brownian_path(horizon: float, h: float, dim: int, stream: RngStream) -> BrownianPath:
-    if horizon <= 0 or h <= 0:
-        raise ValueError("horizon and h must be positive")
-    n = path_length(horizon, h)
-    inc = np.sqrt(h) * stream.generator().standard_normal((n, dim))
-    return BrownianPath(horizon, h, inc, dim)
 
 
 def _plan_substeps(plan_times, count: int, h: float) -> np.ndarray:
@@ -148,46 +87,6 @@ def _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw, ckpt):
     return rows
 
 
-def run_sde_em(
-    obj: Objective,
-    oracle: GradientOracle,
-    sched: StepSchedule,
-    x0,
-    horizon: float,
-    substeps_per_block: int,
-    path: BrownianPath,
-    plan_times=None,
-    replicate_id: int = 0,
-) -> ReplicateRuns:
-    """Integrate the diffusion over one Brownian path: a one-row bank, or
-    the DivergenceError its row aborted with.
-
-    The substep is h = gamma_alpha / substeps_per_block and the path must be
-    sampled on exactly that grid over [0, horizon].  Records at plan times,
-    snapped to the substep grid (default: 64 log-spaced points).
-    """
-    if sched.alpha >= 1.0:
-        raise ValueError("the continuous process needs alpha < 1")
-    h = sched.gamma_alpha / substeps_per_block
-    if not np.isclose(path.h, h, rtol=1e-9, atol=0.0):
-        raise ValueError(f"path substep {path.h!r} does not match gamma_alpha/K = {h!r}")
-    if path.dim != obj.dim:
-        raise ValueError(f"path dim {path.dim} != objective dim {obj.dim}")
-    if path.count * path.h < horizon * (1.0 - 1e-9):
-        raise ValueError("path does not cover the horizon")
-    count = path_length(horizon, h)
-    plan = _plan_substeps(plan_times, count, h)
-    ckpt = _Checkpoints.bank(obj, 1, len(plan))
-    part = _em_block(
-        obj, oracle, sched, x0, count, h, plan, [replicate_id],
-        lambda start, m: path.increments[start : start + m, None], ckpt,
-    )
-    bank = _replicate_runs(ckpt, [part], plan * h)
-    if bank.aborts:
-        raise bank.aborts[0]
-    return bank
-
-
 def run_sde_em_replicates(
     obj: Objective,
     oracle: GradientOracle,
@@ -234,23 +133,46 @@ def em_bias_probe(
     x0,
     horizon: float,
     substeps_per_block: int,
-    path: BrownianPath,
-    refine_stream: RngStream,
+    master_seed: int,
 ) -> float:
-    """Integrator self-consistency: |Y_T at K substeps - Y_T at 2K| on one path.
+    """Integrator self-consistency: |Y_T at K substeps - Y_T at 2K| on one
+    Brownian path.
 
-    The second run uses the bridge refinement of the same path, so the
-    difference isolates discretization error from Brownian randomness.
-    Both runs stop at the first coarse grid time at or past the horizon.
-    The legs run in this process, the coarse one (K substeps) first, so a
-    leg's DivergenceError is raised here, the coarse leg's first.
-    couple-demo runs the whole probe beside its coupled bank, as one task
-    of the bank's fork_map.
+    The coarse leg is replicate 0 of the diffusion bank of master_seed.
+    The fine leg bridges each of its increments into two halves of width
+    h/2: the first is increment/2 plus an independent Normal(0, h/4) draw
+    from replicate 1's brownian stream, and the second is the remainder, so
+    each pair sums back to the coarse increment to machine precision (the
+    subtraction rounds once).  The difference thus isolates discretization
+    error from Brownian randomness.  Both legs read their streams chunk by
+    chunk (a chunk of sgd.CHUNK fine substeps, an even count, holds whole
+    pairs), so neither holds its whole path, and both stop at the first
+    coarse grid time at or past the horizon.  The coarse leg runs
+    first, so a leg's DivergenceError is raised here, the coarse leg's
+    first.  couple-demo runs the whole probe beside its coupled bank, as
+    one task of the bank's fork_map.
     """
     h = sched.gamma_alpha / substeps_per_block
-    end = path_length(horizon, h) * h
-    legs = [(substeps_per_block, path), (2 * substeps_per_block, path.refine(refine_stream))]
-    coarse, fine = [
-        run_sde_em(obj, oracle, sched, x0, end, *leg, plan_times=[end]).final_states[0] for leg in legs
-    ]
-    return float(np.linalg.norm(coarse - fine))
+    count = path_length(horizon, h)
+    end = count * h
+    coarse = run_sde_em_replicates(
+        obj, oracle, sched, x0, end, substeps_per_block, 1, master_seed, plan_times=[end]
+    )
+    if coarse.aborts:
+        raise coarse.aborts[0]
+    inc, xi = (
+        _brownian_draw([derive_stream(master_seed, i, "brownian").generator()], obj.dim, 1, scale)
+        for i, scale in ((0, np.sqrt(h)), (1, np.sqrt(h) / 2.0))
+    )
+
+    def draw(start, m):
+        a = inc(start, m // 2)[0]
+        first = 0.5 * a + xi(start, m // 2)[0]
+        return np.stack([first, a - first], axis=1).reshape(m, 1, obj.dim)
+
+    fine = _Checkpoints.bank(obj, 1, 0)
+    h_fine = sched.gamma_alpha / (2 * substeps_per_block)
+    rows = _em_block(obj, oracle, sched, x0, 2 * count, h_fine, np.zeros(0, int), [0], draw, fine)
+    if rows.aborted:
+        raise rows.aborted[0]
+    return float(np.linalg.norm(coarse.final_states[0] - fine.final[0]))

@@ -48,8 +48,9 @@ its aborts field.  A bank with no aborted row holds views of the shared
 arrays its blocks wrote; one with aborts holds a copy of the surviving
 rows.  Either way a bank's arrays go when the bank is dropped, so a
 caller that drops each bank once it is done with it holds one at a time
-(the stepping itself holds every bank of a sweep).  The one solo runner,
-sde.run_sde_em, raises its row's DivergenceError instead.
+(the stepping itself holds every bank of a sweep).  There is no solo
+runner: a single run is a bank of one, and sde.em_bias_probe, which needs
+its legs' final states, raises a leg's DivergenceError instead.
 """
 from __future__ import annotations
 

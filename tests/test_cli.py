@@ -254,6 +254,18 @@ def test_validate_row_bound_counts_the_banks_a_run_makes(tmp_path):
         validate_config(write_cfg(tmp_path, text.replace("78125", "78126")))
 
 
+def test_validate_bias_probe_path_is_not_bounded(tmp_path):
+    """couple-demo's bias probe streams its Brownian path and holds no array
+    of its increments, so no draw bound applies to it: a path of
+    400 / (0.05^2 / 32) = 5 120 000 substeps of dim 32 validates (and is not
+    run here)."""
+    text = (COUPLE_CFG.replace("replicates = 20\n    horizon = 1.0\n    substeps = 4",
+                               "replicates = 2\n    horizon = 400\n    substeps = 32")
+            .replace("gamma = 0.5", "gamma = 0.05").replace("x0 = 1.0", "x0 = 1.0\n    dim = 32"))
+    cfg = validate_config(write_cfg(tmp_path, text))
+    assert (cfg.horizon, cfg.substeps, cfg.obj.dim) == (400.0, 32, 32)
+
+
 def test_validate_alpha_one_continuous_experiments(tmp_path):
     body = """
         [experiment]
@@ -715,13 +727,6 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
          "[oracle] batch_m: 12000000 numbers per block chunk or step, more than 10000000"),
         ("certify", CERTIFY_CFG, "num = 401", "num = 1000000000",
          "[grid] num: 1000000000 grid coordinates, more than 10000000"),
-        # the bias probe's path of 400 / (0.05^2 / 32) = 5 120 000 substeps
-        # of dim 32, refined into twice as many
-        ("couple-demo", COUPLE_CFG.replace("replicates = 20\n    horizon = 1.0\n    substeps = 4",
-                                           "replicates = 2\n    horizon = 400\n    substeps = 32")
-         .replace("gamma = 0.5", "gamma = 0.05"), "x0 = 1.0", "x0 = 1.0\n    dim = 32",
-         "[experiment] horizon: 327680000 numbers in the bias probe's refined Brownian path,"
-         " more than 10000000"),
         # a df with a law other than student
         ("rates", RATES_CFG, "kind = gaussian\n    sigma = 1.0",
          "kind = heavy\n    law = laplace\n    df = 6",

@@ -20,7 +20,7 @@ from sgdlab.coupling import (
 )
 from sgdlab.noise import gaussian_oracle, heavy_oracle, probe_batch_oracle
 from sgdlab.objectives import make_linear_probe, make_quadratic
-from sgdlab.sde import run_sde_em, sample_brownian_path
+from sgdlab.sde import run_sde_em_replicates
 from sgdlab.sgd import DivergenceError, run_sgd_sweep
 
 from helpers import states_at
@@ -31,6 +31,14 @@ GA = SCHED.gamma_alpha
 
 def _horizon(n_blocks):
     return n_blocks * GA
+
+
+def _block_sums(seed, rep, n_blocks, dim):
+    """Sums of each block of 16 increments of replicate rep's brownian
+    stream: the shared block increments of a run at 16 substeps."""
+    gen = derive_stream(seed, rep, "brownian").generator()
+    inc = np.sqrt(GA / 16) * gen.standard_normal((16 * n_blocks, dim))
+    return inc.reshape(n_blocks, 16, dim).sum(axis=1)
 
 
 # ---------------------------------------------------------------- kind resolution
@@ -62,9 +70,7 @@ def test_shared_coupling_rescales_block_increments(monkeypatch):
     monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
     assert run(n_blocks).coupling_kind == GAUSSIAN_SHARED
     states = states_at(lambda k: run(k).discrete.final_states, range(1, n_blocks + 1))
-    path = sample_brownian_path(_horizon(n_blocks), GA / 16, 2,
-                                derive_stream(5, 3, "brownian"))
-    g_blocks = path.block_sums(16) / np.sqrt(GA)
+    g_blocks = _block_sums(5, 3, n_blocks, 2) / np.sqrt(GA)
     steps = SCHED.step_size(np.arange(n_blocks))
     manual = -np.cumsum(steps[:, None] * (0.8 * g_blocks), axis=0)
     np.testing.assert_array_equal(states[3], manual)
@@ -72,19 +78,19 @@ def test_shared_coupling_rescales_block_increments(monkeypatch):
 
 def test_coupled_continuous_leg_matches_plain_integrator():
     """The diffusion inside the coupled runner must be the same process as
-    run_sde_em driven by the path from the same brownian stream, at every
+    a diffusion bank of the same seed, replicate by replicate, at every
     checkpoint and at the end of every block up to the horizon."""
     n_blocks = 20
     obj = make_quadratic(dim=2, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
     coupled = lambda k: run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(k), 16,
-                                               1, 5).continuous
-    path = sample_brownian_path(_horizon(n_blocks), GA / 16, 2,
-                                derive_stream(5, 0, "brownian"))
-    plain = lambda k, **kw: run_sde_em(obj, oracle, SCHED, np.ones(2), _horizon(k), 16, path, **kw)
+                                               3, 5).continuous
+    plain = lambda k, **kw: run_sde_em_replicates(obj, oracle, SCHED, np.ones(2), _horizon(k), 16,
+                                                  3, 5, **kw)
     run = coupled(n_blocks)
-    solo = plain(n_blocks, plan_times=run.sample_indices)
-    np.testing.assert_array_equal(run.values, solo.values)
+    bank = plain(n_blocks, plan_times=run.sample_indices)
+    np.testing.assert_array_equal(run.values, bank.values)
+    np.testing.assert_array_equal(run.replicate_ids, bank.replicate_ids)
     ends = range(1, n_blocks + 1)
     np.testing.assert_array_equal(states_at(lambda k: coupled(k).final_states, ends),
                                   states_at(lambda k: plain(k).final_states, ends))
@@ -95,8 +101,7 @@ def test_comonotone_first_step_is_quantile_of_gaussian_cdf():
     oracle = heavy_oracle(obj, 1.0, "laplace")
     run = run_coupled_replicates(obj, oracle, SCHED, np.full(1, 2.0), _horizon(1), 16, 2, 9)
     assert run.coupling_kind == COMONOTONE_1D
-    path = sample_brownian_path(_horizon(20), GA / 16, 1, derive_stream(9, 1, "brownian"))
-    g0 = path.block_sums(16)[0] / np.sqrt(GA)
+    g0 = _block_sums(9, 1, 20, 1)[0] / np.sqrt(GA)
     u = np.clip(ndtr(g0), U_FLOOR, 1.0 - 1e-16)
     step0 = SCHED.step_size(np.arange(1))[0]
     x1 = 2.0 - step0 * (obj.gradient(np.full((1, 1), 2.0)) + oracle.noise_ppf(u))

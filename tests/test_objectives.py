@@ -55,7 +55,6 @@ def test_tag_lookup():
     assert sc is not None and sc.mu == 3.0
     loj = obj.tag(Lojasiewicz)
     assert loj.r == 2.0 and loj.tau_tilde == 6.0
-    assert loj.c == pytest.approx(1.0 / 6.0)
     assert obj.tag(QuasarConvex) is None
 
 

@@ -5,9 +5,12 @@ import sgdlab
 
 # Names the package no longer has: the solo result types and helpers no
 # experiment used, two test references now in tests/helpers.py, the
-# data-source and interval helpers that only tests called, and the solo and
-# one-schedule SGD and coupled runners, which only re-entered a bank.
+# data-source and interval helpers that only tests called, the solo and
+# one-schedule SGD and coupled runners, which only re-entered a bank, and
+# the solo diffusion runner with its materialized Brownian path, which the
+# bias probe no longer needs.
 DELETED = (
+    "BrownianPath",
     "CoupledRun",
     "DataDistribution",
     "Trajectory",
@@ -19,13 +22,14 @@ DELETED = (
     "run_gradient_flow",
     "run_coupled",
     "run_projected_sgd",
+    "run_sde_em",
     "run_sgd",
     "run_sgd_replicates",
+    "sample_brownian_path",
     "suffix_average",
 )
 RUNNERS = (
     "run_coupled_replicates",
-    "run_sde_em",
     "run_sde_em_replicates",
     "run_sgd_sweep",
     "em_bias_probe",

@@ -1,28 +1,21 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdlab import sgd
+from sgdlab import sde, sgd
 from sgdlab.core import StepSchedule, derive_stream
 from sgdlab.noise import gaussian_oracle
 from sgdlab.objectives import make_quadratic
-from sgdlab.sde import (
-    BrownianPath,
-    _brownian_draw,
-    em_bias_probe,
-    path_length,
-    run_sde_em,
-    run_sde_em_replicates,
-    sample_brownian_path,
-)
-from sgdlab.sgd import DivergenceError
+from sgdlab.sde import _brownian_draw, em_bias_probe, path_length, run_sde_em_replicates
 
 
-def _bm(horizon, h, dim, rep=0, seed=3):
-    return sample_brownian_path(horizon, h, dim, derive_stream(seed, rep, "brownian"))
+def _one(obj, oracle, sched, x0, horizon, k, seed=3, **kw):
+    """A bank of one diffusion replicate."""
+    return run_sde_em_replicates(obj, oracle, sched, x0, horizon, k, 1, seed, **kw)
 
 
 # ---------------------------------------------------------------- paths
@@ -44,71 +37,6 @@ def test_path_length_inverts_grid_size(n, h):
     assert path_length(n * h, h) == n
 
 
-def test_brownian_path_shape_and_count():
-    p = _bm(1.0, 0.125, 2)
-    assert p.count == 8
-    assert p.increments.shape == (8, 2)
-    assert p.dim == 2
-
-
-def test_brownian_path_rejects_wrong_length():
-    with pytest.raises(ValueError, match="needs 8 increments"):
-        BrownianPath(1.0, 0.125, np.zeros((5, 2)), 2)
-
-
-def test_sample_brownian_path_validates_inputs():
-    s = derive_stream(1, 0, "brownian")
-    with pytest.raises(ValueError):
-        sample_brownian_path(0.0, 0.1, 1, s)
-    with pytest.raises(ValueError):
-        sample_brownian_path(1.0, -0.1, 1, s)
-
-
-def test_increment_scale():
-    p = _bm(64.0, 2.0**-8, 1)
-    assert p.increments.var() == pytest.approx(p.h, rel=0.05)
-
-
-def test_block_sums_match_manual_grouping():
-    p = _bm(1.0, 0.0625, 2)
-    got = p.block_sums(4)
-    want = np.stack([p.increments[i : i + 4].sum(axis=0) for i in range(0, 16, 4)])
-    np.testing.assert_array_equal(got, want)
-
-
-def test_block_sums_requires_divisor():
-    p = _bm(1.0, 0.125, 1)
-    with pytest.raises(ValueError, match="blocks of 3"):
-        p.block_sums(3)
-
-
-# ---------------------------------------------------------------- refinement
-
-def test_refine_pairs_sum_back_to_coarse():
-    p = _bm(4.0, 2.0**-6, 3)
-    f = p.refine(derive_stream(3, 1, "brownian"))
-    assert f.count == 2 * p.count
-    assert f.h == p.h / 2.0
-    assert f.horizon == p.horizon
-    pair = f.increments[0::2] + f.increments[1::2]
-    scale = np.abs(p.increments).max()
-    assert np.abs(pair - p.increments).max() <= 1e-14 * scale
-    # same check through the public grouping API
-    np.testing.assert_allclose(f.block_sums(2), p.increments, rtol=0, atol=1e-14 * scale)
-
-
-def test_refine_statistics():
-    """Fine increments are Normal(0, h/2) and the two halves of each coarse
-    step are uncorrelated; both checked on a long single-dimension path."""
-    p = _bm(8.0, 2.0**-11, 1, rep=4)
-    f = p.refine(derive_stream(3, 5, "brownian"))
-    assert f.increments.var() == pytest.approx(p.h / 2.0, rel=0.05)
-    first = f.increments[0::2, 0]
-    second = f.increments[1::2, 0]
-    corr = np.corrcoef(first, second)[0, 1]
-    assert abs(corr) < 0.05
-
-
 # ---------------------------------------------------------------- single runs
 
 def test_zero_noise_em_tracks_exact_solution():
@@ -125,10 +53,7 @@ def test_zero_noise_em_tracks_exact_solution():
     exact = x0 * np.exp(-lam * integral)
     errs = {}
     for k in (256, 512):
-        path = _bm(horizon, ga / k, 2)
-        traj = run_sde_em(
-            obj, gaussian_oracle(obj, 0.0), sched, x0, horizon, k, path, plan_times=[horizon]
-        )
+        traj = _one(obj, gaussian_oracle(obj, 0.0), sched, x0, horizon, k, plan_times=[horizon])
         errs[k] = np.linalg.norm(traj.final_states[0] - exact)
     assert errs[256] / np.linalg.norm(exact) < 5e-3
     assert errs[256] / errs[512] == pytest.approx(2.0, rel=0.1)
@@ -138,9 +63,8 @@ def test_plan_times_snap_to_substep_grid():
     obj = make_quadratic(dim=1)
     sched = StepSchedule(0.5, 0.5)  # gamma_alpha = 0.25
     k = 5  # h = 0.05
-    path = _bm(1.0, 0.05, 1)
-    traj = run_sde_em(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 1.0, k, path,
-                      plan_times=[0.5, 0.98, 1.0])
+    traj = _one(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 1.0, k,
+                plan_times=[0.5, 0.98, 1.0])
     # 0.98/0.05 = 19.6 rounds to the same substep as 1.0; duplicates collapse
     np.testing.assert_allclose(traj.sample_indices, [0.5, 1.0], rtol=1e-12)
 
@@ -148,68 +72,23 @@ def test_plan_times_snap_to_substep_grid():
 def test_default_plan_ends_at_horizon():
     obj = make_quadratic(dim=1)
     sched = StepSchedule(0.5, 0.5)
-    path = _bm(2.0, sched.gamma_alpha / 16, 1)
-    traj = run_sde_em(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 2.0, 16, path)
+    traj = _one(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 2.0, 16)
     assert traj.sample_indices[-1] == pytest.approx(2.0, rel=1e-9)
     assert np.all(np.diff(traj.sample_indices) > 0)
-
-
-def test_run_sde_em_validation():
-    obj = make_quadratic(dim=2)
-    sched = StepSchedule(0.5, 0.5)
-    k = 8
-    good = _bm(1.0, sched.gamma_alpha / k, 2)
-    x0 = np.ones(2)
-    none = gaussian_oracle(obj, 0.0)
-    with pytest.raises(ValueError, match="alpha < 1"):
-        run_sde_em(obj, none, StepSchedule(1.0, 1.0), x0, 1.0, k, good)
-    with pytest.raises(ValueError, match="does not match"):
-        run_sde_em(obj, none, sched, x0, 1.0, 2 * k, good)
-    with pytest.raises(ValueError, match="dim"):
-        run_sde_em(obj, none, sched, x0, 1.0, k, _bm(1.0, sched.gamma_alpha / k, 3))
-    with pytest.raises(ValueError, match="cover"):
-        run_sde_em(obj, none, sched, x0, 2.0, k, good)
-    with pytest.raises(ValueError, match="plan times"):
-        run_sde_em(obj, none, sched, x0, 1.0, k, good, plan_times=[5.0])
 
 
 def test_sde_divergence_reports_location():
     """A stiff drift with a coarse substep overshoots immediately."""
     obj = make_quadratic(dim=1, lam=1e6)
     sched = StepSchedule(0.5, 0.5)
-    path = _bm(2.0, sched.gamma_alpha, 1)
-    with pytest.raises(DivergenceError) as info:
-        run_sde_em(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 2.0, 1, path)
-    assert info.value.step >= 1
-    assert "|Y|" in str(info.value) or "non-finite" in str(info.value)
+    bank = _one(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 2.0, 1)
+    (err,) = bank.aborts
+    assert len(bank.replicate_ids) == 0 and err.replicate_id == 0
+    assert err.step >= 1
+    assert "|Y|" in str(err) or "non-finite" in str(err)
 
 
 # ---------------------------------------------------------------- banks
-
-def test_bank_matches_solo_runs():
-    """Replicate r of the bank must reproduce a solo run driven by the path
-    drawn from the same brownian stream.  Recorded objective values are
-    bitwise identical; the distance and gradient columns go through a
-    different (batched) reduction, so those get an ulp of slack."""
-    obj = make_quadratic(dim=3, lam=1.0)
-    oracle = gaussian_oracle(obj, 1.0)
-    sched = StepSchedule(0.5, 0.5)
-    k = 8
-    h = sched.gamma_alpha / k
-    x0 = np.full(3, 2.0)
-    seed = 99
-    bank = run_sde_em_replicates(obj, oracle, sched, x0, 1.0, k,
-                                 n_replicates=5, master_seed=seed)
-    for rid in range(5):
-        path = sample_brownian_path(1.0, h, 3, derive_stream(seed, rid, "brownian"))
-        solo = run_sde_em(obj, oracle, sched, x0, 1.0, k, path, replicate_id=rid)
-        assert solo.replicate_ids.tolist() == [rid]
-        np.testing.assert_array_equal(solo.values[0], bank.values[rid])
-        np.testing.assert_array_equal(solo.final_states[0], bank.final_states[rid])
-        np.testing.assert_allclose(solo.dist2_to_min[0], bank.dist2_to_min[rid], rtol=1e-14)
-        np.testing.assert_allclose(solo.grad_sq[0], bank.grad_sq[rid], rtol=1e-14)
-        np.testing.assert_array_equal(solo.sample_indices, bank.sample_indices)
-
 
 def test_bank_block_size_invariance(monkeypatch):
     obj = make_quadratic(dim=2)
@@ -278,9 +157,113 @@ def test_bank_validation():
     with pytest.raises(ValueError, match="n_replicates"):
         run_sde_em_replicates(obj, none, StepSchedule(0.5, 0.5), np.ones(1),
                               1.0, 4, n_replicates=0, master_seed=0)
+    with pytest.raises(ValueError, match="plan times"):
+        _one(obj, none, StepSchedule(0.5, 0.5), np.ones(1), 1.0, 4, plan_times=[5.0])
+
+
 
 
 # ---------------------------------------------------------------- bias probe
+
+def _euler(obj, oracle, sched, x0, h, path):
+    """A plain one-row Euler-Maruyama loop over the increments path: the
+    final state, or the (replicate, step, detail) of the first substep
+    whose state is non-finite or past the divergence norm."""
+    rates = sched.continuous_rate(np.arange(len(path)) * h)
+    root_ga = np.sqrt(sched.gamma_alpha)
+    y = np.broadcast_to(np.asarray(x0, dtype=float), (1, obj.dim)).copy()
+    for j, (rate, db) in enumerate(zip(rates.tolist(), path)):
+        y = y - rate * (obj.gradient(y) * h + root_ga * oracle.apply_sqrt(y, db[None]))
+        sq = np.einsum("rd,rd->r", y, y)[0]
+        if not sq <= sgd.DIVERGENCE_NORM**2:
+            return 0, j + 1, sgd._norm_detail("Y")(sq)
+    return y[0]
+
+
+def _reference_legs(obj, oracle, sched, x0, horizon, k, seed):
+    """The probe's two legs the plain way: the coarse increments of
+    replicate 0's brownian stream and the bridge normals of replicate 1's,
+    each drawn in one shot, the bridge built here, and each leg run by
+    _euler."""
+    h = sched.gamma_alpha / k
+    n = path_length(horizon, h)
+    normals = lambda rep: derive_stream(seed, rep, "brownian").generator().standard_normal((n, obj.dim))
+    inc = np.sqrt(h) * normals(0)
+    first = 0.5 * inc + np.sqrt(h) / 2.0 * normals(1)
+    fine = np.empty((2 * n, obj.dim))
+    fine[0::2], fine[1::2] = first, inc - first
+    return [_euler(obj, oracle, sched, x0, h, inc),
+            _euler(obj, oracle, sched, x0, sched.gamma_alpha / (2 * k), fine)]
+
+
+@pytest.mark.parametrize("dim,lam,gamma,alpha,horizon,k,seed", [
+    (1, 1.0, 0.5, 0.5, 40.0, 1, 3),
+    (1, 1.0, 0.5, 0.5, 20.0, 3, 3),
+    (3, 2.0, 0.3, 0.3, 13.7, 3, 7),  # 13.7 is off the substep grid
+    (2, 1.0, 0.5, 0.7, 60.0, 1, 11),
+])
+def test_em_bias_probe_equals_the_one_shot_bridge(dim, lam, gamma, alpha, horizon, k, seed):
+    """The probe streams both legs chunk by chunk (more than one chunk of
+    substeps here); it equals, bit for bit, the probe of a path drawn in
+    one shot, bridged in one shot and integrated by a plain loop."""
+    obj = make_quadratic(dim=dim, lam=lam)
+    oracle = gaussian_oracle(obj, 1.0)
+    sched = StepSchedule(gamma, alpha)
+    assert 2 * path_length(horizon, sched.gamma_alpha / k) > sgd.CHUNK
+    coarse, fine = _reference_legs(obj, oracle, sched, 1.0, horizon, k, seed)
+    expected = float(np.linalg.norm(coarse - fine))
+    assert em_bias_probe(obj, oracle, sched, 1.0, horizon, k, seed) == expected
+
+
+def test_em_bias_probe_bridge_statistics(monkeypatch):
+    """The fine leg's increments, as its chunks hand them to the kernel:
+    each pair sums back to the coarse leg's increment to machine precision,
+    the coarse increments have variance h and the fine ones h/2, and the
+    two halves of a coarse step are uncorrelated."""
+    calls = []
+    em_block = sde._em_block
+
+    def spy(obj, oracle, sched, x0, count, h, plan, ids, draw, ckpt):
+        calls.append([])
+        def kept(start, m):
+            db = draw(start, m)
+            calls[-1].append(db[:, 0].copy())
+            return db
+        return em_block(obj, oracle, sched, x0, count, h, plan, ids, kept, ckpt)
+
+    monkeypatch.setattr(sde, "_em_block", spy)
+    obj = make_quadratic(dim=1)
+    sched = StepSchedule(0.5, 0.5)
+    h = sched.gamma_alpha / 512
+    em_bias_probe(obj, gaussian_oracle(obj, 1.0), sched, np.ones(1), 16.0, 512, 4)
+    coarse, fine = (np.concatenate(chunks)[:, 0] for chunks in calls)
+    assert len(coarse) == 2**15 and len(fine) == 2**16
+    pair = fine[0::2] + fine[1::2]
+    assert np.abs(pair - coarse).max() <= 1e-14 * np.abs(coarse).max()
+    assert coarse.var() == pytest.approx(h, rel=0.05)
+    assert fine.var() == pytest.approx(h / 2.0, rel=0.05)
+    assert abs(np.corrcoef(fine[0::2], fine[1::2])[0, 1]) < 0.05
+
+
+def test_em_bias_probe_holds_no_path():
+    """The legs read their increments chunk by chunk: at dim 32 over 4096
+    coarse substeps (a path of 1 MiB, refined into 2 MiB) the probe's
+    allocations peak under 1 MiB.  The first call warms up imports and
+    caches; the second is measured."""
+    obj = make_quadratic(dim=32)
+    oracle = gaussian_oracle(obj, 1.0)
+    sched = StepSchedule(0.5, 0.5)
+    assert path_length(64.0, sched.gamma_alpha / 16) == 4096
+    probe = lambda: em_bias_probe(obj, oracle, sched, 1.0, 64.0, 16, 5)
+    first = probe()
+    tracemalloc.start()
+    try:
+        assert probe() == first
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
 
 def test_em_bias_probe_shrinks_with_substeps():
     """The probe is the strong self-difference between one step size and its
@@ -289,30 +272,22 @@ def test_em_bias_probe_shrinks_with_substeps():
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.5, 0.5)
     x0 = np.full(3, 2.0)
-    probes = {}
-    for k in (32, 128):
-        path = sample_brownian_path(1.0, sched.gamma_alpha / k, 3,
-                                    derive_stream(7, 0, "brownian"))
-        probes[k] = em_bias_probe(obj, oracle, sched, x0, 1.0, k, path,
-                                  derive_stream(7, 0, "data"))
+    probes = {k: em_bias_probe(obj, oracle, sched, x0, 1.0, k, 7) for k in (32, 128)}
     assert probes[32] < 0.05
     assert probes[128] < probes[32] / 2.0
 
 
 def test_em_bias_probe_horizon_off_the_substep_grid():
-    """A horizon a third of a substep past the grid: the coarse path has 65
-    increments, and both runs stop at 65 h, where a path sampled over
-    exactly 65 h gives the same probe."""
+    """A horizon a third of a substep past the grid: the coarse leg takes 65
+    substeps, and both legs stop at 65 h, where the probe over exactly 65 h
+    gives the same value."""
     obj = make_quadratic(dim=1)
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.5, 0.5)
     h = sched.gamma_alpha / 16
-    probes = []
-    for horizon in (64.32 * h, 65 * h):
-        path = sample_brownian_path(horizon, h, 1, derive_stream(4, 0, "brownian"))
-        assert path.count == 65
-        probes.append(em_bias_probe(obj, oracle, sched, np.ones(1), horizon, 16, path,
-                                    derive_stream(4, 1, "brownian")))
+    assert path_length(64.32 * h, h) == 65
+    probes = [em_bias_probe(obj, oracle, sched, np.ones(1), horizon, 16, 4)
+              for horizon in (64.32 * h, 65 * h)]
     assert np.isfinite(probes[0])
     assert probes[0] == probes[1]
 
@@ -321,23 +296,15 @@ def test_em_bias_probe_horizon_off_the_substep_grid():
 @pytest.mark.parametrize("seed,diverges", [(0, None), (1, "coarse"), (8, "fine"), (4, "both")])
 def test_em_bias_probe_legs_do_not_depend_on_workers(monkeypatch, seed, diverges):
     """Noise that grows like Y^2 throws some paths past the divergence norm:
-    at these seeds neither leg, the coarse leg (K = 1, run in this
-    process), the fine leg (2K, run in a forked child) or both diverge.
-    One worker and two give the probe of the two legs run one after the
-    other, or the DivergenceError (replicate, step, detail) of the first
-    leg that diverged, and leave no child behind."""
+    at these seeds neither leg, the coarse leg (K = 1), the fine leg (2K)
+    or both diverge.  One worker and two give the probe of the two
+    reference legs, or the DivergenceError (replicate, step, detail) of the
+    first leg that diverged, and leave no child behind."""
     obj = make_quadratic(lam=1.0)
     oracle = gaussian_oracle(obj, lambda x: 2.0 * x * x, eta=1.0)
     sched = StepSchedule(1.0, 0.5)
     horizon = 20.0
-    path = _bm(horizon, sched.gamma_alpha, 1, seed=seed)
-    legs = []
-    for k, leg_path in ((1, path), (2, path.refine(derive_stream(seed, 1, "brownian")))):
-        try:
-            legs.append(run_sde_em(obj, oracle, sched, np.ones(1), horizon, k, leg_path,
-                                   plan_times=[horizon]).final_states[0])
-        except DivergenceError as err:
-            legs.append((err.replicate_id, err.step, err.detail))
+    legs = _reference_legs(obj, oracle, sched, np.ones(1), horizon, 1, seed)
     failed = [not isinstance(leg, np.ndarray) for leg in legs]
     assert failed == {None: [False, False], "coarse": [True, False],
                       "fine": [False, True], "both": [True, True]}[diverges]
@@ -348,9 +315,8 @@ def test_em_bias_probe_legs_do_not_depend_on_workers(monkeypatch, seed, diverges
     for workers in (1, 2):
         monkeypatch.setattr(sgd, "WORKERS", workers)
         try:
-            got = em_bias_probe(obj, oracle, sched, np.ones(1), horizon, 1, path,
-                                derive_stream(seed, 1, "brownian"))
-        except DivergenceError as err:
+            got = em_bias_probe(obj, oracle, sched, np.ones(1), horizon, 1, seed)
+        except sgd.DivergenceError as err:
             got = err.replicate_id, err.step, err.detail
         assert got == expected
         with pytest.raises(ChildProcessError):
