@@ -35,6 +35,22 @@ def path_length(horizon: float, h: float) -> int:
     return int(np.ceil(horizon / h - 1e-9))
 
 
+def _substep_grid(obj: Objective, sched: StepSchedule, x0, horizon: float,
+                  substeps_per_block: int) -> tuple[float, int]:
+    """(h, count): the substep width and the number of substeps that cover
+    horizon; raises ValueError for a run the diffusion cannot make."""
+    if sched.alpha >= 1.0:
+        raise ValueError("the continuous process needs alpha < 1")
+    if not horizon > 0:
+        raise ValueError("horizon must be > 0")
+    if substeps_per_block < 1:
+        raise ValueError("substeps_per_block must be >= 1")
+    if np.ndim(x0) > 1 or np.size(x0) not in (1, obj.dim):
+        raise ValueError(f"x0 must be a scalar or a vector of dim {obj.dim}")
+    h = sched.gamma_alpha / substeps_per_block
+    return h, path_length(horizon, h)
+
+
 def _plan_substeps(plan_times, count: int, h: float) -> np.ndarray:
     """Plan times snapped to substep indices in [1, count] (default: log-spaced)."""
     j = None if plan_times is None else np.rint(np.asarray(plan_times, dtype=float) / h)
@@ -104,12 +120,9 @@ def run_sde_em_replicates(
     each replicate draws its increments from its own brownian stream in
     fixed chunks, so the result does not depend on the block size.
     """
-    if sched.alpha >= 1.0:
-        raise ValueError("the continuous process needs alpha < 1")
+    h, count = _substep_grid(obj, sched, x0, horizon, substeps_per_block)
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
-    h = sched.gamma_alpha / substeps_per_block
-    count = path_length(horizon, h)
     plan = _plan_substeps(plan_times, count, h)
     root_h = np.sqrt(h)
 
@@ -152,8 +165,7 @@ def em_bias_probe(
     first.  couple-demo runs the whole probe beside its coupled bank, as
     one task of the bank's fork_map.
     """
-    h = sched.gamma_alpha / substeps_per_block
-    count = path_length(horizon, h)
+    h, count = _substep_grid(obj, sched, x0, horizon, substeps_per_block)
     end = count * h
     coarse = run_sde_em_replicates(
         obj, oracle, sched, x0, end, substeps_per_block, 1, master_seed, plan_times=[end]

@@ -161,6 +161,43 @@ def test_bank_validation():
         _one(obj, none, StepSchedule(0.5, 0.5), np.ones(1), 1.0, 4, plan_times=[5.0])
 
 
+@pytest.mark.parametrize("x0,horizon,k,match", [
+    (np.ones(2), 0.0, 4, "horizon must be > 0"),
+    (np.ones(2), -1.0, 4, "horizon must be > 0"),
+    (np.ones(2), 1.0, 0, "substeps_per_block must be >= 1"),
+    (np.ones(2), 1.0, -2, "substeps_per_block must be >= 1"),
+    (np.ones(3), 1.0, 4, "dim 2"),
+    (np.ones((1, 2)), 1.0, 4, "dim 2"),
+])
+def test_bank_and_probe_reject_a_bad_grid(x0, horizon, k, match):
+    """An empty or negative horizon, a substep count below one or an x0 of
+    the wrong shape is named before any substep is drawn, by a bank and by
+    the bias probe alike."""
+    obj = make_quadratic(dim=2)
+    oracle = gaussian_oracle(obj, 1.0)
+    sched = StepSchedule(0.5, 0.5)
+    with pytest.raises(ValueError, match=match):
+        run_sde_em_replicates(obj, oracle, sched, x0, horizon, k, 2, 0)
+    with pytest.raises(ValueError, match=match):
+        em_bias_probe(obj, oracle, sched, x0, horizon, k, 0)
+
+
+def test_bank_matches_solo_runs():
+    """Replicate r of a bank equals, bit for bit, a plain one-row loop over
+    the increments of replicate r's brownian stream drawn in one shot."""
+    obj = make_quadratic(dim=3, lam=1.0)
+    oracle = gaussian_oracle(obj, 1.0)
+    sched = StepSchedule(0.5, 0.5)
+    k, seed = 8, 99
+    h = sched.gamma_alpha / k
+    n = path_length(1.0, h)
+    x0 = np.full(3, 2.0)
+    bank = run_sde_em_replicates(obj, oracle, sched, x0, 1.0, k, 5, seed)
+    assert bank.replicate_ids.tolist() == list(range(5))
+    for rid in range(5):
+        gen = derive_stream(seed, rid, "brownian").generator()
+        solo = _euler(obj, oracle, sched, x0, h, np.sqrt(h) * gen.standard_normal((n, 3)))
+        np.testing.assert_array_equal(solo, bank.final_states[rid])
 
 
 # ---------------------------------------------------------------- bias probe
