@@ -5,7 +5,6 @@ from types import ModuleType as _ModuleType
 from .analysis import (
     Estimate,
     RateEstimate,
-    RateSetting,
     drift_sup_bound,
     drift_sup_verify,
     expected_rate,

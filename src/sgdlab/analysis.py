@@ -1,4 +1,10 @@
-"""Rate regression, theoretical exponents, and closed-form reference values."""
+"""Rate regression, theoretical exponents, and closed-form reference values.
+
+RATE_CLASSES is the one table of the function classes whose decay rates
+the rates experiment judges, keyed by the class tag types of
+sgdlab.objectives; expected_rate gives a tag's exponent at a step-size
+decay alpha.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,17 +12,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import sorted_distinct
+from .objectives import Convex, Lojasiewicz, MixedDominance, QuasarConvex, StronglyConvex
 
-FUNCTION_CLASSES = (
-    "strongly_convex",
-    "convex",
-    "lojasiewicz",
-    "mixed_dominance",
-    "quasar_convex",
-    "quasar_convex_linear_growth",
-    "mixed_dominance_quadratic_growth",
+# One row per function class, in report order: its class tag type, its name
+# in reports, the observable its exponent is about, and whether the exponent
+# is sharp (the fitted decay should match it) or only a guarantee (decaying
+# faster is fine).
+RATE_CLASSES = (
+    (StronglyConvex, "strongly_convex", "dist2", True),
+    (Convex, "convex", "f_gap", False),
+    (Lojasiewicz, "lojasiewicz", "f_gap", True),
+    (MixedDominance, "mixed_dominance", "f_gap", False),
+    (QuasarConvex, "quasar_convex", "f_gap", False),
 )
-OBSERVABLES = ("f_gap", "dist2", "grad_sq")
 
 
 @dataclass(frozen=True)
@@ -36,37 +44,6 @@ class RateEstimate:
     window: tuple
     ci_halfwidth: float
     n_points: int
-
-
-@dataclass(frozen=True)
-class RateSetting:
-    """Which theoretical decay exponent to look up.
-
-    The class parameters matter only for the classes that take them:
-    r for lojasiewicz, (r1, r2, beta_growth) for mixed_dominance.
-    beta_growth is the exponent assumed for the moment growth of the
-    iterates; the guarantees take it as given, so it is recorded here
-    rather than estimated.
-    """
-
-    function_class: str
-    alpha: float
-    observable: str = "f_gap"
-    r: float | None = None
-    r1: float | None = None
-    r2: float | None = None
-    beta_growth: float = 0.0
-
-    def __post_init__(self):
-        if self.function_class not in FUNCTION_CLASSES:
-            raise ValueError(f"unknown function class {self.function_class!r}")
-        if self.observable not in OBSERVABLES:
-            raise ValueError(f"unknown observable {self.observable!r}")
-        hi = 1.0 if self.function_class == "strongly_convex" else 1.0 - 1e-12
-        if not 0.0 < self.alpha <= hi:
-            raise ValueError(
-                f"alpha={self.alpha} out of range for {self.function_class}"
-            )
 
 
 def fit_rate(points, window_fraction: float = 0.5) -> RateEstimate:
@@ -115,46 +92,42 @@ def fit_rate(points, window_fraction: float = 0.5) -> RateEstimate:
     )
 
 
-def expected_rate(setting: RateSetting) -> float | None:
-    """Theoretical decay exponent for the setting, or None when the theory
-    gives no polynomial guarantee there.  Logarithmic factors are ignored.
+def expected_rate(tag, alpha: float) -> float | None:
+    """Theoretical decay exponent for a class tag of RATE_CLASSES at this
+    alpha, or None when the theory gives no polynomial guarantee there.
+    Logarithmic factors are ignored.
     """
-    a = setting.alpha
-    cls = setting.function_class
+    names = {kind: name for kind, name, _, _ in RATE_CLASSES}
+    if type(tag) not in names:
+        raise TypeError(f"no rate for class tag {tag!r}")
+    a = alpha
+    hi = 1.0 if isinstance(tag, StronglyConvex) else 1.0 - 1e-12
+    if not 0.0 < a <= hi:
+        raise ValueError(f"alpha={a} out of range for {names[type(tag)]}")
 
-    if cls == "strongly_convex":
+    if isinstance(tag, StronglyConvex):
         return a
 
-    if cls == "convex":
-        if setting.observable == "dist2":
-            return None
+    if isinstance(tag, Convex):
         return min(a, 1.0 - a)
 
-    if cls == "lojasiewicz":
-        r = setting.r
-        if r is None or not 0.0 < r <= 2.0:
+    if isinstance(tag, Lojasiewicz):
+        r = tag.r
+        if not 0.0 < r <= 2.0:
             raise ValueError("lojasiewicz needs r in (0, 2]")
         if r == 2.0:
             return a
         delta = min((r / 2.0) / (1.0 - r / 2.0) * (1.0 - a), (r / 2.0) * a)
         return delta if delta > 0 else None
 
-    if cls == "mixed_dominance":
-        r1, beta = setting.r1, setting.beta_growth
-        if r1 is None or not 0.0 < r1 < 2.0:
+    if isinstance(tag, MixedDominance):
+        if not 0.0 < tag.r1 < 2.0:
             raise ValueError("mixed_dominance needs r1 in (0, 2)")
-        half = r1 / 2.0
-        d1 = half / (1.0 - half) * (1.0 - a) - beta
-        d2 = half * a - beta * (1.0 - half)
-        delta = min(d1, d2)
+        half = tag.r1 / 2.0
+        delta = min(half / (1.0 - half) * (1.0 - a), half * a)
         return delta if delta > 0 else None
 
-    if cls == "quasar_convex":
-        delta = min((3.0 * a - 1.0) / 2.0, a / 2.0, 1.0 - a)
-        return delta if delta > 0 else None
-
-    # both growth-condition variants share the same exponent
-    delta = min(a / 2.0, 1.0 - a)
+    delta = min((3.0 * a - 1.0) / 2.0, a / 2.0, 1.0 - a)  # QuasarConvex
     return delta if delta > 0 else None
 
 

@@ -32,14 +32,14 @@ from typing import BinaryIO
 import numpy as np
 
 from .analysis import (
-    RateSetting,
+    RATE_CLASSES,
     expected_rate,
     fit_rate,
     probe_exact_second_moment,
     probe_strong_error_floor,
 )
 from .core import StepSchedule, derive_stream, log_spaced_indices
-from .coupling import CoupledBank, epsilon_hat, run_coupled_replicates, strong_error, weak_error
+from .coupling import INDEPENDENT, CoupledBank, epsilon_hat, run_coupled_replicates, strong_error, weak_error
 from .noise import (
     GradientOracle,
     gaussian_oracle,
@@ -50,10 +50,7 @@ from .noise import (
 from .objectives import (
     Convex,
     GridSpec,
-    Lojasiewicz,
-    MixedDominance,
     Objective,
-    QuasarConvex,
     StronglyConvex,
     certify_condition,
     make_least_squares,
@@ -95,9 +92,10 @@ MAX_DIM = 32
 # config values size such an array:
 # - n_samples: a batch-eps estimate draws n_samples * max(m_values) * dim;
 # - batch_m: a batch oracle's draws for one chunk of a block hold
-#   rows * sgd.CHUNK * batch_m * (dim + 1) numbers (a data point has at most
-#   dim + 1: a least-squares row and its target), and one step of a stacked
-#   block makes stack * rows * batch_m * dim per-sample gradients;
+#   rows * sgd.CHUNK * batch_m data points (a probe point has dim numbers, a
+#   least-squares point is one row index; the bound counts dim + 1 each), and
+#   one step of a stacked block makes stack * rows * batch_m * dim
+#   per-sample gradients;
 # - n_data: a least-squares oracle's covariance (in coupled and SDE runs)
 #   makes rows * n_data * dim per-sample gradients, bounded here as
 #   stack * rows * n_data * dim; the objective itself evaluates in row
@@ -338,33 +336,12 @@ def _tally(out: Outcome, cfg: ExperimentConfig, run_id: str, aborts: list) -> bo
     return False
 
 
-def _rate_settings(obj: Objective, alpha: float):
-    """RateSettings implied by the objective's class tags at this alpha."""
-    settings = []
-    if obj.tag(StronglyConvex) is not None:
-        settings.append(RateSetting("strongly_convex", alpha, "dist2"))
-    if alpha < 1.0:
-        if obj.tag(Convex) is not None:
-            settings.append(RateSetting("convex", alpha, "f_gap"))
-        loj = obj.tag(Lojasiewicz)
-        if loj is not None:
-            settings.append(RateSetting("lojasiewicz", alpha, "f_gap", r=loj.r))
-        mix = obj.tag(MixedDominance)
-        if mix is not None:
-            settings.append(
-                RateSetting("mixed_dominance", alpha, "f_gap", r1=mix.r1, r2=mix.r2)
-            )
-        if obj.tag(QuasarConvex) is not None:
-            settings.append(RateSetting("quasar_convex", alpha, "f_gap"))
-    return settings
-
-
 def _experiment_rates(cfg: ExperimentConfig, out: Outcome) -> None:
     obj, (oracle,) = cfg.obj, cfg.oracles
     tol = cfg.oracle_args["rate_tolerance"]
     n_steps = int(cfg.horizon)
     plan = log_spaced_indices(n_steps)
-    observables = {"f_gap": "values", "dist2": "dist2_to_min", "grad_sq": "grad_sq"}
+    observables = {"f_gap": "values", "dist2": "dist2_to_min"}
     banks = run_sgd_sweep(
         obj, oracle, cfg.schedules, cfg.x0, n_steps, cfg.replicates, cfg.seed, plan=plan
     )
@@ -385,35 +362,27 @@ def _experiment_rates(cfg: ExperimentConfig, out: Outcome) -> None:
                 " power-law rate fit not applicable"
             )
             continue
-        for setting in _rate_settings(obj, sched.alpha):
-            expected = expected_rate(setting)
-            if expected is None:
-                out.report.append(
-                    f"{run_id} {setting.function_class}/{setting.observable}:"
-                    " no polynomial guarantee at this alpha"
-                )
+        for kind, name, observable, sharp in RATE_CLASSES:
+            tag = obj.tag(kind)
+            # at alpha = 1 only the strongly convex rate has a guarantee
+            if tag is None or (sched.alpha >= 1.0 and kind is not StronglyConvex):
                 continue
-            curve = getattr(bank, observables[setting.observable]).mean(axis=0)
+            expected = expected_rate(tag, sched.alpha)
+            label = f"{run_id} {name}/{observable}:"
+            if expected is None:
+                out.report.append(f"{label} no polynomial guarantee at this alpha")
+                continue
+            curve = getattr(bank, observables[observable]).mean(axis=0)
             try:
                 est = fit_rate(list(zip(plan.tolist(), curve.tolist())))
             except ValueError as err:
-                out.report.append(
-                    f"{run_id} {setting.function_class}/{setting.observable}:"
-                    f" rate fit not applicable ({err})"
-                )
+                out.report.append(f"{label} rate fit not applicable ({err})")
                 continue
             decay = -est.slope
-            # Sharp classes should match the exponent; for the others the
-            # exponent is only a guarantee, so decaying faster is fine.
-            sharp = setting.function_class in ("strongly_convex", "lojasiewicz")
-            if sharp:
-                ok = abs(decay - expected) <= tol
-            else:
-                ok = decay >= expected - tol
+            ok = abs(decay - expected) <= tol if sharp else decay >= expected - tol
             note = "" if sharp or decay <= expected + tol else " (exceeds guarantee)"
             out.report.append(
-                f"{run_id} {setting.function_class}/{setting.observable}:"
-                f" fitted decay {decay:.4f} vs expected {expected:.4f}"
+                f"{label} fitted decay {decay:.4f} vs expected {expected:.4f}"
                 f" (tol {tol:g}, r2 {est.r_squared:.3f},"
                 f" window {est.window[0]:g}..{est.window[1]:g})"
                 f" {'PASS' if ok else 'FAIL'}{note}"
@@ -440,19 +409,16 @@ def _experiment_approx(cfg: ExperimentConfig, out: Outcome, weak: bool) -> None:
         kind = bank.coupling_kind
         if weak:
             est = weak_error(bank, lambda x: np.sum(np.square(x), axis=-1))
-            value = abs(est.value)
             label = "weak error |E g| (g = squared norm)"
-            detail = f"{est.value:.6g} +- {est.ci_halfwidth:.2g} over {est.n} replicates"
         else:
             # The theoretical order is uniform over the trajectory, so the
             # sweep tracks the worst checkpoint, not just the endpoint.
             per_ckpt = [strong_error(bank, checkpoint=int(c)) for c in bank.block_indices]
             est = max(per_ckpt, key=lambda e: e.value)
-            value = est.value
             label = "strong error (sup over checkpoints)"
-            detail = f"{est.value:.6g} +- {est.ci_halfwidth:.2g} over {est.n} replicates"
+        detail = f"{est.value:.6g} +- {est.ci_halfwidth:.2g} over {est.n} replicates"
         out.report.append(f"{run_id} [{kind}]: {label} = {detail}")
-        by_alpha.setdefault(sched.alpha, []).append((sched.gamma, value))
+        by_alpha.setdefault(sched.alpha, []).append((sched.gamma, est.value))
     for alpha, pts in sorted(by_alpha.items()):
         if len(pts) < 2:
             continue
@@ -531,13 +497,13 @@ def _experiment_probe_exact(cfg: ExperimentConfig, out: Outcome) -> None:
             f"{run_id}: worst checkpoint deviation {worst:.2f} standard errors"
             f" {'PASS' if worst <= 3 else 'FAIL'}"
         )
-        if sched.alpha < 0.5:
-            floor = probe_strong_error_floor(m, sched.gamma, sched.alpha, cfg.horizon)
-            final = float(np.sqrt(dist2[:, -1].mean()))
-            out.report.append(
-                f"{run_id}: final RMS deviation {final:.6g} vs lower bound {floor:.6g}"
-                f" {'PASS' if final >= floor else 'FAIL'}"
-            )
+        # validate_config holds probe-exact to alpha < 1/2, where the floor holds
+        floor = probe_strong_error_floor(m, sched.gamma, sched.alpha, cfg.horizon)
+        final = float(np.sqrt(dist2[:, -1].mean()))
+        out.report.append(
+            f"{run_id}: final RMS deviation {final:.6g} vs lower bound {floor:.6g}"
+            f" {'PASS' if final >= floor else 'FAIL'}"
+        )
 
 
 def _experiment_couple_demo(cfg: ExperimentConfig, out: Outcome) -> None:
@@ -565,7 +531,7 @@ def _experiment_couple_demo(cfg: ExperimentConfig, out: Outcome) -> None:
     s_est = strong_error(bank)
     w_est = weak_error(bank, lambda x: np.sum(np.square(x), axis=-1))
     out.report.append(f"{run_id}: coupling kind {kind}")
-    if kind == "independent":
+    if kind == INDEPENDENT:
         out.report.append(
             f"{run_id}: independent coupling is not W2-optimal;"
             " distances are diagnostic only"

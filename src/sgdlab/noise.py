@@ -251,23 +251,20 @@ def batch_oracle(
 def least_squares_batch_oracle(obj: LeastSquaresObjective, m: int) -> GradientOracle:
     """Resample the rows of a least-squares objective in batches of m.
 
-    Data points are packed as rows (a_i, b_i); the per-sample gradient is
-    the residual times the feature vector.  Covariance and eta come from
-    the empirical data in closed form.
+    A data point is a row index i; its per-sample gradient is the residual
+    of row (a_i, b_i) times the feature vector a_i.  Covariance and eta come
+    from the empirical data in closed form.
     """
     if not isinstance(obj, LeastSquaresObjective):
         raise TypeError("need an objective carrying its data rows")
     a, b = obj.data_a, obj.data_b
-    dim = a.shape[1]
-    rows = np.hstack([a, b[:, None]])
 
-    def per_sample_gradient(x, y):
-        feats = y[..., :dim]
-        targets = y[..., dim]
-        resid = np.sum(x * feats, axis=-1) - targets
+    def per_sample_gradient(x, i):
+        feats = a[i]
+        resid = np.sum(x * feats, axis=-1) - b[i]
         return resid[..., None] * feats
 
-    grads_at = lambda x: per_sample_gradient(np.asarray(x, dtype=float)[..., None, :], rows)
+    grads_at = lambda x: per_sample_gradient(np.asarray(x, dtype=float)[..., None, :], np.arange(len(b)))
 
     def sigma_f(x):
         g = grads_at(x)
@@ -276,7 +273,7 @@ def least_squares_batch_oracle(obj: LeastSquaresObjective, m: int) -> GradientOr
         return np.einsum("...ni,...nj->...ij", c, c) / a.shape[0]
 
     def draw_rows(prefix, rng):
-        return rows[rng.integers(0, len(rows), size=prefix)]
+        return rng.integers(0, len(b), size=prefix)
 
     g_star = grads_at(obj.x_star)
     eta = float(np.mean(np.sum(g_star * g_star, axis=-1)))

@@ -35,8 +35,12 @@ import numpy as np
 import pytest
 
 from sgdlab import (
-    RateSetting,
+    Convex,
+    Lojasiewicz,
+    MixedDominance,
+    QuasarConvex,
     StepSchedule,
+    StronglyConvex,
     derive_stream,
     expected_rate,
     gaussian_oracle,
@@ -427,19 +431,17 @@ def test_criterion_9_property_suites(tmp_path):
 
     # exponent table spot values, exact
     spots = [
-        (RateSetting("strongly_convex", 0.3, "dist2"), 0.3),
-        (RateSetting("strongly_convex", 1.0, "dist2"), 1.0),
-        (RateSetting("convex", 0.3), 0.3),
-        (RateSetting("convex", 0.7), 1.0 - 0.7),
-        (RateSetting("lojasiewicz", 0.6, r=2.0), 0.6),
-        (RateSetting("lojasiewicz", 0.6, r=1.0), 0.3),
-        (RateSetting("quasar_convex", 0.5), 0.25),
-        (RateSetting("mixed_dominance", 0.5, r1=1.0), 0.25),
-        (RateSetting("quasar_convex_linear_growth", 0.4), 0.2),
+        (StronglyConvex(1.0), 0.3, 0.3),
+        (StronglyConvex(1.0), 1.0, 1.0),
+        (Convex(), 0.3, 0.3),
+        (Convex(), 0.7, 1.0 - 0.7),
+        (Lojasiewicz(2.0, 1.0), 0.6, 0.6),
+        (Lojasiewicz(1.0, 1.0), 0.6, 0.3),
+        (QuasarConvex(1.0), 0.5, 0.25),
+        (MixedDominance(1.0, 1.0, 1.0), 0.5, 0.25),
     ]
-    table_ok = all(expected_rate(s) == v for s, v in spots)
-    table_ok = table_ok and expected_rate(RateSetting("convex", 0.5, "dist2")) is None
-    table_ok = table_ok and expected_rate(RateSetting("quasar_convex", 1.0 / 3.0)) is None
+    table_ok = all(expected_rate(tag, a) == v for tag, a, v in spots)
+    table_ok = table_ok and expected_rate(QuasarConvex(1.0), 1.0 / 3.0) is None
     parts["rate_table"] = table_ok
 
     ok = all(parts.values())

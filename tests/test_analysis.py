@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgdlab.objectives
 from sgdlab.analysis import (
-    RateSetting,
+    RATE_CLASSES,
     expected_rate,
     fit_rate,
     drift_sup_bound,
@@ -12,6 +13,7 @@ from sgdlab.analysis import (
     probe_exact_second_moment,
     probe_strong_error_floor,
 )
+from sgdlab.objectives import Convex, Lojasiewicz, MixedDominance, QuasarConvex, StronglyConvex
 
 
 # ---------------------------------------------------------------- regression
@@ -87,78 +89,71 @@ def test_fit_rate_validation():
 
 # ---------------------------------------------------------------- exponent table
 
+def test_rate_classes_cover_every_class_tag_once():
+    """Every class tag type of sgdlab.objectives (each of its dataclasses but
+    the objectives, the grid and the certification report) has exactly one
+    row."""
+    others = (sgdlab.objectives.Objective, sgdlab.objectives.GridSpec, sgdlab.objectives.CertificationReport)
+    tag_types = {
+        value for value in vars(sgdlab.objectives).values()
+        if isinstance(value, type) and value.__module__ == "sgdlab.objectives"
+        and hasattr(value, "__dataclass_fields__") and not issubclass(value, others)
+    }
+    kinds = [kind for kind, _, _, _ in RATE_CLASSES]
+    assert len(kinds) == len(set(kinds))
+    assert set(kinds) == tag_types == {StronglyConvex, Convex, Lojasiewicz, MixedDominance, QuasarConvex}
+
+
 def test_expected_rate_strongly_convex_is_alpha():
     for a in (0.3, 0.5, 0.7, 1.0):
-        s = RateSetting("strongly_convex", a, "dist2")
-        assert expected_rate(s) == a
+        assert expected_rate(StronglyConvex(1.0), a) == a
 
 
 def test_expected_rate_convex():
-    assert expected_rate(RateSetting("convex", 0.3)) == pytest.approx(0.3)
-    assert expected_rate(RateSetting("convex", 0.7)) == pytest.approx(0.3)
-    assert expected_rate(RateSetting("convex", 0.5)) == pytest.approx(0.5)
-    # no polynomial guarantee for the distance under convexity alone
-    assert expected_rate(RateSetting("convex", 0.5, "dist2")) is None
+    assert expected_rate(Convex(), 0.3) == pytest.approx(0.3)
+    assert expected_rate(Convex(), 0.7) == pytest.approx(0.3)
+    assert expected_rate(Convex(), 0.5) == pytest.approx(0.5)
 
 
 def test_expected_rate_lojasiewicz():
     # exponent r = 2 recovers the strongly convex rate
-    assert expected_rate(RateSetting("lojasiewicz", 0.6, r=2.0)) == 0.6
+    assert expected_rate(Lojasiewicz(2.0, 1.0), 0.6) == 0.6
     # r = 1: min(1 - a, a / 2)
-    assert expected_rate(RateSetting("lojasiewicz", 0.6, r=1.0)) == pytest.approx(0.3)
-    assert expected_rate(RateSetting("lojasiewicz", 0.9, r=1.0)) == pytest.approx(0.1)
+    assert expected_rate(Lojasiewicz(1.0, 1.0), 0.6) == pytest.approx(0.3)
+    assert expected_rate(Lojasiewicz(1.0, 1.0), 0.9) == pytest.approx(0.1)
     # r = 1.5: min(3 (1 - a), 0.75 a)
-    assert expected_rate(RateSetting("lojasiewicz", 0.5, r=1.5)) == pytest.approx(0.375)
+    assert expected_rate(Lojasiewicz(1.5, 1.0), 0.5) == pytest.approx(0.375)
     with pytest.raises(ValueError, match="needs r"):
-        expected_rate(RateSetting("lojasiewicz", 0.5))
+        expected_rate(Lojasiewicz(0.0, 1.0), 0.5)
     with pytest.raises(ValueError, match="needs r"):
-        expected_rate(RateSetting("lojasiewicz", 0.5, r=2.5))
+        expected_rate(Lojasiewicz(2.5, 1.0), 0.5)
 
 
 def test_expected_rate_mixed_dominance():
-    # r1 = 1, no growth: min(1 - a, a / 2)
-    assert expected_rate(
-        RateSetting("mixed_dominance", 0.5, r1=1.0)
-    ) == pytest.approx(0.25)
-    # growth beta shifts both branches: min(0.5 - 0.1, 0.25 - 0.05)
-    assert expected_rate(
-        RateSetting("mixed_dominance", 0.5, r1=1.0, beta_growth=0.1)
-    ) == pytest.approx(0.2)
-    # beta large enough kills the guarantee
-    assert expected_rate(
-        RateSetting("mixed_dominance", 0.2, r1=1.0, beta_growth=0.2)
-    ) is None
+    # r1 = 1: min(1 - a, a / 2)
+    assert expected_rate(MixedDominance(1.0, 1.0, 1.0), 0.5) == pytest.approx(0.25)
     with pytest.raises(ValueError, match="needs r1"):
-        expected_rate(RateSetting("mixed_dominance", 0.5))
+        expected_rate(MixedDominance(0.0, 1.0, 1.0), 0.5)
     with pytest.raises(ValueError, match="needs r1"):
-        expected_rate(RateSetting("mixed_dominance", 0.5, r1=2.0))
+        expected_rate(MixedDominance(2.0, 1.0, 1.0), 0.5)
 
 
 def test_expected_rate_quasar_convex():
     # min((3a - 1)/2, a/2, 1 - a)
-    assert expected_rate(RateSetting("quasar_convex", 0.5)) == pytest.approx(0.25)
-    assert expected_rate(RateSetting("quasar_convex", 0.8)) == pytest.approx(0.2)
+    assert expected_rate(QuasarConvex(1.0), 0.5) == pytest.approx(0.25)
+    assert expected_rate(QuasarConvex(1.0), 0.8) == pytest.approx(0.2)
     # the first branch vanishes at a = 1/3
-    assert expected_rate(RateSetting("quasar_convex", 1.0 / 3.0)) is None
+    assert expected_rate(QuasarConvex(1.0), 1.0 / 3.0) is None
 
 
-def test_expected_rate_growth_variants():
-    # both share min(a/2, 1 - a)
-    for cls in ("quasar_convex_linear_growth", "mixed_dominance_quadratic_growth"):
-        assert expected_rate(RateSetting(cls, 0.4)) == pytest.approx(0.2)
-        assert expected_rate(RateSetting(cls, 0.9)) == pytest.approx(0.1)
-
-
-def test_rate_setting_validation():
-    with pytest.raises(ValueError, match="unknown function class"):
-        RateSetting("smooth", 0.5)
-    with pytest.raises(ValueError, match="unknown observable"):
-        RateSetting("convex", 0.5, "loss")
+def test_expected_rate_validation():
     with pytest.raises(ValueError, match="out of range"):
-        RateSetting("convex", 1.0)  # alpha = 1 only makes sense with strong convexity
+        expected_rate(Convex(), 1.0)  # alpha = 1 only makes sense with strong convexity
     with pytest.raises(ValueError, match="out of range"):
-        RateSetting("strongly_convex", 0.0)
-    RateSetting("strongly_convex", 1.0)  # boundary allowed here
+        expected_rate(StronglyConvex(1.0), 0.0)
+    expected_rate(StronglyConvex(1.0), 1.0)  # boundary allowed here
+    with pytest.raises(TypeError, match="class tag"):
+        expected_rate("convex", 0.5)
 
 
 # ---------------------------------------------------------------- bounded recursions

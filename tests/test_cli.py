@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -40,6 +41,7 @@ from sgdlab.cli import (
     validate_config,
 )
 from sgdlab.core import StepSchedule, log_spaced_indices
+from sgdlab.objectives import Convex, MixedDominance, make_phi_p
 from sgdlab.sgd import ReplicateRuns, run_sgd_sweep
 from test_acceptance import CONFIGS, GATE
 
@@ -454,6 +456,36 @@ def test_noiseless_run_skips_rate_fit(tmp_path, capsys):
     assert "super-polynomially" in stdout
     assert "not applicable" in stdout
     assert "PASS" not in stdout
+
+
+def test_rates_reports_the_mixed_dominance_row(tmp_path, capsys, monkeypatch):
+    """An objective tagged MixedDominance gets its row's verdict, right after
+    the convex one: phi_2 carries MixedDominance(1, 1, 1) on [-50, 50]."""
+    tags = (Convex(), MixedDominance(1.0, 1.0, 1.0))
+    keys, _ = _OBJECTIVES["phi_p"]
+    monkeypatch.setitem(_OBJECTIVES, "phi_p", (
+        keys, lambda seed, p: dataclasses.replace(make_phi_p(p), class_tags=tags)))
+    path = write_cfg(tmp_path, """
+        [experiment]
+        kind = rates
+        seed = 3
+        replicates = 64
+        horizon = 2000
+
+        [objective]
+        kind = phi_p
+        p = 2
+        x0 = 1.0
+
+        [schedule]
+        gamma = 0.5
+        alpha = 0.5
+    """)
+    assert main(["rates", "--config", path, "--out-dir", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0].split(" ")[1] for line in lines] == ["convex/f_gap", "mixed_dominance/f_gap"]
+    assert " vs expected 0.5000 " in lines[0]
+    assert " vs expected 0.2500 " in lines[1]
 
 
 def test_probe_exact_reports_z_scores(tmp_path, capsys):

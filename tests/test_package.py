@@ -13,6 +13,7 @@ DELETED = (
     "BrownianPath",
     "CoupledRun",
     "DataDistribution",
+    "RateSetting",
     "Trajectory",
     "confidence_interval",
     "empirical_data",
