@@ -413,7 +413,7 @@ def _experiment_approx(cfg: ExperimentConfig, out: Outcome, weak: bool) -> None:
         else:
             # The theoretical order is uniform over the trajectory, so the
             # sweep tracks the worst checkpoint, not just the endpoint.
-            per_ckpt = [strong_error(bank, checkpoint=int(c)) for c in bank.block_indices]
+            per_ckpt = [strong_error(bank, checkpoint=int(c)) for c in bank.discrete.sample_indices]
             est = max(per_ckpt, key=lambda e: e.value)
             label = "strong error (sup over checkpoints)"
         detail = f"{est.value:.6g} +- {est.ci_halfwidth:.2g} over {est.n} replicates"
@@ -508,7 +508,7 @@ def _experiment_probe_exact(cfg: ExperimentConfig, out: Outcome) -> None:
 
 def _experiment_couple_demo(cfg: ExperimentConfig, out: Outcome) -> None:
     obj, (oracle,) = cfg.obj, cfg.oracles
-    sched = cfg.schedules[0]
+    (sched,) = cfg.schedules
     run_id = _run_label(obj, oracle, sched)
 
     def bias_probe():
@@ -738,6 +738,8 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         else:
             fine.append(a)
     schedules = [StepSchedule(g, a) for a in fine for g in gammas if g > 0]
+    if kind == "couple-demo" and len(gammas) * len(alphas) > 1:
+        problems.append(f"[schedule]: couple-demo runs one schedule, not {len(gammas) * len(alphas)} (gamma x alpha)")
     for name, key in (("schedule", "gamma"), ("schedule", "alpha"), ("oracle", "m_values")):
         # an entry names its run ids (a float to six significant digits)
         labels = [v if key == "m_values" else f"{v:g}" for v in get(name, key, [])] if name in reads else []
@@ -758,7 +760,7 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     if kind == "batch-eps":
         rows = replicates * len(oracle_args.get("m_values", []))
     else:
-        rows = replicates * (1 if kind == "couple-demo" else len(schedules)) * 64 * exp.legs
+        rows = replicates * len(schedules) * 64 * exp.legs
     if rows > MAX_ROWS:
         problems.append(f"[experiment] replicates: {rows} raw.csv rows, more than {MAX_ROWS}")
     if exp.continuous and horizon > 0 and substeps >= 1:

@@ -1,9 +1,9 @@
 """Coupled discrete/continuous runs sharing one Brownian source.
 
-One Brownian path drives the diffusion; the same path's block increments,
-rescaled to standard normals, drive the discrete chain's noise through one
-of three couplings per block, which resolve_kind picks from the oracle's
-noise law (the first that applies):
+One Brownian path drives the diffusion (the substep of sde's banks); the
+same path's block increments, rescaled to standard normals, drive the
+discrete chain's noise through one of three couplings per block, which
+resolve_kind picks from the oracle's noise law (the first that applies):
 
 * gaussian_shared: the discrete step is oracle.apply(x, G) with G the
   rescaled block increment (exact for oracles whose raw innovation is a
@@ -32,7 +32,7 @@ from .analysis import Estimate
 from .core import RngStream, StepSchedule, derive_stream
 from .noise import GradientOracle
 from .objectives import Objective
-from .sde import _brownian_draw, path_length
+from .sde import _brownian_draw, _em_substep, _substep_grid, path_length
 from .sgd import (
     DivergenceError,
     ReplicateRuns,
@@ -60,16 +60,15 @@ class CoupledBank:
     """Vectorized bank of coupled replicates (arrays are replicate-major).
 
     discrete records at the block indices n, continuous at the matching
-    times n * gamma_alpha, and coupled_dist2[r, i] is the squared distance
-    between replicate r's two states at checkpoint i.  discrete.final_states
-    and continuous.final_states hold the two states after the last block.
+    times n * gamma_alpha (each leg's sample_indices), and coupled_dist2[r,
+    i] is the squared distance between replicate r's two states at
+    checkpoint i.  discrete.final_states and continuous.final_states hold
+    the two states after the last block.
     Only replicates whose two processes both stayed finite have rows; aborts
     holds the DivergenceError of each of the others, ordered by replicate id.
     beside holds the results of the tasks run beside the bank, in order.
     """
 
-    block_indices: np.ndarray
-    times: np.ndarray
     coupled_dist2: np.ndarray
     discrete: ReplicateRuns
     continuous: ReplicateRuns
@@ -115,15 +114,12 @@ def _coupled_block(
     """One block of a coupled bank, recorded into the block's rows of each
     leg's checkpoints and of gap_d2."""
     rows = _Rows([s.replicate_id for s in streams])
-    keys = [(s.master_seed, s.replicate_id) for s in streams]
-    brown_gens = [derive_stream(*key, "brownian").generator() for key in keys]
-    noise_gens = [derive_stream(*key, "noise").generator() for key in keys if kind == INDEPENDENT]
-    r = len(brown_gens)
-    d = obj.dim
-    ga = sched.gamma_alpha
-    h = ga / substeps
-    root_ga = np.sqrt(ga)
-    rates = sched.continuous_rate(np.arange(n_blocks * substeps) * h)
+    brown_gens = [derive_stream(s.master_seed, s.replicate_id, "brownian").generator() for s in streams]
+    noise_gens = [s.generator() for s in streams] if kind == INDEPENDENT else []
+    r, d = len(streams), obj.dim
+    h = sched.gamma_alpha / substeps
+    root_ga = np.sqrt(sched.gamma_alpha)
+    rates, substep = _em_substep(obj, oracle, sched, h, n_blocks * substeps)
     steps_disc = np.asarray(sched.step_size(np.arange(n_blocks)))
     x_star = obj.x_star
     brown = _brownian_draw(brown_gens, d, substeps, np.sqrt(h))
@@ -145,15 +141,13 @@ def _coupled_block(
             raw = independent(k0, nb)
         else:
             raw = db.reshape(r, nb, substeps, d).sum(axis=2) / root_ga
-        rate = rates[k0 * substeps : (k0 + nb) * substeps].tolist()
-        return db.transpose(1, 0, 2).copy(), rate, raw
+        return db.transpose(1, 0, 2).copy(), rates(k0 * substeps, nb * substeps), raw
 
     def step(k, noise, b):
         nonlocal x, y
         db, rate, raw = noise
         for j in range(b * substeps, (b + 1) * substeps):
-            drift = obj.gradient(y) * h
-            y = y - rate[j] * (drift + root_ga * oracle.apply_sqrt(y, db[j]))
+            y = substep(y, rate[j], db[j])
             rows.check(y, k + 1, continuous_detail, x_star)
         if kind == COMONOTONE_1D:
             u = np.clip(ndtr(raw[:, b]), U_FLOOR, 1.0 - 1e-16)
@@ -198,8 +192,7 @@ def run_coupled_replicates(
     their results are the bank's beside list, and an exception a task
     raises reaches the caller.
     """
-    if sched.alpha >= 1.0:
-        raise ValueError("coupling needs alpha < 1")
+    _substep_grid(obj, sched, x0, horizon, substeps_per_block)  # the diffusion bank's checks
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
     kind = resolve_kind(obj, oracle)
@@ -216,8 +209,6 @@ def run_coupled_replicates(
     parts, side = _map_blocks(n_replicates, work, beside)
     (coupled_dist2,), aborts = _survivors(parts, [gap_d2])
     return CoupledBank(
-        block_indices=plan,
-        times=plan * ga,
         coupled_dist2=coupled_dist2,
         discrete=_replicate_runs(discrete, parts, plan),
         continuous=_replicate_runs(continuous, parts, plan * ga),
@@ -234,9 +225,9 @@ def strong_error(runs: CoupledBank, checkpoint: int | None = None) -> Estimate:
     the square root a delta-method one (95%, two-sided).  Defaults to the
     last recorded checkpoint.
     """
-    idx = len(runs.block_indices) - 1
+    idx = len(runs.discrete.sample_indices) - 1
     if checkpoint is not None:
-        hits = np.nonzero(runs.block_indices == checkpoint)[0]
+        hits = np.nonzero(runs.discrete.sample_indices == checkpoint)[0]
         if len(hits) == 0:
             raise ValueError(f"checkpoint {checkpoint} was not recorded")
         idx = int(hits[0])

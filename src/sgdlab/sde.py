@@ -10,6 +10,8 @@ replicate draws from its own stream chunk by chunk, so no path is ever
 held (run_sde_em_replicates; em_bias_probe runs one replicate and the
 bridge refinement of its path, one after the other, in the calling
 process).  Each bank's final_states are the states at the last substep.
+Banks, both probe legs and a coupled bank's continuous leg all step
+through _em_substep, so the coupled diffusion is this one, bit for bit.
 """
 from __future__ import annotations
 
@@ -76,26 +78,36 @@ def _brownian_draw(gens: list, dim: int, per_step: int, scale: float):
     return draw
 
 
+def _em_substep(obj, oracle, sched, h, count):
+    """Euler-Maruyama at substep width h: substep(y, rate, db) is y one substep on, and
+    rates(start, m) lists substeps start to start + m's rates (one table of count)."""
+    root_ga, gradient, apply_sqrt = np.sqrt(sched.gamma_alpha), obj.gradient, oracle.apply_sqrt
+    table = sched.continuous_rate(np.arange(count) * h)
+    rates = lambda start, m: table[start : start + m].tolist()
+
+    def substep(y, rate, db):
+        return y - rate * (gradient(y) * h + root_ga * apply_sqrt(y, db))
+
+    return rates, substep
+
+
 def _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw, ckpt):
     """Euler-Maruyama rows of one block, recorded into ckpt (the block's
     rows); draw(start, m) gives their (m, rows, dim) increments, so that
-    each substep reads a contiguous (rows, dim) slice.  A chunk's rates are
-    read from a list."""
-    root_ga = np.sqrt(sched.gamma_alpha)
-    rates = sched.continuous_rate(np.arange(count) * h)
+    each substep reads a contiguous (rows, dim) slice."""
+    rates, substep = _em_substep(obj, oracle, sched, h, count)
     rows = _Rows(ids)
     y = np.broadcast_to(np.asarray(x0, dtype=float), (len(rows.ids), obj.dim)).copy()
     detail = _norm_detail("Y")
-    gradient, apply_sqrt, check, x_star = obj.gradient, oracle.apply_sqrt, rows.check, obj.x_star
+    check, x_star = rows.check, obj.x_star
 
     def chunk(start, m):
-        return draw(start, m), rates[start : start + m].tolist()
+        return draw(start, m), rates(start, m)
 
     def step(j, noise, i):
         nonlocal y
         db, rate = noise
-        drift = gradient(y) * h
-        y = y - rate[i] * (drift + root_ga * apply_sqrt(y, db[i]))
+        y = substep(y, rate[i], db[i])
         check(y, j + 1, detail, x_star)
 
     rows.run(count, plan, chunk, step, lambda p: ckpt.record(p, y))
@@ -151,40 +163,40 @@ def em_bias_probe(
     """Integrator self-consistency: |Y_T at K substeps - Y_T at 2K| on one
     Brownian path.
 
-    The coarse leg is replicate 0 of the diffusion bank of master_seed.
-    The fine leg bridges each of its increments into two halves of width
-    h/2: the first is increment/2 plus an independent Normal(0, h/4) draw
-    from replicate 1's brownian stream, and the second is the remainder, so
-    each pair sums back to the coarse increment to machine precision (the
-    subtraction rounds once).  The difference thus isolates discretization
-    error from Brownian randomness.  Both legs read their streams chunk by
-    chunk (a chunk of sgd.CHUNK fine substeps, an even count, holds whole
-    pairs), so neither holds its whole path, and both stop at the first
-    coarse grid time at or past the horizon.  The coarse leg runs
-    first, so a leg's DivergenceError is raised here, the coarse leg's
-    first.  couple-demo runs the whole probe beside its coupled bank, as
-    one task of the bank's fork_map.
+    The coarse leg is replicate 0 of the diffusion bank of master_seed, run
+    through the bank's block kernel.  The fine leg bridges each of its
+    increments into two halves of width h/2: the first is increment/2 plus
+    an independent Normal(0, h/4) draw from replicate 1's brownian stream,
+    and the second is the remainder, so each pair sums back to the coarse
+    increment to machine precision (the subtraction rounds once).  The
+    difference thus isolates discretization error from Brownian randomness.
+    Both legs read their streams chunk by chunk (a chunk of sgd.CHUNK fine
+    substeps, an even count, holds whole pairs), so neither holds its whole
+    path, and both stop at the first coarse grid time at or past the
+    horizon.  The coarse leg runs first, and a leg's DivergenceError is
+    raised here.  couple-demo runs the whole probe beside its coupled bank,
+    as one task of the bank's fork_map.
     """
     h, count = _substep_grid(obj, sched, x0, horizon, substeps_per_block)
-    end = count * h
-    coarse = run_sde_em_replicates(
-        obj, oracle, sched, x0, end, substeps_per_block, 1, master_seed, plan_times=[end]
-    )
-    if coarse.aborts:
-        raise coarse.aborts[0]
-    inc, xi = (
+    # the coarse leg and the bridge each read replicate 0's stream from its start
+    coarse, inc, xi = (
         _brownian_draw([derive_stream(master_seed, i, "brownian").generator()], obj.dim, 1, scale)
-        for i, scale in ((0, np.sqrt(h)), (1, np.sqrt(h) / 2.0))
+        for i, scale in ((0, np.sqrt(h)), (0, np.sqrt(h)), (1, np.sqrt(h) / 2.0))
     )
 
-    def draw(start, m):
+    def fine(start, m):
         a = inc(start, m // 2)[0]
         first = 0.5 * a + xi(start, m // 2)[0]
         return np.stack([first, a - first], axis=1).reshape(m, 1, obj.dim)
 
-    fine = _Checkpoints.bank(obj, 1, 0)
-    h_fine = sched.gamma_alpha / (2 * substeps_per_block)
-    rows = _em_block(obj, oracle, sched, x0, 2 * count, h_fine, np.zeros(0, int), [0], draw, fine)
-    if rows.aborted:
-        raise rows.aborted[0]
-    return float(np.linalg.norm(coarse.final_states[0] - fine.final[0]))
+    def final_state(count, h, draw):
+        """The leg's state after count substeps of width h, or its DivergenceError raised."""
+        ckpt = _Checkpoints.bank(obj, 1, 0)
+        rows = _em_block(obj, oracle, sched, x0, count, h, np.zeros(0, int), [0], draw, ckpt)
+        if rows.aborted:
+            raise rows.aborted[0]
+        return ckpt.final[0]
+
+    y_coarse = final_state(count, h, lambda start, m: coarse(start, m).reshape(m, 1, obj.dim))
+    y_fine = final_state(2 * count, sched.gamma_alpha / (2 * substeps_per_block), fine)
+    return float(np.linalg.norm(y_coarse - y_fine))

@@ -247,11 +247,12 @@ def test_validate_lists_repeated_sweep_entries_in_one_pass(tmp_path):
 
 def test_validate_row_bound_counts_the_banks_a_run_makes(tmp_path):
     """MAX_ROWS = 10^7 raw rows fits 78125 coupled replicates (64
-    checkpoints, two legs); couple-demo runs its first schedule only."""
+    checkpoints, two legs); couple-demo runs one schedule, and a grid of
+    more is a config error."""
     text = COUPLE_CFG.replace("replicates = 20", "replicates = 78125")
     assert validate_config(write_cfg(tmp_path, text)).replicates == 78125
-    cfg = validate_config(write_cfg(tmp_path, text.replace("gamma = 0.5", "gamma = 0.5, 0.25")))
-    assert len(cfg.schedules) == 2
+    with pytest.raises(ConfigError, match=r"couple-demo runs one schedule, not 2 \(gamma x alpha\)"):
+        validate_config(write_cfg(tmp_path, text.replace("gamma = 0.5", "gamma = 0.5, 0.25")))
     with pytest.raises(ConfigError, match="10000128 raw.csv rows"):
         validate_config(write_cfg(tmp_path, text.replace("78125", "78126")))
 

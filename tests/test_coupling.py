@@ -18,8 +18,8 @@ from sgdlab.coupling import (
     w2_1d,
     weak_error,
 )
-from sgdlab.noise import gaussian_oracle, heavy_oracle, probe_batch_oracle
-from sgdlab.objectives import make_linear_probe, make_quadratic
+from sgdlab.noise import gaussian_oracle, heavy_oracle, least_squares_batch_oracle, probe_batch_oracle
+from sgdlab.objectives import make_least_squares, make_linear_probe, make_quadratic
 from sgdlab.sde import run_sde_em_replicates
 from sgdlab.sgd import DivergenceError, run_sgd_sweep
 
@@ -76,13 +76,23 @@ def test_shared_coupling_rescales_block_increments(monkeypatch):
     np.testing.assert_array_equal(states[3], manual)
 
 
-def test_coupled_continuous_leg_matches_plain_integrator():
+@pytest.mark.parametrize("setting", ["gaussian", "callable-sigma", "least-squares-batch"])
+def test_coupled_continuous_leg_matches_plain_integrator(monkeypatch, setting):
     """The diffusion inside the coupled runner must be the same process as
     a diffusion bank of the same seed, replicate by replicate, at every
-    checkpoint and at the end of every block up to the horizon."""
+    checkpoint and at the end of every block up to the horizon: for a
+    constant diffusion coefficient, and for two that vary with the state
+    (a diagonal scale growing with |y|, and the psd_sqrt of a least-squares
+    batch covariance)."""
     n_blocks = 20
-    obj = make_quadratic(dim=2, lam=1.0)
-    oracle = gaussian_oracle(obj, 1.0)
+    if setting == "least-squares-batch":
+        obj = make_least_squares(dim=2, n_data=20, stream=derive_stream(3, 0, "data"))
+        oracle = least_squares_batch_oracle(obj, 2)
+    else:
+        obj = make_quadratic(dim=2, lam=1.0)
+        oracle = (gaussian_oracle(obj, 1.0) if setting == "gaussian"
+                  else gaussian_oracle(obj, lambda x: 0.5 + np.abs(x), eta=8.0))
+    monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
     coupled = lambda k: run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(k), 16,
                                                3, 5).continuous
     plain = lambda k, **kw: run_sde_em_replicates(obj, oracle, SCHED, np.ones(2), _horizon(k), 16,
@@ -158,7 +168,7 @@ def test_independent_discrete_leg_is_plain_sgd(monkeypatch):
 def _coupled_bytes(bank):
     """Every field of a coupled bank but beside: arrays as bytes, aborts as
     their (replicate, step, detail)."""
-    arrays = [bank.block_indices, bank.times, bank.coupled_dist2]
+    arrays = [bank.coupled_dist2]
     for leg in (bank.discrete, bank.continuous):
         arrays += [leg.sample_indices, leg.values, leg.dist2_to_min, leg.grad_sq,
                    leg.final_states, leg.replicate_ids]
@@ -180,8 +190,7 @@ def test_coupled_bank_block_size_invariance(monkeypatch):
         bank = run_coupled_replicates(obj, oracle, SCHED, **kw)
         banks.append(_coupled_bytes(bank))
     assert bank.coupling_kind == GAUSSIAN_SHARED and bank.aborts == []
-    np.testing.assert_array_equal(bank.discrete.sample_indices, bank.block_indices)
-    np.testing.assert_array_equal(bank.continuous.sample_indices, bank.times)
+    np.testing.assert_array_equal(bank.continuous.sample_indices, bank.discrete.sample_indices * GA)
     assert banks[1] == banks[0] and banks[2] == banks[0]
 
 
@@ -198,7 +207,7 @@ def test_coupled_bank_chunk_size_invariance(monkeypatch, gaussian):
     for chunk in (sgd.CHUNK, 7):
         monkeypatch.setattr(sgd, "CHUNK", chunk)
         banks.append(bank(30))
-        ends = banks[-1].block_indices
+        ends = banks[-1].discrete.sample_indices
         states.append([states_at(lambda k: getattr(bank(k), leg).final_states, ends)
                        for leg in ("discrete", "continuous")])
     assert banks[1].coupling_kind == (GAUSSIAN_SHARED if gaussian else INDEPENDENT)
@@ -246,7 +255,7 @@ def test_coupled_replicate_rows_do_not_depend_on_bank_size(case):
         assert 0 < len(small.aborts) < 8
     first = big.discrete.replicate_ids < 8
     np.testing.assert_array_equal(big.continuous.replicate_ids < 8, first)
-    cut = [big.block_indices.tobytes(), big.times.tobytes(), big.coupled_dist2[first].tobytes()]
+    cut = [big.coupled_dist2[first].tobytes()]
     for leg in (big.discrete, big.continuous):
         cut += [leg.sample_indices.tobytes()]
         cut += [a[first].tobytes() for a in (leg.values, leg.dist2_to_min, leg.grad_sq,
@@ -318,7 +327,7 @@ def test_strong_error_is_root_mean_square(small_bank):
 
 
 def test_strong_error_checkpoint_selection(small_bank):
-    first = int(small_bank.block_indices[0])
+    first = int(small_bank.discrete.sample_indices[0])
     est = strong_error(small_bank, checkpoint=first)
     assert est.value == pytest.approx(
         np.sqrt(small_bank.coupled_dist2[:, 0].mean()), rel=1e-12)

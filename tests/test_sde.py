@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sgdlab import sde, sgd
 from sgdlab.core import StepSchedule, derive_stream
+from sgdlab.coupling import run_coupled_replicates
 from sgdlab.noise import gaussian_oracle
 from sgdlab.objectives import make_quadratic
 from sgdlab.sde import _brownian_draw, em_bias_probe, path_length, run_sde_em_replicates
@@ -171,13 +172,15 @@ def test_bank_validation():
 ])
 def test_bank_and_probe_reject_a_bad_grid(x0, horizon, k, match):
     """An empty or negative horizon, a substep count below one or an x0 of
-    the wrong shape is named before any substep is drawn, by a bank and by
-    the bias probe alike."""
+    the wrong shape is named before any substep is drawn, by a bank, by a
+    coupled bank and by the bias probe alike."""
     obj = make_quadratic(dim=2)
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.5, 0.5)
     with pytest.raises(ValueError, match=match):
         run_sde_em_replicates(obj, oracle, sched, x0, horizon, k, 2, 0)
+    with pytest.raises(ValueError, match=match):
+        run_coupled_replicates(obj, oracle, sched, x0, horizon, k, 2, 0)
     with pytest.raises(ValueError, match=match):
         em_bias_probe(obj, oracle, sched, x0, horizon, k, 0)
 
