@@ -50,7 +50,7 @@ from .objectives import (
     make_pl_sine,
     make_quadratic,
 )
-from .sde import em_bias_probe, path_length, run_sde_em_replicates
+from .sde import em_bias_probe, path_length
 from .sgd import (
     DivergenceError,
     ReplicateRuns,

@@ -17,7 +17,8 @@ from .objectives import Convex, Lojasiewicz, MixedDominance, QuasarConvex, Stron
 # One row per function class, in report order: its class tag type, its name
 # in reports, the observable its exponent is about, and whether the exponent
 # is sharp (the fitted decay should match it) or only a guarantee (decaying
-# faster is fine).
+# faster is fine).  The Lojasiewicz exponent is sharp at r = 2 only: the
+# rates experiment judges a tag with r < 2 as a guarantee.
 RATE_CLASSES = (
     (StronglyConvex, "strongly_convex", "dist2", True),
     (Convex, "convex", "f_gap", False),

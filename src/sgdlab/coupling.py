@@ -1,6 +1,6 @@
 """Coupled discrete/continuous runs sharing one Brownian source.
 
-One Brownian path drives the diffusion (the substep of sde's banks); the
+One Brownian path drives the diffusion (sde's Euler-Maruyama substep); the
 same path's block increments, rescaled to standard normals, drive the
 discrete chain's noise through one of three couplings per block, which
 resolve_kind picks from the oracle's noise law (the first that applies):
@@ -15,11 +15,13 @@ resolve_kind picks from the oracle's noise law (the first that applies):
   measured under it upper-bound nothing sharp and are flagged by the kind
   string.
 
-A bank of coupled replicates (run_coupled_replicates) is a CoupledBank;
-a replicate that diverges is listed in its aborts.  Each leg of a bank
-keeps its final states, after the last block.  A bank can run
-zero-argument tasks beside its blocks, in the same fork_map (couple-demo's
-integrator bias probe), and returns their results in its beside list.
+A bank of coupled replicates (run_coupled_replicates) is a CoupledBank,
+and its continuous leg is the package's one bank of the diffusion (of
+the noiseless flow, with a zero-noise oracle); a replicate that diverges
+is listed in its aborts.  Each leg of a bank keeps its final states,
+after the last block.  A bank can run zero-argument tasks beside its
+blocks, in the same fork_map (couple-demo's integrator bias probe), and
+returns their results in its beside list.
 strong_error and weak_error reduce a bank to error estimates.
 """
 from __future__ import annotations
@@ -119,7 +121,7 @@ def _coupled_block(
     r, d = len(streams), obj.dim
     h = sched.gamma_alpha / substeps
     root_ga = np.sqrt(sched.gamma_alpha)
-    rates, substep = _em_substep(obj, oracle, sched, h, n_blocks * substeps)
+    rates, substep = _em_substep(obj, oracle, sched, h)
     steps_disc = np.asarray(sched.step_size(np.arange(n_blocks)))
     x_star = obj.x_star
     brown = _brownian_draw(brown_gens, d, substeps, np.sqrt(h))
@@ -192,7 +194,7 @@ def run_coupled_replicates(
     their results are the bank's beside list, and an exception a task
     raises reaches the caller.
     """
-    _substep_grid(obj, sched, x0, horizon, substeps_per_block)  # the diffusion bank's checks
+    _substep_grid(obj, sched, x0, horizon, substeps_per_block)  # the diffusion's checks
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
     kind = resolve_kind(obj, oracle)

@@ -6,12 +6,13 @@ c = gamma_alpha and S(x) = oracle.sigma_sqrt(x), the square root of the
 oracle's noise covariance (a zero-noise oracle gives the deterministic
 time-changed gradient flow).  Integration is Euler-Maruyama with
 left-endpoint evaluation of both the rate and S, over increments each
-replicate draws from its own stream chunk by chunk, so no path is ever
-held (run_sde_em_replicates; em_bias_probe runs one replicate and the
-bridge refinement of its path, one after the other, in the calling
-process).  Each bank's final_states are the states at the last substep.
-Banks, both probe legs and a coupled bank's continuous leg all step
-through _em_substep, so the coupled diffusion is this one, bit for bit.
+replicate draws from its own stream chunk by chunk, with each chunk's
+rates computed for that chunk, so neither a path nor its rate table is
+ever held.  A bank of the diffusion is the continuous leg of a coupled
+bank (coupling.run_coupled_replicates), which steps through _em_substep;
+em_bias_probe runs one replicate and the bridge refinement of its path
+through the same substep, as two one-row legs (_em_leg), one after the
+other, in the calling process.
 """
 from __future__ import annotations
 
@@ -21,15 +22,7 @@ from .core import StepSchedule, derive_stream
 from .noise import GradientOracle
 from .objectives import Objective
 from . import sgd
-from .sgd import (
-    ReplicateRuns,
-    _Checkpoints,
-    _map_blocks,
-    _normalize_plan,
-    _replicate_runs,
-    _Rows,
-    _norm_detail,
-)
+from .sgd import _Rows, _norm_detail
 
 
 def path_length(horizon: float, h: float) -> int:
@@ -53,12 +46,6 @@ def _substep_grid(obj: Objective, sched: StepSchedule, x0, horizon: float,
     return h, path_length(horizon, h)
 
 
-def _plan_substeps(plan_times, count: int, h: float) -> np.ndarray:
-    """Plan times snapped to substep indices in [1, count] (default: log-spaced)."""
-    j = None if plan_times is None else np.rint(np.asarray(plan_times, dtype=float) / h)
-    return _normalize_plan(j, count, "plan times must fall in (0, horizon] on the substep grid")
-
-
 def _brownian_draw(gens: list, dim: int, per_step: int, scale: float):
     """draw(start, m) for the block kernel: the next m * per_step standard
     normal dim-vectors of each generator, times scale, as a (rows,
@@ -78,12 +65,11 @@ def _brownian_draw(gens: list, dim: int, per_step: int, scale: float):
     return draw
 
 
-def _em_substep(obj, oracle, sched, h, count):
+def _em_substep(obj, oracle, sched, h):
     """Euler-Maruyama at substep width h: substep(y, rate, db) is y one substep on, and
-    rates(start, m) lists substeps start to start + m's rates (one table of count)."""
+    rates(start, m) lists substeps start to start + m's rates, computed for that chunk only."""
     root_ga, gradient, apply_sqrt = np.sqrt(sched.gamma_alpha), obj.gradient, oracle.apply_sqrt
-    table = sched.continuous_rate(np.arange(count) * h)
-    rates = lambda start, m: table[start : start + m].tolist()
+    rates = lambda start, m: sched.continuous_rate((start + np.arange(m)) * h).tolist()
 
     def substep(y, rate, db):
         return y - rate * (gradient(y) * h + root_ga * apply_sqrt(y, db))
@@ -91,64 +77,26 @@ def _em_substep(obj, oracle, sched, h, count):
     return rates, substep
 
 
-def _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw, ckpt):
-    """Euler-Maruyama rows of one block, recorded into ckpt (the block's
-    rows); draw(start, m) gives their (m, rows, dim) increments, so that
-    each substep reads a contiguous (rows, dim) slice."""
-    rates, substep = _em_substep(obj, oracle, sched, h, count)
-    rows = _Rows(ids)
-    y = np.broadcast_to(np.asarray(x0, dtype=float), (len(rows.ids), obj.dim)).copy()
+def _em_leg(obj, oracle, sched, x0, count, h, draw):
+    """One row's state after count substeps of width h, or its
+    DivergenceError (replicate 0) raised; draw(start, m) gives the (m, 1,
+    dim) increments of substeps start to start + m."""
+    rates, substep = _em_substep(obj, oracle, sched, h)
+    rows = _Rows([0])
+    y = np.broadcast_to(np.asarray(x0, dtype=float), (1, obj.dim)).copy()
     detail = _norm_detail("Y")
-    check, x_star = rows.check, obj.x_star
-
-    def chunk(start, m):
-        return draw(start, m), rates(start, m)
 
     def step(j, noise, i):
         nonlocal y
         db, rate = noise
         y = substep(y, rate[i], db[i])
-        check(y, j + 1, detail, x_star)
+        rows.check(y, j + 1, detail, obj.x_star)
 
-    rows.run(count, plan, chunk, step, lambda p: ckpt.record(p, y))
-    ckpt.final[...] = y
-    return rows
-
-
-def run_sde_em_replicates(
-    obj: Objective,
-    oracle: GradientOracle,
-    sched: StepSchedule,
-    x0,
-    horizon: float,
-    substeps_per_block: int,
-    n_replicates: int,
-    master_seed: int,
-    plan_times=None,
-) -> ReplicateRuns:
-    """Bank of independent diffusion replicates with on-the-fly increments.
-
-    Paths are never materialized (long horizons would not fit in memory);
-    each replicate draws its increments from its own brownian stream in
-    fixed chunks, so the result does not depend on the block size.
-    """
-    h, count = _substep_grid(obj, sched, x0, horizon, substeps_per_block)
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be >= 1")
-    plan = _plan_substeps(plan_times, count, h)
-    root_h = np.sqrt(h)
-
-    streams = [derive_stream(master_seed, i, "brownian") for i in range(n_replicates)]
-    ckpts = _Checkpoints.bank(obj, n_replicates, len(plan))
-
-    def work(s):
-        brown = _brownian_draw([stream.generator() for stream in streams[s]], obj.dim, 1, root_h)
-        draw = lambda start, m: brown(start, m).transpose(1, 0, 2).copy()
-        ids = [stream.replicate_id for stream in streams[s]]
-        return _em_block(obj, oracle, sched, x0, count, h, plan, ids, draw, ckpts.rows(s))
-
-    blocks, _ = _map_blocks(n_replicates, work)
-    return _replicate_runs(ckpts, blocks, plan * h)
+    # an empty plan: the leg records nothing but its final state
+    rows.run(count, np.zeros(0, int), lambda start, m: (draw(start, m), rates(start, m)), step, None)
+    if rows.aborted:
+        raise rows.aborted[0]
+    return y[0]
 
 
 def em_bias_probe(
@@ -163,19 +111,20 @@ def em_bias_probe(
     """Integrator self-consistency: |Y_T at K substeps - Y_T at 2K| on one
     Brownian path.
 
-    The coarse leg is replicate 0 of the diffusion bank of master_seed, run
-    through the bank's block kernel.  The fine leg bridges each of its
-    increments into two halves of width h/2: the first is increment/2 plus
-    an independent Normal(0, h/4) draw from replicate 1's brownian stream,
-    and the second is the remainder, so each pair sums back to the coarse
-    increment to machine precision (the subtraction rounds once).  The
-    difference thus isolates discretization error from Brownian randomness.
-    Both legs read their streams chunk by chunk (a chunk of sgd.CHUNK fine
-    substeps, an even count, holds whole pairs), so neither holds its whole
-    path, and both stop at the first coarse grid time at or past the
-    horizon.  The coarse leg runs first, and a leg's DivergenceError is
-    raised here.  couple-demo runs the whole probe beside its coupled bank,
-    as one task of the bank's fork_map.
+    The coarse leg integrates replicate 0's brownian stream of master_seed
+    through the block kernel; when the horizon is a whole number of blocks
+    it is replicate 0 of the coupled bank's continuous leg.  The fine leg
+    bridges each of its increments into two halves of width h/2: the first
+    is increment/2 plus an independent Normal(0, h/4) draw from replicate
+    1's brownian stream, and the second is the remainder, so each pair sums
+    back to the coarse increment to machine precision (the subtraction
+    rounds once).  The difference thus isolates discretization error from
+    Brownian randomness.  Both legs read their streams chunk by chunk (a
+    chunk of sgd.CHUNK fine substeps, an even count, holds whole pairs), so
+    neither holds its whole path, and both stop at the first coarse grid
+    time at or past the horizon.  The coarse leg runs first, and a leg's
+    DivergenceError is raised here.  couple-demo runs the whole probe beside
+    its coupled bank, as one task of the bank's fork_map.
     """
     h, count = _substep_grid(obj, sched, x0, horizon, substeps_per_block)
     # the coarse leg and the bridge each read replicate 0's stream from its start
@@ -189,14 +138,7 @@ def em_bias_probe(
         first = 0.5 * a + xi(start, m // 2)[0]
         return np.stack([first, a - first], axis=1).reshape(m, 1, obj.dim)
 
-    def final_state(count, h, draw):
-        """The leg's state after count substeps of width h, or its DivergenceError raised."""
-        ckpt = _Checkpoints.bank(obj, 1, 0)
-        rows = _em_block(obj, oracle, sched, x0, count, h, np.zeros(0, int), [0], draw, ckpt)
-        if rows.aborted:
-            raise rows.aborted[0]
-        return ckpt.final[0]
-
-    y_coarse = final_state(count, h, lambda start, m: coarse(start, m).reshape(m, 1, obj.dim))
-    y_fine = final_state(2 * count, sched.gamma_alpha / (2 * substeps_per_block), fine)
+    leg = lambda count, h, draw: _em_leg(obj, oracle, sched, x0, count, h, draw)
+    y_coarse = leg(count, h, lambda start, m: coarse(start, m).reshape(m, 1, obj.dim))
+    y_fine = leg(2 * count, sched.gamma_alpha / (2 * substeps_per_block), fine)
     return float(np.linalg.norm(y_coarse - y_fine))

@@ -1,5 +1,7 @@
-"""Reference estimators that the tests check the library against."""
+"""Reference estimators and integrators that the tests check the library against."""
 import numpy as np
+
+from sgdlab import sgd
 
 
 def empirical_sigma(oracle, x, n_samples: int, stream) -> np.ndarray:
@@ -33,3 +35,18 @@ def states_at(final_states, ends) -> np.ndarray:
     final_states(k) runs k steps (or blocks) and returns the final states
     of its bank: the states a bank passes through at those checkpoints."""
     return np.stack([final_states(int(k)) for k in ends], axis=1)
+
+
+def _euler(obj, oracle, sched, x0, h, path):
+    """A plain one-row Euler-Maruyama loop over the increments path: the
+    final state, or the (replicate, step, detail) of the first substep
+    whose state is non-finite or past the divergence norm."""
+    rates = sched.continuous_rate(np.arange(len(path)) * h)
+    root_ga = np.sqrt(sched.gamma_alpha)
+    y = np.broadcast_to(np.asarray(x0, dtype=float), (1, obj.dim)).copy()
+    for j, (rate, db) in enumerate(zip(rates.tolist(), path)):
+        y = y - rate * (obj.gradient(y) * h + root_ga * oracle.apply_sqrt(y, db[None]))
+        sq = np.einsum("rd,rd->r", y, y)[0]
+        if not sq <= sgd.DIVERGENCE_NORM**2:
+            return 0, j + 1, sgd._norm_detail("Y")(sq)
+    return y[0]

@@ -41,7 +41,7 @@ from sgdlab.cli import (
     validate_config,
 )
 from sgdlab.core import StepSchedule, log_spaced_indices
-from sgdlab.objectives import Convex, MixedDominance, make_phi_p
+from sgdlab.objectives import Convex, Lojasiewicz, MixedDominance, make_phi_p
 from sgdlab.sgd import ReplicateRuns, run_sgd_sweep
 from test_acceptance import CONFIGS, GATE
 
@@ -459,10 +459,9 @@ def test_noiseless_run_skips_rate_fit(tmp_path, capsys):
     assert "PASS" not in stdout
 
 
-def test_rates_reports_the_mixed_dominance_row(tmp_path, capsys, monkeypatch):
-    """An objective tagged MixedDominance gets its row's verdict, right after
-    the convex one: phi_2 carries MixedDominance(1, 1, 1) on [-50, 50]."""
-    tags = (Convex(), MixedDominance(1.0, 1.0, 1.0))
+def _phi2_rates_tagged(tmp_path, capsys, monkeypatch, tags) -> list[str]:
+    """The report lines of a rates run on phi_2 re-tagged with tags (64
+    replicates, 2000 steps, alpha 0.5)."""
     keys, _ = _OBJECTIVES["phi_p"]
     monkeypatch.setitem(_OBJECTIVES, "phi_p", (
         keys, lambda seed, p: dataclasses.replace(make_phi_p(p), class_tags=tags)))
@@ -483,10 +482,26 @@ def test_rates_reports_the_mixed_dominance_row(tmp_path, capsys, monkeypatch):
         alpha = 0.5
     """)
     assert main(["rates", "--config", path, "--out-dir", str(tmp_path / "o")]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    return capsys.readouterr().out.splitlines()
+
+
+def test_rates_reports_the_mixed_dominance_row(tmp_path, capsys, monkeypatch):
+    """An objective tagged MixedDominance gets its row's verdict, right after
+    the convex one: phi_2 carries MixedDominance(1, 1, 1) on [-50, 50]."""
+    tags = (Convex(), MixedDominance(1.0, 1.0, 1.0))
+    lines = _phi2_rates_tagged(tmp_path, capsys, monkeypatch, tags)
     assert [line.split(": ")[0].split(" ")[1] for line in lines] == ["convex/f_gap", "mixed_dominance/f_gap"]
     assert " vs expected 0.5000 " in lines[0]
     assert " vs expected 0.2500 " in lines[1]
+
+
+def test_rates_judges_a_lojasiewicz_tag_below_r2_as_a_guarantee(tmp_path, capsys, monkeypatch):
+    """Only r = 2 makes the Lojasiewicz exponent sharp.  Tagged with r = 4/3,
+    phi_2 decays at about 0.55 against the exponent 1/3; that passes as a
+    guarantee the run exceeds."""
+    (line,) = _phi2_rates_tagged(tmp_path, capsys, monkeypatch, (Lojasiewicz(4.0 / 3.0, 1.0),))
+    assert " lojasiewicz/f_gap: fitted decay 0.5490 vs expected 0.3333 " in line
+    assert line.endswith(" PASS (exceeds guarantee)")
 
 
 def test_probe_exact_reports_z_scores(tmp_path, capsys):

@@ -20,10 +20,9 @@ from sgdlab.coupling import (
 )
 from sgdlab.noise import gaussian_oracle, heavy_oracle, least_squares_batch_oracle, probe_batch_oracle
 from sgdlab.objectives import make_least_squares, make_linear_probe, make_quadratic
-from sgdlab.sde import run_sde_em_replicates
 from sgdlab.sgd import DivergenceError, run_sgd_sweep
 
-from helpers import states_at
+from helpers import _euler, states_at
 
 SCHED = StepSchedule(0.5, 0.5)  # gamma_alpha = 0.25
 GA = SCHED.gamma_alpha
@@ -78,12 +77,12 @@ def test_shared_coupling_rescales_block_increments(monkeypatch):
 
 @pytest.mark.parametrize("setting", ["gaussian", "callable-sigma", "least-squares-batch"])
 def test_coupled_continuous_leg_matches_plain_integrator(monkeypatch, setting):
-    """The diffusion inside the coupled runner must be the same process as
-    a diffusion bank of the same seed, replicate by replicate, at every
-    checkpoint and at the end of every block up to the horizon: for a
-    constant diffusion coefficient, and for two that vary with the state
-    (a diagonal scale growing with |y|, and the psd_sqrt of a least-squares
-    batch covariance)."""
+    """The diffusion inside the coupled runner must be the plain
+    Euler-Maruyama loop over the same replicate's brownian increments, bit
+    for bit, at the end of every block up to the horizon and in the values
+    recorded at every checkpoint: for a constant diffusion coefficient, and
+    for two that vary with the state (a diagonal scale growing with |y|, and
+    the psd_sqrt of a least-squares batch covariance)."""
     n_blocks = 20
     if setting == "least-squares-batch":
         obj = make_least_squares(dim=2, n_data=20, stream=derive_stream(3, 0, "data"))
@@ -95,15 +94,17 @@ def test_coupled_continuous_leg_matches_plain_integrator(monkeypatch, setting):
     monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
     coupled = lambda k: run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(k), 16,
                                                3, 5).continuous
-    plain = lambda k, **kw: run_sde_em_replicates(obj, oracle, SCHED, np.ones(2), _horizon(k), 16,
-                                                  3, 5, **kw)
-    run = coupled(n_blocks)
-    bank = plain(n_blocks, plan_times=run.sample_indices)
-    np.testing.assert_array_equal(run.values, bank.values)
-    np.testing.assert_array_equal(run.replicate_ids, bank.replicate_ids)
+    h = GA / 16
+    paths = [np.sqrt(h) * derive_stream(5, rep, "brownian").generator().standard_normal(
+        (16 * n_blocks, 2)) for rep in range(3)]
     ends = range(1, n_blocks + 1)
-    np.testing.assert_array_equal(states_at(lambda k: coupled(k).final_states, ends),
-                                  states_at(lambda k: plain(k).final_states, ends))
+    plain = np.stack([[_euler(obj, oracle, SCHED, np.ones(2), h, path[: 16 * k]) for k in ends]
+                      for path in paths])
+    np.testing.assert_array_equal(states_at(lambda k: coupled(k).final_states, ends), plain)
+    run = coupled(n_blocks)
+    assert run.replicate_ids.tolist() == [0, 1, 2]
+    at = (run.sample_indices / GA).round().astype(int) - 1
+    np.testing.assert_array_equal(run.values, obj.value_and_gradient(plain[:, at])[0])
 
 
 def test_comonotone_first_step_is_quantile_of_gaussian_cdf():

@@ -31,7 +31,6 @@ DELETED = (
 )
 RUNNERS = (
     "run_coupled_replicates",
-    "run_sde_em_replicates",
     "run_sgd_sweep",
     "em_bias_probe",
 )

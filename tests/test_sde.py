@@ -11,12 +11,14 @@ from sgdlab.core import StepSchedule, derive_stream
 from sgdlab.coupling import run_coupled_replicates
 from sgdlab.noise import gaussian_oracle
 from sgdlab.objectives import make_quadratic
-from sgdlab.sde import _brownian_draw, em_bias_probe, path_length, run_sde_em_replicates
+from sgdlab.sde import _brownian_draw, em_bias_probe, path_length
+
+from helpers import _euler
 
 
-def _one(obj, oracle, sched, x0, horizon, k, seed=3, **kw):
-    """A bank of one diffusion replicate."""
-    return run_sde_em_replicates(obj, oracle, sched, x0, horizon, k, 1, seed, **kw)
+def _continuous(obj, oracle, sched, x0, horizon, k, n_replicates=1, seed=3):
+    """The continuous leg of a coupled bank: the package's diffusion bank."""
+    return run_coupled_replicates(obj, oracle, sched, x0, horizon, k, n_replicates, seed).continuous
 
 
 # ---------------------------------------------------------------- paths
@@ -38,7 +40,7 @@ def test_path_length_inverts_grid_size(n, h):
     assert path_length(n * h, h) == n
 
 
-# ---------------------------------------------------------------- single runs
+# ---------------------------------------------------------------- the coupled bank's continuous leg
 
 def test_zero_noise_em_tracks_exact_solution():
     """Without diffusion, the scheme integrates dy/dt = -(c+t)^(-alpha)
@@ -54,75 +56,21 @@ def test_zero_noise_em_tracks_exact_solution():
     exact = x0 * np.exp(-lam * integral)
     errs = {}
     for k in (256, 512):
-        traj = _one(obj, gaussian_oracle(obj, 0.0), sched, x0, horizon, k, plan_times=[horizon])
+        traj = _continuous(obj, gaussian_oracle(obj, 0.0), sched, x0, horizon, k)
         errs[k] = np.linalg.norm(traj.final_states[0] - exact)
     assert errs[256] / np.linalg.norm(exact) < 5e-3
     assert errs[256] / errs[512] == pytest.approx(2.0, rel=0.1)
 
 
-def test_plan_times_snap_to_substep_grid():
-    obj = make_quadratic(dim=1)
-    sched = StepSchedule(0.5, 0.5)  # gamma_alpha = 0.25
-    k = 5  # h = 0.05
-    traj = _one(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 1.0, k,
-                plan_times=[0.5, 0.98, 1.0])
-    # 0.98/0.05 = 19.6 rounds to the same substep as 1.0; duplicates collapse
-    np.testing.assert_allclose(traj.sample_indices, [0.5, 1.0], rtol=1e-12)
-
-
 def test_default_plan_ends_at_horizon():
     obj = make_quadratic(dim=1)
     sched = StepSchedule(0.5, 0.5)
-    traj = _one(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 2.0, 16)
+    traj = _continuous(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 2.0, 16)
     assert traj.sample_indices[-1] == pytest.approx(2.0, rel=1e-9)
     assert np.all(np.diff(traj.sample_indices) > 0)
 
 
-def test_sde_divergence_reports_location():
-    """A stiff drift with a coarse substep overshoots immediately."""
-    obj = make_quadratic(dim=1, lam=1e6)
-    sched = StepSchedule(0.5, 0.5)
-    bank = _one(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 2.0, 1)
-    (err,) = bank.aborts
-    assert len(bank.replicate_ids) == 0 and err.replicate_id == 0
-    assert err.step >= 1
-    assert "|Y|" in str(err) or "non-finite" in str(err)
-
-
 # ---------------------------------------------------------------- banks
-
-def test_bank_block_size_invariance(monkeypatch):
-    obj = make_quadratic(dim=2)
-    oracle = gaussian_oracle(obj, 0.7)
-    sched = StepSchedule(0.5, 0.5)
-    kwargs = dict(x0=np.ones(2), horizon=0.5, substeps_per_block=4,
-                  n_replicates=300, master_seed=11)
-    banks = []
-    for block in (sgd.REPLICATE_BLOCK, 7):
-        monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
-        banks.append(run_sde_em_replicates(obj, oracle, sched, **kwargs))
-    np.testing.assert_array_equal(banks[0].values, banks[1].values)
-    np.testing.assert_array_equal(banks[0].dist2_to_min, banks[1].dist2_to_min)
-    np.testing.assert_array_equal(banks[0].grad_sq, banks[1].grad_sq)
-
-
-def test_bank_worker_count_invariance(monkeypatch):
-    obj = make_quadratic(dim=2)
-    oracle = gaussian_oracle(obj, 0.7)
-    sched = StepSchedule(0.5, 0.5)
-    kwargs = dict(x0=np.ones(2), horizon=0.5, substeps_per_block=4,
-                  n_replicates=300, master_seed=11)
-    banks = []
-    for workers in (1, 2, 3):
-        for block in (sgd.REPLICATE_BLOCK, 7):
-            monkeypatch.setattr(sgd, "WORKERS", workers)
-            monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
-            banks.append(run_sde_em_replicates(obj, oracle, sched, **kwargs))
-    for bank in banks[1:]:
-        for name in ("values", "dist2_to_min", "grad_sq", "replicate_ids"):
-            np.testing.assert_array_equal(getattr(bank, name), getattr(banks[0], name))
-        assert bank.aborts == banks[0].aborts == []
-
 
 @pytest.mark.parametrize("chunk", [256, 7, 1024])
 @pytest.mark.parametrize("k", [1, 3, 32])
@@ -149,19 +97,6 @@ def test_buffered_draw_equals_the_stacked_draw(monkeypatch, chunk, k, d):
             assert steps_major[j].tobytes() == stacked[:, j].tobytes()
 
 
-def test_bank_validation():
-    obj = make_quadratic(dim=1)
-    none = gaussian_oracle(obj, 0.0)
-    with pytest.raises(ValueError, match="alpha < 1"):
-        run_sde_em_replicates(obj, none, StepSchedule(1.0, 1.0), np.ones(1),
-                              1.0, 4, n_replicates=2, master_seed=0)
-    with pytest.raises(ValueError, match="n_replicates"):
-        run_sde_em_replicates(obj, none, StepSchedule(0.5, 0.5), np.ones(1),
-                              1.0, 4, n_replicates=0, master_seed=0)
-    with pytest.raises(ValueError, match="plan times"):
-        _one(obj, none, StepSchedule(0.5, 0.5), np.ones(1), 1.0, 4, plan_times=[5.0])
-
-
 @pytest.mark.parametrize("x0,horizon,k,match", [
     (np.ones(2), 0.0, 4, "horizon must be > 0"),
     (np.ones(2), -1.0, 4, "horizon must be > 0"),
@@ -172,13 +107,11 @@ def test_bank_validation():
 ])
 def test_bank_and_probe_reject_a_bad_grid(x0, horizon, k, match):
     """An empty or negative horizon, a substep count below one or an x0 of
-    the wrong shape is named before any substep is drawn, by a bank, by a
-    coupled bank and by the bias probe alike."""
+    the wrong shape is named before any substep is drawn, by a coupled bank
+    and by the bias probe alike."""
     obj = make_quadratic(dim=2)
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.5, 0.5)
-    with pytest.raises(ValueError, match=match):
-        run_sde_em_replicates(obj, oracle, sched, x0, horizon, k, 2, 0)
     with pytest.raises(ValueError, match=match):
         run_coupled_replicates(obj, oracle, sched, x0, horizon, k, 2, 0)
     with pytest.raises(ValueError, match=match):
@@ -186,8 +119,9 @@ def test_bank_and_probe_reject_a_bad_grid(x0, horizon, k, match):
 
 
 def test_bank_matches_solo_runs():
-    """Replicate r of a bank equals, bit for bit, a plain one-row loop over
-    the increments of replicate r's brownian stream drawn in one shot."""
+    """Replicate r of the continuous leg of a coupled bank equals, bit for
+    bit, a plain one-row loop over the increments of replicate r's brownian
+    stream drawn in one shot."""
     obj = make_quadratic(dim=3, lam=1.0)
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.5, 0.5)
@@ -195,7 +129,7 @@ def test_bank_matches_solo_runs():
     h = sched.gamma_alpha / k
     n = path_length(1.0, h)
     x0 = np.full(3, 2.0)
-    bank = run_sde_em_replicates(obj, oracle, sched, x0, 1.0, k, 5, seed)
+    bank = _continuous(obj, oracle, sched, x0, 1.0, k, 5, seed)
     assert bank.replicate_ids.tolist() == list(range(5))
     for rid in range(5):
         gen = derive_stream(seed, rid, "brownian").generator()
@@ -204,21 +138,6 @@ def test_bank_matches_solo_runs():
 
 
 # ---------------------------------------------------------------- bias probe
-
-def _euler(obj, oracle, sched, x0, h, path):
-    """A plain one-row Euler-Maruyama loop over the increments path: the
-    final state, or the (replicate, step, detail) of the first substep
-    whose state is non-finite or past the divergence norm."""
-    rates = sched.continuous_rate(np.arange(len(path)) * h)
-    root_ga = np.sqrt(sched.gamma_alpha)
-    y = np.broadcast_to(np.asarray(x0, dtype=float), (1, obj.dim)).copy()
-    for j, (rate, db) in enumerate(zip(rates.tolist(), path)):
-        y = y - rate * (obj.gradient(y) * h + root_ga * oracle.apply_sqrt(y, db[None]))
-        sq = np.einsum("rd,rd->r", y, y)[0]
-        if not sq <= sgd.DIVERGENCE_NORM**2:
-            return 0, j + 1, sgd._norm_detail("Y")(sq)
-    return y[0]
-
 
 def _reference_legs(obj, oracle, sched, x0, horizon, k, seed):
     """The probe's two legs the plain way: the coarse increments of
@@ -261,17 +180,17 @@ def test_em_bias_probe_bridge_statistics(monkeypatch):
     the coarse increments have variance h and the fine ones h/2, and the
     two halves of a coarse step are uncorrelated."""
     calls = []
-    em_block = sde._em_block
+    em_leg = sde._em_leg
 
-    def spy(obj, oracle, sched, x0, count, h, plan, ids, draw, ckpt):
+    def spy(obj, oracle, sched, x0, count, h, draw):
         calls.append([])
         def kept(start, m):
             db = draw(start, m)
             calls[-1].append(db[:, 0].copy())
             return db
-        return em_block(obj, oracle, sched, x0, count, h, plan, ids, kept, ckpt)
+        return em_leg(obj, oracle, sched, x0, count, h, kept)
 
-    monkeypatch.setattr(sde, "_em_block", spy)
+    monkeypatch.setattr(sde, "_em_leg", spy)
     obj = make_quadratic(dim=1)
     sched = StepSchedule(0.5, 0.5)
     h = sched.gamma_alpha / 512
@@ -303,6 +222,26 @@ def test_em_bias_probe_holds_no_path():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_em_bias_probe_holds_no_rate_table():
+    """Each chunk's rates are computed for that chunk: at dim 1 over 65 536
+    coarse substeps (a rate table of 0.5 MiB, 1 MiB for the fine leg) the
+    probe's allocations peak under 0.1 MiB.  A short probe warms up imports
+    and caches first."""
+    obj = make_quadratic(dim=1)
+    oracle = gaussian_oracle(obj, 1.0)
+    sched = StepSchedule(0.5, 0.5)
+    assert path_length(1024.0, sched.gamma_alpha / 16) == 2**16
+    probe = lambda horizon: em_bias_probe(obj, oracle, sched, 1.0, horizon, 16, 5)
+    probe(1.0)
+    tracemalloc.start()
+    try:
+        assert np.isfinite(probe(1024.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
 
 
 def test_em_bias_probe_shrinks_with_substeps():
