@@ -97,6 +97,16 @@ def test_buffered_draw_equals_the_stacked_draw(monkeypatch, chunk, k, d):
             assert steps_major[j].tobytes() == stacked[:, j].tobytes()
 
 
+
+def test_increment_scale():
+    """A draw of scale sqrt(h) gives increments of variance h."""
+    h = 2.0**-8
+    draw = _brownian_draw([derive_stream(3, 0, "brownian").generator()], 1, 1, np.sqrt(h))
+    increments = np.concatenate([draw(start, sgd.CHUNK)[0, :, 0].copy()
+                                 for start in range(0, 2**14, sgd.CHUNK)])
+    assert increments.var() == pytest.approx(h, rel=0.05)
+
+
 @pytest.mark.parametrize("x0,horizon,k,match", [
     (np.ones(2), 0.0, 4, "horizon must be > 0"),
     (np.ones(2), -1.0, 4, "horizon must be > 0"),
@@ -135,6 +145,37 @@ def test_bank_matches_solo_runs():
         gen = derive_stream(seed, rid, "brownian").generator()
         solo = _euler(obj, oracle, sched, x0, h, np.sqrt(h) * gen.standard_normal((n, 3)))
         np.testing.assert_array_equal(solo, bank.final_states[rid])
+
+
+
+def test_bank_worker_count_invariance(monkeypatch):
+    """The continuous leg of a coupled bank is the same bytes for one, two
+    and three workers and for every block size: rows, ids and aborts."""
+    obj = make_quadratic(dim=2)
+    oracle = gaussian_oracle(obj, 0.7)
+    sched = StepSchedule(0.5, 0.5)
+    banks = []
+    for workers in (1, 2, 3):
+        for block in (sgd.REPLICATE_BLOCK, 7):
+            monkeypatch.setattr(sgd, "WORKERS", workers)
+            monkeypatch.setattr(sgd, "REPLICATE_BLOCK", block)
+            banks.append(run_coupled_replicates(obj, oracle, sched, np.ones(2), 0.5, 4, 300, 11))
+    for bank in banks[1:]:
+        for name in ("values", "dist2_to_min", "grad_sq", "replicate_ids", "final_states"):
+            np.testing.assert_array_equal(getattr(bank.continuous, name),
+                                          getattr(banks[0].continuous, name))
+        assert bank.aborts == banks[0].aborts == []
+
+
+def test_bank_validation():
+    """alpha >= 1 has no continuous process: the bank and the probe name it."""
+    obj = make_quadratic(dim=1)
+    none = gaussian_oracle(obj, 0.0)
+    sched = StepSchedule(1.0, 1.0)
+    with pytest.raises(ValueError, match="alpha < 1"):
+        run_coupled_replicates(obj, none, sched, np.ones(1), 1.0, 4, 2, 0)
+    with pytest.raises(ValueError, match="alpha < 1"):
+        em_bias_probe(obj, none, sched, np.ones(1), 1.0, 4, 0)
 
 
 # ---------------------------------------------------------------- bias probe
@@ -300,3 +341,13 @@ def test_em_bias_probe_legs_do_not_depend_on_workers(monkeypatch, seed, diverges
         assert got == expected
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def test_sde_divergence_reports_location():
+    """A stiff drift with a coarse substep overshoots immediately."""
+    obj = make_quadratic(dim=1, lam=1e6)
+    sched = StepSchedule(0.5, 0.5)
+    with pytest.raises(sgd.DivergenceError) as info:
+        em_bias_probe(obj, gaussian_oracle(obj, 0.0), sched, np.array([1.0]), 2.0, 1, 0)
+    assert info.value.step >= 1
+    assert "|Y|" in str(info.value) or "non-finite" in str(info.value)
