@@ -47,25 +47,21 @@ class RateEstimate:
     n_points: int
 
 
-def fit_rate(points, window_fraction: float = 0.5) -> RateEstimate:
+def fit_rate(points) -> RateEstimate:
     """OLS slope of log(value) against log(index) over the tail window.
 
     points is a sequence of (index, value) pairs with positive values,
-    assumed log-spaced in the index; the fit keeps the last
-    window_fraction of them (at least 5).  Decay shows up as a negative
-    slope.
+    assumed log-spaced in the index (a bank's sample_indices); the fit
+    keeps the last half of them (at least 5).  Decay shows up as a
+    negative slope.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (index, value) pairs")
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError("window_fraction must lie in (0, 1]")
     pts = pts[np.argsort(pts[:, 0])]
     if np.any(pts[:, 1] <= 0):
         raise ValueError("rate fits need strictly positive values")
-    k = len(pts)
-    start = int(np.floor(k * (1.0 - window_fraction)))
-    tail = pts[start:]
+    tail = pts[len(pts) // 2 :]
     if len(tail) < 5:
         raise ValueError(f"window holds {len(tail)} points, need at least 5")
     x = np.log(tail[:, 0])
@@ -139,20 +135,20 @@ def drift_sup_bound(
     a1: float,
     a2: float,
     check_grid: bool = True,
-    n_check: int = 100_000,
 ) -> float:
     """Uniform bound B for recursions u_{n+1} <= u_n + F(n, u_n).
 
     Requires F(n, x) < 0 for x >= a1 and F(n, x) <= a2 for x >= 0, both
     for n >= n0; then every trajectory started from the supplied initial
     values u_0..u_{n0+1} stays below B = max(max(u_init), a1) + a2.  The
-    hypotheses are spot-checked on a grid unless check_grid is False.
+    hypotheses are spot-checked on a grid (16 geometrically spaced n from
+    n0 to 100 000) unless check_grid is False.
     """
     u_init = np.asarray(u_init, dtype=float)
     if len(u_init) < n0 + 2:
         raise ValueError(f"need initial values up to index n0+1 = {n0 + 1}")
     if check_grid:
-        ns = sorted_distinct(np.geomspace(n0 + 1, max(n0 + 2, n_check), 16).astype(int)) - 1
+        ns = sorted_distinct(np.geomspace(n0 + 1, max(n0 + 2, 100_000), 16).astype(int)) - 1
         ns = ns[ns >= n0]
         span = max(3.0 * a1, a1 + 10.0)
         for n in ns:

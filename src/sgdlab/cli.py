@@ -38,7 +38,7 @@ from .analysis import (
     probe_exact_second_moment,
     probe_strong_error_floor,
 )
-from .core import StepSchedule, derive_stream, log_spaced_indices
+from .core import StepSchedule, derive_stream
 from .coupling import INDEPENDENT, CoupledBank, epsilon_hat, run_coupled_replicates, strong_error, weak_error
 from .noise import (
     GradientOracle,
@@ -179,9 +179,8 @@ class ExperimentConfig:
 
 @dataclass
 class Outcome:
-    """What a run writes.  raw holds raw.csv's rows, each ending in a
-    newline: an unnamed temp file in out_dir that each _emit_banks appends
-    to and run_experiment copies into raw.csv after the header."""
+    """What a run writes.  raw is raw.csv itself, open for writing after its
+    header: each _emit_banks appends its rows, each ending in a newline."""
 
     out_dir: Path
     raw: BinaryIO
@@ -340,11 +339,9 @@ def _tally(out: Outcome, cfg: ExperimentConfig, run_id: str, aborts: list) -> bo
 def _experiment_rates(cfg: ExperimentConfig, out: Outcome) -> None:
     obj, (oracle,) = cfg.obj, cfg.oracles
     tol = cfg.oracle_args["rate_tolerance"]
-    n_steps = int(cfg.horizon)
-    plan = log_spaced_indices(n_steps)
     observables = {"f_gap": "values", "dist2": "dist2_to_min"}
     banks = run_sgd_sweep(
-        obj, oracle, cfg.schedules, cfg.x0, n_steps, cfg.replicates, cfg.seed, plan=plan
+        obj, oracle, cfg.schedules, cfg.x0, int(cfg.horizon), cfg.replicates, cfg.seed
     )
     for sched in cfg.schedules:
         # taken off the list, so a bank and its shared arrays go once its
@@ -375,7 +372,7 @@ def _experiment_rates(cfg: ExperimentConfig, out: Outcome) -> None:
                 continue
             curve = getattr(bank, observables[observable]).mean(axis=0)
             try:
-                est = fit_rate(list(zip(plan.tolist(), curve.tolist())))
+                est = fit_rate(list(zip(bank.sample_indices.tolist(), curve.tolist())))
             except ValueError as err:
                 out.report.append(f"{label} rate fit not applicable ({err})")
                 continue
@@ -472,12 +469,10 @@ def _experiment_probe_exact(cfg: ExperimentConfig, out: Outcome) -> None:
     obj, (oracle,) = cfg.obj, cfg.oracles
     m = cfg.oracle_args["batch_m"]
     for sched in cfg.schedules:
-        n_steps = _probe_steps(cfg.horizon, sched)
-        plan = log_spaced_indices(n_steps)
         run_id = _run_label(obj, oracle, sched)
         bank = dist2 = None  # the last schedule's bank goes before this one runs
         (bank,) = run_sgd_sweep(
-            obj, oracle, [sched], cfg.x0, n_steps, cfg.replicates, cfg.seed, plan=plan
+            obj, oracle, [sched], cfg.x0, _probe_steps(cfg.horizon, sched), cfg.replicates, cfg.seed
         )
         if not _tally(out, cfg, run_id, bank.aborts):
             continue
@@ -485,13 +480,14 @@ def _experiment_probe_exact(cfg: ExperimentConfig, out: Outcome) -> None:
         dist2 = bank.dist2_to_min
         r = dist2.shape[0]
         worst = 0.0
-        for j, n in enumerate(plan):
+        checkpoints = bank.sample_indices
+        for j, n in enumerate(checkpoints):
             exact = probe_exact_second_moment(m, sched.gamma, sched.alpha, int(n))
             mean = float(dist2[:, j].mean())
             se = float(dist2[:, j].std(ddof=1)) / np.sqrt(r)
             z = abs(mean - exact) / se if se > 0 else 0.0
             worst = max(worst, z)
-            if j == len(plan) - 1:
+            if j == len(checkpoints) - 1:
                 out.report.append(
                     f"{run_id} n={int(n)}: mean dist2 {mean:.6g} vs exact {exact:.6g}"
                     f" ({z:.2f} standard errors) {'PASS' if z <= 3 else 'FAIL'}"
@@ -563,15 +559,11 @@ def _experiment_certify(cfg: ExperimentConfig, out: Outcome) -> None:
         out.report.append(f"{obj.name}: no class tags to certify")
 
 
-def _write_csv(path: Path, header: str, rows, rest=None) -> None:
+def _write_csv(path: Path, header: str, rows) -> None:
     """The header and each entry of rows (a row or a block of rows) on lines
-    of their own, then the bytes of rest (a binary file whose rows each end
-    in a newline) from its start."""
+    of their own."""
     with open(path, "wb") as fh:
         fh.write("".join(f"{row}\n" for row in [header, *rows]).encode())
-        if rest is not None:
-            rest.seek(0)
-            shutil.copyfileobj(rest, fh)
 
 
 @dataclass(frozen=True)
@@ -615,10 +607,15 @@ def run_experiment(cfg: ExperimentConfig) -> Outcome:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError([f"[experiment] out_dir: {err}"]) from None
-    with tempfile.TemporaryFile(dir=out_dir) as raw:  # deleted when closed
-        out = Outcome(out_dir, raw)
-        _EXPERIMENTS[cfg.experiment].run(cfg, out)
-        _write_csv(out_dir / "raw.csv", RAW_HEADER, [], raw)
+    raw_path = out_dir / "raw.csv"
+    try:
+        with open(raw_path, "wb") as raw:
+            raw.write(f"{RAW_HEADER}\n".encode())
+            out = Outcome(out_dir, raw)
+            _EXPERIMENTS[cfg.experiment].run(cfg, out)
+    except BaseException:
+        raw_path.unlink(missing_ok=True)  # a run that fails leaves no partial raw.csv
+        raise
     _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, out.summary_rows)
     lines = [f"experiment: {cfg.experiment}", f"seed: {cfg.seed}"]
     lines += out.report

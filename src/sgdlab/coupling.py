@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import Estimate
-from .core import RngStream, StepSchedule, derive_stream
+from .core import RngStream, StepSchedule, derive_stream, log_spaced_indices
 from .noise import GradientOracle
 from .objectives import Objective
 from .sde import _brownian_draw, _em_substep, _substep_grid, path_length
@@ -40,7 +40,6 @@ from .sgd import (
     ReplicateRuns,
     _Checkpoints,
     _map_blocks,
-    _normalize_plan,
     _raw_draw,
     _replicate_runs,
     _Rows,
@@ -61,11 +60,11 @@ U_FLOOR = 1e-200
 class CoupledBank:
     """Vectorized bank of coupled replicates (arrays are replicate-major).
 
-    discrete records at the block indices n, continuous at the matching
-    times n * gamma_alpha (each leg's sample_indices), and coupled_dist2[r,
-    i] is the squared distance between replicate r's two states at
-    checkpoint i.  discrete.final_states and continuous.final_states hold
-    the two states after the last block.
+    discrete records at the log-spaced block indices n, continuous at the
+    matching times n * gamma_alpha (each leg's sample_indices), and
+    coupled_dist2[r, i] is the squared distance between replicate r's two
+    states at checkpoint i.  discrete.final_states and
+    continuous.final_states hold the two states after the last block.
     Only replicates whose two processes both stayed finite have rows; aborts
     holds the DivergenceError of each of the others, ordered by replicate id.
     beside holds the results of the tasks run beside the bank, in order.
@@ -122,7 +121,6 @@ def _coupled_block(
     h = sched.gamma_alpha / substeps
     root_ga = np.sqrt(sched.gamma_alpha)
     rates, substep = _em_substep(obj, oracle, sched, h)
-    steps_disc = np.asarray(sched.step_size(np.arange(n_blocks)))
     x_star = obj.x_star
     brown = _brownian_draw(brown_gens, d, substeps, np.sqrt(h))
     independent = _raw_draw(oracle, noise_gens)
@@ -134,20 +132,22 @@ def _coupled_block(
 
     def draw(k0, nb):
         # the chunk's increments copied substep-major, so that each substep
-        # reads a contiguous (rows, dim) slice, and their rates as a list;
-        # each block's rescaled increment sum (one reshape of the draw, the
-        # same bits as summing each block's slice) is the discrete chain's
-        # raw innovation, unless the independent kind draws its own
+        # reads a contiguous (rows, dim) slice, their rates as a list and
+        # the chunk's discrete step sizes; each block's rescaled increment
+        # sum (one reshape of the draw, the same bits as summing each
+        # block's slice) is the discrete chain's raw innovation, unless the
+        # independent kind draws its own
         db = brown(k0, nb)
         if kind == INDEPENDENT:
             raw = independent(k0, nb)
         else:
             raw = db.reshape(r, nb, substeps, d).sum(axis=2) / root_ga
-        return db.transpose(1, 0, 2).copy(), rates(k0 * substeps, nb * substeps), raw
+        steps = sched.step_size(k0 + np.arange(nb))
+        return db.transpose(1, 0, 2).copy(), rates(k0 * substeps, nb * substeps), raw, steps
 
     def step(k, noise, b):
         nonlocal x, y
-        db, rate, raw = noise
+        db, rate, raw, steps = noise
         for j in range(b * substeps, (b + 1) * substeps):
             y = substep(y, rate[j], db[j])
             rows.check(y, k + 1, continuous_detail, x_star)
@@ -156,7 +156,7 @@ def _coupled_block(
             h_val = obj.gradient(x) + oracle.noise_ppf(u)
         else:
             h_val = oracle.apply(x, raw[:, b])
-        x = x - steps_disc[k] * h_val
+        x = x - steps[b] * h_val
         rows.check(x, k + 1, discrete_detail, x_star)
 
     def record(p):
@@ -179,11 +179,11 @@ def run_coupled_replicates(
     substeps_per_block: int,
     n_replicates: int,
     master_seed: int,
-    plan=None,
     beside=(),
 ) -> CoupledBank:
-    """Bank of coupled replicates over ceil(horizon / gamma_alpha) blocks;
-    the block size never changes results.
+    """Bank of coupled replicates over ceil(horizon / gamma_alpha) blocks,
+    recording at the block indices log_spaced_indices(n_blocks); the block
+    size never changes results.
 
     Replicate i's (master_seed, i) pair derives the brownian stream driving
     both processes and, for the independent kind, the separate noise
@@ -200,7 +200,7 @@ def run_coupled_replicates(
     kind = resolve_kind(obj, oracle)
     ga = sched.gamma_alpha
     n_blocks = path_length(horizon, ga)
-    plan = _normalize_plan(plan, n_blocks, "plan block indices must lie in [1, n_blocks]")
+    plan = log_spaced_indices(n_blocks)
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
     discrete, continuous = (_Checkpoints.bank(obj, n_replicates, len(plan)) for _ in range(2))
     gap_d2 = _shared(n_replicates * len(plan)).reshape(n_replicates, len(plan))

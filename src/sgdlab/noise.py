@@ -48,7 +48,6 @@ class GradientOracle:
     sigma: Callable[[np.ndarray], np.ndarray]
     sigma_sqrt: Callable[[np.ndarray], np.ndarray]
     apply_sqrt: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    batch_m: int | None = None
     noise_ppf: Callable[[np.ndarray], np.ndarray] | None = None
     gaussian_noise: bool = False
 
@@ -244,7 +243,6 @@ def batch_oracle(
         sigma=sigma,
         sigma_sqrt=sigma_sqrt,
         apply_sqrt=apply_sqrt,
-        batch_m=m,
     )
 
 

@@ -20,10 +20,14 @@ substeps) from per-replicate counter-based streams into one buffer that
 each chunk refills (_raw_draw; sde._brownian_draw for Brownian
 increments), checks every row for divergence after each step
 (_Rows.check: one vdot over the block, per-row norms only when that sum
-is large or not finite) and records observables at the plan's
-checkpoints.  The sde and coupling modules drive the same kernel with
-their own step.  Every bank keeps each row's state after the last step
-(final_states), whatever the plan; checkpoints record observables only.
+is large or not finite) and records observables at the checkpoints,
+core.log_spaced_indices of the bank's step count (at most 64,
+geometrically spaced, the last step among them): the points every rate
+and approximation fit reads.  The sde and coupling modules drive the
+same kernel with their own step.  Every bank keeps each row's state
+after the last step (final_states); checkpoints record observables only.
+A step's size is computed with its chunk's noise, so no run holds a
+table of its whole schedule.
 
 Results are written in place: a bank's checkpoint arrays and final
 states are allocated once, before its blocks fork, in anonymous shared
@@ -64,7 +68,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import RngStream, derive_stream, log_spaced_indices, sorted_distinct
+from .core import RngStream, derive_stream, log_spaced_indices
 from .noise import GradientOracle
 from .objectives import Objective, StronglyConvex
 
@@ -328,17 +332,6 @@ def _replicate_runs(ckpts: _Checkpoints, parts: list, sample_indices) -> Replica
     return ReplicateRuns(sample_indices, *arrays, aborts)
 
 
-def _normalize_plan(plan, n: int, error: str) -> np.ndarray:
-    """Sorted distinct checkpoint indices in [1, n] (default: log-spaced);
-    raises ValueError(error) for indices outside."""
-    if plan is None:
-        return log_spaced_indices(n)
-    plan = sorted_distinct(np.asarray(plan, dtype=np.int64))
-    if len(plan) == 0 or plan[0] < 1 or plan[-1] > n:
-        raise ValueError(error)
-    return plan
-
-
 def _raw_draw(oracle: GradientOracle, gens: list):
     """draw(start, m) for the block kernel: the next m raw innovations of
     each generator, as a (rows, m, ...) view of one buffer that each chunk
@@ -370,19 +363,23 @@ def _sgd_block(
     """One block of a sweep: its streams' replicates under every schedule,
     stepped as one (schedules, replicates, dim) state, recorded into ckpts
     (one per schedule, the block's rows).  Each chunk is drawn once per
-    replicate and broadcast over the schedules, and step n takes the
-    schedules' steps from row n of an (n_steps, schedules) table.  Returns
-    one _Rows per schedule."""
+    replicate and broadcast over the schedules, together with the chunk's
+    (steps, schedules) table of step sizes, so no block holds a whole
+    run's table.  Returns one _Rows per schedule."""
     rows = _Rows([s.replicate_id for s in streams] * len(scheds))
     shape = (len(scheds), len(streams), obj.dim)
     x = np.broadcast_to(np.asarray(x0, dtype=float), shape).copy()
-    steps = np.stack([s.step_size(np.arange(n_steps)) for s in scheds], axis=1)[..., None, None]
-    draw = _raw_draw(oracle, [s.generator() for s in streams])
+    raw_draw = _raw_draw(oracle, [s.generator() for s in streams])
     detail = _norm_detail("X")
 
-    def step(n, raw, j):
+    def draw(start, m):
+        steps = np.stack([s.step_size(start + np.arange(m)) for s in scheds], axis=1)
+        return raw_draw(start, m), steps[..., None, None]
+
+    def step(n, noise, j):
         nonlocal x
-        x = x - steps[n] * oracle.apply(x, raw[:, j])
+        raw, steps = noise
+        x = x - steps[j] * oracle.apply(x, raw[:, j])
         rows.check(x.reshape(-1, obj.dim), n + 1, detail, obj.x_star)
 
     def record(p):
@@ -403,10 +400,10 @@ def run_sgd_sweep(
     n_steps: int,
     n_replicates: int,
     master_seed: int,
-    plan=None,
 ) -> list[ReplicateRuns]:
     """One bank per schedule of scheds, each of the same replicates, with
-    streams derived from one master seed.
+    streams derived from one master seed, recording at the checkpoints
+    log_spaced_indices(n_steps).
 
     The sweep runs as one stacked bank that draws each replicate's noise
     once for every schedule; each bank's bytes equal those of the sweep of
@@ -426,7 +423,7 @@ def run_sgd_sweep(
                 " the strongly convex rate guarantee needs a larger gamma",
                 stacklevel=2,
             )
-    plan = _normalize_plan(plan, n_steps, "plan indices must lie in [1, n_steps]")
+    plan = log_spaced_indices(n_steps)
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
     ckpts = [_Checkpoints.bank(obj, n_replicates, len(plan)) for _ in scheds]
     work = lambda s: _sgd_block(

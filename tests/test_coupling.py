@@ -56,20 +56,22 @@ def test_resolve_kind_defaults():
 
 # ---------------------------------------------------------------- coupling mechanics
 
-def test_shared_coupling_rescales_block_increments(monkeypatch):
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shared_coupling_rescales_block_increments(monkeypatch, dim):
     """On the flat objective the discrete chain is exactly the running sum
     of -step_k * sigma * (block increment / sqrt(gamma_alpha)), which pins
     the normalization that makes the block sums standard normals.  The run
     stopped after k blocks ends there, for every k (shown for replicate
-    3)."""
+    3).  At dim 1 each block's 16 increments are contiguous and numpy sums
+    them pairwise, so this also pins the order of the block sums."""
     n_blocks = 20
-    obj = make_linear_probe(dim=2)
+    obj = make_linear_probe(dim=dim)
     oracle = gaussian_oracle(obj, 0.8)
-    run = lambda k: run_coupled_replicates(obj, oracle, SCHED, np.zeros(2), _horizon(k), 16, 4, 5)
+    run = lambda k: run_coupled_replicates(obj, oracle, SCHED, np.zeros(dim), _horizon(k), 16, 4, 5)
     monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
     assert run(n_blocks).coupling_kind == GAUSSIAN_SHARED
     states = states_at(lambda k: run(k).discrete.final_states, range(1, n_blocks + 1))
-    g_blocks = _block_sums(5, 3, n_blocks, 2) / np.sqrt(GA)
+    g_blocks = _block_sums(5, 3, n_blocks, dim) / np.sqrt(GA)
     steps = SCHED.step_size(np.arange(n_blocks))
     manual = -np.cumsum(steps[:, None] * (0.8 * g_blocks), axis=0)
     np.testing.assert_array_equal(states[3], manual)
@@ -153,15 +155,16 @@ def test_independent_discrete_leg_is_plain_sgd(monkeypatch):
     n_blocks = 20
     obj = make_quadratic(dim=2, lam=1.0)
     oracle = heavy_oracle(obj, 0.5, "laplace")
-    plan = np.arange(1, n_blocks + 1)
-    run = lambda k: run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(k), 16, 3, 4,
-                                           plan=plan[:k])
+    ends = range(1, n_blocks + 1)
+    run = lambda k: run_coupled_replicates(obj, oracle, SCHED, np.ones(2), _horizon(k), 16, 3, 4)
     assert run(n_blocks).coupling_kind == INDEPENDENT
     monkeypatch.setattr(sgd, "WORKERS", 1)  # many small banks: fork none
-    sgd_bank = lambda k: run_sgd_sweep(obj, oracle, [SCHED], np.ones(2), k, 3, 4, plan=plan[:k])[0]
+    sgd_bank = lambda k: run_sgd_sweep(obj, oracle, [SCHED], np.ones(2), k, 3, 4)[0]
+    # the log-spaced checkpoints of 20 blocks are every block
+    np.testing.assert_array_equal(run(n_blocks).discrete.sample_indices, list(ends))
     np.testing.assert_array_equal(run(n_blocks).discrete.values, sgd_bank(n_blocks).values)
-    np.testing.assert_array_equal(states_at(lambda k: run(k).discrete.final_states, plan),
-                                  states_at(lambda k: sgd_bank(k).final_states, plan))
+    np.testing.assert_array_equal(states_at(lambda k: run(k).discrete.final_states, ends),
+                                  states_at(lambda k: sgd_bank(k).final_states, ends))
 
 
 # ---------------------------------------------------------------- banks
@@ -306,8 +309,6 @@ def test_bank_validation():
                                1.0, 4, 2, 0)
     with pytest.raises(ValueError, match="n_replicates"):
         run_coupled_replicates(obj, oracle, SCHED, np.ones(1), 1.0, 4, 0, 0)
-    with pytest.raises(ValueError, match="block indices"):
-        run_coupled_replicates(obj, oracle, SCHED, np.ones(1), _horizon(4), 8, 2, 0, plan=[0, 2])
 
 
 # ---------------------------------------------------------------- error estimators

@@ -238,7 +238,7 @@ def test_probe_batch_oracle_covariance_scaling():
     obj = make_linear_probe(dim=2)
     for m in (1, 4):
         oracle = probe_batch_oracle(obj, m)
-        assert oracle.batch_m == m
+        assert oracle.name.startswith(f"batch{m}[")
         assert oracle.eta == 2.0
         x = np.zeros(2)
         np.testing.assert_allclose(oracle.sigma(x), np.eye(2) / m)

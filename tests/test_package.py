@@ -1,4 +1,9 @@
 import inspect
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import sgdlab
@@ -51,3 +56,17 @@ def test_runners_take_no_record_or_coupling_switch():
     for name in RUNNERS:
         params = inspect.signature(getattr(sgdlab, name)).parameters
         assert not {"record_states", "kind"} & set(params), name
+
+
+def test_readme_quick_start_runs():
+    """The README's library quick start, run as written with src on the
+    path, exits 0 and prints a distance^2 decay within 0.05 of n^-0.5."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    (block,) = re.findall(r"## Quick start \(library\)\s+```python\n(.*?)```", readme, re.S)
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    (slope,) = re.findall(r"decays like n\^(-?[0-9.]+)", done.stdout)
+    assert abs(float(slope) + 0.5) <= 0.05, done.stdout

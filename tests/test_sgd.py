@@ -1,6 +1,7 @@
 import os
 import pickle
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgdlab.core import StepSchedule, derive_stream, log_spaced_indices
+from sgdlab.coupling import run_coupled_replicates
 from sgdlab.noise import gaussian_oracle, heavy_oracle, least_squares_batch_oracle
 from sgdlab import sgd
 from sgdlab.objectives import make_least_squares, make_linear_probe, make_phi_p, make_quadratic
@@ -30,18 +32,23 @@ def _stream(rep):
 
 def test_noiseless_quadratic_matches_recursion():
     """With zero noise the iterates follow x_{n+1} = (1 - lam*step_n) x_n
-    exactly, so the recorded values must match an independent loop."""
+    exactly, so the runs stopped after each n steps, and the values recorded
+    at the checkpoints, must match an independent loop."""
     lam, gamma, alpha = 1.0, 0.5, 0.5
     obj = make_quadratic(lam=lam)
     oracle = gaussian_oracle(obj, 0.0)
     sched = StepSchedule(gamma, alpha)
-    plan = np.arange(1, 101)
-    (traj,) = run_sgd_sweep(obj, oracle, [sched], np.array([1.0]), 100, 1, 1, plan=plan)
-    x = 1.0
+    run = lambda k: run_sgd_sweep(obj, oracle, [sched], np.array([1.0]), k, 1, 1)[0]
+    states = states_at(lambda k: run(k).final_states, range(1, 101))
+    traj = run(100)
+    x, loop = 1.0, []
     for n in range(100):
         x = x * (1.0 - lam * gamma * (n + 1) ** (-alpha))
-        assert traj.dist2_to_min[0, n] == pytest.approx(x * x, rel=1e-10)
-        assert traj.values[0, n] == pytest.approx(0.5 * x * x, rel=1e-10)
+        loop.append(x)
+        assert states[0, n, 0] == pytest.approx(x, rel=1e-10)
+    expected = np.array(loop)[traj.sample_indices - 1]
+    np.testing.assert_allclose(traj.dist2_to_min[0], expected**2, rtol=1e-10)
+    np.testing.assert_allclose(traj.values[0], 0.5 * expected**2, rtol=1e-10)
 
 
 def test_linear_probe_is_pure_noise_accumulation(monkeypatch):
@@ -171,34 +178,51 @@ def test_chunk_boundary_continuity():
     oracle = gaussian_oracle(obj, 1.0)
     sched = StepSchedule(0.1, 0.0)
     n = 1500
-    (traj,) = run_sgd_sweep(obj, oracle, [sched], np.zeros(1), n, 10, 1, plan=np.array([n]))
+    (traj,) = run_sgd_sweep(obj, oracle, [sched], np.zeros(1), n, 10, 1)
     raw = _stream(9).generator().standard_normal((n, 1))
     expected = -0.1 * raw.sum(axis=0)
     np.testing.assert_allclose(traj.final_states[9], expected, rtol=0, atol=1e-12)
 
 
-def test_default_plan_is_log_spaced():
+@pytest.mark.parametrize("runner", ["sweep", "coupled"])
+def test_sgd_legs_hold_no_step_table(runner):
+    """Each chunk's step sizes are computed with its noise: one replicate
+    over 2^16 steps (or blocks of one substep; a step table of 0.5 MiB)
+    peaks under 0.25 MiB of allocations.  A short run warms up imports and
+    caches first."""
+    obj = make_quadratic(dim=1)
+    oracle = gaussian_oracle(obj, 1.0)
+    sched = StepSchedule(1.0, 0.5)  # gamma_alpha = 1: a block per unit of time
+    if runner == "sweep":
+        run = lambda n: run_sgd_sweep(obj, oracle, [sched], np.ones(1), n, 1, 5)[0].final_states
+    else:
+        run = lambda n: run_coupled_replicates(obj, oracle, sched, np.ones(1), float(n), 1, 1, 5
+                                               ).discrete.final_states
+    run(8)
+    tracemalloc.start()
+    try:
+        assert np.all(np.isfinite(run(2**16)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20
+
+
+def test_checkpoints_are_log_spaced():
     obj = make_quadratic()
     oracle = gaussian_oracle(obj, 0.0)
     (traj,) = run_sgd_sweep(obj, oracle, [StepSchedule(0.1, 0.5)], np.array([1.0]), 10_000, 1, 1)
+    np.testing.assert_array_equal(traj.sample_indices, log_spaced_indices(10_000))
     assert traj.sample_indices[0] == 1
     assert traj.sample_indices[-1] == 10_000
     assert len(traj.sample_indices) <= 64
 
 
-def test_plan_normalization_and_validation():
+def test_sweep_validation():
     obj = make_quadratic()
     oracle = gaussian_oracle(obj, 0.0)
     sched = StepSchedule(0.1, 0.5)
-    run = lambda n, plan=None, reps=1: run_sgd_sweep(obj, oracle, [sched], np.array([1.0]), n, reps, 1, plan)
-    (traj,) = run(50, [10, 5, 10, 50])
-    np.testing.assert_array_equal(traj.sample_indices, [5, 10, 50])
-    with pytest.raises(ValueError, match="plan indices"):
-        run(50, [0, 5])
-    with pytest.raises(ValueError, match="plan indices"):
-        run(50, [51])
-    with pytest.raises(ValueError, match="plan indices"):
-        run(50, [])
+    run = lambda n, reps=1: run_sgd_sweep(obj, oracle, [sched], np.array([1.0]), n, reps, 1)
     with pytest.raises(ValueError, match="n_steps and n_replicates"):
         run(0)
     with pytest.raises(ValueError, match="n_steps and n_replicates"):
