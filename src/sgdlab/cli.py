@@ -5,8 +5,9 @@ The config grammar (INI sections [experiment], [objective], [oracle],
 the README's "Config format" section.  _KEYS is the one table of keys and
 value types; _OBJECTIVES, _ORACLES and _EXPERIMENTS hold one row per kind.
 validate_config parses each value once, fills each default from its row,
-and builds the objective, oracles and x0, so it lists every problem in one
-pass before out_dir is made and any replicate runs.
+reads every per-experiment rule from the experiment's row, and builds the
+objective, oracles and x0, so it lists every problem in one pass before
+out_dir is made and any replicate runs.
 
 Every run is a deterministic function of (config, replicate_id).  Raw CSV
 columns: run_id, replicate, n_or_t, f_gap, dist2, grad_sq, suffix_avg.
@@ -103,8 +104,8 @@ MAX_DIM = 32
 #   blocks of at most objectives.RESIDUAL_BLOCK residuals;
 # - num: the certify grid holds num * dim coordinates.
 # rows is a block's replicates, min(replicates, sgd.REPLICATE_BLOCK), or the
-# grid's num points for certify; stack is the schedules a rates block steps
-# at once (run_sgd_sweep), 1 for every other experiment.
+# grid's num points for certify; stack is the schedules a block steps at once
+# where the experiment's row stacks them (rates: run_sgd_sweep), else 1.
 MAX_DRAWS = 10**7
 # Every key each section allows, with the type of its value; a type in a
 # list marks a comma-separated list of that type.  [experiment] threads is
@@ -460,7 +461,7 @@ def _experiment_batch_eps(cfg: ExperimentConfig, out: Outcome) -> None:
         out.report.append(f"eps_{law} M={m}: mean eps {v:.6g}")
 
 
-def _probe_steps(horizon: float, sched: StepSchedule) -> int:
+def _probe_steps(horizon: float, substeps: int, sched: StepSchedule) -> int:
     """Iterations of a probe-exact run: whole gamma_alpha blocks in the horizon."""
     return int(horizon / sched.gamma_alpha + 1e-9)
 
@@ -472,7 +473,7 @@ def _experiment_probe_exact(cfg: ExperimentConfig, out: Outcome) -> None:
         run_id = _run_label(obj, oracle, sched)
         bank = dist2 = None  # the last schedule's bank goes before this one runs
         (bank,) = run_sgd_sweep(
-            obj, oracle, [sched], cfg.x0, _probe_steps(cfg.horizon, sched), cfg.replicates, cfg.seed
+            obj, oracle, [sched], cfg.x0, _probe_steps(cfg.horizon, cfg.substeps, sched), cfg.replicates, cfg.seed
         )
         if not _tally(out, cfg, run_id, bank.aborts):
             continue
@@ -559,19 +560,24 @@ def _experiment_certify(cfg: ExperimentConfig, out: Outcome) -> None:
         out.report.append(f"{obj.name}: no class tags to certify")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """The header and each entry of rows (a row or a block of rows) on lines
-    of their own."""
-    with open(path, "wb") as fh:
-        fh.write("".join(f"{row}\n" for row in [header, *rows]).encode())
-
-
 @dataclass(frozen=True)
 class _Experiment:
     run: object  # its runner: fills the Outcome it is given from an ExperimentConfig
     fewest: int = 1  # replicates a bank needs (2 for a standard error)
     legs: int = 1  # raw.csv run ids per bank
-    continuous: bool = False  # runs the diffusion, so needs alpha < 1
+    # how it reads the horizon (None: not at all): a rule (horizon, substeps,
+    # schedule) -> the steps a replicate takes, which must be 1 to MAX_STEPS,
+    # and what its problems call many of them and one
+    steps: tuple | None = None
+    # runs the diffusion, so its horizon is a time, cut into steps by each
+    # schedule's gamma_alpha, and alpha < 1
+    continuous: bool = False
+    alpha_below: tuple | None = None  # a tighter bound on alpha, and its reason
+    one_schedule: bool = False  # a gamma x alpha grid of more is a problem
+    stacks: bool = False  # steps its schedules at once (the stack of MAX_DRAWS)
+    # the oracle key it sets to each [oracle] m_values entry: one oracle, and
+    # one raw.csv row per replicate, for each
+    sweep: str | None = None
     keys: dict = field(default_factory=dict)  # its own [oracle] keys, with defaults
     # the objective and oracle kinds it always uses (None: the config's
     # kind), and the keys of that oracle it sets
@@ -583,19 +589,27 @@ class _Experiment:
     sections: tuple = ("oracle", "schedule")
 
 
+# a horizon in steps; a horizon in time, cut into [experiment] substeps
+# diffusion substeps per gamma_alpha block
+_STEPS = (lambda horizon, substeps, sched: int(horizon), "steps", "step")
+_SUBSTEPS = (lambda horizon, substeps, sched: path_length(horizon, sched.gamma_alpha / substeps),
+             "substeps", "substep")
 _EXPERIMENTS = {
-    "rates": _Experiment(_experiment_rates, keys={"rate_tolerance": 0.1}),
-    "strong-approx": _Experiment(partial(_experiment_approx, weak=False), fewest=2, legs=2,
+    "rates": _Experiment(_experiment_rates, steps=_STEPS, stacks=True, keys={"rate_tolerance": 0.1}),
+    "strong-approx": _Experiment(partial(_experiment_approx, weak=False), fewest=2, legs=2, steps=_SUBSTEPS,
                                  continuous=True, keys={"slope_lo": 0.85, "slope_hi": 1.15}),
-    "weak-approx": _Experiment(partial(_experiment_approx, weak=True), fewest=2, legs=2,
+    "weak-approx": _Experiment(partial(_experiment_approx, weak=True), fewest=2, legs=2, steps=_SUBSTEPS,
                                continuous=True, keys={"slope_lo": 0.8, "slope_hi": 1.3}),
     "batch-eps": _Experiment(
-        _experiment_batch_eps, objective="linear_probe", oracle="batch_probe", fixed=("batch_m",),
+        _experiment_batch_eps, sweep="batch_m", objective="linear_probe", oracle="batch_probe", fixed=("batch_m",),
         sections=("oracle",), keys={"law": "laplace", "m_values": [1, 4, 16, 64],
                                     "n_samples": 100_000, "slope_lo": -1.25, "slope_hi": -0.75}),
-    "probe-exact": _Experiment(_experiment_probe_exact, fewest=2, continuous=True,
-                               objective="linear_probe", oracle="batch_probe", fixed=("law", "df")),
-    "couple-demo": _Experiment(_experiment_couple_demo, fewest=2, legs=2, continuous=True),
+    "probe-exact": _Experiment(
+        _experiment_probe_exact, fewest=2, steps=(_probe_steps, "steps", "gamma_alpha block"), continuous=True,
+        alpha_below=(0.5, "the growing-noise regime needs alpha < 1/2"), objective="linear_probe",
+        oracle="batch_probe", fixed=("law", "df")),
+    "couple-demo": _Experiment(_experiment_couple_demo, fewest=2, legs=2, steps=_SUBSTEPS, continuous=True,
+                               one_schedule=True),
     "certify": _Experiment(_experiment_certify, legs=0, sections=("grid",)),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -616,7 +630,7 @@ def run_experiment(cfg: ExperimentConfig) -> Outcome:
     except BaseException:
         raw_path.unlink(missing_ok=True)  # a run that fails leaves no partial raw.csv
         raise
-    _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, out.summary_rows)
+    (out_dir / "summary.csv").write_bytes("".join(f"{row}\n" for row in [SUMMARY_HEADER, *out.summary_rows]).encode())
     lines = [f"experiment: {cfg.experiment}", f"seed: {cfg.seed}"]
     lines += out.report
     if out.aborts:
@@ -624,6 +638,22 @@ def run_experiment(cfg: ExperimentConfig) -> Outcome:
         lines += [f"  {a}" for a in out.aborts]
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
     return out
+
+
+def _step_problems(exp: _Experiment, horizon: float, substeps: int, sched: StepSchedule | None) -> list:
+    """What is wrong with the steps a replicate of exp takes over horizon on
+    sched (None for a horizon in steps, whatever the schedule)."""
+    rule, many, one = exp.steps
+    try:
+        n = rule(horizon, substeps, sched)
+    except ValueError as err:  # sched has no gamma_alpha
+        return [f"[schedule] {err}"]
+    except OverflowError:  # more steps than a float holds
+        n = math.inf
+    if n > MAX_STEPS:
+        at = f" at gamma {sched.gamma:g}, alpha {sched.alpha:g}" if sched else ""
+        return [f"[experiment] horizon: more than {MAX_STEPS} {many} per replicate{at}"]
+    return [f"[experiment] horizon: shorter than one {one}"] if n < 1 else []
 
 
 def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -654,7 +684,7 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     exp = _EXPERIMENTS.get(kind)
     if exp is None:
         problems.append(f"[experiment] kind: {kind!r} not one of {EXPERIMENTS}")
-        exp = _Experiment(None)
+        exp = _Experiment(None, steps=(lambda *_: 1, "", ""))  # only a horizon <= 0 is a problem
     seed = get("experiment", "seed", 0)
     if seed < 0:
         problems.append("[experiment] seed: must be >= 0")
@@ -665,12 +695,10 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     if substeps < 1:
         problems.append("[experiment] substeps: must be >= 1")
     horizon = get("experiment", "horizon", 0.0)
-    if kind not in ("certify", "batch-eps") and horizon <= 0:  # neither reads it
+    if exp.steps and horizon <= 0:
         problems.append("[experiment] horizon: must be positive")
-    elif kind == "rates" and horizon < 1:
-        problems.append("[experiment] horizon: shorter than one step")
-    elif kind == "rates" and int(horizon) > MAX_STEPS:
-        problems.append(f"[experiment] horizon: more than {MAX_STEPS} steps per replicate")
+    elif exp.steps and not exp.continuous:  # steps, whatever the schedule
+        problems += _step_problems(exp, horizon, substeps, None)
 
     reads = ("experiment", "objective", *exp.sections)
     problems += [f"[{name}] {key}: {kind} takes no {name}" for name, key in values if name not in reads]
@@ -726,20 +754,14 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         if not 0.0 <= a <= 1.0:
             problems.append(f"[schedule] alpha: {a} must lie in [0, 1]")
         elif a >= 1.0 and exp.continuous:
-            problems.append(
-                f"[schedule] alpha: {a} invalid for {kind}; the continuous-time"
-                " process needs alpha < 1"
-            )
-        elif a >= 0.5 and kind == "probe-exact":
-            problems.append(
-                f"[schedule] alpha: {a} invalid for probe-exact; the growing-noise"
-                " regime needs alpha < 1/2"
-            )
+            problems.append(f"[schedule] alpha: {a} invalid for {kind}; the continuous-time process needs alpha < 1")
+        elif exp.alpha_below and a >= exp.alpha_below[0]:
+            problems.append(f"[schedule] alpha: {a} invalid for {kind}; {exp.alpha_below[1]}")
         else:
             fine.append(a)
     schedules = [StepSchedule(g, a) for a in fine for g in gammas if g > 0]
-    if kind == "couple-demo" and len(gammas) * len(alphas) > 1:
-        problems.append(f"[schedule]: couple-demo runs one schedule, not {len(gammas) * len(alphas)} (gamma x alpha)")
+    if exp.one_schedule and len(gammas) * len(alphas) > 1:
+        problems.append(f"[schedule]: {kind} runs one schedule, not {len(gammas) * len(alphas)} (gamma x alpha)")
     for name, key in (("schedule", "gamma"), ("schedule", "alpha"), ("oracle", "m_values")):
         # an entry names its run ids (a float to six significant digits)
         labels = [v if key == "m_values" else f"{v:g}" for v in get(name, key, [])] if name in reads else []
@@ -747,7 +769,7 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
 
     # the arrays MAX_DRAWS bounds (see there)
     block = grid.num if grid else max(1, min(replicates, sgd.REPLICATE_BLOCK))
-    stack = len(schedules) if kind == "rates" else 1
+    stack = len(schedules) if exp.stacks else 1
     arg = lambda key: {**obj_args, **oracle_args}.get(key, 0)
     sizes = {
         "[objective] n_data": (stack * block * arg("n_data") * dim, "per-sample gradients per block"),
@@ -757,30 +779,13 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         "[grid] num": (grid.num * dim if grid else 0, "grid coordinates"),
     }
     problems += [f"{where}: {n} {what}, more than {MAX_DRAWS}" for where, (n, what) in sizes.items() if n > MAX_DRAWS]
-    if kind == "batch-eps":
-        rows = replicates * len(oracle_args.get("m_values", []))
-    else:
-        rows = replicates * len(schedules) * 64 * exp.legs
+    runs = len(oracle_args.get("m_values", [])) if exp.sweep else len(schedules) * 64
+    rows = replicates * runs * exp.legs
     if rows > MAX_ROWS:
         problems.append(f"[experiment] replicates: {rows} raw.csv rows, more than {MAX_ROWS}")
-    if exp.continuous and horizon > 0 and substeps >= 1:
-        probe = kind == "probe-exact"
-        per_block, unit = (1, "steps") if probe else (substeps, "substeps")
+    if exp.continuous and horizon > 0 and substeps >= 1:  # a time, cut per schedule
         for s in schedules:
-            try:
-                ga = s.gamma_alpha
-            except ValueError as err:
-                problems.append(f"[schedule] {err}")
-                continue
-            if horizon / ga * per_block > MAX_STEPS:
-                problems.append(
-                    f"[experiment] horizon: more than {MAX_STEPS} {unit} per replicate"
-                    f" at gamma {s.gamma:g}, alpha {s.alpha:g}"
-                )
-            elif probe and _probe_steps(horizon, s) < 1:
-                problems.append("[experiment] horizon: shorter than one gamma_alpha block")
-            elif path_length(horizon, ga / substeps) < 1:
-                problems.append("[experiment] horizon: shorter than one substep")
+            problems += _step_problems(exp, horizon, substeps, s)
 
     cfg = ExperimentConfig(
         experiment=kind, seed=seed, replicates=replicates, horizon=horizon, substeps=substeps,
@@ -811,8 +816,7 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         except ValueError as err:
             problems.append(f"[grid]: {err}")
     if cfg.obj is not None and oracle_args and clean("oracle"):
-        # batch-eps runs one oracle per batch size
-        sweep = [{"batch_m": m} for m in oracle_args["m_values"]] if kind == "batch-eps" else [{}]
+        sweep = [{exp.sweep: m} for m in oracle_args["m_values"]] if exp.sweep else [{}]
         try:
             cfg.oracles = [build_oracle(cfg, cfg.obj, **fixed) for fixed in sweep]
         except ConfigError as err:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import gc
@@ -33,7 +34,6 @@ from sgdlab.cli import (
     _emit_banks,
     _fmt,
     _fmt_index,
-    _write_csv,
     build_objective,
     build_oracle,
     main,
@@ -860,6 +860,73 @@ def test_kind_rows_take_table_keys():
     assert all(set(keys) <= set(_KEYS[section]) for section, keys in rows)
 
 
+def test_cli_compares_no_experiment_name():
+    """Every per-experiment rule is a field of the experiment's _EXPERIMENTS
+    row: nowhere does cli.py compare a value with an experiment name, or
+    with a tuple, list or set of them (kind == "rates", kind in ("certify",
+    "batch-eps"))."""
+    def names(node) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(names(entry) for entry in node.elts)
+        return isinstance(node, ast.Constant) and node.value in EXPERIMENTS
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    compares = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)]
+    assert compares  # the walk sees the module's comparisons
+    assert [(node.lineno, ast.unparse(node)) for node in compares
+            if any(names(side) for side in [node.left, *node.comparators])] == []
+
+
+def _row_problems(tmp_path, experiment, **changes) -> list:
+    """The problems validate_config lists for a small config of experiment,
+    with its row's objective and oracle kinds and only the sections it
+    reads, and with some [section] key values replaced (as in _case)."""
+    row = _EXPERIMENTS[experiment]
+    sections = {
+        "experiment": {"kind": experiment, "seed": "1", "replicates": "2", "horizon": "2"},
+        "objective": {"kind": row.objective or "quadratic", "x0": "1.0"},
+        "oracle": {"kind": row.oracle or "gaussian"},
+        "schedule": {"gamma": "0.5", "alpha": "0.25"},
+        "grid": {"num": "11"},
+    }
+    sections = {name: keys for name, keys in sections.items()
+                if name in ("experiment", "objective", *row.sections)}
+    for name, value in changes.items():
+        section, key = name.split("__")
+        sections.setdefault(section, {})[key] = value
+    try:
+        validate_config(write_cfg(tmp_path, _ini(sections)))
+    except ConfigError as err:
+        return err.problems
+    return []
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_each_row_rule_binds_exactly_the_rows_that_carry_it(tmp_path, experiment):
+    """validate_config reads each rule from the experiment's row, so one
+    config per rule shows it on every row: two schedules are a problem
+    exactly where the row runs one, alpha 0.6 exactly where the row bounds
+    alpha at or below it, and horizon 0 exactly where the row reads a
+    horizon.  A row without [schedule] lists its key as one it does not
+    take."""
+    row = _EXPERIMENTS[experiment]
+    assert _row_problems(tmp_path, experiment) == []
+    takes_no = lambda key: [] if "schedule" in row.sections else [f"[schedule] {key}: {experiment} takes no schedule"]
+
+    expected = [f"[schedule]: {experiment} runs one schedule, not 2 (gamma x alpha)"] if row.one_schedule else []
+    assert _row_problems(tmp_path, experiment, schedule__gamma="0.5, 0.25") == (
+        expected + takes_no("gamma"))
+
+    bounds = [(1.0, "the continuous-time process needs alpha < 1")] * row.continuous
+    bounds += [row.alpha_below] if row.alpha_below else []
+    expected = [f"[schedule] alpha: 0.6 invalid for {experiment}; {why}" for bound, why in bounds if bound <= 0.6]
+    assert _row_problems(tmp_path, experiment, schedule__alpha="0.6") == (
+        expected[:1] + takes_no("alpha"))
+
+    expected = ["[experiment] horizon: must be positive"] if row.steps else []
+    assert _row_problems(tmp_path, experiment, experiment__horizon="0") == expected
+
+
 def _per_cell_text(run_id, runs, suffix) -> list:
     """The raw rows of a bank with every cell formatted by _fmt and _fmt_index."""
     return [
@@ -913,18 +980,6 @@ def test_emitted_bytes_are_the_per_cell_text_at_every_part_boundary(tmp_path, mo
                 for line in _per_cell_text(run_id, runs, suffix)]
     assert _emitted(out) == "".join(f"{line}\n" for line in expected).encode()
     assert list(tmp_path.iterdir()) == []
-
-
-def test_csv_writes_each_entry_on_lines_of_its_own(tmp_path):
-    """Rows given one an entry, or as blocks of rows joined by newlines,
-    give the bytes of the whole file joined at once."""
-    for n in (0, 1, 4095, 4096, 4097, 9000):
-        rows = [f"run,{i},{i % 7},{1.0 / (i + 1)!r}" for i in range(n)]
-        expected = ("\n".join([RAW_HEADER] + rows) + "\n").encode()
-        blocks = ["\n".join(rows[i : i + 1000]) for i in range(0, n, 1000)]
-        for entries in (rows, blocks):
-            _write_csv(tmp_path / "out.csv", RAW_HEADER, entries)
-            assert (tmp_path / "out.csv").read_bytes() == expected
 
 
 def test_suffix_avg_is_the_mean_from_each_checkpoint_to_the_end(tmp_path):

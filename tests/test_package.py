@@ -70,3 +70,12 @@ def test_readme_quick_start_runs():
     assert done.returncode == 0, done.stderr
     (slope,) = re.findall(r"decays like n\^(-?[0-9.]+)", done.stdout)
     assert abs(float(slope) + 0.5) <= 0.05, done.stdout
+
+
+def test_src_stays_within_its_line_budget():
+    """src/ holds at most 2359 lines, counting the lines that are not blank
+    and whose first non-blank character is not #."""
+    root = Path(__file__).resolve().parents[1] / "src"
+    lines = [line.strip() for path in sorted(root.rglob("*.py")) for line in path.read_text().splitlines()]
+    count = sum(1 for line in lines if line and not line.startswith("#"))
+    assert count <= 2359, f"src/ holds {count} lines"
