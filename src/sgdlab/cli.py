@@ -783,7 +783,7 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     rows = replicates * runs * exp.legs
     if rows > MAX_ROWS:
         problems.append(f"[experiment] replicates: {rows} raw.csv rows, more than {MAX_ROWS}")
-    if exp.continuous and horizon > 0 and substeps >= 1:  # a time, cut per schedule
+    if exp.continuous and horizon > 0 and (substeps >= 1 or exp.steps is not _SUBSTEPS):  # a time, per schedule
         for s in schedules:
             problems += _step_problems(exp, horizon, substeps, s)
 

@@ -11,8 +11,8 @@ rates computed for that chunk, so neither a path nor its rate table is
 ever held.  A bank of the diffusion is the continuous leg of a coupled
 bank (coupling.run_coupled_replicates), which steps through _em_substep;
 em_bias_probe runs one replicate and the bridge refinement of its path
-through the same substep, as two one-row legs (_em_leg), one after the
-other, in the calling process.
+through the same substep, as two one-row legs stepped together in one
+pass of the block kernel, in the calling process.
 """
 from __future__ import annotations
 
@@ -46,13 +46,13 @@ def _substep_grid(obj: Objective, sched: StepSchedule, x0, horizon: float,
     return h, path_length(horizon, h)
 
 
-def _brownian_draw(gens: list, dim: int, per_step: int, scale: float):
+def _brownian_draw(gens: list, dim: int, per_step: int, scale: float | np.ndarray):
     """draw(start, m) for the block kernel: the next m * per_step standard
-    normal dim-vectors of each generator, times scale, as a (rows,
-    m * per_step, dim) view of one buffer that each chunk refills in place.
-    The buffer holds a whole chunk of the kernel (sgd.CHUNK // per_step
-    steps, read at this call); each stream is read as standard_normal((m *
-    per_step, dim)) reads it."""
+    normal dim-vectors of each generator, times scale (a float, or one per
+    generator shaped (rows, 1, 1)), as a (rows, m * per_step, dim) view of
+    one buffer that each chunk refills in place.  The buffer holds a whole
+    chunk of the kernel (sgd.CHUNK // per_step steps, read at this call);
+    each stream is read as standard_normal((m * per_step, dim)) reads it."""
     buf = np.empty((len(gens), max(1, sgd.CHUNK // per_step) * per_step, dim))
 
     def draw(start, m):
@@ -77,28 +77,6 @@ def _em_substep(obj, oracle, sched, h):
     return rates, substep
 
 
-def _em_leg(obj, oracle, sched, x0, count, h, draw):
-    """One row's state after count substeps of width h, or its
-    DivergenceError (replicate 0) raised; draw(start, m) gives the (m, 1,
-    dim) increments of substeps start to start + m."""
-    rates, substep = _em_substep(obj, oracle, sched, h)
-    rows = _Rows([0])
-    y = np.broadcast_to(np.asarray(x0, dtype=float), (1, obj.dim)).copy()
-    detail = _norm_detail("Y")
-
-    def step(j, noise, i):
-        nonlocal y
-        db, rate = noise
-        y = substep(y, rate[i], db[i])
-        rows.check(y, j + 1, detail, obj.x_star)
-
-    # an empty plan: the leg records nothing but its final state
-    rows.run(count, np.zeros(0, int), lambda start, m: (draw(start, m), rates(start, m)), step, None)
-    if rows.aborted:
-        raise rows.aborted[0]
-    return y[0]
-
-
 def em_bias_probe(
     obj: Objective,
     oracle: GradientOracle,
@@ -111,34 +89,51 @@ def em_bias_probe(
     """Integrator self-consistency: |Y_T at K substeps - Y_T at 2K| on one
     Brownian path.
 
-    The coarse leg integrates replicate 0's brownian stream of master_seed
-    through the block kernel; when the horizon is a whole number of blocks
-    it is replicate 0 of the coupled bank's continuous leg.  The fine leg
-    bridges each of its increments into two halves of width h/2: the first
-    is increment/2 plus an independent Normal(0, h/4) draw from replicate
-    1's brownian stream, and the second is the remainder, so each pair sums
-    back to the coarse increment to machine precision (the subtraction
-    rounds once).  The difference thus isolates discretization error from
-    Brownian randomness.  Both legs read their streams chunk by chunk (a
-    chunk of sgd.CHUNK fine substeps, an even count, holds whole pairs), so
-    neither holds its whole path, and both stop at the first coarse grid
-    time at or past the horizon.  The coarse leg runs first, and a leg's
-    DivergenceError is raised here.  couple-demo runs the whole probe beside
-    its coupled bank, as one task of the bank's fork_map.
+    The coarse leg integrates replicate 0's brownian stream of master_seed;
+    when the horizon is a whole number of blocks it is replicate 0 of the
+    coupled bank's continuous leg.  The fine leg bridges each of its
+    increments into two halves of width h/2: the first is increment/2 plus
+    an independent Normal(0, h/4) draw from replicate 1's brownian stream,
+    and the second is the remainder, so each pair sums back to the coarse
+    increment to machine precision (the subtraction rounds once).  The
+    difference thus isolates discretization error from Brownian randomness.
+    One pass of the block kernel steps both legs: each step takes one
+    coarse substep and the two fine substeps that refine it, from one read
+    of both streams per chunk (sgd.CHUNK fine substeps), so neither leg
+    holds its path, and both stop at the first coarse grid time at or past
+    the horizon.  A leg that diverges records its first DivergenceError and
+    the pass stops once the coarse leg has; the coarse leg's error is
+    raised here before the fine leg's.  couple-demo runs the whole probe
+    beside its coupled bank, as one task of the bank's fork_map.
     """
     h, count = _substep_grid(obj, sched, x0, horizon, substeps_per_block)
-    # the coarse leg and the bridge each read replicate 0's stream from its start
-    coarse, inc, xi = (
-        _brownian_draw([derive_stream(master_seed, i, "brownian").generator()], obj.dim, 1, scale)
-        for i, scale in ((0, np.sqrt(h)), (0, np.sqrt(h)), (1, np.sqrt(h) / 2.0))
-    )
+    rates, substep = _em_substep(obj, oracle, sched, h)
+    fine_rates, fine_substep = _em_substep(obj, oracle, sched, sched.gamma_alpha / (2 * substeps_per_block))
+    # replicate 0's increments and replicate 1's bridge normals, read together
+    normals = _brownian_draw([derive_stream(master_seed, i, "brownian").generator() for i in (0, 1)],
+                             obj.dim, 1, np.array([np.sqrt(h), np.sqrt(h) / 2.0])[:, None, None])
+    coarse, fine = _Rows([0]), _Rows([0])
+    y = np.broadcast_to(np.asarray(x0, dtype=float), (1, obj.dim)).copy()
+    z = y.copy()
+    detail = _norm_detail("Y")
 
-    def fine(start, m):
-        a = inc(start, m // 2)[0]
-        first = 0.5 * a + xi(start, m // 2)[0]
-        return np.stack([first, a - first], axis=1).reshape(m, 1, obj.dim)
+    def draw(start, m):
+        inc, xi = normals(start, m)[:, :, None]
+        return inc, 0.5 * inc + xi, rates(start, m), fine_rates(2 * start, 2 * m)
 
-    leg = lambda count, h, draw: _em_leg(obj, oracle, sched, x0, count, h, draw)
-    y_coarse = leg(count, h, lambda start, m: coarse(start, m).reshape(m, 1, obj.dim))
-    y_fine = leg(2 * count, sched.gamma_alpha / (2 * substeps_per_block), fine)
-    return float(np.linalg.norm(y_coarse - y_fine))
+    def step(j, noise, i):
+        nonlocal y, z
+        inc, first, rate, fine_rate = noise
+        y = substep(y, rate[i], inc[i])
+        coarse.check(y, j + 1, detail, obj.x_star)
+        z = fine_substep(z, fine_rate[2 * i], first[i])
+        fine.check(z, 2 * j + 1, detail, obj.x_star)
+        z = fine_substep(z, fine_rate[2 * i + 1], inc[i] - first[i])
+        fine.check(z, 2 * j + 2, detail, obj.x_star)
+
+    # an empty plan: the pass records nothing but the legs' final states
+    coarse.run(count, np.zeros(0, int), draw, step, None, 2)
+    for rows in (coarse, fine):
+        if rows.aborted:
+            raise rows.aborted[0]
+    return float(np.linalg.norm(y[0] - z[0]))

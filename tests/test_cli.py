@@ -303,6 +303,18 @@ def test_validate_probe_exact_needs_growing_noise(tmp_path):
         validate_config(path)
 
 
+def test_validate_probe_exact_lists_substeps_and_horizon_in_one_pass(tmp_path):
+    """probe-exact's steps read no substeps, so substeps = 0 does not hide
+    its horizon problem: both are listed in one pass."""
+    text = (CONFIGS / "probe_exact_m1.ini").read_text().replace("gamma = 0.1", "gamma = 1e-200")
+    with pytest.raises(ConfigError) as info:
+        validate_config(write_cfg(tmp_path, text.replace("horizon = 2", "horizon = 2\nsubsteps = 0")))
+    assert info.value.problems == [
+        "[experiment] substeps: must be >= 1",
+        "[experiment] horizon: more than 100000000 steps per replicate at gamma 1e-200, alpha 0.25",
+    ]
+
+
 def test_committed_configs_are_the_gates_and_validate():
     """configs/ holds exactly the configs the acceptance gate runs, and
     each one validates."""

@@ -215,28 +215,46 @@ def test_em_bias_probe_equals_the_one_shot_bridge(dim, lam, gamma, alpha, horizo
     assert em_bias_probe(obj, oracle, sched, 1.0, horizon, k, seed) == expected
 
 
+@pytest.mark.parametrize("horizon,coarse_substeps,bank_substeps", [(1.0, 64, 64), (1.005, 65, 80)])
+def test_coarse_leg_is_the_banks_replicate_0_on_the_block_grid(horizon, coarse_substeps, bank_substeps):
+    """The coarse leg is replicate 0 of the coupled bank's continuous leg,
+    bit for bit, when the horizon is a whole number of blocks (1.0 is four
+    blocks of 16 substeps).  Off the block grid it is not: at 1.005 the
+    coarse leg stops after 65 substeps and the bank after 5 blocks, 80.  A
+    probe that reused the bank's replicate 0 would have to check this."""
+    obj = make_quadratic(dim=2)
+    oracle = gaussian_oracle(obj, 1.0)
+    sched = StepSchedule(0.5, 0.5)
+    assert path_length(horizon, sched.gamma_alpha / 16) == coarse_substeps
+    assert 16 * path_length(horizon, sched.gamma_alpha) == bank_substeps
+    coarse = _reference_legs(obj, oracle, sched, np.ones(2), horizon, 16, 3)[0]
+    bank = _continuous(obj, oracle, sched, np.ones(2), horizon, 16, 2, 3)
+    assert np.array_equal(coarse, bank.final_states[0]) == (coarse_substeps == bank_substeps)
+
+
 def test_em_bias_probe_bridge_statistics(monkeypatch):
-    """The fine leg's increments, as its chunks hand them to the kernel:
-    each pair sums back to the coarse leg's increment to machine precision,
-    the coarse increments have variance h and the fine ones h/2, and the
-    two halves of a coarse step are uncorrelated."""
-    calls = []
-    em_leg = sde._em_leg
+    """The increments each leg's substep is handed, keyed by its width:
+    each fine pair sums back to the coarse leg's increment to machine
+    precision, the coarse increments have variance h and the fine ones h/2,
+    and the two halves of a coarse step are uncorrelated."""
+    calls = {}
+    em_substep = sde._em_substep
 
-    def spy(obj, oracle, sched, x0, count, h, draw):
-        calls.append([])
-        def kept(start, m):
-            db = draw(start, m)
-            calls[-1].append(db[:, 0].copy())
-            return db
-        return em_leg(obj, oracle, sched, x0, count, h, kept)
+    def spy(obj, oracle, sched, h):
+        rates, substep = em_substep(obj, oracle, sched, h)
+        seen = calls.setdefault(h, [])
 
-    monkeypatch.setattr(sde, "_em_leg", spy)
+        def kept(y, rate, db):
+            seen.append(float(db[0, 0]))
+            return substep(y, rate, db)
+        return rates, kept
+
+    monkeypatch.setattr(sde, "_em_substep", spy)
     obj = make_quadratic(dim=1)
     sched = StepSchedule(0.5, 0.5)
     h = sched.gamma_alpha / 512
     em_bias_probe(obj, gaussian_oracle(obj, 1.0), sched, np.ones(1), 16.0, 512, 4)
-    coarse, fine = (np.concatenate(chunks)[:, 0] for chunks in calls)
+    coarse, fine = (np.array(calls[width]) for width in (h, sched.gamma_alpha / 1024))
     assert len(coarse) == 2**15 and len(fine) == 2**16
     pair = fine[0::2] + fine[1::2]
     assert np.abs(pair - coarse).max() <= 1e-14 * np.abs(coarse).max()
