@@ -11,10 +11,10 @@ out_dir is made and any replicate runs.
 
 Every run is a deterministic function of (config, replicate_id).  Raw CSV
 columns: run_id, replicate, n_or_t, f_gap, dist2, grad_sq, suffix_avg.
-Summary CSV holds the per-checkpoint replicate mean and
-95% CI halfwidth of each observable.  The report text compares fitted
-slopes against theoretical exponents.  Exit codes: 0 run completed,
-1 invalid config, 2 every replicate aborted.
+Summary CSV holds the per-checkpoint replicate mean and 95% CI halfwidth
+of each observable; the report's rate fits and z-scores read those means
+against theoretical exponents and exact moments.  Exit codes: 0 run
+completed, 1 invalid config, 2 every replicate aborted.
 """
 from __future__ import annotations
 
@@ -66,11 +66,10 @@ from .sde import em_bias_probe, path_length
 from . import sgd
 from .sgd import DivergenceError, ReplicateRuns, run_sgd_sweep
 
-RAW_HEADER = "run_id,replicate,n_or_t,f_gap,dist2,grad_sq,suffix_avg"
-SUMMARY_HEADER = (
-    "run_id,n_or_t,f_gap_mean,f_gap_ci,dist2_mean,dist2_ci,"
-    "grad_sq_mean,grad_sq_ci,suffix_avg_mean,suffix_avg_ci"
-)
+# the observables of a bank, by their raw.csv column names
+OBSERVABLES = ("f_gap", "dist2", "grad_sq", "suffix_avg")
+RAW_HEADER = "run_id,replicate,n_or_t," + ",".join(OBSERVABLES)
+SUMMARY_HEADER = "run_id,n_or_t," + ",".join(f"{name}_{stat}" for name in OBSERVABLES for stat in ("mean", "ci"))
 # The most steps (rates, probe-exact) or diffusion substeps (the coupled
 # experiments) one replicate may take; a config asking for more is an error.
 MAX_STEPS = 10**8
@@ -79,13 +78,14 @@ MAX_STEPS = 10**8
 # on disk, and the bank blocks write their arrays in place, so the CLI's
 # memory scales with the bank arrays the rows are formatted from (3 floats
 # per raw row, and a fourth for suffix_avg): while a sweep steps, with the
-# CLI's own rows of every schedule; while it reports, with one whole bank
-# and its suffix_avg, which go before the next schedule is reported.  A
-# rates sweep of 8192 replicates x 5 alphas x 300 steps (1.97e6 raw rows,
-# 45 MiB of bank arrays) peaks at 72 MB, 32 MB of it held before the first
-# bank: some 20 bytes per raw row.  One bank of as many rows (40960
-# replicates, one alpha) peaks at 103 MB, some 36 bytes per raw row, so
-# about 360 MB more at this bound.
+# CLI's own rows of every schedule; while it reports, with one whole bank,
+# its suffix_avg and a checkpoint-major copy of one of its columns (the
+# summary's), which go before the next schedule is reported.  A rates sweep
+# of 8192 replicates x 5 alphas x 300 steps (1.97e6 raw rows, 45 MiB of
+# bank arrays) peaks at 73 MB, 32 MB of it held before the first bank: some
+# 20 bytes per raw row.  One bank of as many rows (40960 replicates, one
+# alpha) peaks at 116 MB, some 43 bytes per raw row, so about 430 MB more
+# at this bound.
 MAX_ROWS = 10**7
 # The largest objective dim (the least-squares direct solve's bound, for
 # every kind).
@@ -192,10 +192,6 @@ class Outcome:
     completed: int = 0
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _fmt_index(v) -> str:
     f = float(v)
     return str(int(f)) if f == int(f) else repr(f)
@@ -203,7 +199,11 @@ def _fmt_index(v) -> str:
 
 def _emit_banks(out: Outcome, banks) -> list:
     """Raw rows and summary rows for each (run_id, runs) of banks, in order,
-    and each bank's suffix-average column.
+    and the statistics the summary rows are written from: for each bank, a
+    dict from each observable's raw.csv column name to its per-checkpoint
+    replicate mean and standard deviation (ddof=1; zeros for a bank of one
+    replicate).  Each column is reduced once, from a checkpoint-major copy:
+    a row of it reduces to the bits of its checkpoint's column alone.
 
     The workers format the raw rows and write them to disk: fork_map hands
     each a slice of a bank's replicates and its part, an unnamed temp file
@@ -228,8 +228,8 @@ def _emit_banks(out: Outcome, banks) -> list:
     def write(task) -> None:
         k, rows, part = task
         (run_id, runs), suffix = banks[k], suffixes[k]
-        # repr of a Python float is _fmt's text; .tolist() makes those
-        # floats a replicate at a time instead of one numpy scalar per cell
+        # the text of a cell is the repr of its Python float; .tolist() makes
+        # those floats a replicate at a time instead of one numpy scalar per cell
         labels = [_fmt_index(n) for n in runs.sample_indices]
         columns = (runs.values, runs.dist2_to_min, runs.grad_sq, suffix)
         for i in range(rows.start, rows.stop):
@@ -249,18 +249,23 @@ def _emit_banks(out: Outcome, banks) -> list:
         for _, _, part in tasks:
             part.seek(0)
             shutil.copyfileobj(part, out.raw)
+    stats = []
     for (run_id, runs), suffix in zip(banks, suffixes):
-        r = len(suffix)
-        for j, index in enumerate(runs.sample_indices):
-            cells = [_fmt_index(index)]
-            for col in (runs.values, runs.dist2_to_min, runs.grad_sq, suffix):
-                mean = float(col[:, j].mean())
-                ci = (
-                    1.96 * float(col[:, j].std(ddof=1)) / np.sqrt(r) if r > 1 else 0.0
-                )
-                cells += [_fmt(mean), _fmt(ci)]
-            out.summary_rows.append(f"{run_id}," + ",".join(cells))
-    return suffixes
+        r, moments = len(suffix), {}
+        for name, col in zip(OBSERVABLES, (runs.values, runs.dist2_to_min, runs.grad_sq, suffix)):
+            # numpy's std(ddof=1), in place on the checkpoint-major copy, so
+            # that one copy of a column is all the reduction adds to the bank
+            # (a bank of one replicate deviates by 0)
+            rows = np.array(col.T, order="C")
+            mean = rows.mean(axis=1)
+            rows -= mean[:, None]
+            moments[name] = mean, np.sqrt(np.square(rows, out=rows).sum(axis=1) / max(r - 1, 1))
+            del rows  # before the next column's copy is made
+        stats.append(moments)
+        cells = [c.tolist() for m, sd in moments.values() for c in (m, 1.96 * sd / np.sqrt(r))]
+        out.summary_rows += [f"{run_id},{_fmt_index(n)}," + ",".join(map(repr, row))
+                             for n, *row in zip(runs.sample_indices, *cells)]
+    return stats
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -340,7 +345,6 @@ def _tally(out: Outcome, cfg: ExperimentConfig, run_id: str, aborts: list) -> bo
 def _experiment_rates(cfg: ExperimentConfig, out: Outcome) -> None:
     obj, (oracle,) = cfg.obj, cfg.oracles
     tol = cfg.oracle_args["rate_tolerance"]
-    observables = {"f_gap": "values", "dist2": "dist2_to_min"}
     banks = run_sgd_sweep(
         obj, oracle, cfg.schedules, cfg.x0, int(cfg.horizon), cfg.replicates, cfg.seed
     )
@@ -351,7 +355,7 @@ def _experiment_rates(cfg: ExperimentConfig, out: Outcome) -> None:
         run_id = _run_label(obj, oracle, sched)
         if not _tally(out, cfg, run_id, bank.aborts):
             continue
-        _emit_banks(out, [(run_id, bank)])
+        (stats,) = _emit_banks(out, [(run_id, bank)])
         if sched.alpha == 0.0:
             out.report.append(f"{run_id}: constant step; power-law rate fit not applicable")
             continue
@@ -371,9 +375,8 @@ def _experiment_rates(cfg: ExperimentConfig, out: Outcome) -> None:
             if expected is None:
                 out.report.append(f"{label} no polynomial guarantee at this alpha")
                 continue
-            curve = getattr(bank, observables[observable]).mean(axis=0)
             try:
-                est = fit_rate(list(zip(bank.sample_indices.tolist(), curve.tolist())))
+                est = fit_rate(list(zip(bank.sample_indices.tolist(), stats[observable][0].tolist())))
             except ValueError as err:
                 out.report.append(f"{label} rate fit not applicable ({err})")
                 continue
@@ -448,8 +451,8 @@ def _experiment_batch_eps(cfg: ExperimentConfig, out: Outcome) -> None:
         _tally(out, cfg, run_id, [])
         ids = np.arange(cfg.replicates)
         runs = ReplicateRuns(np.array([m]), values, values**2, np.zeros_like(values), ids)
-        _emit_banks(out, [(run_id, runs)])
-        means.append(float(values.mean()))
+        (stats,) = _emit_banks(out, [(run_id, runs)])
+        means.append(float(stats["f_gap"][0][0]))
     if len(m_values) >= 2:
         slope = _loglog_slope(m_values, means)
         ok = lo <= slope <= hi
@@ -471,35 +474,29 @@ def _experiment_probe_exact(cfg: ExperimentConfig, out: Outcome) -> None:
     m = cfg.oracle_args["batch_m"]
     for sched in cfg.schedules:
         run_id = _run_label(obj, oracle, sched)
-        bank = dist2 = None  # the last schedule's bank goes before this one runs
+        bank = None  # the last schedule's bank goes before this one runs
         (bank,) = run_sgd_sweep(
             obj, oracle, [sched], cfg.x0, _probe_steps(cfg.horizon, cfg.substeps, sched), cfg.replicates, cfg.seed
         )
         if not _tally(out, cfg, run_id, bank.aborts):
             continue
-        _emit_banks(out, [(run_id, bank)])
-        dist2 = bank.dist2_to_min
-        r = dist2.shape[0]
-        worst = 0.0
-        checkpoints = bank.sample_indices
-        for j, n in enumerate(checkpoints):
-            exact = probe_exact_second_moment(m, sched.gamma, sched.alpha, int(n))
-            mean = float(dist2[:, j].mean())
-            se = float(dist2[:, j].std(ddof=1)) / np.sqrt(r)
-            z = abs(mean - exact) / se if se > 0 else 0.0
-            worst = max(worst, z)
-            if j == len(checkpoints) - 1:
-                out.report.append(
-                    f"{run_id} n={int(n)}: mean dist2 {mean:.6g} vs exact {exact:.6g}"
-                    f" ({z:.2f} standard errors) {'PASS' if z <= 3 else 'FAIL'}"
-                )
+        (stats,) = _emit_banks(out, [(run_id, bank)])
+        mean, sd = stats["dist2"]
+        exact = np.array([probe_exact_second_moment(m, sched.gamma, sched.alpha, int(k)) for k in bank.sample_indices])
+        se = sd / np.sqrt(len(bank.replicate_ids))
+        # a checkpoint whose replicates all agree deviates by 0 standard errors
+        z = np.abs(mean - exact) / np.where(se > 0, se, np.inf)
         out.report.append(
-            f"{run_id}: worst checkpoint deviation {worst:.2f} standard errors"
-            f" {'PASS' if worst <= 3 else 'FAIL'}"
+            f"{run_id} n={int(bank.sample_indices[-1])}: mean dist2 {mean[-1]:.6g} vs exact {exact[-1]:.6g}"
+            f" ({z[-1]:.2f} standard errors) {'PASS' if z[-1] <= 3 else 'FAIL'}"
+        )
+        out.report.append(
+            f"{run_id}: worst checkpoint deviation {z.max():.2f} standard errors"
+            f" {'PASS' if z.max() <= 3 else 'FAIL'}"
         )
         # validate_config holds probe-exact to alpha < 1/2, where the floor holds
         floor = probe_strong_error_floor(m, sched.gamma, sched.alpha, cfg.horizon)
-        final = float(np.sqrt(dist2[:, -1].mean()))
+        final = float(np.sqrt(mean[-1]))
         out.report.append(
             f"{run_id}: final RMS deviation {final:.6g} vs lower bound {floor:.6g}"
             f" {'PASS' if final >= floor else 'FAIL'}"
@@ -692,9 +689,13 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
     if replicates < exp.fewest:
         problems.append(f"[experiment] replicates: must be >= {exp.fewest}")
     substeps = get("experiment", "substeps", 16)
-    if substeps < 1:
-        problems.append("[experiment] substeps: must be >= 1")
     horizon = get("experiment", "horizon", 0.0)
+    # the [experiment] keys the kind's row never reads (an unknown kind reads all)
+    unread = [key for key, read in (("horizon", exp.steps is not None), ("substeps", exp.steps is _SUBSTEPS))
+              if not read and kind in _EXPERIMENTS]
+    problems += [f"[experiment] {key}: {kind} takes no {key}" for key in unread if ("experiment", key) in values]
+    if substeps < 1 and "substeps" not in unread:
+        problems.append("[experiment] substeps: must be >= 1")
     if exp.steps and horizon <= 0:
         problems.append("[experiment] horizon: must be positive")
     elif exp.steps and not exp.continuous:  # steps, whatever the schedule

@@ -50,3 +50,15 @@ def _euler(obj, oracle, sched, x0, h, path):
         if not sq <= sgd.DIVERGENCE_NORM**2:
             return 0, j + 1, sgd._norm_detail("Y")(sq)
     return y[0]
+
+
+def sgd_second_moment(sched, lam: float, sigma: float, x0: float, checkpoints) -> np.ndarray:
+    """E X_n^2 of one-dimensional SGD on (lam/2) x^2 under additive gaussian
+    noise of scale sigma, from X_0 = x0, at each checkpoint n: the exact
+    recursion e_{n+1} = (1 - gamma_n lam)^2 e_n + gamma_n^2 sigma^2 with
+    e_0 = x0^2 and gamma_n = sched.step_size(n)."""
+    checkpoints = np.asarray(checkpoints, dtype=int)
+    moments = [x0 * x0]
+    for gamma in sched.step_size(np.arange(checkpoints.max())).tolist():
+        moments.append((1.0 - gamma * lam) ** 2 * moments[-1] + gamma * gamma * sigma * sigma)
+    return np.array(moments)[checkpoints]

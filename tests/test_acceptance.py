@@ -9,7 +9,9 @@ decays, slopes, z-scores and the bias probe are checked at the precision
 the report prints them (4 decimals for a decay or slope, 2 for a z-score,
 6 significant digits for an error, RMS, floor or the bias); the exact
 grad_sq_mean and f_gap_mean come from summary.csv.
-Criterion 9 is a property suite over the library.
+Criterion 9 is a property suite over the library.  Criterion 10 checks
+criterion 1's summary.csv against the exact second moment of SGD on the
+quadratic.
 
 Each test prints one pass/fail line for the guarantee it checks.  Every
 run is a deterministic function of its config, so reruns reproduce the
@@ -56,6 +58,7 @@ from sgdlab import (
     w2_1d,
 )
 from sgdlab.cli import main as cli_main, validate_config
+from helpers import sgd_second_moment
 
 pytestmark = pytest.mark.acceptance
 
@@ -70,7 +73,7 @@ GATE = (
     "batch_eps_laplace.ini",  # 6
     "quadratic_weak_approx.ini",  # 7
     "pl_sine_rates.ini",  # 8
-)
+)  # criterion 10 reads criterion 1's runs
 
 _plugins = None
 
@@ -451,3 +454,32 @@ def test_criterion_9_property_suites(tmp_path):
         f" [{time.perf_counter() - t0:.0f}s, budget 60s] {_verdict(ok)}"
     )
     assert ok, parts
+
+
+def test_criterion_10_sgd_second_moment_is_exact(run_config):
+    """On the quadratic with additive gaussian noise, every checkpoint's
+    dist2_mean lies within 4 standard errors (dist2_ci / 1.96) of the exact
+    second moment of SGD, e_{n+1} = (1 - gamma_n lam)^2 e_n + gamma_n^2 sigma^2
+    from e_0 = x0^2: a bound for the 4 x 59 checkpoints of criterion 1's
+    runs, read from their summary.csv."""
+    t0 = time.perf_counter()
+    worst, checkpoints = {}, 0
+    for config in ("quadratic_rates.ini", "quadratic_rates_alpha1.ini"):
+        cfg = validate_config(str(CONFIGS / config))
+        lam, sigma, x0 = cfg.objective_args["lam"], cfg.oracle_args["sigma"], float(cfg.x0[0])
+        summary = run_config(config)[1]
+        means, cis = _columns(summary, "dist2_mean"), _columns(summary, "dist2_ci")
+        for sched in cfg.schedules:
+            (run_id,) = [run_id for run_id in means if run_id.endswith(f"_{sched.label()}")]
+            (n, mean), (_, ci) = means[run_id], cis[run_id]
+            exact = sgd_second_moment(sched, lam, sigma, x0, n)
+            worst[run_id] = float(np.max(np.abs(mean - exact) / (ci / 1.96)))
+            checkpoints += len(n)
+    ok = all(z <= 4.0 for z in worst.values())
+    detail = " ".join(f"{run_id}:{z:.2f}" for run_id, z in worst.items())
+    emit(
+        f"criterion 10 (exact SGD second moment): worst z over {checkpoints} checkpoints"
+        f" {detail} (limit 4) [{time.perf_counter() - t0:.0f}s, shares criterion 1's runs]"
+        f" {_verdict(ok)}"
+    )
+    assert ok, f"dist2_mean off the exact second moment: worst z {worst}"

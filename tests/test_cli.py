@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 import weakref
 from collections import defaultdict
 from functools import partial
@@ -23,16 +24,17 @@ from hypothesis import strategies as st
 from sgdlab import cli, sgd
 from sgdlab.cli import (
     _EXPERIMENTS,
+    _SUBSTEPS,
     _KEYS,
     _OBJECTIVES,
     _ORACLES,
     EXPERIMENTS,
     ConfigError,
+    OBSERVABLES,
     RAW_HEADER,
     SUMMARY_HEADER,
     Outcome,
     _emit_banks,
-    _fmt,
     _fmt_index,
     build_objective,
     build_oracle,
@@ -139,7 +141,6 @@ BATCH_EPS_CFG = """
     kind = batch-eps
     seed = 2
     replicates = 2
-    horizon = 1
 
     [oracle]
     kind = batch_probe
@@ -304,13 +305,14 @@ def test_validate_probe_exact_needs_growing_noise(tmp_path):
 
 
 def test_validate_probe_exact_lists_substeps_and_horizon_in_one_pass(tmp_path):
-    """probe-exact's steps read no substeps, so substeps = 0 does not hide
-    its horizon problem: both are listed in one pass."""
+    """probe-exact's steps read no substeps, so substeps = 0 is a key it
+    takes no value of and does not hide its horizon problem: both are
+    listed in one pass."""
     text = (CONFIGS / "probe_exact_m1.ini").read_text().replace("gamma = 0.1", "gamma = 1e-200")
     with pytest.raises(ConfigError) as info:
         validate_config(write_cfg(tmp_path, text.replace("horizon = 2", "horizon = 2\nsubsteps = 0")))
     assert info.value.problems == [
-        "[experiment] substeps: must be >= 1",
+        "[experiment] substeps: probe-exact takes no substeps",
         "[experiment] horizon: more than 100000000 steps per replicate at gamma 1e-200, alpha 0.25",
     ]
 
@@ -538,18 +540,17 @@ def test_batch_eps_sweep(tmp_path, capsys):
     assert ms == {"1", "4"}
 
 
-def test_batch_eps_needs_no_horizon(tmp_path):
-    """batch-eps reads no horizon: a config without one runs and writes the
-    bytes of the same config with one."""
-    without = BATCH_EPS_CFG.replace("    horizon = 1\n", "")
-    assert "horizon" not in without
-    outputs = []
-    for name, text in (("with", BATCH_EPS_CFG), ("without", without)):
-        out = tmp_path / name
-        assert main(["batch-eps", "--config", write_cfg(tmp_path, text, f"{name}.ini"),
-                     "--out-dir", str(out)]) == 0
-        outputs.append({n: (out / n).read_bytes() for n in OUTPUTS})
-    assert outputs[0] == outputs[1]
+def test_batch_eps_needs_no_horizon(tmp_path, capsys):
+    """batch-eps reads no horizon: a config without one runs, and the same
+    config with one is a problem, listed before out_dir is made."""
+    assert "horizon" not in BATCH_EPS_CFG
+    assert main(["batch-eps", "--config", write_cfg(tmp_path, BATCH_EPS_CFG),
+                 "--out-dir", str(tmp_path / "without")]) == 0
+    with_horizon = BATCH_EPS_CFG.replace("replicates = 2", "replicates = 2\n    horizon = 1")
+    assert main(["batch-eps", "--config", write_cfg(tmp_path, with_horizon),
+                 "--out-dir", str(tmp_path / "with")]) == 1
+    assert capsys.readouterr().err == "config error: [experiment] horizon: batch-eps takes no horizon\n"
+    assert not (tmp_path / "with").exists()
 
 
 def test_certify_quadratic(tmp_path, capsys):
@@ -843,6 +844,11 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     # a certify grid with no point for the ratio conditions
     ("certify", CERTIFY_CFG, "lo = -2\n    hi = 2", "lo = -1\n    hi = 1\n    exclude_radius = 5",
      ["[grid]: no grid point lies beyond exclude_radius with a positive gap"]),
+    # an [experiment] key the experiment does not read
+    ("rates", RATES_CFG, "horizon = 400", "horizon = 400\n    substeps = 4",
+     ["[experiment] substeps: rates takes no substeps"]),
+    ("batch-eps", BATCH_EPS_CFG, "replicates = 2", "replicates = 2\n    horizon = 1",
+     ["[experiment] horizon: batch-eps takes no horizon"]),
     # a section the experiment does not read
     ("rates", RATES_CFG, "alpha = 0.5", "alpha = 0.5\n\n    [grid]\n    num = 5",
      ["[grid] num: rates takes no grid"]),
@@ -892,15 +898,18 @@ def test_cli_compares_no_experiment_name():
 def _row_problems(tmp_path, experiment, **changes) -> list:
     """The problems validate_config lists for a small config of experiment,
     with its row's objective and oracle kinds and only the sections it
-    reads, and with some [section] key values replaced (as in _case)."""
+    reads (and a horizon where it reads one), and with some [section] key
+    values replaced (as in _case)."""
     row = _EXPERIMENTS[experiment]
     sections = {
-        "experiment": {"kind": experiment, "seed": "1", "replicates": "2", "horizon": "2"},
+        "experiment": {"kind": experiment, "seed": "1", "replicates": "2"},
         "objective": {"kind": row.objective or "quadratic", "x0": "1.0"},
         "oracle": {"kind": row.oracle or "gaussian"},
         "schedule": {"gamma": "0.5", "alpha": "0.25"},
         "grid": {"num": "11"},
     }
+    if row.steps:
+        sections["experiment"]["horizon"] = "2"
     sections = {name: keys for name, keys in sections.items()
                 if name in ("experiment", "objective", *row.sections)}
     for name, value in changes.items():
@@ -918,9 +927,10 @@ def test_each_row_rule_binds_exactly_the_rows_that_carry_it(tmp_path, experiment
     """validate_config reads each rule from the experiment's row, so one
     config per rule shows it on every row: two schedules are a problem
     exactly where the row runs one, alpha 0.6 exactly where the row bounds
-    alpha at or below it, and horizon 0 exactly where the row reads a
-    horizon.  A row without [schedule] lists its key as one it does not
-    take."""
+    alpha at or below it, horizon 0 exactly where the row reads a horizon,
+    and substeps 0 exactly where the row reads substeps.  A row without
+    [schedule] lists its key as one it does not take, and so does a row
+    that reads no horizon or no substeps."""
     row = _EXPERIMENTS[experiment]
     assert _row_problems(tmp_path, experiment) == []
     takes_no = lambda key: [] if "schedule" in row.sections else [f"[schedule] {key}: {experiment} takes no schedule"]
@@ -935,12 +945,26 @@ def test_each_row_rule_binds_exactly_the_rows_that_carry_it(tmp_path, experiment
     assert _row_problems(tmp_path, experiment, schedule__alpha="0.6") == (
         expected[:1] + takes_no("alpha"))
 
-    expected = ["[experiment] horizon: must be positive"] if row.steps else []
-    assert _row_problems(tmp_path, experiment, experiment__horizon="0") == expected
+    expected = "must be positive" if row.steps else f"{experiment} takes no horizon"
+    assert _row_problems(tmp_path, experiment, experiment__horizon="0") == [f"[experiment] horizon: {expected}"]
+
+    expected = "must be >= 1" if row.steps is _SUBSTEPS else f"{experiment} takes no substeps"
+    assert _row_problems(tmp_path, experiment, experiment__substeps="0") == [f"[experiment] substeps: {expected}"]
 
 
-def _per_cell_text(run_id, runs, suffix) -> list:
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def _suffix(values) -> np.ndarray:
+    """The mean of each replicate's recorded values from each checkpoint to
+    the end: the tail sums over the tail counts."""
+    return np.cumsum(values[:, ::-1], axis=1)[:, ::-1] / np.arange(values.shape[1], 0, -1)
+
+
+def _per_cell_text(run_id, runs) -> list:
     """The raw rows of a bank with every cell formatted by _fmt and _fmt_index."""
+    suffix = _suffix(runs.values)
     return [
         f"{run_id},{int(runs.replicate_ids[i])},{_fmt_index(n)},{_fmt(runs.values[i, j])},"
         f"{_fmt(runs.dist2_to_min[i, j])},{_fmt(runs.grad_sq[i, j])},{_fmt(suffix[i, j])}"
@@ -965,8 +989,8 @@ def test_emit_bank_rows_are_the_per_cell_text(tmp_path, monkeypatch):
     for indices in (np.array([1, 10, 100]), np.array([0.25, 2.0, 1e17])):
         runs.sample_indices = indices
         out = Outcome(tmp_path, tempfile.TemporaryFile(dir=tmp_path))
-        (suffix,) = _emit_banks(out, [("run", runs)])
-        lines = _per_cell_text("run", runs, suffix)
+        _emit_banks(out, [("run", runs)])
+        lines = _per_cell_text("run", runs)
         assert _emitted(out) == "".join(f"{line}\n" for line in lines).encode()
     assert lines[1].startswith("run,0,2,1e+16,")
     assert lines[3].startswith("run,4,0.25,-0.0,")
@@ -987,9 +1011,9 @@ def test_emitted_bytes_are_the_per_cell_text_at_every_part_boundary(tmp_path, mo
     monkeypatch.setattr(sgd, "WORKERS", workers)
     banks = [("a", _bank(3, 4, 0)), ("b", _bank(1, 2, 1)), ("c", _bank(5, 3, 2))]
     out = Outcome(tmp_path, tempfile.TemporaryFile(dir=tmp_path))
-    suffixes = _emit_banks(out, banks[:2]) + _emit_banks(out, banks[2:])
-    expected = [line for (run_id, runs), suffix in zip(banks, suffixes)
-                for line in _per_cell_text(run_id, runs, suffix)]
+    _emit_banks(out, banks[:2])
+    _emit_banks(out, banks[2:])
+    expected = [line for run_id, runs in banks for line in _per_cell_text(run_id, runs)]
     assert _emitted(out) == "".join(f"{line}\n" for line in expected).encode()
     assert list(tmp_path.iterdir()) == []
 
@@ -998,21 +1022,64 @@ def test_suffix_avg_is_the_mean_from_each_checkpoint_to_the_end(tmp_path):
     values = np.array([[4.0, 2.0, 1.0, 3.0]])
     runs = ReplicateRuns(np.array([1, 2, 3, 4]), values, values, values, np.array([0]))
     out = Outcome(tmp_path, tempfile.TemporaryFile(dir=tmp_path))
-    np.testing.assert_array_equal(_emit_banks(out, [("run", runs)])[0], [[2.5, 2.0, 2.0, 3.0]])
+    (stats,) = _emit_banks(out, [("run", runs)])
+    np.testing.assert_array_equal(stats["suffix_avg"][0], [2.5, 2.0, 2.0, 3.0])
     lines = _emitted(out).decode().splitlines()
     assert [row.rsplit(",", 1)[1] for row in lines] == ["2.5", "2.0", "2.0", "3.0"]
-    # a bank of non-dyadic values: the column, its raw rows and its summary
-    # cells are, bit for bit, those of the tail sums over the tail counts
+    # a bank of non-dyadic values: its raw rows and its summary cells are,
+    # bit for bit, those of the tail sums over the tail counts
     runs = _bank(37, 29, 3)
-    v, n = runs.values, runs.values.shape[1]
-    reference = np.cumsum(v[:, ::-1], axis=1)[:, ::-1] / np.arange(n, 0, -1)
+    reference = _suffix(runs.values)
     out = Outcome(tmp_path, tempfile.TemporaryFile(dir=tmp_path))
-    assert _emit_banks(out, [("run", runs)])[0].tobytes() == reference.tobytes()
-    expected = "".join(f"{line}\n" for line in _per_cell_text("run", runs, reference))
+    _emit_banks(out, [("run", runs)])
+    expected = "".join(f"{line}\n" for line in _per_cell_text("run", runs))
     assert _emitted(out) == expected.encode()
     assert [row.split(",")[-2:] for row in out.summary_rows] == [
         [_fmt(c.mean()), _fmt(1.96 * c.std(ddof=1) / np.sqrt(len(c)))] for c in reference.T
     ]
+
+
+def _summary_by_checkpoint(run_id, runs):
+    """The summary rows of a bank, and each observable's per-checkpoint mean
+    and standard deviation, reduced one checkpoint's column at a time."""
+    columns = dict(zip(OBSERVABLES, (runs.values, runs.dist2_to_min, runs.grad_sq, _suffix(runs.values))))
+    r = len(runs.replicate_ids)
+    rows, stats = [], {name: ([], []) for name in OBSERVABLES}
+    for j, index in enumerate(runs.sample_indices):
+        cells = [_fmt_index(index)]
+        for name, col in columns.items():
+            mean = float(col[:, j].mean())
+            ci = (
+                1.96 * float(col[:, j].std(ddof=1)) / np.sqrt(r) if r > 1 else 0.0
+            )
+            cells += [_fmt(mean), _fmt(ci)]
+            stats[name][0].append(mean)
+            stats[name][1].append(float(col[:, j].std(ddof=1)) if r > 1 else 0.0)
+        rows.append(f"{run_id}," + ",".join(cells))
+    return rows, {name: (np.array(means), np.array(sds)) for name, (means, sds) in stats.items()}
+
+
+@pytest.mark.parametrize("n_ckpt", [1, 57])
+@pytest.mark.parametrize("n_rows", [1, 2, 1024])
+def test_summary_and_statistics_are_each_checkpoints_reductions_bit_for_bit(tmp_path, n_rows, n_ckpt):
+    """_emit_banks reduces each column once, checkpoint-major: its summary
+    rows, and the means and standard deviations it returns, are bit for bit
+    those of reducing each checkpoint's column alone.  A bank of one
+    replicate has deviations of zero and a CI of 0.0, and raises no
+    warning."""
+    runs = _bank(n_rows, n_ckpt, n_ckpt)
+    out = Outcome(tmp_path, tempfile.TemporaryFile(dir=tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (stats,) = _emit_banks(out, [("run", runs)])
+    out.raw.close()
+    rows, reference = _summary_by_checkpoint("run", runs)
+    assert out.summary_rows == rows
+    assert list(stats) == list(OBSERVABLES)
+    for name, (mean, sd) in reference.items():
+        assert (stats[name][0].tobytes(), stats[name][1].tobytes()) == (mean.tobytes(), sd.tobytes())
+    cis = {cell for row in rows for cell in row.split(",")[3::2]}
+    assert (cis == {"0.0"}) == (n_rows == 1)
 
 
 def test_subcommand_kind_mismatch_exits_1(tmp_path, capsys):
