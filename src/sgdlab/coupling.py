@@ -18,10 +18,13 @@ resolve_kind picks from the oracle's noise law (the first that applies):
 A bank of coupled replicates (run_coupled_replicates) is a CoupledBank,
 and its continuous leg is the package's one bank of the diffusion (of
 the noiseless flow, with a zero-noise oracle); a replicate that diverges
-is listed in its aborts.  Each leg of a bank keeps its final states,
-after the last block.  A bank can run zero-argument tasks beside its
-blocks, in the same fork_map (couple-demo's integrator bias probe), and
-returns their results in its beside list.
+is dropped from both legs and listed in the aborts of the bank and of
+each leg.  Each leg is one ReplicateRuns, allocated in shared memory
+before the blocks run (sgd._bank); the blocks write it in place through
+sgd's one checkpoint recorder, final states included, and the squared
+gaps between the legs (coupled_dist2) beside it.  A bank can run
+zero-argument tasks beside its blocks, in the same fork_map (couple-demo's
+integrator bias probe), and returns their results in its beside list.
 strong_error and weak_error reduce a bank to error estimates.
 """
 from __future__ import annotations
@@ -38,10 +41,10 @@ from .sde import _brownian_draw, _em_substep, _substep_grid, path_length
 from .sgd import (
     DivergenceError,
     ReplicateRuns,
-    _Checkpoints,
+    _bank,
     _map_blocks,
     _raw_draw,
-    _replicate_runs,
+    _record,
     _Rows,
     _shared,
     _survivors,
@@ -105,18 +108,19 @@ def _coupled_block(
     x0,
     n_blocks: int,
     substeps: int,
-    plan: np.ndarray,
     kind: str,
     streams: list[RngStream],
-    discrete: _Checkpoints,
-    continuous: _Checkpoints,
+    discrete: ReplicateRuns,
+    continuous: ReplicateRuns,
     gap_d2: np.ndarray,
+    s: slice,
 ) -> _Rows:
-    """One block of a coupled bank, recorded into the block's rows of each
-    leg's checkpoints and of gap_d2."""
-    rows = _Rows([s.replicate_id for s in streams])
-    brown_gens = [derive_stream(s.master_seed, s.replicate_id, "brownian").generator() for s in streams]
-    noise_gens = [s.generator() for s in streams] if kind == INDEPENDENT else []
+    """One block of a coupled bank: the replicates of streams[s], recorded
+    into rows s of each leg and of gap_d2."""
+    streams = streams[s]
+    rows = _Rows([st.replicate_id for st in streams])
+    brown_gens = [derive_stream(st.master_seed, st.replicate_id, "brownian").generator() for st in streams]
+    noise_gens = [st.generator() for st in streams] if kind == INDEPENDENT else []
     r, d = len(streams), obj.dim
     h = sched.gamma_alpha / substeps
     root_ga = np.sqrt(sched.gamma_alpha)
@@ -160,13 +164,12 @@ def _coupled_block(
         rows.check(x, k + 1, discrete_detail, x_star)
 
     def record(p):
-        discrete.record(p, x)
-        continuous.record(p, y)
+        _record(obj, discrete, s, p, x)
+        _record(obj, continuous, s, p, y)
         gap = y - x
-        gap_d2[:, p] = np.einsum("rd,rd->r", gap, gap)
+        gap_d2[s, p] = np.einsum("rd,rd->r", gap, gap)
 
-    rows.run(n_blocks, plan, draw, step, record, substeps)
-    discrete.final[...], continuous.final[...] = x, y
+    rows.run(n_blocks, discrete.sample_indices, draw, step, record, substeps)
     return rows
 
 
@@ -202,20 +205,20 @@ def run_coupled_replicates(
     n_blocks = path_length(horizon, ga)
     plan = log_spaced_indices(n_blocks)
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    discrete, continuous = (_Checkpoints.bank(obj, n_replicates, len(plan)) for _ in range(2))
+    discrete, continuous = (_bank(obj, n_replicates, at) for at in (plan, plan * ga))
     gap_d2 = _shared(n_replicates * len(plan)).reshape(n_replicates, len(plan))
     work = lambda s: _coupled_block(
-        obj, oracle, sched, x0, n_blocks, substeps_per_block, plan, kind, streams[s],
-        discrete.rows(s), continuous.rows(s), gap_d2[s],
+        obj, oracle, sched, x0, n_blocks, substeps_per_block, kind, streams, discrete, continuous,
+        gap_d2, s,
     )
     parts, side = _map_blocks(n_replicates, work, beside)
-    (coupled_dist2,), aborts = _survivors(parts, [gap_d2])
+    discrete, continuous = (_survivors(leg, parts) for leg in (discrete, continuous))
     return CoupledBank(
-        coupled_dist2=coupled_dist2,
-        discrete=_replicate_runs(discrete, parts, plan),
-        continuous=_replicate_runs(continuous, parts, plan * ga),
+        coupled_dist2=gap_d2[discrete.replicate_ids] if discrete.aborts else gap_d2,
+        discrete=discrete,
+        continuous=continuous,
         coupling_kind=kind,
-        aborts=aborts,
+        aborts=discrete.aborts,
         beside=side,
     )
 

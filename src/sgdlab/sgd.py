@@ -25,16 +25,18 @@ core.log_spaced_indices of the bank's step count (at most 64,
 geometrically spaced, the last step among them): the points every rate
 and approximation fit reads.  The sde and coupling modules drive the
 same kernel with their own step.  Every bank keeps each row's state
-after the last step (final_states); checkpoints record observables only.
+after the last step (final_states): the recorder writes the rows' states
+with their observables, and the last checkpoint is the last step.
 A step's size is computed with its chunk's noise, so no run holds a
 table of its whole schedule.
 
-Results are written in place: a bank's checkpoint arrays and final
-states are allocated once, before its blocks fork, in anonymous shared
-memory (_Checkpoints.bank), and each block records into the rows of its
-own, in whichever process steps it.  A block's result, the only thing a
-forked worker pipes back, is its rows' ids and aborts (_Rows); no
-checkpoint array is pickled or concatenated.
+Results are written in place: a bank is one ReplicateRuns from its first
+step to its report.  Its checkpoint arrays and final states are
+allocated once, before its blocks fork, in anonymous shared memory
+(_bank), and each block writes the rows of its own through the one
+checkpoint recorder (_record), in whichever process steps it.  A block's
+result, the only thing a forked worker pipes back, is its rows' ids and
+aborts (_Rows); no checkpoint array is pickled or concatenated.
 
 Block and chunk are sized together: a block's draw buffer holds
 REPLICATE_BLOCK * CHUNK = 2^18 innovations, so a wider block (fewer
@@ -48,11 +50,11 @@ and whichever process steps a block.
 A row whose state leaves the finite regime records its first
 DivergenceError and has its state reset to the minimizer; the other rows
 step on, and the bank drops the aborted rows and lists their errors in
-its aborts field.  A bank with no aborted row holds views of the shared
-arrays its blocks wrote; one with aborts holds a copy of the surviving
-rows.  Either way a bank's arrays go when the bank is dropped, so a
-caller that drops each bank once it is done with it holds one at a time
-(the stepping itself holds every bank of a sweep).  There is no solo
+its aborts field (_survivors).  A bank with no aborted row is the one
+its blocks wrote, views of shared memory; one with aborts holds a copy of
+the surviving rows.  Either way a bank's arrays go when the bank is
+dropped, so a caller that drops each bank once it is done with it holds
+one at a time (the stepping itself holds every bank of a sweep).  There is no solo
 runner: a single run is a bank of one, and sde.em_bias_probe, which needs
 its legs' final states, raises a leg's DivergenceError instead.
 """
@@ -63,7 +65,7 @@ import os
 import pickle
 import signal
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -135,30 +137,25 @@ def _shared(n: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), dtype=float, count=n)
 
 
-class _Checkpoints:
-    """Observables of rows of a bank, one column per checkpoint, and the
-    rows' states after the last step (final, which a block fills once it
-    has run).  bank allocates them for a whole bank, as views of one
-    shared buffer; rows(s) is the part a block records into."""
+def _bank(obj: Objective, n_rows: int, sample_indices: np.ndarray) -> ReplicateRuns:
+    """A bank of n_rows replicates (ids 0 to n_rows - 1) recording at
+    sample_indices, before its blocks run: its checkpoint arrays and final
+    states are views of one shared buffer, which the blocks write."""
+    size = 3 * n_rows * len(sample_indices)
+    buf = _shared(size + n_rows * obj.dim)
+    return ReplicateRuns(sample_indices, *buf[:size].reshape(3, n_rows, len(sample_indices)),
+                         np.arange(n_rows), buf[size:].reshape(n_rows, obj.dim))
 
-    def __init__(self, obj: Objective, values, dist2, grad_sq, final):
-        self.obj = obj
-        self.values, self.dist2, self.grad_sq, self.final = values, dist2, grad_sq, final
 
-    @classmethod
-    def bank(cls, obj: Objective, n_rows: int, n_ckpt: int) -> _Checkpoints:
-        size = 3 * n_rows * n_ckpt
-        buf = _shared(size + n_rows * obj.dim)
-        return cls(obj, *buf[:size].reshape(3, n_rows, n_ckpt), buf[size:].reshape(n_rows, obj.dim))
-
-    def rows(self, s: slice) -> _Checkpoints:
-        return _Checkpoints(self.obj, self.values[s], self.dist2[s], self.grad_sq[s], self.final[s])
-
-    def record(self, p: int, x: np.ndarray) -> None:
-        self.values[:, p], g = self.obj.value_and_gradient(x)
-        diff = x - self.obj.x_star
-        self.dist2[:, p] = np.einsum("rd,rd->r", diff, diff)
-        self.grad_sq[:, p] = np.einsum("rd,rd->r", g, g)
+def _record(obj: Objective, bank: ReplicateRuns, s: slice, p: int, x: np.ndarray) -> None:
+    """The checkpoint recorder: the observables of bank's rows s at
+    checkpoint p, from their states x, which are also the rows' final
+    states until a later checkpoint records (the last is the last step)."""
+    bank.values[s, p], g = obj.value_and_gradient(x)
+    diff = x - obj.x_star
+    bank.dist2_to_min[s, p] = np.einsum("rd,rd->r", diff, diff)
+    bank.grad_sq[s, p] = np.einsum("rd,rd->r", g, g)
+    bank.final_states[s] = x
 
 
 class _Rows:
@@ -230,13 +227,13 @@ def fork_map(fn, items) -> list:
     forked children: process w runs items w, w + workers, ..., and each
     child pipes back its pickled results, or the exception it raised, which
     the parent raises again.  A bank's block results are its rows' ids and
-    aborts only: the blocks write their checkpoint arrays in place, into
-    shared memory allocated before the fork (_Checkpoints.bank).  Runs in-process with one worker or one item,
-    and inside a call (in a child or in the parent's share).  Every child
-    is reaped, and killed first if the parent leaves early.  A child leaves
-    through os._exit, which flushes no file buffer, so fn flushes any file it
-    writes (cli._emit_banks' workers write raw rows to files opened before
-    the fork) before it returns."""
+    aborts only: the blocks write their banks in place, into shared memory
+    allocated before the fork (_bank).  Runs in-process with one worker or
+    one item, and inside a call (in a child or in the parent's share).
+    Every child is reaped, and killed first if the parent leaves early.  A
+    child leaves through os._exit, which flushes no file buffer, so fn
+    flushes any file it writes (cli._emit_banks' workers write raw rows to
+    files opened before the fork) before it returns."""
     global _inside
     items = list(items)
     workers = min(WORKERS, len(items))
@@ -311,25 +308,17 @@ def _map_blocks(n: int, work, beside=()) -> tuple[list, list]:
     return results[: len(slices)], results[len(slices) :]
 
 
-def _survivors(parts: list, arrays: list) -> tuple[list, list[DivergenceError]]:
-    """arrays, each stacked over the rows of parts (one _Rows per block, in
-    order), cut to the rows that never diverged, and the aborts of the
-    others in replicate order: the arrays themselves when no row aborted,
-    else copies of the surviving rows."""
+def _survivors(bank: ReplicateRuns, parts: list) -> ReplicateRuns:
+    """bank, as its blocks wrote it (parts their _Rows, in order), cut to
+    the rows that never diverged, with the aborts of the others in
+    replicate order: bank itself, holding views of the shared buffer, when
+    no row aborted, else a copy of the surviving rows."""
     aborts = [rows.aborted[i] for rows in parts for i in sorted(rows.aborted)]
-    if aborts:
-        keep = np.concatenate(
-            [~np.isin(np.arange(len(rows.ids)), list(rows.aborted)) for rows in parts]
-        )
-        arrays = [a[keep] for a in arrays]
-    return arrays, aborts
-
-
-def _replicate_runs(ckpts: _Checkpoints, parts: list, sample_indices) -> ReplicateRuns:
-    """The bank that ckpts recorded, parts its blocks' _Rows in order."""
-    ids = np.concatenate([rows.ids for rows in parts])
-    arrays, aborts = _survivors(parts, [ckpts.values, ckpts.dist2, ckpts.grad_sq, ids, ckpts.final])
-    return ReplicateRuns(sample_indices, *arrays, aborts)
+    if not aborts:
+        return bank
+    keep = np.isin(bank.replicate_ids, [err.replicate_id for err in aborts], invert=True)
+    per_row = ("values", "dist2_to_min", "grad_sq", "replicate_ids", "final_states")
+    return replace(bank, aborts=aborts, **{name: getattr(bank, name)[keep] for name in per_row})
 
 
 def _raw_draw(oracle: GradientOracle, gens: list):
@@ -356,24 +345,25 @@ def _sgd_block(
     scheds: tuple,
     x0,
     n_steps: int,
-    plan: np.ndarray,
     streams: list[RngStream],
-    ckpts: list[_Checkpoints],
+    banks: list[ReplicateRuns],
+    s: slice,
 ) -> list[_Rows]:
-    """One block of a sweep: its streams' replicates under every schedule,
-    stepped as one (schedules, replicates, dim) state, recorded into ckpts
-    (one per schedule, the block's rows).  Each chunk is drawn once per
+    """One block of a sweep: the replicates of streams[s] under every
+    schedule, stepped as one (schedules, replicates, dim) state and recorded
+    into rows s of banks (one per schedule).  Each chunk is drawn once per
     replicate and broadcast over the schedules, together with the chunk's
     (steps, schedules) table of step sizes, so no block holds a whole
     run's table.  Returns one _Rows per schedule."""
-    rows = _Rows([s.replicate_id for s in streams] * len(scheds))
+    streams = streams[s]
+    rows = _Rows([st.replicate_id for st in streams] * len(scheds))
     shape = (len(scheds), len(streams), obj.dim)
     x = np.broadcast_to(np.asarray(x0, dtype=float), shape).copy()
-    raw_draw = _raw_draw(oracle, [s.generator() for s in streams])
+    raw_draw = _raw_draw(oracle, [st.generator() for st in streams])
     detail = _norm_detail("X")
 
     def draw(start, m):
-        steps = np.stack([s.step_size(start + np.arange(m)) for s in scheds], axis=1)
+        steps = np.stack([sc.step_size(start + np.arange(m)) for sc in scheds], axis=1)
         return raw_draw(start, m), steps[..., None, None]
 
     def step(n, noise, j):
@@ -383,12 +373,10 @@ def _sgd_block(
         rows.check(x.reshape(-1, obj.dim), n + 1, detail, obj.x_star)
 
     def record(p):
-        for ckpt, xs in zip(ckpts, x):
-            ckpt.record(p, xs)
+        for bank, xs in zip(banks, x):
+            _record(obj, bank, s, p, xs)
 
-    rows.run(n_steps, plan, draw, step, record)
-    for ckpt, xs in zip(ckpts, x):
-        ckpt.final[...] = xs
+    rows.run(n_steps, banks[0].sample_indices, draw, step, record)
     return rows.split(len(scheds))
 
 
@@ -425,11 +413,7 @@ def run_sgd_sweep(
             )
     plan = log_spaced_indices(n_steps)
     streams = [derive_stream(master_seed, i, "noise") for i in range(n_replicates)]
-    ckpts = [_Checkpoints.bank(obj, n_replicates, len(plan)) for _ in scheds]
-    work = lambda s: _sgd_block(
-        obj, oracle, scheds, x0, n_steps, plan, streams[s], [c.rows(s) for c in ckpts]
-    )
+    banks = [_bank(obj, n_replicates, plan) for _ in scheds]
+    work = lambda s: _sgd_block(obj, oracle, scheds, x0, n_steps, streams, banks, s)
     blocks, _ = _map_blocks(n_replicates, work)
-    return [
-        _replicate_runs(ckpt, [block[k] for block in blocks], plan) for k, ckpt in enumerate(ckpts)
-    ]
+    return [_survivors(bank, [block[k] for block in blocks]) for k, bank in enumerate(banks)]

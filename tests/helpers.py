@@ -62,3 +62,38 @@ def sgd_second_moment(sched, lam: float, sigma: float, x0: float, checkpoints) -
     for gamma in sched.step_size(np.arange(checkpoints.max())).tolist():
         moments.append((1.0 - gamma * lam) ** 2 * moments[-1] + gamma * gamma * sigma * sigma)
     return np.array(moments)[checkpoints]
+
+
+def coupled_second_moments(sched, lam: float, sigma: float, x0: float, substeps: int,
+                           n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E X_k^2, E X_k Y_k, E Y_k^2) at each block k = 0..n_blocks of the
+    coupled bank on (lam/2) x^2 under additive gaussian noise of scale
+    sigma, from X_0 = Y_0 = x0, carried block by block.  Block k's
+    continuous leg takes substeps Euler-Maruyama substeps of width
+    h = gamma_alpha / substeps, substep j (counted from the run's start)
+    at rate r_j = sched.continuous_rate(j h); its discrete step's noise is
+    the block's increment sum over sqrt(gamma_alpha).  With a = 1 - gamma_k
+    lam, A the product of the block's factors 1 - r_j lam h, and c_j =
+    -r_j sqrt(gamma_alpha) sigma carried to the block's end by the factors
+    of the later substeps:
+        E X^2 <- a^2 E X^2 + gamma_k^2 sigma^2
+        E Y^2 <- A^2 E Y^2 + h sum_j c_j^2
+        E XY  <- a A E XY - (gamma_k sigma / sqrt(gamma_alpha)) h sum_j c_j"""
+    root_ga = np.sqrt(sched.gamma_alpha)
+    h = sched.gamma_alpha / substeps
+    rates = sched.continuous_rate(np.arange(n_blocks * substeps) * h).reshape(n_blocks, substeps)
+    factors = 1.0 - rates * lam * h
+    # from_j[:, j] is the product of the block's factors j, j + 1, ...
+    from_j = np.cumprod(factors[:, ::-1], axis=1)[:, ::-1]
+    c = -rates * root_ga * sigma * np.concatenate([from_j[:, 1:], np.ones((n_blocks, 1))], axis=1)
+    gammas = sched.step_size(np.arange(n_blocks))
+    a, big_a = 1.0 - gammas * lam, from_j[:, 0]
+    noise_xx, noise_yy = gammas**2 * sigma**2, h * np.sum(c * c, axis=1)
+    noise_xy = -(gammas * sigma / root_ga) * h * np.sum(c, axis=1)
+    xx = xy = yy = x0 * x0
+    moments = [(xx, xy, yy)]
+    for ak, big_ak, nxx, nxy, nyy in zip(a.tolist(), big_a.tolist(), noise_xx.tolist(),
+                                         noise_xy.tolist(), noise_yy.tolist()):
+        xx, xy, yy = ak * ak * xx + nxx, ak * big_ak * xy + nxy, big_ak * big_ak * yy + nyy
+        moments.append((xx, xy, yy))
+    return tuple(np.array(moments).T)

@@ -11,7 +11,8 @@ the report prints them (4 decimals for a decay or slope, 2 for a z-score,
 grad_sq_mean and f_gap_mean come from summary.csv.
 Criterion 9 is a property suite over the library.  Criterion 10 checks
 criterion 1's summary.csv against the exact second moment of SGD on the
-quadratic.
+quadratic, and criterion 11 criteria 4 and 7's runs against the exact
+second moments of the coupled bank.
 
 Each test prints one pass/fail line for the guarantee it checks.  Every
 run is a deterministic function of its config, so reruns reproduce the
@@ -58,7 +59,8 @@ from sgdlab import (
     w2_1d,
 )
 from sgdlab.cli import main as cli_main, validate_config
-from helpers import sgd_second_moment
+from sgdlab.sde import path_length
+from helpers import coupled_second_moments, sgd_second_moment
 
 pytestmark = pytest.mark.acceptance
 
@@ -73,7 +75,7 @@ GATE = (
     "batch_eps_laplace.ini",  # 6
     "quadratic_weak_approx.ini",  # 7
     "pl_sine_rates.ini",  # 8
-)  # criterion 10 reads criterion 1's runs
+)  # criterion 10 reads criterion 1's runs, criterion 11 those of 4 and 7
 
 _plugins = None
 
@@ -483,3 +485,55 @@ def test_criterion_10_sgd_second_moment_is_exact(run_config):
         f" {_verdict(ok)}"
     )
     assert ok, f"dist2_mean off the exact second moment: worst z {worst}"
+
+
+def test_criterion_11_coupled_second_moments_are_exact(run_config):
+    """On the quadratic with additive gaussian noise, the coupled bank's
+    (E X^2, E XY, E Y^2) follow exact recursions block by block
+    (tests/helpers.coupled_second_moments), and so do criterion 4's strong
+    errors, sup over the checkpoints of (E X^2 - 2 E XY + E Y^2)^(1/2), and
+    criterion 7's weak errors, |E Y_T^2 - E X_T^2|.  In both sweeps each
+    leg's dist2_mean lies within 4 standard errors (dist2_ci / 1.96) of its
+    exact value at every checkpoint, and each reported error within 3
+    standard errors (its ci / 1.96) of its exact value."""
+    sweeps = {"strong error (sup over checkpoints)": "quadratic_strong_approx.ini",
+              "weak error |E g| (g = squared norm)": "quadratic_weak_approx.ini"}
+    runs = {label: run_config(config) for label, config in sweeps.items()}
+    t0 = time.perf_counter()
+    worst, checkpoints, errors_ok, lines = {}, 0, True, []
+    for label, (report, summary) in runs.items():
+        cfg = validate_config(str(CONFIGS / sweeps[label]))
+        lam, sigma, x0 = cfg.objective_args["lam"], cfg.oracle_args["sigma"], float(cfg.x0[0])
+        means, cis = _columns(summary, "dist2_mean"), _columns(summary, "dist2_ci")
+        found = _found(rf"_g([^_\s]+)_a\S+ \[\w+\]: {re.escape(label)} = (\S+) \+- (\S+) over", report)
+        (slope,) = _found(r"error-vs-gamma slope (\S+)", report)
+        exact_errors = []
+        for sched, (gamma, error, ci) in zip(cfg.schedules, found):
+            assert gamma == sched.gamma
+            xx, xy, yy = coupled_second_moments(
+                sched, lam, sigma, x0, cfg.substeps, path_length(cfg.horizon, sched.gamma_alpha)
+            )
+            legs = {leg: next(run_id for run_id in means if run_id.endswith(f"_{sched.label()}:{leg}"))
+                    for leg in ("discrete", "continuous")}
+            n = means[legs["discrete"]][0].astype(int)  # both legs' checkpoints, as block indices
+            for leg, exact in (("discrete", xx), ("continuous", yy)):
+                z = float(np.max(np.abs(means[legs[leg]][1] - exact[n]) / (cis[legs[leg]][1] / 1.96)))
+                worst[f"g{gamma:g}"] = max(worst.get(f"g{gamma:g}", 0.0), z)
+                checkpoints += len(n)
+            exact_error = (float(np.sqrt(np.max((xx - 2.0 * xy + yy)[n]))) if label.startswith("strong")
+                           else abs(float(yy[-1] - xx[-1])))
+            errors_ok = errors_ok and abs(error - exact_error) <= 3.0 * ci / 1.96
+            exact_errors.append(exact_error)
+        exact_slope = np.polyfit(np.log([s.gamma for s in cfg.schedules]), np.log(exact_errors), 1)[0]
+        lines.append(f"{label.split()[0]} {' '.join(f'{e:.6g}' for e in exact_errors)},"
+                     f" slope {exact_slope:.4f} (reported {slope:.4f})")
+    dist2_ok = all(z <= 4.0 for z in worst.values())
+    ok = dist2_ok and errors_ok
+    emit(
+        f"criterion 11 (exact coupled second moments): worst dist2 z over {checkpoints} checkpoints"
+        f" {' '.join(f'{g}:{z:.2f}' for g, z in worst.items())} (limit 4); exact errors"
+        f" {'; '.join(lines)}, each reported one within 3 standard errors"
+        f" [{time.perf_counter() - t0:.1f}s, shares criteria 4 and 7's runs] {_verdict(ok)}"
+    )
+    assert dist2_ok, f"a leg's dist2_mean is off its exact second moment: worst z {worst}"
+    assert errors_ok, "a reported strong or weak error is off its exact value"

@@ -815,47 +815,52 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("experiment,text,old,new,problems", [
     # a key the kind does not take
-    ("rates", RATES_CFG, "kind = quadratic\n    lam = 1.0", "kind = phi_p\n    p = 2\n    lam = 3",
-     ["[objective] lam: not a key of objective 'phi_p' in rates"]),
-    ("rates", RATES_CFG, "kind = gaussian", "kind = heavy",
-     ["[oracle] sigma: not a key of oracle 'heavy' in rates"]),
+    pytest.param("rates", RATES_CFG, "kind = quadratic\n    lam = 1.0", "kind = phi_p\n    p = 2\n    lam = 3",
+                 ["[objective] lam: not a key of objective 'phi_p' in rates"], id="phi_p-lam"),
+    pytest.param("rates", RATES_CFG, "kind = gaussian", "kind = heavy",
+                 ["[oracle] sigma: not a key of oracle 'heavy' in rates"], id="heavy-sigma"),
     # a key or a kind the experiment sets itself
-    ("probe-exact", PROBE_CFG, "batch_m = 1", "batch_m = 1\n    law = laplace",
-     ["[oracle] law: not a key of oracle 'batch_probe' in probe-exact"]),
-    ("batch-eps", BATCH_EPS_CFG, "n_samples = 2000", "n_samples = 2000\n\n    [objective]\n    kind = quadratic",
-     ["[objective] kind: batch-eps always uses 'linear_probe'"]),
+    pytest.param("probe-exact", PROBE_CFG, "batch_m = 1", "batch_m = 1\n    law = laplace",
+                 ["[oracle] law: not a key of oracle 'batch_probe' in probe-exact"], id="probe-exact-law"),
+    pytest.param("batch-eps", BATCH_EPS_CFG, "n_samples = 2000",
+                 "n_samples = 2000\n\n    [objective]\n    kind = quadratic",
+                 ["[objective] kind: batch-eps always uses 'linear_probe'"], id="batch-eps-objective-kind"),
     # a required key left out, and constructor problems, with the others
-    ("rates", RATES_CFG, "kind = quadratic\n    lam = 1.0", "kind = phi_p",
-     ["[objective] p: required for kind 'phi_p'"]),
+    pytest.param("rates", RATES_CFG, "kind = quadratic\n    lam = 1.0", "kind = phi_p",
+                 ["[objective] p: required for kind 'phi_p'"], id="phi_p-no-p"),
     # a required key given but unreadable is listed once, as unreadable
-    ("rates", RATES_CFG, "kind = quadratic\n    lam = 1.0", "kind = phi_p\n    p = 2.5",
-     ["[objective] p: '2.5' is not an integer"]),
-    ("rates", RATES_CFG.replace("horizon = 400", "horizon = 0.5"), "kind = quadratic\n    lam = 1.0",
-     "kind = phi_p", ["[experiment] horizon: shorter than one step", "[objective] p: required for kind 'phi_p'"]),
-    ("probe-exact", PROBE_CFG.replace("replicates = 50", "replicates = 1"), "batch_m = 1", "batch_m = 0",
-     ["[experiment] replicates: must be >= 2", "[oracle] batch_probe: batch size must be >= 1"]),
-    ("batch-eps", BATCH_EPS_CFG.replace("replicates = 2", "replicates = 0"), "law = laplace", "law = foo",
-     ["[experiment] replicates: must be >= 1",
-      "[oracle] batch_probe: law must be one of ('normal', 'rademacher', 'laplace', 'student'),"
-      " got 'foo'"]),
-    ("batch-eps", BATCH_EPS_CFG, "law = laplace", "law = foo",
-     ["[oracle] batch_probe: law must be one of ('normal', 'rademacher', 'laplace', 'student'),"
-      " got 'foo'"]),
+    pytest.param("rates", RATES_CFG, "kind = quadratic\n    lam = 1.0", "kind = phi_p\n    p = 2.5",
+                 ["[objective] p: '2.5' is not an integer"], id="phi_p-p-not-integer"),
+    pytest.param("rates", RATES_CFG.replace("horizon = 400", "horizon = 0.5"), "kind = quadratic\n    lam = 1.0",
+                 "kind = phi_p", ["[experiment] horizon: shorter than one step",
+                                  "[objective] p: required for kind 'phi_p'"], id="short-horizon-and-no-p"),
+    pytest.param("probe-exact", PROBE_CFG.replace("replicates = 50", "replicates = 1"), "batch_m = 1",
+                 "batch_m = 0", ["[experiment] replicates: must be >= 2",
+                                 "[oracle] batch_probe: batch size must be >= 1"], id="probe-exact-replicates-and-m"),
+    pytest.param("batch-eps", BATCH_EPS_CFG.replace("replicates = 2", "replicates = 0"), "law = laplace",
+                 "law = foo", ["[experiment] replicates: must be >= 1",
+                               "[oracle] batch_probe: law must be one of ('normal', 'rademacher', 'laplace',"
+                               " 'student'), got 'foo'"], id="batch-eps-replicates-and-law"),
+    pytest.param("batch-eps", BATCH_EPS_CFG, "law = laplace", "law = foo",
+                 ["[oracle] batch_probe: law must be one of ('normal', 'rademacher', 'laplace', 'student'),"
+                  " got 'foo'"], id="batch-eps-law"),
     # a certify grid with no point for the ratio conditions
-    ("certify", CERTIFY_CFG, "lo = -2\n    hi = 2", "lo = -1\n    hi = 1\n    exclude_radius = 5",
-     ["[grid]: no grid point lies beyond exclude_radius with a positive gap"]),
+    pytest.param("certify", CERTIFY_CFG, "lo = -2\n    hi = 2", "lo = -1\n    hi = 1\n    exclude_radius = 5",
+                 ["[grid]: no grid point lies beyond exclude_radius with a positive gap"], id="certify-empty-grid"),
     # an [experiment] key the experiment does not read
-    ("rates", RATES_CFG, "horizon = 400", "horizon = 400\n    substeps = 4",
-     ["[experiment] substeps: rates takes no substeps"]),
-    ("batch-eps", BATCH_EPS_CFG, "replicates = 2", "replicates = 2\n    horizon = 1",
-     ["[experiment] horizon: batch-eps takes no horizon"]),
+    pytest.param("rates", RATES_CFG, "horizon = 400", "horizon = 400\n    substeps = 4",
+                 ["[experiment] substeps: rates takes no substeps"], id="rates-substeps"),
+    pytest.param("batch-eps", BATCH_EPS_CFG, "replicates = 2", "replicates = 2\n    horizon = 1",
+                 ["[experiment] horizon: batch-eps takes no horizon"], id="batch-eps-horizon"),
     # a section the experiment does not read
-    ("rates", RATES_CFG, "alpha = 0.5", "alpha = 0.5\n\n    [grid]\n    num = 5",
-     ["[grid] num: rates takes no grid"]),
-    ("batch-eps", BATCH_EPS_CFG, "n_samples = 2000", "n_samples = 2000\n\n    [schedule]\n    gamma = 0.5",
-     ["[schedule] gamma: batch-eps takes no schedule"]),
-    ("certify", CERTIFY_CFG, "num = 401", "num = 401\n\n    [schedule]\n    alpha = 0.5\n\n    [oracle]\n"
-     "    sigma = 1", ["[schedule] alpha: certify takes no schedule", "[oracle] sigma: certify takes no oracle"]),
+    pytest.param("rates", RATES_CFG, "alpha = 0.5", "alpha = 0.5\n\n    [grid]\n    num = 5",
+                 ["[grid] num: rates takes no grid"], id="rates-grid"),
+    pytest.param("batch-eps", BATCH_EPS_CFG, "n_samples = 2000",
+                 "n_samples = 2000\n\n    [schedule]\n    gamma = 0.5", ["[schedule] gamma: batch-eps takes no schedule"], id="batch-eps-schedule"),
+    pytest.param("certify", CERTIFY_CFG, "num = 401",
+                 "num = 401\n\n    [schedule]\n    alpha = 0.5\n\n    [oracle]\n    sigma = 1",
+                 ["[schedule] alpha: certify takes no schedule", "[oracle] sigma: certify takes no oracle"],
+                 id="certify-schedule-and-oracle"),
 ])
 def test_kind_keys_and_constructor_problems_are_listed_before_out_dir(
         tmp_path, capsys, experiment, text, old, new, problems):

@@ -224,7 +224,8 @@ def test_coupled_bank_drops_only_diverging_replicates(monkeypatch):
     """Noise proportional to the state makes some replicates blow up, in
     one leg or the other.  Each aborts alone, with the error and the step
     it has when every replicate steps alone, and every other replicate's
-    rows are bitwise those it has then."""
+    rows are bitwise those it has then.  The bank and both legs list the
+    same aborts, and every leg and coupled_dist2 one row per survivor."""
     obj = make_quadratic(dim=1, lam=1.0)
     oracle = gaussian_oracle(obj, lambda x: 5.0 * np.abs(x), eta=1.0)
     sched = StepSchedule(1.0, 0.1)
@@ -238,6 +239,9 @@ def test_coupled_bank_drops_only_diverging_replicates(monkeypatch):
     survivors = sorted(set(range(16)) - {err.replicate_id for err in bank.aborts})
     assert bank.discrete.replicate_ids.tolist() == survivors
     assert bank.continuous.replicate_ids.tolist() == survivors
+    assert bank.coupled_dist2.shape[0] == len(survivors)
+    assert [str(err) for err in bank.discrete.aborts] == errors
+    assert [str(err) for err in bank.continuous.aborts] == errors
     monkeypatch.setattr(sgd, "REPLICATE_BLOCK", 1)  # every row steps alone
     assert _coupled_bytes(bank) == _coupled_bytes(run())
 
