@@ -37,7 +37,6 @@ from .objectives import (
     GridSpec,
     LeastSquaresObjective,
     Lojasiewicz,
-    MixedDominance,
     Objective,
     QuasarConvex,
     SingularGramError,

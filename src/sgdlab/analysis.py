@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import sorted_distinct
-from .objectives import Convex, Lojasiewicz, MixedDominance, QuasarConvex, StronglyConvex
+from .objectives import Convex, Lojasiewicz, QuasarConvex, StronglyConvex
 
 # One row per function class, in report order: its class tag type, its name
 # in reports, the observable its exponent is about, and whether the exponent
@@ -23,7 +23,6 @@ RATE_CLASSES = (
     (StronglyConvex, "strongly_convex", "dist2", True),
     (Convex, "convex", "f_gap", False),
     (Lojasiewicz, "lojasiewicz", "f_gap", True),
-    (MixedDominance, "mixed_dominance", "f_gap", False),
     (QuasarConvex, "quasar_convex", "f_gap", False),
 )
 
@@ -40,11 +39,8 @@ class Estimate:
 @dataclass(frozen=True)
 class RateEstimate:
     slope: float
-    intercept: float
     r_squared: float
     window: tuple
-    ci_halfwidth: float
-    n_points: int
 
 
 def fit_rate(points) -> RateEstimate:
@@ -77,16 +73,7 @@ def fit_rate(points) -> RateEstimate:
     yc = y - y.mean()
     ss_tot = float(yc @ yc)
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    dof = len(tail) - 2
-    se = np.sqrt(ss_res / dof / sxx) if dof > 0 else 0.0
-    return RateEstimate(
-        slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        window=(float(tail[0, 0]), float(tail[-1, 0])),
-        ci_halfwidth=1.96 * float(se),
-        n_points=len(tail),
-    )
+    return RateEstimate(slope=slope, r_squared=r2, window=(float(tail[0, 0]), float(tail[-1, 0])))
 
 
 def expected_rate(tag, alpha: float) -> float | None:
@@ -115,13 +102,6 @@ def expected_rate(tag, alpha: float) -> float | None:
         if r == 2.0:
             return a
         delta = min((r / 2.0) / (1.0 - r / 2.0) * (1.0 - a), (r / 2.0) * a)
-        return delta if delta > 0 else None
-
-    if isinstance(tag, MixedDominance):
-        if not 0.0 < tag.r1 < 2.0:
-            raise ValueError("mixed_dominance needs r1 in (0, 2)")
-        half = tag.r1 / 2.0
-        delta = min(half / (1.0 - half) * (1.0 - a), half * a)
         return delta if delta > 0 else None
 
     delta = min((3.0 * a - 1.0) / 2.0, a / 2.0, 1.0 - a)  # QuasarConvex

@@ -118,7 +118,7 @@ _KEYS = {
                   "n_data": int},
     "oracle": {"kind": str, "sigma": float, "scale": float, "law": str, "df": float,
                "batch_m": int, "m_values": [int], "n_samples": int,
-               "rate_tolerance": float, "slope_lo": float, "slope_hi": float},
+               "rate_tolerance": float},
     "schedule": {"gamma": [float], "alpha": [float]},
     "grid": {"lo": float, "hi": float, "num": int, "exclude_radius": float},
 }
@@ -397,9 +397,9 @@ def _emit_coupled(out: Outcome, run_id: str, bank: CoupledBank) -> None:
     _emit_banks(out, [(f"{run_id}:discrete", bank.discrete), (f"{run_id}:continuous", bank.continuous)])
 
 
-def _experiment_approx(cfg: ExperimentConfig, out: Outcome, weak: bool) -> None:
+def _experiment_approx(cfg: ExperimentConfig, out: Outcome, weak: bool, window: tuple) -> None:
     obj, (oracle,) = cfg.obj, cfg.oracles
-    lo, hi = cfg.oracle_args["slope_lo"], cfg.oracle_args["slope_hi"]
+    lo, hi = window
     by_alpha: dict = {}
     for sched in cfg.schedules:
         run_id = _run_label(obj, oracle, sched)
@@ -438,9 +438,9 @@ def _experiment_approx(cfg: ExperimentConfig, out: Outcome, weak: bool) -> None:
         )
 
 
-def _experiment_batch_eps(cfg: ExperimentConfig, out: Outcome) -> None:
+def _experiment_batch_eps(cfg: ExperimentConfig, out: Outcome, window: tuple) -> None:
     args = cfg.oracle_args
-    law, m_values, lo, hi = args["law"], args["m_values"], args["slope_lo"], args["slope_hi"]
+    law, m_values, (lo, hi) = args["law"], args["m_values"], window
     means = []
     for m, oracle in zip(m_values, cfg.oracles):
         run_id = f"eps_{law}_M{m}"
@@ -593,14 +593,14 @@ _SUBSTEPS = (lambda horizon, substeps, sched: path_length(horizon, sched.gamma_a
              "substeps", "substep")
 _EXPERIMENTS = {
     "rates": _Experiment(_experiment_rates, steps=_STEPS, stacks=True, keys={"rate_tolerance": 0.1}),
-    "strong-approx": _Experiment(partial(_experiment_approx, weak=False), fewest=2, legs=2, steps=_SUBSTEPS,
-                                 continuous=True, keys={"slope_lo": 0.85, "slope_hi": 1.15}),
-    "weak-approx": _Experiment(partial(_experiment_approx, weak=True), fewest=2, legs=2, steps=_SUBSTEPS,
-                               continuous=True, keys={"slope_lo": 0.8, "slope_hi": 1.3}),
+    "strong-approx": _Experiment(partial(_experiment_approx, weak=False, window=(0.85, 1.15)), fewest=2, legs=2,
+                                 steps=_SUBSTEPS, continuous=True),
+    "weak-approx": _Experiment(partial(_experiment_approx, weak=True, window=(0.8, 1.3)), fewest=2, legs=2,
+                               steps=_SUBSTEPS, continuous=True),
     "batch-eps": _Experiment(
-        _experiment_batch_eps, sweep="batch_m", objective="linear_probe", oracle="batch_probe", fixed=("batch_m",),
-        sections=("oracle",), keys={"law": "laplace", "m_values": [1, 4, 16, 64],
-                                    "n_samples": 100_000, "slope_lo": -1.25, "slope_hi": -0.75}),
+        partial(_experiment_batch_eps, window=(-1.25, -0.75)), sweep="batch_m", objective="linear_probe",
+        oracle="batch_probe", fixed=("batch_m",), sections=("oracle",),
+        keys={"law": "laplace", "m_values": [1, 4, 16, 64], "n_samples": 100_000}),
     "probe-exact": _Experiment(
         _experiment_probe_exact, fewest=2, steps=(_probe_steps, "steps", "gamma_alpha block"), continuous=True,
         alpha_below=(0.5, "the growing-noise regime needs alpha < 1/2"), objective="linear_probe",
@@ -809,7 +809,8 @@ def validate_config(path: str, overrides: dict | None = None) -> ExperimentConfi
         elif len(x0) == cfg.obj.dim:
             cfg.x0 = np.asarray(x0)
         else:
-            problems.append(f"[objective] x0: expected 1 or {cfg.obj.dim} entries")
+            expected = f"1 or {cfg.obj.dim} entries" if cfg.obj.dim > 1 else "1 entry"
+            problems.append(f"[objective] x0: expected {expected}")
     if cfg.obj is not None and grid is not None and clean("grid") and any(
             not isinstance(tag, (StronglyConvex, Convex)) for tag in cfg.obj.class_tags):
         try:

@@ -49,15 +49,6 @@ class Lojasiewicz:
 
 
 @dataclass(frozen=True)
-class MixedDominance:
-    """|grad f(x)|^r1 * |x - x*|^r2 >= tau (f(x) - f*), with r1 in (0, 2)."""
-
-    r1: float
-    r2: float
-    tau: float
-
-
-@dataclass(frozen=True)
 class QuasarConvex:
     """Star-shaped bound <grad f(x), x - x*> >= tau (f(x) - f*)."""
 
@@ -315,6 +306,8 @@ class GridSpec:
             raise ValueError("grid needs at least 2 points")
         if not -np.inf < self.lo < self.hi < np.inf:
             raise ValueError(f"grid needs finite lo < hi, got lo={self.lo}, hi={self.hi}")
+        if self.hi - self.lo == np.inf:  # linspace and uniform overflow on it
+            raise ValueError(f"grid span hi - lo overflows, got lo={self.lo}, hi={self.hi}")
         if not 0.0 <= self.exclude_radius < np.inf:
             raise ValueError(f"exclude_radius must be finite and >= 0, got {self.exclude_radius}")
 
@@ -345,15 +338,13 @@ class CertificationReport:
 def ratio_points(obj: Objective, grid: GridSpec) -> tuple:
     """The grid points a ratio condition (every condition but the convex
     ones) is checked on: those beyond exclude_radius from the minimizer with
-    a positive gap, with their gaps and distances.  A ValueError if there is
-    none."""
+    a positive gap, with their gaps.  A ValueError if there is none."""
     pts = grid.points(obj.dim)
     gap = obj.value(pts) - obj.f_star
-    dist = np.linalg.norm(pts - obj.x_star, axis=-1)
-    keep = (dist > grid.exclude_radius) & (gap > 0)
+    keep = (np.linalg.norm(pts - obj.x_star, axis=-1) > grid.exclude_radius) & (gap > 0)
     if not keep.any():
         raise ValueError("no grid point lies beyond exclude_radius with a positive gap")
-    return pts[keep], gap[keep], dist[keep]
+    return pts[keep], gap[keep]
 
 
 def certify_condition(obj: Objective, cond, grid: GridSpec) -> CertificationReport:
@@ -362,9 +353,8 @@ def certify_condition(obj: Objective, cond, grid: GridSpec) -> CertificationRepo
     Failure is an outcome, not an error: the report carries the extremal
     ratio and the threshold implied by the supplied constants.
     """
-    pts = grid.points(obj.dim)
-
     if isinstance(cond, (StronglyConvex, Convex)):
+        pts = grid.points(obj.dim)
         x, y = pts[1:], pts[:-1]
         dg = obj.gradient(x) - obj.gradient(y)
         dx = x - y
@@ -375,18 +365,11 @@ def certify_condition(obj: Objective, cond, grid: GridSpec) -> CertificationRepo
         worst = float(ratio.min())
         return CertificationReport(obj.name, cond, worst, threshold, worst >= threshold, int(keep.sum()))
 
-    pts, gap, dist = ratio_points(obj, grid)
+    pts, gap = ratio_points(obj, grid)
     g = obj.gradient(pts)
-    gnorm = np.linalg.norm(g, axis=-1)
-
     if isinstance(cond, Lojasiewicz):
-        num = gnorm**cond.r
+        num = np.linalg.norm(g, axis=-1) ** cond.r
         threshold = cond.tau_tilde
-    elif isinstance(cond, MixedDominance):
-        if not 0.0 < cond.r1 < 2.0:
-            raise ValueError("r1 must lie in (0, 2)")
-        num = gnorm**cond.r1 * dist**cond.r2
-        threshold = cond.tau
     elif isinstance(cond, QuasarConvex):
         num = np.sum(g * (pts - obj.x_star), axis=-1)
         threshold = cond.tau

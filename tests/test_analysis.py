@@ -13,7 +13,8 @@ from sgdlab.analysis import (
     probe_exact_second_moment,
     probe_strong_error_floor,
 )
-from sgdlab.objectives import Convex, Lojasiewicz, MixedDominance, QuasarConvex, StronglyConvex
+from sgdlab.cli import _OBJECTIVES, _REQUIRED
+from sgdlab.objectives import Convex, Lojasiewicz, QuasarConvex, StronglyConvex
 
 
 # ---------------------------------------------------------------- regression
@@ -22,11 +23,8 @@ def test_fit_rate_recovers_exact_power_law():
     n = np.geomspace(10, 1e5, 40)
     est = fit_rate(zip(n, 3.0 * n**-0.7))
     assert est.slope == pytest.approx(-0.7, abs=1e-12)
-    assert est.intercept == pytest.approx(np.log(3.0), abs=1e-10)
     assert est.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert est.ci_halfwidth == pytest.approx(0.0, abs=1e-10)
-    assert est.n_points == 20
-    assert est.window[0] >= n[19]
+    assert est.window == (n[20], n[39])
 
 
 @given(
@@ -67,7 +65,6 @@ def test_fit_rate_noisy_fit_reports_uncertainty():
     n = np.geomspace(10, 1e5, 40)
     vals = n**-0.5 * np.exp(rng.normal(0, 0.1, size=40))
     est = fit_rate(zip(n, vals))
-    assert est.ci_halfwidth > 0
     assert est.r_squared < 1.0
     assert est.slope == pytest.approx(-0.5, abs=0.15)
 
@@ -99,7 +96,18 @@ def test_rate_classes_cover_every_class_tag_once():
     }
     kinds = [kind for kind, _, _, _ in RATE_CLASSES]
     assert len(kinds) == len(set(kinds))
-    assert set(kinds) == tag_types == {StronglyConvex, Convex, Lojasiewicz, MixedDominance, QuasarConvex}
+    assert set(kinds) == tag_types == {StronglyConvex, Convex, Lojasiewicz, QuasarConvex}
+
+
+def test_every_rate_class_is_carried_by_a_built_in_objective():
+    """Each RATE_CLASSES row is reachable: some objective kind of the CLI,
+    built with its defaults (p = 2 where a kind needs one, least-squares
+    data from seed 0), carries a tag of its type."""
+    carried = set()
+    for keys, make in _OBJECTIVES.values():
+        obj = make(0, **{key: 2 if value is _REQUIRED else value for key, value in keys.items()})
+        carried |= {type(tag) for tag in obj.class_tags}
+    assert {kind for kind, _, _, _ in RATE_CLASSES} <= carried
 
 
 def test_expected_rate_strongly_convex_is_alpha():
@@ -125,15 +133,6 @@ def test_expected_rate_lojasiewicz():
         expected_rate(Lojasiewicz(0.0, 1.0), 0.5)
     with pytest.raises(ValueError, match="needs r"):
         expected_rate(Lojasiewicz(2.5, 1.0), 0.5)
-
-
-def test_expected_rate_mixed_dominance():
-    # r1 = 1: min(1 - a, a / 2)
-    assert expected_rate(MixedDominance(1.0, 1.0, 1.0), 0.5) == pytest.approx(0.25)
-    with pytest.raises(ValueError, match="needs r1"):
-        expected_rate(MixedDominance(0.0, 1.0, 1.0), 0.5)
-    with pytest.raises(ValueError, match="needs r1"):
-        expected_rate(MixedDominance(2.0, 1.0, 1.0), 0.5)
 
 
 def test_expected_rate_quasar_convex():

@@ -43,7 +43,7 @@ from sgdlab.cli import (
     validate_config,
 )
 from sgdlab.core import StepSchedule, log_spaced_indices
-from sgdlab.objectives import Convex, Lojasiewicz, MixedDominance, make_phi_p
+from sgdlab.objectives import Lojasiewicz, make_phi_p
 from sgdlab.sgd import ReplicateRuns, run_sgd_sweep
 from test_acceptance import CONFIGS, GATE
 
@@ -499,16 +499,6 @@ def _phi2_rates_tagged(tmp_path, capsys, monkeypatch, tags) -> list[str]:
     return capsys.readouterr().out.splitlines()
 
 
-def test_rates_reports_the_mixed_dominance_row(tmp_path, capsys, monkeypatch):
-    """An objective tagged MixedDominance gets its row's verdict, right after
-    the convex one: phi_2 carries MixedDominance(1, 1, 1) on [-50, 50]."""
-    tags = (Convex(), MixedDominance(1.0, 1.0, 1.0))
-    lines = _phi2_rates_tagged(tmp_path, capsys, monkeypatch, tags)
-    assert [line.split(": ")[0].split(" ")[1] for line in lines] == ["convex/f_gap", "mixed_dominance/f_gap"]
-    assert " vs expected 0.5000 " in lines[0]
-    assert " vs expected 0.2500 " in lines[1]
-
-
 def test_rates_judges_a_lojasiewicz_tag_below_r2_as_a_guarantee(tmp_path, capsys, monkeypatch):
     """Only r = 2 makes the Lojasiewicz exponent sharp.  Tagged with r = 4/3,
     phi_2 decays at about 0.55 against the exponent 1/3; that passes as a
@@ -728,6 +718,23 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
          "[experiment] replicates: must be >= 2"),
         ("certify", CERTIFY_CFG, "num = 401", "num = 1",
          "[grid]: grid needs at least 2 points"),
+        # a finite lo and hi whose span hi - lo overflows, on a 2-D grid
+        # (uniform points) and a 1-D one (linspace)
+        ("certify", CERTIFY_CFG.replace("kind = quadratic\n    lam = 2.0", "kind = least_squares\n    dim = 2"),
+         "lo = -2\n    hi = 2", "lo = -1e308\n    hi = 1e308",
+         "[grid]: grid span hi - lo overflows, got lo=-1e+308, hi=1e+308"),
+        ("certify", CERTIFY_CFG.replace("kind = quadratic\n    lam = 2.0", "kind = phi_p\n    p = 2"),
+         "lo = -2\n    hi = 2", "lo = -1e308\n    hi = 1e308",
+         "[grid]: grid span hi - lo overflows, got lo=-1e+308, hi=1e+308"),
+        # an x0 of neither 1 nor dim entries
+        ("couple-demo", COUPLE_CFG, "x0 = 1.0", "x0 = 1.0, 2.0", "[objective] x0: expected 1 entry\n"),
+        ("rates", RATES_CFG, "x0 = 1.0", "x0 = 1.0, 2.0\n    dim = 3",
+         "[objective] x0: expected 1 or 3 entries\n"),
+        # the slope windows are the experiments' own, not keys
+        ("strong-approx", COUPLE_CFG.replace("couple-demo", "strong-approx"), "sigma = 1.0",
+         "sigma = 1.0\n    slope_lo = 0.5", "[oracle] slope_lo: unknown key"),
+        ("batch-eps", BATCH_EPS_CFG, "n_samples = 2000", "n_samples = 2000\n    slope_hi = -0.5",
+         "[oracle] slope_hi: unknown key"),
         # finite configs asking for more steps than a run can plan
         ("rates", RATES_CFG, "horizon = 400", "horizon = 1e300",
          "[experiment] horizon: more than 100000000 steps per replicate"),
@@ -1588,8 +1595,6 @@ VALID = {
     ("oracle", "m_values"): ["1", "1, 4"],
     ("oracle", "n_samples"): ["2", "50"],
     ("oracle", "rate_tolerance"): [None, "0.1"],
-    ("oracle", "slope_lo"): [None, "0.5"],
-    ("oracle", "slope_hi"): [None, "1.5"],
     ("schedule", "gamma"): [None, "0.3", "0.5", "1", "0.3, 0.5"],
     ("schedule", "alpha"): ["0.25", None, "0", "0.5", "1", "0.25, 0.5"],
     ("grid", "lo"): [None, "-1", "1"],

@@ -12,7 +12,6 @@ from sgdlab.objectives import (
     Convex,
     GridSpec,
     Lojasiewicz,
-    MixedDominance,
     QuasarConvex,
     SingularGramError,
     StronglyConvex,
@@ -286,17 +285,6 @@ def test_certify_rejects_unknown_condition():
     obj = make_quadratic()
     with pytest.raises(TypeError):
         certify_condition(obj, object(), GridSpec(-1.0, 1.0, num=11))
-
-
-def test_certify_mixed_dominance_on_quadratic():
-    # |grad|^r1 |x|^r2 / gap with r1 + r2 = 2 is constant 2 lam^r1... on a
-    # quadratic, so a threshold below that passes and one above fails.
-    obj = make_quadratic(lam=1.0)
-    grid = GridSpec(-2.0, 2.0, num=401)
-    ok = certify_condition(obj, MixedDominance(1.0, 1.0, 1.9), grid)
-    assert ok.passed
-    bad = certify_condition(obj, MixedDominance(1.0, 1.0, 2.1), grid)
-    assert not bad.passed
 
 
 def test_grid_spec_excludes_minimizer_neighborhood():

@@ -13,11 +13,13 @@ import sgdlab
 # data-source and interval helpers that only tests called, the solo and
 # one-schedule SGD and coupled runners, which only re-entered a bank, and
 # the solo diffusion runner with its materialized Brownian path, which the
-# bias probe no longer needs.
+# bias probe no longer needs, and the mixed-dominance class tag, which no
+# built-in objective carried.
 DELETED = (
     "BrownianPath",
     "CoupledRun",
     "DataDistribution",
+    "MixedDominance",
     "RateSetting",
     "Trajectory",
     "confidence_interval",
